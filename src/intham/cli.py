@@ -9,7 +9,9 @@ chosen directory.  Modes:
 - ``spectral``: shell permutation, eigenphase table, operator residuals.
 - ``census``: site counts and continuum periods over an energy ladder.
 - ``margolus-contrast``: two-layer automaton energy series plus round trip.
-- ``lightcone``: spread of a single-site perturbation against its bound.
+- ``lightcone``: spread of a single-site perturbation against its bound
+  ``2t``; the radius is the periodic distance in ``sum(x)``, the L1
+  distance in one dimension.
 
 Exit status: 0 on success, 2 for configuration problems, 3 for model errors
 (unbounded contours, unclosed shells, regime violations, failed checks), with
@@ -329,7 +331,7 @@ def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         a = fields.step(a, spec)
         b = fields.step(b, spec)
         diff = fields.diff_sites(a, b)
-        radius = fields.spread_radius(spec.shape, site, diff)
+        radius = fields.diagonal_radius(spec.shape, site, diff)
         cap = 2 * t
         ok = ok and radius <= cap
         rows.append([t, len(diff), radius, cap])

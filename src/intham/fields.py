@@ -5,9 +5,14 @@ components.  The energy density at a site is the sum of two separately
 floored terms: a potential part (squared forward gradients plus mass terms)
 and a kinetic part (squared momenta).  One time step sweeps the even
 checkerboard class and then the odd class, updating each (site, component)
-pair by an exact contour step of its restricted Hamiltonian.  Same-class
-updates touch disjoint variables, so their order is irrelevant; the two-class
-split keeps information propagation inside one lattice link per half sweep.
+pair by an exact contour step of its restricted Hamiltonian.  A sub-update
+at x reads the other class at x +- e_a, which the half sweep leaves fixed, and
+its own class only at x - e_a + e_b, which has the same coordinate sum.  So a
+change moves by at most one unit of ``sum(x)`` per half sweep, whatever the
+sweep order (see :func:`diagonal_radius`).  In one dimension that is one
+lattice link and same-class updates commute; in higher dimensions a sweep
+can carry a change along a whole line of constant ``sum(x)``, so the L1
+radius has no such bound and the sweep order is fixed.
 
 A two-layer second-order automaton (field value plus previous field value)
 is included as a contrast: exactly reversible for any integer update rule,
@@ -29,6 +34,10 @@ from .errors import IntHamError
 from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 
 Site = tuple[int, ...]
+
+#: Entries a spec's local-rule memo (see :func:`_sweep`) holds before it is
+#: cleared; bounds the memory of long runs over rarely repeating states.
+_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,9 @@ class FieldHamiltonianSpec:
             2 * self.stiffness.denominator * md,
         )
         object.__setattr__(self, "_kin_den", 2 * self.stiffness.denominator)
+        # Local-rule memo of the sweep; not a field, so equality, hashing
+        # and repr ignore it.
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def uniform(
@@ -238,28 +250,17 @@ def momentum_bound(energy: int, stiffness: Fraction) -> int:
     return b
 
 
-def restricted_hamiltonian(
-    state: FieldState, spec: FieldHamiltonianSpec, x: Site, k: int
-) -> SeparableHamiltonian1D:
-    """Freeze everything except the pair (phi_k(x), mom_k(x)).
+def _local_terms(spec: FieldHamiltonianSpec, phi, mom, x: Site, k: int) -> tuple:
+    """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
-    The potential table collects the floored potential terms of this site and
-    of each backward neighbor (the densities whose gradients straddle x); the
-    kinetic table is this site's floored momentum term.  Their sum plus the
-    untouched remainder reproduces the total energy exactly.
+    Returns ``(frozen_parts, center_lists, q, p, others)``.  Per involved
+    density (this site's, then each backward neighbor's) the floor argument
+    splits into a frozen part and ``(value - c)^2`` gradient terms, one per
+    frozen center ``c``; ``q`` and ``p`` are the pair's own values and
+    ``others`` the other components' squared momenta at x.
     """
-    _check_state(state, spec)
     shape = spec.shape
-    phi = state.phi
-    qlo, qhi = spec.phi_windows[k]
-    plo, phi_hi = spec.p_windows[k]
     md = spec._mass_den
-    sn = spec.stiffness.numerator
-    pden = spec._pot_den
-    mnum_k = spec._mass_num[k]
-
-    # Per involved density, split the floor argument into a frozen part and
-    # the (value - center)^2 gradient terms that contain phi_k(x).
     frozen_parts: list[int] = []
     center_lists: list[list[int]] = []
 
@@ -297,6 +298,39 @@ def restricted_hamiltonian(
         frozen_parts.append(md * grads + mass)
         center_lists.append(centers)
 
+    q = int(phi[(k, *x)])
+    p = int(mom[(k, *x)])
+    others = _kinetic_sum(mom, spec, x) - p * p
+    return frozen_parts, center_lists, q, p, others
+
+
+def restricted_hamiltonian(
+    state: FieldState,
+    spec: FieldHamiltonianSpec,
+    x: Site,
+    k: int,
+    *,
+    _terms: Optional[tuple] = None,
+) -> SeparableHamiltonian1D:
+    """Freeze everything except the pair (phi_k(x), mom_k(x)).
+
+    The potential table collects the floored potential terms of this site and
+    of each backward neighbor (the densities whose gradients straddle x); the
+    kinetic table is this site's floored momentum term.  Their sum plus the
+    untouched remainder reproduces the total energy exactly.  ``_terms`` is
+    the pair's :func:`_local_terms`, when the caller already has them.
+    """
+    _check_state(state, spec)
+    if _terms is None:
+        _terms = _local_terms(spec, state.phi, state.mom, x, k)
+    frozen_parts, center_lists, q_cur, p_cur, others = _terms
+    qlo, qhi = spec.phi_windows[k]
+    plo, phi_hi = spec.p_windows[k]
+    md = spec._mass_den
+    sn = spec.stiffness.numerator
+    pden = spec._pot_den
+    mnum_k = spec._mass_num[k]
+
     def pot_at(value: int) -> int:
         acc = 0
         own_mass = mnum_k * value * value
@@ -311,9 +345,6 @@ def restricted_hamiltonian(
             acc += sn * arg // pden
         return acc
 
-    q_cur = int(phi[(k, *x)])
-    p_cur = int(state.mom[(k, *x)])
-    others = _kinetic_sum(state.mom, spec, x) - p_cur * p_cur
     level = pot_at(q_cur) + _kin_floor(spec, others + p_cur * p_cur)
 
     # A field value whose squared distance from every frozen neighbor already
@@ -338,6 +369,20 @@ def restricted_hamiltonian(
     return SeparableHamiltonian1D(
         IntegerFunction1D(p_lo, tuple(kin_values)),
         IntegerFunction1D(band_lo, tuple(pot_values)),
+    )
+
+
+def _band_clear(spec: FieldHamiltonianSpec, k: int, cents, q: int, p: int, reach: int) -> bool:
+    """Whether neither window clamps the tables :func:`restricted_hamiltonian`
+    builds for this pair, given the ``reach`` of its level."""
+    qlo, qhi = spec.phi_windows[k]
+    plo, phi_hi = spec.p_windows[k]
+    p_span = max(reach, abs(p) + 1)
+    return (
+        qlo <= min(min(cents), q) - reach
+        and max(max(cents), q) + reach <= qhi
+        and plo <= -p_span
+        and p_span <= phi_hi
     )
 
 
@@ -367,16 +412,37 @@ def _sweep(
     work.mom = state_mom
     work.time = 0
 
+    # The local rule is memoized on the spec.  While neither window clamps
+    # the band, the tables are a function of the key alone; a massless
+    # component's potential depends only on differences of phi_k, so its key
+    # and its stored image are taken relative to the site's own value, and
+    # a repeat anywhere in phi walks an exact translate of the same tables.
+    memo = spec._memo
     for x in sites:
         for k in component_list:
-            ham = restricted_hamiltonian(work, spec, x, k)
-            q = int(state_phi[(k, *x)])
-            p = int(state_mom[(k, *x)])
-            try:
-                q2, p2 = mover(ham, q, p)
-            except IntHamError as exc:
-                exc.field_site = (x, k)
-                raise
+            terms = _local_terms(spec, state_phi, state_mom, x, k)
+            frozen_parts, center_lists, q, p, others = terms
+            cents = [c for lst in center_lists for c in lst]
+            shift = 0 if spec._mass_num[k] else q
+            key = (
+                inverse, k, *frozen_parts, *(c - shift for c in cents),
+                q - shift, p, others,
+            )
+            hit = memo.get(key)
+            if hit is not None and _band_clear(spec, k, cents, q, p, hit[2]):
+                q2, p2 = hit[0] + shift, hit[1]
+            else:
+                ham = restricted_hamiltonian(work, spec, x, k, _terms=terms)
+                try:
+                    q2, p2 = mover(ham, q, p)
+                except IntHamError as exc:
+                    exc.field_site = (x, k)
+                    raise
+                reach = momentum_bound(ham.value(q, p), spec.stiffness)
+                if _band_clear(spec, k, cents, q, p, reach):
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
+                    memo[key] = (q2 - shift, p2, reach)
             state_phi[(k, *x)] = q2
             state_mom[(k, *x)] = p2
 
@@ -425,6 +491,19 @@ def diff_sites(a: FieldState, b: FieldState) -> set[Site]:
 def spread_radius(shape: LatticeShape, origin: Site, sites: Iterable[Site]) -> int:
     """Largest periodic L1 distance from origin over the given sites."""
     return max((shape.l1_distance(origin, x) for x in sites), default=0)
+
+
+def diagonal_radius(shape: LatticeShape, origin: Site, sites: Iterable[Site]) -> int:
+    """Largest periodic distance of ``sum(x)`` from ``sum(origin)`` over the
+    given sites: the light-cone radius, which grows by at most one per half
+    sweep.  ``sum(x)`` is defined modulo the gcd of the side lengths; in one
+    dimension this is the L1 distance."""
+    period = math.gcd(*shape.sizes)
+    u0 = sum(origin)
+    return max(
+        (min((sum(x) - u0) % period, (u0 - sum(x)) % period) for x in sites),
+        default=0,
+    )
 
 
 # -- two-layer contrast automaton -------------------------------------------
@@ -497,17 +576,24 @@ def margolus_states_equal(a: MargolusFieldState, b: MargolusFieldState) -> bool:
 # -- JSON snapshots ----------------------------------------------------------
 
 
+_SPEC_KEYS = {"sizes", "components", "masses", "stiffness", "phi_window", "p_window"}
+
+
 def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     """Build a spec from a JSON object.
 
     Expected keys: "sizes"; optional "components" (default 1), "masses"
     (list, default zeros), "stiffness" (default 1/dimensions), "phi_window"
     and "p_window" (shared [lo, hi] pairs, default [-64, 64]).  Rationals may
-    be written as numbers or strings like "1/2".
+    be written as numbers or strings like "1/2".  Any other key is a
+    :class:`ConfigError`.
     """
     from .errors import ConfigError
     from .hamiltonians import fraction_from_json
 
+    unknown = set(obj) - _SPEC_KEYS
+    if unknown:
+        raise ConfigError(f"unknown field spec keys: {sorted(unknown)}")
     if "sizes" not in obj:
         raise ConfigError("field spec needs 'sizes'")
     shape = LatticeShape(tuple(obj["sizes"]))

@@ -8,6 +8,7 @@ is linearly interpolated, which makes ``H`` bilinear on every unit cell.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -26,9 +27,11 @@ class IntegerFunction1D:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty window")
-        if not all(isinstance(v, int) for v in self.values):
-            raise ValueError("values must be integers")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        try:
+            values = tuple(operator.index(v) for v in self.values)
+        except TypeError:
+            raise ValueError("values must be integers") from None
+        object.__setattr__(self, "values", values)
 
     @property
     def hi(self) -> int:
@@ -75,12 +78,14 @@ def _floor_nth_root(n: int, v: int) -> int:
         return n
     if v == 2:
         return math.isqrt(n)
-    k = int(round(n ** (1.0 / v)))
-    while k > 0 and k**v > n:
-        k -= 1
-    while (k + 1) ** v <= n:
-        k += 1
-    return k
+    # Integer Newton iteration from 2**ceil(bits/v), which is at least the
+    # root; the iterates decrease strictly until they reach the floor.
+    k = 1 << -(-n.bit_length() // v)
+    while True:
+        nxt = ((v - 1) * k + n // k ** (v - 1)) // v
+        if nxt >= k:
+            return k
+        k = nxt
 
 
 def floor_scaled_power(scale: Fraction, magnitude: int, exponent: Fraction) -> int:

@@ -1,11 +1,14 @@
 """End-to-end runs of the batch harness against small JSON configs."""
 
 import json
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from intham import fields
 from intham.cli import main, run
 from intham.errors import ConfigError
 
@@ -191,6 +194,50 @@ class TestLightcone:
             assert int(radius) <= int(cap)
 
 
+    def test_planar_spread_is_bounded_in_the_coordinate_sum(self, tmp_path):
+        # On a plane a change can run along a line of constant x + y, so
+        # its L1 radius outgrows 2t; the reported radius is the periodic
+        # distance in x + y, which the rule bounds by one per half sweep.
+        field = {"sizes": [8, 8], "components": 2, "masses": [0, "1/2"]}
+        rng = random.Random(1)
+        phi, mom = (
+            np.array([rng.randint(-3, 3) for _ in range(128)]).reshape(2, 8, 8)
+            for _ in range(2)
+        )
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "mode": "lightcone",
+                "field": field,
+                "state": {"phi": phi.tolist(), "mom": mom.tolist()},
+                "perturb": {"site": [4, 4]},
+                "steps": 2,
+                "out": str(tmp_path),
+            },
+        )
+        assert main(["run", cfg]) == 0
+        report = json.loads((tmp_path / "lightcone.json").read_text())
+        assert report["within_bound"] is True
+
+        spec = fields.spec_from_json(field)
+        bumped = phi.copy()
+        bumped[0, 4, 4] += 1
+        a, b = fields.FieldState(phi, mom), fields.FieldState(bumped, mom)
+        rows = (tmp_path / "lightcone.csv").read_text().strip().splitlines()[1:]
+        l1_over_cap = 0
+        for t, row in enumerate(rows, start=1):
+            a, b = fields.step(a, spec), fields.step(b, spec)
+            changed = fields.diff_sites(a, b)
+            _, count, radius, cap = (int(v) for v in row.split(","))
+            assert (count, radius, cap) == (
+                len(changed),
+                fields.diagonal_radius(spec.shape, (4, 4), changed),
+                2 * t,
+            )
+            l1_over_cap += fields.spread_radius(spec.shape, (4, 4), changed) > cap
+        assert l1_over_cap > 0
+
+
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
@@ -236,6 +283,18 @@ class TestFailureModes:
         assert "leaves the window at cell (5, 0)" in report["message"]
         assert report["pair_index"] == 0
         assert report["energy"] == 0
+
+    def test_unknown_field_key(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "mode": "lightcone",
+                "field": {"sizes": [16], "phi_windw": [-4, 4]},
+                "out": str(tmp_path),
+            },
+        )
+        assert main(["run", cfg]) == 2
+        assert "phi_windw" in capsys.readouterr().err
 
     def test_run_function_rejects_negative_steps(self, tmp_path):
         with pytest.raises(ConfigError):

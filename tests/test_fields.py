@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intham import fields
-from intham.errors import ConfigError
+from intham.errors import ConfigError, IntHamError
 from intham.fields import (
     FieldHamiltonianSpec,
     FieldState,
@@ -372,3 +374,103 @@ class TestJson:
         again = state_from_json(state_to_json(state))
         assert states_equal(state, again)
         assert again.time == 5
+
+
+# -- local-rule memo -----------------------------------------------------------
+
+
+LINE8 = LatticeShape((8,))
+
+
+def fresh_spec(shape, masses, window):
+    """A new spec, hence an empty local-rule memo."""
+    return FieldHamiltonianSpec(
+        shape,
+        len(masses),
+        masses,
+        Fraction(1, shape.dimensions),
+        (window,) * len(masses),
+        (window,) * len(masses),
+    )
+
+
+def outcome(stepper, state, spec):
+    """The stepped arrays, or what the step raised."""
+    try:
+        after = stepper(state, spec)
+    except IntHamError as exc:
+        return (type(exc).__name__, str(exc), exc.field_site)
+    return (after.phi.tolist(), after.mom.tolist())
+
+
+MEMO_CASES = [
+    (LINE8, (Fraction(0),)),
+    (LINE8, (Fraction(1),)),
+    (LINE8, (Fraction(0), Fraction(1, 2))),
+    (GRID44, (Fraction(0),)),
+    (GRID44, (Fraction(1, 2),)),
+    (GRID44, (Fraction(0), Fraction(1, 2))),
+]
+
+
+class TestLocalRuleMemo:
+    @given(
+        case=st.sampled_from(MEMO_CASES),
+        window=st.sampled_from([(-8, 8), (-40, 40)]),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.integers(-6, 6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_warm_memo_steps_like_a_cold_one(self, case, window, seed, offset):
+        shape, masses = case
+        warm = fresh_spec(shape, masses, window)
+        start = random_state(warm, random.Random(seed), -2, 2)
+        # Warm the memo on a copy translated in phi, whose neighbourhoods
+        # repeat the start's up to that translation.
+        moved = FieldState(start.phi + offset, start.mom)
+        for stepper in (step, step_inverse):
+            outcome(stepper, moved, warm)
+        state = start
+        for stepper in (step,) * 3 + (step_inverse,) * 3:
+            expected = outcome(stepper, state, fresh_spec(shape, masses, window))
+            assert outcome(stepper, state, warm) == expected
+            if isinstance(expected[0], str):
+                return
+            state = stepper(state, warm)
+        assert states_equal(state, start)
+        assert warm == fresh_spec(shape, masses, window)
+        assert hash(warm) == hash(fresh_spec(shape, masses, window))
+        assert repr(warm) == repr(fresh_spec(shape, masses, window))
+
+    def test_translated_repeat_near_the_window_takes_the_cold_path(self):
+        # Shifting every field value of a massless line repeats each memoized
+        # neighbourhood; near the +-8 window the shifted bands clamp, and the
+        # cold path escapes the window where the memoized walk would not.
+        rng = random.Random(1)
+        phi = np.array([[rng.randint(-1, 1) for _ in range(16)]])
+        mom = np.array([[rng.randint(-1, 1) for _ in range(16)]])
+        warm = fresh_spec(LINE16, (Fraction(0),), (-8, 8))
+        for stepper in (step, step_inverse):
+            stepper(FieldState(phi, mom), warm)
+        errors = 0
+        for shift in range(-8, 9):
+            shifted = FieldState(phi + shift, mom)
+            for stepper in (step, step_inverse):
+                expected = outcome(stepper, shifted, fresh_spec(LINE16, (Fraction(0),), (-8, 8)))
+                assert outcome(stepper, shifted, warm) == expected
+                errors += isinstance(expected[0], str)
+        assert errors > 0
+
+    def test_memo_stays_under_its_cap(self, monkeypatch):
+        monkeypatch.setattr(fields, "_MEMO_CAP", 64)
+        spec = fresh_spec(LINE16, (Fraction(0),), (-64, 64))
+        start = random_state(spec, random.Random(7), -3, 3)
+        state = start
+        for _ in range(40):
+            expected = step(state, fresh_spec(LINE16, (Fraction(0),), (-64, 64)))
+            state = step(state, spec)
+            assert states_equal(state, expected)
+            assert 0 < len(spec._memo) <= 64
+        for _ in range(40):
+            state = step_inverse(state, spec)
+        assert states_equal(state, start)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from intham.errors import ConfigError, WindowExceeded
 from intham.hamiltonians import (
     IntegerFunction1D,
+    _floor_nth_root,
     InterpolatedPoint,
     PowerLawFamily,
     SeparableHamiltonian1D,
@@ -39,6 +41,14 @@ class TestIntegerFunction1D:
             IntegerFunction1D(0, ())
         with pytest.raises(ValueError):
             IntegerFunction1D(0, (1, 2.5))
+
+    def test_accepts_numpy_integers_and_rejects_other_numbers(self):
+        fn = IntegerFunction1D(0, (np.int64(3), np.int32(-1), 2))
+        assert fn.values == (3, -1, 2)
+        assert all(type(v) is int for v in fn.values)
+        for bad in (3.0, Fraction(3), np.float64(3)):
+            with pytest.raises(ValueError, match="integers"):
+                IntegerFunction1D(0, (bad,))
 
     def test_interpolate_walks_the_segment_linearly(self):
         assert squares.interpolate(1, Fraction(1, 2)) == Fraction(5, 2)
@@ -76,6 +86,24 @@ class TestFloorScaledPower:
         lhs = scale.numerator**v * magnitude**u
         assert k**v * scale.denominator**v <= lhs
         assert (k + 1) ** v * scale.denominator**v > lhs
+
+
+    @given(st.integers(min_value=0, max_value=10**400), st.integers(min_value=3, max_value=7))
+    def test_integer_root_brackets_huge_radicands(self, n, v):
+        k = _floor_nth_root(n, v)
+        assert k**v <= n < (k + 1) ** v
+
+    @pytest.mark.parametrize("v", range(3, 8))
+    def test_integer_root_at_perfect_powers(self, v):
+        for base in (1, 2, 10**57, 3**200):
+            for n in (base**v - 1, base**v, base**v + 1):
+                k = _floor_nth_root(n, v)
+                assert k**v <= n < (k + 1) ** v
+
+    def test_huge_magnitude_with_a_fractional_exponent(self):
+        # a float-seeded root overflows here and crawls at 10**200
+        k = floor_scaled_power(Fraction(1), 10**400, Fraction(1, 3))
+        assert k**3 <= 10**400 < (k + 1) ** 3
 
 
 class TestPowerLawFamily:
