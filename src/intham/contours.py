@@ -9,8 +9,14 @@ region ``H > E + eps`` kept on the left reproduces the continuum flow
 direction; lattice sites with energy exactly ``E`` are brushed by the curve
 at infinitesimal distance and are read off as the visit sequence.
 
-All decisions in the walk are made with integer or exact rational
-arithmetic; ``DualRational`` crossing parameters are exposed for inspection.
+One walk serves every query: :func:`_walk_component` follows a component
+cell by cell, reading the tables directly, from a start crossing until it
+returns to it, and reports the sites its crossings brush.  :func:`next_site`
+and :func:`prev_site` walk the component through a site with and against
+its orientation, :func:`orbit_map` walks each component once for all its
+sites, and :func:`trace_component` records the walk's crossings.  All
+decisions in the walk are made with integer arithmetic; ``DualRational``
+crossing parameters are computed for the recorded crossings, for inspection.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .dual import EPSILON, DualRational
 from .errors import UnboundedContour, WindowExceeded
@@ -37,6 +43,14 @@ class SiteClassification(Enum):
 #   kind "v": edge (Q,P)-(Q,P+1); forward=True crosses it rightward (+Q).
 _EDGE_H = "h"
 _EDGE_V = "v"
+
+# Inside the walk a directed crossing is (cq, cp, move): the level leaves the
+# unit cell with lower-left site (cq, cp) across its edge facing ``move``.
+# Per move: the step to the next cell, and the column and row offsets
+# (q0, q1, p0, p1) of the crossed edge's two ends within the cell left.
+_UP, _RIGHT, _DOWN, _LEFT = range(4)
+_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
+_SIDES = ((0, 1, 1, 1), (1, 1, 0, 1), (0, 1, 0, 0), (0, 0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -69,46 +83,29 @@ class ContourTrace:
     crossings: tuple[Crossing, ...] = ()
 
 
-def _value(ham: SeparableHamiltonian1D, q: int, p: int) -> int:
-    return ham.value(q, p)
-
-
-def _fast_value(ham: SeparableHamiltonian1D):
-    """Bound-checked site evaluator with direct table indexing."""
+def _evaluator(ham: SeparableHamiltonian1D):
+    """Site evaluator with direct table indexing; outside the windows it
+    defers to ``ham.value``, which raises the table's ``WindowExceeded``."""
     kin, pot = ham.kinetic, ham.potential
     kvals, klo, khi = kin.values, kin.lo, kin.hi
     vvals, vlo, vhi = pot.values, pot.lo, pot.hi
-    if ham.coupling_pos is None:
+    avals = bvals = None
+    if ham.coupling_pos is not None:
+        avals, bvals = ham.coupling_pos.values, ham.coupling_mom.values
 
-        def val(q: int, p: int) -> int:
-            if q < vlo or q > vhi or p < klo or p > khi:
-                raise WindowExceeded(f"site ({q}, {p}) outside windows")
+    def val(q: int, p: int) -> int:
+        if q < vlo or q > vhi or p < klo or p > khi:
+            return ham.value(q, p)
+        if avals is None:
             return kvals[p - klo] + vvals[q - vlo]
-
-    else:
-        avals = ham.coupling_pos.values
-        bvals = ham.coupling_mom.values
-
-        def val(q: int, p: int) -> int:
-            if q < vlo or q > vhi or p < klo or p > khi:
-                raise WindowExceeded(f"site ({q}, {p}) outside windows")
-            return (
-                kvals[p - klo]
-                + vvals[q - vlo]
-                + avals[q - vlo] * bvals[p - klo]
-            )
+        return kvals[p - klo] + vvals[q - vlo] + avals[q - vlo] * bvals[p - klo]
 
     return val
 
 
-def _neighbor_flags(ham, Q, P, E):
+def _neighbor_flags(val, Q, P, E):
     """(east, north, west, south) neighbor-above-level flags."""
-    return (
-        ham.value(Q + 1, P) > E,
-        ham.value(Q, P + 1) > E,
-        ham.value(Q - 1, P) > E,
-        ham.value(Q, P - 1) > E,
-    )
+    return (val(Q + 1, P) > E, val(Q, P + 1) > E, val(Q - 1, P) > E, val(Q, P - 1) > E)
 
 
 def _local_kind(flags) -> SiteClassification:
@@ -132,40 +129,34 @@ def classify_site(ham: SeparableHamiltonian1D, Q: int, P: int, E: int) -> SiteCl
 
     Requires the full 3x3 neighborhood to lie inside the windows.
     """
+    val = _evaluator(ham)
     for dq in (-1, 0, 1):
         for dp in (-1, 0, 1):
-            _value(ham, Q + dq, P + dp)  # raises WindowExceeded if outside
-    if ham.value(Q, P) != E:
+            val(Q + dq, P + dp)  # raises WindowExceeded if outside
+    if val(Q, P) != E:
         return SiteClassification.OFF_CONTOUR
-    flags = _neighbor_flags(ham, Q, P, E)
+    flags = _neighbor_flags(val, Q, P, E)
     kind = _local_kind(flags)
     if kind is SiteClassification.EXTREMUM and not any(flags):
         # Untouched site: either isolated (a top of the landscape) or a
         # degenerate saddle whose branches pass at second order, revealed by
         # alternating diagonal cells.
-        ne = ham.value(Q + 1, P + 1) > E
-        nw = ham.value(Q - 1, P + 1) > E
-        sw = ham.value(Q - 1, P - 1) > E
-        se = ham.value(Q + 1, P - 1) > E
+        ne = val(Q + 1, P + 1) > E
+        nw = val(Q - 1, P + 1) > E
+        sw = val(Q - 1, P - 1) > E
+        se = val(Q + 1, P - 1) > E
         if ne == sw and nw == se and ne != nw:
             return SiteClassification.SADDLE
     return kind
 
 
-def _touch_site(ham, kind, Q, P, E) -> Optional[tuple[int, int]]:
-    """Site brushed by the crossing on this edge, if its below-level endpoint
-    sits exactly on the shell."""
-    if kind == _EDGE_H:
-        a, b = (Q, P), (Q + 1, P)
-    else:
-        a, b = (Q, P), (Q, P + 1)
-    va = ham.value(*a)
-    if va == E:
-        return a
-    vb = ham.value(*b)
-    if vb == E:
-        return b
-    return None
+def _is_regular(val, site, E) -> bool:
+    try:
+        flags = _neighbor_flags(val, site[0], site[1], E)
+    except WindowExceeded as exc:
+        msg = f"cannot classify touched site {site}: window too small"
+        raise UnboundedContour(msg, energy=E, site=site) from exc
+    return _local_kind(flags) is SiteClassification.REGULAR
 
 
 def _crossing_param(ham, kind, Q, P, E) -> DualRational:
@@ -177,161 +168,195 @@ def _crossing_param(ham, kind, Q, P, E) -> DualRational:
     return (DualRational(Fraction(E - c0)) + EPSILON) / Fraction(c1 - c0)
 
 
-def _oriented(ham, kind, Q, P, E) -> bool:
-    """Forward flag that keeps the above-level region on the left."""
-    if kind == _EDGE_H:
-        return ham.value(Q, P) > E  # upward iff left endpoint above level
-    return ham.value(Q, P + 1) > E  # rightward iff upper endpoint above level
+def _edge(cq: int, cp: int, move: int) -> tuple:
+    """A walk crossing as (kind, Q, P, forward); up and right are forward."""
+    q0, q1, p0, _ = _SIDES[move]
+    return (_EDGE_V if q0 == q1 else _EDGE_H, cq + q0, cp + p0, move in (_UP, _RIGHT))
 
 
-def _advance(val, E: int, cross: tuple) -> tuple:
-    """Follow the level curve through the next cell; return the exit crossing."""
-    kind, Q, P, forward = cross
-    if kind == _EDGE_H:
-        cq, cp = (Q, P) if forward else (Q, P - 1)
-        entry = "b" if forward else "t"
-    else:
-        cq, cp = (Q, P) if forward else (Q - 1, P)
-        entry = "l" if forward else "r"
-
-    try:
-        c00 = val(cq, cp)
-        c10 = val(cq + 1, cp)
-        c01 = val(cq, cp + 1)
-        c11 = val(cq + 1, cp + 1)
-    except WindowExceeded as exc:
-        raise UnboundedContour(
-            f"level {E}+eps leaves the window at cell ({cq}, {cp})",
-            energy=E,
-            site=(cq, cp),
-        ) from exc
-
-    s00, s10, s01, s11 = c00 > E, c10 > E, c01 > E, c11 > E
-    b, r, t, l = s00 != s10, s10 != s11, s01 != s11, s00 != s01
-    if b and r and t and l:
-        # Diagonal sign pattern: resolve by the bilinear saddle value.  The
-        # denominator cannot vanish for a diagonal pattern of integers.
-        den = c00 + c11 - c10 - c01
-        num = c00 * c11 - c10 * c01 - E * den
-        saddle_above = num != 0 and (num > 0) == (den > 0)
-        if saddle_above == s00:  # arcs hug the off-diagonal corners
-            exit_edge = {"b": "r", "r": "b", "t": "l", "l": "t"}[entry]
-        else:
-            exit_edge = {"b": "l", "l": "b", "r": "t", "t": "r"}[entry]
-    elif entry == "b":
-        exit_edge = "r" if r else ("t" if t else "l")
-    elif entry == "r":
-        exit_edge = "b" if b else ("t" if t else "l")
-    elif entry == "t":
-        exit_edge = "b" if b else ("r" if r else "l")
-    else:
-        exit_edge = "b" if b else ("r" if r else "t")
-
-    if exit_edge == "b":
-        return (_EDGE_H, cq, cp, False)
-    if exit_edge == "t":
-        return (_EDGE_H, cq, cp + 1, True)
-    if exit_edge == "l":
-        return (_EDGE_V, cq, cp, False)
-    return (_EDGE_V, cq + 1, cp, True)
-
-
-def _start_crossing(ham, Q, P, E, flags) -> tuple:
-    """A directed crossing brushing (Q, P), oriented with the flow."""
-    if flags[0]:  # east neighbor above level
-        kind, eq, ep = _EDGE_H, Q, P
-    elif flags[1]:  # north
-        kind, eq, ep = _EDGE_V, Q, P
-    elif flags[2]:  # west
-        kind, eq, ep = _EDGE_H, Q - 1, P
-    else:  # south
-        kind, eq, ep = _EDGE_V, Q, P - 1
-    return (kind, eq, ep, _oriented(ham, kind, eq, ep, E))
-
-
-def _walk(ham, E: int, start: tuple) -> Iterator[tuple]:
-    """Yield directed crossings around a component, starting at ``start``,
-    until the walk returns to it.  Raises UnboundedContour if it escapes."""
-    val = _fast_value(ham)
-    cross = start
-    while True:
-        yield cross
-        cross = _advance(val, E, cross)
-        if cross == start:
-            return
+def _start_crossing(Q, P, flags) -> tuple:
+    """A crossing brushing the on-shell site (Q, P), oriented with the flow:
+    across the edge to the first above-level neighbor (E, N, W, S order)."""
+    if flags[0]:
+        return (Q, P, _DOWN)
+    if flags[1]:
+        return (Q - 1, P, _RIGHT)
+    if flags[2]:
+        return (Q - 1, P - 1, _UP)
+    return (Q, P - 1, _LEFT)
 
 
 def _flip(cross: tuple) -> tuple:
-    kind, Q, P, forward = cross
-    return (kind, Q, P, not forward)
+    """The same crossing, traversed from the cell it enters."""
+    cq, cp, move = cross
+    dq, dp = _STEPS[move]
+    return (cq + dq, cp + dp, (move + 2) % 4)
 
 
-def _touch_fast(val, kind, Q, P, E) -> Optional[tuple[int, int]]:
-    if val(Q, P) == E:
-        return (Q, P)
-    if kind == _EDGE_H:
-        if val(Q + 1, P) == E:
-            return (Q + 1, P)
-    elif val(Q, P + 1) == E:
-        return (Q, P + 1)
-    return None
+def _saddle_above(c00, c10, c01, c11, E) -> bool:
+    """Whether the bilinear saddle of a diagonal cell lies above ``E + eps``.
+    The denominator cannot vanish for a diagonal sign pattern of integers."""
+    den = c00 + c11 - c10 - c01
+    num = c00 * c11 - c10 * c01 - E * den
+    return num != 0 and (num > 0) == (den > 0)
 
 
-def _regular_fast(val, site, E) -> bool:
-    q, p = site
+def _raise_escape(ham, E, cq, cp):
     try:
-        flags = (
-            val(q + 1, p) > E,
-            val(q, p + 1) > E,
-            val(q - 1, p) > E,
-            val(q, p - 1) > E,
-        )
+        ham.cell_corners(cq, cp)
     except WindowExceeded as exc:
-        raise UnboundedContour(
-            f"cannot classify touched site {site}: window too small",
-            energy=E,
-            site=site,
-        ) from exc
-    return _local_kind(flags) is SiteClassification.REGULAR
+        msg = f"level {E}+eps leaves the window at cell ({cq}, {cp})"
+        raise UnboundedContour(msg, energy=E, site=(cq, cp)) from exc
 
 
-def _site_is_regular(ham, site, E) -> bool:
-    return _regular_fast(_fast_value(ham), site, E)
+def _walk_component(ham, E: int, start: tuple, touches: list, record=None) -> int:
+    """Walk the component of the ``E + eps`` level through ``start`` once.
 
-
-def _scan_for_regular(ham, E, start, origin) -> tuple[int, int]:
-    """First regular site visited after ``start``'s own brush of ``origin``.
-
-    Consecutive crossings touching the same site form one visit; the leading
-    run of ``origin`` touches is skipped, then the first visit whose site is
-    regular wins.  The walk always continues to closure so that an escaping
-    component raises ``UnboundedContour`` rather than answering from a
-    partial trace.  A component with no other regular site maps ``origin``
-    to itself.
+    Crossing ``n`` (``start`` is 0) appends ``(n, site)`` to ``touches`` when
+    its below-level end lies on the shell, and itself to ``record`` if given,
+    up to the closing return to ``start``; returns the count ``n`` before it.
+    The walk always runs to closure, so an escaping component raises
+    ``UnboundedContour`` at the first cell outside the windows.  Closure is
+    tested on touching crossings only: every start crossing brushes a site.
     """
-    val = _fast_value(ham)
-    found: Optional[tuple[int, int]] = None
-    in_leading_run = True
-    current: Optional[tuple[int, int]] = None
-    cross = start
+    vv, vlo = ham.potential.values, ham.potential.lo
+    kv, klo = ham.kinetic.values, ham.kinetic.lo
+    av = bv = None
+    if ham.coupling_pos is not None:
+        av, bv = ham.coupling_pos.values, ham.coupling_mom.values
+    ilast, jlast = len(vv) - 1, len(kv) - 1  # cell (i, j) needs i < ilast, j < jlast
+    cq, cp, m = start
+    i, j = cq - vlo, cp - klo
+    ie, je, me = i + _STEPS[m][0], j + _STEPS[m][1], m  # the cell ``start`` enters
+    # The cell left is read along the crossed edge only, each corner copying
+    # the edge end in its row or column, so the first move shifts it in place.
+    dq0, dq1, dp0, dp1 = _SIDES[m]
+    q0, q1, p0, p1 = i + dq0, i + dq1, j + dp0, j + dp1
+    v0, v1, k0, k1 = vv[q0], vv[q1], kv[p0], kv[p1]
+    a0, a1, b0, b1 = (av[q0], av[q1], bv[p0], bv[p1]) if av is not None else (0, 0, 0, 0)
+    c00, c10 = v0 + k0 + a0 * b0, v1 + k0 + a1 * b0
+    c01, c11 = v0 + k1 + a0 * b1, v1 + k1 + a1 * b1
+    s00, s10, s01, s11 = c00 > E, c10 > E, c01 > E, c11 > E
+    n = -1
+    # Each branch enters the next cell across the edge crossed last, shifts
+    # its corners into place, reads the two new ones and exits across the
+    # other crossed edge.  With all four edges crossed the arc hugs the entry
+    # edge's left-of-travel corner iff the saddle is on the other side of E.
     while True:
-        kind, Q, P, _ = cross
-        site = _touch_fast(val, kind, Q, P, E)
-        skip = False
-        if in_leading_run:
-            if site == origin:
-                skip = True
+        if record is not None:
+            record.append((i + vlo, j + klo, m))
+        n += 1
+        if m == _UP:
+            j += 1
+            c00, c10, s00, s10 = c01, c11, s01, s11
+            if c00 == E or c10 == E:
+                if n and i == ie and j == je and m == me:
+                    return n
+                touches.append((n, (i + vlo if c00 == E else i + 1 + vlo, j + klo)))
+            if j == jlast:
+                _raise_escape(ham, E, i + vlo, j + klo)
+            k0, k1 = k1, kv[j + 1]
+            c01, c11 = v0 + k1, v1 + k1
+            if av is not None:
+                b0, b1 = b1, bv[j + 1]
+                c01, c11 = c01 + a0 * b1, c11 + a1 * b1
+            s01, s11 = c01 > E, c11 > E
+            if s01 is s00:
+                if s11 is not s10:
+                    m = _RIGHT
+            elif s11 is s10:
+                m = _LEFT
             else:
-                in_leading_run = False
-        if not skip:
-            if site is not None and site != current:
-                if found is None and site != origin and _regular_fast(val, site, E):
-                    found = site
-            current = site
-        cross = _advance(val, E, cross)
-        if cross == start:
-            break
-    return found if found is not None else origin
+                m = _LEFT if _saddle_above(c00, c10, c01, c11, E) is not s00 else _RIGHT
+        elif m == _RIGHT:
+            i += 1
+            c00, c01, s00, s01 = c10, c11, s10, s11
+            if c00 == E or c01 == E:
+                if n and i == ie and j == je and m == me:
+                    return n
+                touches.append((n, (i + vlo, j + klo if c00 == E else j + 1 + klo)))
+            if i == ilast:
+                _raise_escape(ham, E, i + vlo, j + klo)
+            v0, v1 = v1, vv[i + 1]
+            c10, c11 = v1 + k0, v1 + k1
+            if av is not None:
+                a0, a1 = a1, av[i + 1]
+                c10, c11 = c10 + a1 * b0, c11 + a1 * b1
+            s10, s11 = c10 > E, c11 > E
+            if s10 is s00:
+                if s11 is not s01:
+                    m = _UP
+            elif s11 is s01:
+                m = _DOWN
+            else:
+                m = _UP if _saddle_above(c00, c10, c01, c11, E) is s00 else _DOWN
+        elif m == _DOWN:
+            j -= 1
+            c01, c11, s01, s11 = c00, c10, s00, s10
+            if c01 == E or c11 == E:
+                if n and i == ie and j == je and m == me:
+                    return n
+                touches.append((n, (i + vlo if c01 == E else i + 1 + vlo, j + 1 + klo)))
+            if j < 0:
+                _raise_escape(ham, E, i + vlo, j + klo)
+            k0, k1 = kv[j], k0
+            c00, c10 = v0 + k0, v1 + k0
+            if av is not None:
+                b0, b1 = bv[j], b0
+                c00, c10 = c00 + a0 * b0, c10 + a1 * b0
+            s00, s10 = c00 > E, c10 > E
+            if s00 is s01:
+                if s10 is not s11:
+                    m = _RIGHT
+            elif s10 is s11:
+                m = _LEFT
+            else:
+                m = _LEFT if _saddle_above(c00, c10, c01, c11, E) is s00 else _RIGHT
+        else:
+            i -= 1
+            c10, c11, s10, s11 = c00, c01, s00, s01
+            if c10 == E or c11 == E:
+                if n and i == ie and j == je and m == me:
+                    return n
+                touches.append((n, (i + 1 + vlo, j + klo if c10 == E else j + 1 + klo)))
+            if i < 0:
+                _raise_escape(ham, E, i + vlo, j + klo)
+            v0, v1 = vv[i], v0
+            c00, c01 = v0 + k0, v0 + k1
+            if av is not None:
+                a0, a1 = av[i], a0
+                c00, c01 = c00 + a0 * b0, c01 + a0 * b1
+            s00, s01 = c00 > E, c01 > E
+            if s00 is s10:
+                if s01 is not s11:
+                    m = _UP
+            elif s01 is s11:
+                m = _DOWN
+            else:
+                m = _DOWN if _saddle_above(c00, c10, c01, c11, E) is s00 else _UP
+
+
+def _step(ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool) -> tuple[int, int]:
+    E = ham.value(Q, P)
+    val = _evaluator(ham)
+    try:
+        flags = _neighbor_flags(val, Q, P, E)
+    except WindowExceeded as exc:
+        raise WindowExceeded(
+            f"site ({Q}, {P}) needs its four neighbors inside the windows"
+        ) from exc
+    if _local_kind(flags) is not SiteClassification.REGULAR:
+        return (Q, P)
+    start = _start_crossing(Q, P, flags)
+    touches: list = []
+    # The image is the first touched regular site other than (Q, P).
+    images = (s for _, s in touches if s != (Q, P) and _is_regular(val, s, E))
+    try:
+        _walk_component(ham, E, _flip(start) if backward else start, touches)
+    except UnboundedContour:
+        next(images, None)  # a touched site that cannot be classified fails first
+        raise
+    return next(images, (Q, P))
 
 
 def next_site(ham: SeparableHamiltonian1D, Q: int, P: int) -> tuple[int, int]:
@@ -340,51 +365,24 @@ def next_site(ham: SeparableHamiltonian1D, Q: int, P: int) -> tuple[int, int]:
     Saddle and extremum sites stand still; so does a site whose component
     touches no other regular site.
     """
-    E = ham.value(Q, P)
-    try:
-        flags = _neighbor_flags(ham, Q, P, E)
-    except WindowExceeded as exc:
-        raise WindowExceeded(
-            f"site ({Q}, {P}) needs its four neighbors inside the windows"
-        ) from exc
-    if _local_kind(flags) is not SiteClassification.REGULAR:
-        return (Q, P)
-    start = _start_crossing(ham, Q, P, E, flags)
-    return _scan_for_regular(ham, E, start, (Q, P))
+    return _step(ham, Q, P, False)
 
 
 def prev_site(ham: SeparableHamiltonian1D, Q: int, P: int) -> tuple[int, int]:
     """Inverse step: walk the contour against its orientation."""
-    E = ham.value(Q, P)
-    try:
-        flags = _neighbor_flags(ham, Q, P, E)
-    except WindowExceeded as exc:
-        raise WindowExceeded(
-            f"site ({Q}, {P}) needs its four neighbors inside the windows"
-        ) from exc
-    if _local_kind(flags) is not SiteClassification.REGULAR:
-        return (Q, P)
-    start = _flip(_start_crossing(ham, Q, P, E, flags))
-    return _scan_for_regular(ham, E, start, (Q, P))
+    return _step(ham, Q, P, True)
 
 
-def _grouped_visits(ham, E, crossings) -> list[tuple[int, int]]:
-    """Collapse consecutive same-site touches (cyclically) into visits."""
-    touches = []
-    prev = object()
+def _visits(touches: list, n: int) -> list[tuple[int, int]]:
+    """Collapse runs of consecutive crossings touching one site into visits,
+    cyclically over the ``n`` crossings of a closed walk."""
     visits: list[tuple[int, int]] = []
-    for kind, Q, P, _ in crossings:
-        site = _touch_site(ham, kind, Q, P, E)
-        touches.append(site)
-        if site is not None and site != prev:
+    last = (-2, None)
+    for k, site in touches:
+        if site != last[1] or k != last[0] + 1:
             visits.append(site)
-        prev = site
-    if (
-        len(visits) > 1
-        and visits[0] == visits[-1]
-        and touches[-1] is not None
-        and touches[-1] == touches[0]
-    ):
+        last = (k, site)
+    if len(visits) > 1 and last[0] == n - 1 and touches[0] == (0, last[1]):
         # the walk started mid-visit; the run wraps around the cycle seam
         visits.pop()
     return visits
@@ -404,7 +402,7 @@ def trace_component(
     if ham.value(Q, P) != E:
         raise ValueError(f"seed {seed} is not on the shell: H={ham.value(Q, P)} != {E}")
     try:
-        flags = _neighbor_flags(ham, Q, P, E)
+        flags = _neighbor_flags(_evaluator(ham), Q, P, E)
     except WindowExceeded as exc:
         raise WindowExceeded(
             f"seed {seed} needs its four neighbors inside the windows"
@@ -412,34 +410,32 @@ def trace_component(
     if not any(flags):
         kind = classify_site(ham, Q, P, E)
         return ContourTrace(E, (seed,), (kind,), True, ())
-    start = _start_crossing(ham, Q, P, E, flags)
-    crossings = list(_walk(ham, E, start))
-    visits = _grouped_visits(ham, E, crossings)
+    touches: list = []
+    record: list = []
+    n = _walk_component(ham, E, _start_crossing(Q, P, flags), touches, record)
+    visits = _visits(touches, n)
     kinds = tuple(classify_site(ham, s[0], s[1], E) for s in visits)
+    touched = dict(touches)
     recorded = tuple(
-        Crossing(
-            kind,
-            eq,
-            ep,
-            forward,
-            _crossing_param(ham, kind, eq, ep, E),
-            _touch_site(ham, kind, eq, ep, E),
-        )
-        for kind, eq, ep, forward in crossings
+        Crossing(kind, eq, ep, fwd, _crossing_param(ham, kind, eq, ep, E), touched.get(k))
+        for k, (kind, eq, ep, fwd) in enumerate(_edge(*cross) for cross in record[:n])
     )
     return ContourTrace(E, tuple(visits), kinds, True, recorded)
 
 
 def enumerate_shell(ham: SeparableHamiltonian1D, E: int) -> list[tuple[int, int]]:
     """All window lattice sites with ``H = E``, in lexicographic order."""
-    qlo, qhi = ham.q_window
-    plo, phi = ham.p_window
-    return [
-        (q, p)
-        for q in range(qlo, qhi + 1)
-        for p in range(plo, phi + 1)
-        if ham.value(q, p) == E
-    ]
+    kin, pot = ham.kinetic, ham.potential
+    qs, ps = range(pot.lo, pot.hi + 1), range(kin.lo, kin.hi + 1)
+    if ham.coupling_pos is not None:
+        cols = list(zip(ps, kin.values, ham.coupling_mom.values))
+        rows = zip(qs, pot.values, ham.coupling_pos.values)
+        return [(q, p) for q, v, a in rows for p, t, b in cols if t + v + a * b == E]
+    # Without the product term, look E - V(q) up among the kinetic values.
+    by_value: dict[int, list[int]] = {}
+    for p, t in zip(ps, kin.values):
+        by_value.setdefault(t, []).append(p)
+    return [(q, p) for q, v in zip(qs, pot.values) for p in by_value.get(E - v, ())]
 
 
 def orbit_map(
@@ -447,19 +443,19 @@ def orbit_map(
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Successor map for many sites at once, tracing each component once."""
     result: dict[tuple[int, int], tuple[int, int]] = {}
-    val = _fast_value(ham)
+    val = _evaluator(ham)
     for site in sites:
         if site in result:
             continue
         Q, P = site
         E = ham.value(Q, P)
-        flags = _neighbor_flags(ham, Q, P, E)
+        flags = _neighbor_flags(val, Q, P, E)
         if _local_kind(flags) is not SiteClassification.REGULAR:
             result[site] = site
             continue
-        start = _start_crossing(ham, Q, P, E, flags)
-        visits = _grouped_visits(ham, E, _walk(ham, E, start))
-        regular = [s for s in visits if _regular_fast(val, s, E)]
+        touches: list = []
+        n = _walk_component(ham, E, _start_crossing(Q, P, flags), touches)
+        regular = [s for s in _visits(touches, n) if _is_regular(val, s, E)]
         if len(regular) <= 1:
             result[site] = site
             continue

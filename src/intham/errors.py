@@ -18,9 +18,9 @@ class WindowExceeded(IntHamError):
 class UnboundedContour(IntHamError):
     """A traced level curve left the declared window before closing.
 
-    ``site`` is the last lattice site confirmed on the component,
-    ``pair_index`` / ``field_site`` identify the failing sub-update when the
-    error surfaces from an evolver.
+    ``site`` is the lower-left corner of the cell the walk could not read, or
+    a touched site whose neighbors lie outside; ``pair_index`` / ``field_site``
+    identify the failing sub-update when the error surfaces from an evolver.
     """
 
     def __init__(

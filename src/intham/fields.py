@@ -35,8 +35,8 @@ from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 
 Site = tuple[int, ...]
 
-#: Entries a spec's local-rule memo (see :func:`_sweep`) holds before it is
-#: cleared; bounds the memory of long runs over rarely repeating states.
+#: Entries a spec's local-rule memo (see :func:`_sweep`) holds, dropping the
+#: oldest at the cap; bounds the memory of long runs over rarely repeating states.
 _MEMO_CAP = 4096
 
 
@@ -242,12 +242,12 @@ def total_energy(state: FieldState, spec: FieldHamiltonianSpec) -> int:
 
 def momentum_bound(energy: int, stiffness: Fraction) -> int:
     """Smallest window half-width no reachable momentum can exceed:
-    ``ceil(sqrt(2*(energy + 1)/stiffness))``."""
-    target = 2 * Fraction(energy + 1) / Fraction(stiffness)
-    b = math.isqrt(target.numerator // target.denominator)
-    while b * b * target.denominator < target.numerator:
-        b += 1
-    return b
+    ``ceil(sqrt(2*(energy + 1)/stiffness))``, the least ``b`` with
+    ``b**2 * sn >= 2*(energy + 1) * sd`` for ``stiffness = sn/sd``."""
+    sn, sd = stiffness.as_integer_ratio()
+    target = 2 * (energy + 1) * sd
+    b = math.isqrt(target // sn)  # floor(sqrt(target / sn))
+    return b if b * b * sn >= target else b + 1
 
 
 def _local_terms(spec: FieldHamiltonianSpec, phi, mom, x: Site, k: int) -> tuple:
@@ -311,6 +311,7 @@ def restricted_hamiltonian(
     k: int,
     *,
     _terms: Optional[tuple] = None,
+    _reach: Optional[list] = None,
 ) -> SeparableHamiltonian1D:
     """Freeze everything except the pair (phi_k(x), mom_k(x)).
 
@@ -318,7 +319,8 @@ def restricted_hamiltonian(
     of each backward neighbor (the densities whose gradients straddle x); the
     kinetic table is this site's floored momentum term.  Their sum plus the
     untouched remainder reproduces the total energy exactly.  ``_terms`` is
-    the pair's :func:`_local_terms`, when the caller already has them.
+    the pair's :func:`_local_terms`, when the caller already has them; the
+    level's :func:`momentum_bound` is appended to ``_reach`` when given.
     """
     _check_state(state, spec)
     if _terms is None:
@@ -354,6 +356,8 @@ def restricted_hamiltonian(
     # of a sub-update proportional to the local energy rather than to the
     # window size, and leaves the windows free to be generous.
     reach = momentum_bound(level, spec.stiffness)
+    if _reach is not None:
+        _reach.append(reach)
     cents = [c for lst in center_lists for c in lst]
     band_lo = max(qlo, min(min(cents), q_cur) - reach)
     band_hi = min(qhi, max(max(cents), q_cur) + reach)
@@ -432,17 +436,17 @@ def _sweep(
             if hit is not None and _band_clear(spec, k, cents, q, p, hit[2]):
                 q2, p2 = hit[0] + shift, hit[1]
             else:
-                ham = restricted_hamiltonian(work, spec, x, k, _terms=terms)
+                reach: list = []
+                ham = restricted_hamiltonian(work, spec, x, k, _terms=terms, _reach=reach)
                 try:
                     q2, p2 = mover(ham, q, p)
                 except IntHamError as exc:
                     exc.field_site = (x, k)
                     raise
-                reach = momentum_bound(ham.value(q, p), spec.stiffness)
-                if _band_clear(spec, k, cents, q, p, reach):
+                if _band_clear(spec, k, cents, q, p, reach[0]):
                     if len(memo) >= _MEMO_CAP:
-                        memo.clear()
-                    memo[key] = (q2 - shift, p2, reach)
+                        del memo[next(iter(memo))]
+                    memo[key] = (q2 - shift, p2, reach[0])
             state_phi[(k, *x)] = q2
             state_mom[(k, *x)] = p2
 

@@ -154,3 +154,104 @@ def test_random_wells_permute_every_shell(seed):
     for shell in by_energy.values():
         images = sorted(successors[s] for s in shell)
         assert images == sorted(shell)
+
+
+# -- the walk on product-term and multi-well tables ----------------------------
+
+
+def random_landscape(rng, coupled, half=7):
+    """Non-monotone multi-well tables on [-half, half] with steep walls, plus a
+    random product term when ``coupled``; returns ``(ham, ceiling)``.
+
+    Every window-boundary site lies above ``ceiling``, so a contour at or
+    below it never crosses a boundary edge and closes inside the windows.
+    """
+
+    def table(lo, hi, wall):
+        xs = range(-half, half + 1)
+        values = [rng.randint(lo, hi) + wall * max(0, abs(x) - half + 3) ** 2 for x in xs]
+        return IntegerFunction1D(-half, tuple(values))
+
+    kin, pot = table(0, 6, 6), table(0, 6, 6)
+    ham = SeparableHamiltonian1D(kin, pot)
+    if coupled:
+        ham = SeparableHamiltonian1D(kin, pot, table(-2, 2, 0), table(-2, 2, 0))
+    xs = range(-half, half + 1)
+    ring = [(q, p) for q in xs for p in xs if half in (abs(q), abs(p))]
+    return ham, min(ham.value(*s) for s in ring) - 1
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["multi-well", "product-term"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_walk_steps_invert_and_follow_the_trace(coupled, seed):
+    ham, ceiling = random_landscape(random.Random(seed), coupled)
+    sites = well_sites(ham, ceiling)
+    images = {s: next_site(ham, *s) for s in sites}
+    assert orbit_map(ham, sites) == images
+    for site, image in images.items():
+        assert prev_site(ham, *image) == site
+        energy = ham.value(*site)
+        if classify_site(ham, *site, energy) is not SiteClassification.REGULAR:
+            assert image == site
+            continue
+        trace = trace_component(ham, energy, site)
+        assert trace.sites[0] == site
+        later = [
+            s
+            for s, kind in zip(trace.sites[1:], trace.kinds[1:])
+            if kind is SiteClassification.REGULAR and s != site
+        ]
+        assert image == (later[0] if later else site)
+
+
+def test_escape_after_the_image_still_raises():
+    # |q| + |p| = 4 flows clockwise from (4, 0) through (3, -1), its image in
+    # a full window; cutting the momentum window at -2 lets the contour leave
+    # only after that image, and every walk must still report the escape.
+    full = SeparableHamiltonian1D(absolute, absolute)
+    cut = SeparableHamiltonian1D(IntegerFunction1D.from_callable(abs, -2, W), absolute)
+    assert next_site(full, 4, 0) == (3, -1)
+    assert prev_site(full, 4, 0) == (3, 1)
+    walks = [
+        (lambda: next_site(cut, 4, 0), (2, -3)),
+        (lambda: prev_site(cut, 4, 0), (-3, -3)),
+        (lambda: orbit_map(cut, [(4, 0)]), (2, -3)),
+    ]
+    for walk, cell in walks:
+        with pytest.raises(UnboundedContour) as err:
+            walk()
+        assert err.value.energy == 4
+        assert err.value.site == cell
+
+
+def test_unclassifiable_touch_fails_before_a_later_escape():
+    # With momenta cut at -1 the first site after (4, 0), (3, -1), has no
+    # south neighbor: the step reports it, not the escape the walk meets
+    # afterwards, which is what orbit_map (classifying after the walk) sees.
+    cut = SeparableHamiltonian1D(IntegerFunction1D.from_callable(abs, -1, W), absolute)
+    with pytest.raises(UnboundedContour, match="cannot classify") as err:
+        next_site(cut, 4, 0)
+    assert (err.value.energy, err.value.site) == (4, (3, -1))
+    with pytest.raises(UnboundedContour, match="leaves the window") as err:
+        orbit_map(cut, [(4, 0)])
+    assert (err.value.energy, err.value.site) == (4, (3, -2))
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("scale", [1, 2**64])
+def test_enumerate_shell_matches_a_brute_force_scan(coupled, scale):
+    rng = random.Random(11)
+
+    def table(lo, n):
+        values = [scale * rng.randint(-3, 3) + rng.randint(0, 1) for _ in range(n)]
+        return IntegerFunction1D(lo, tuple(values))
+
+    kin, pot = table(-4, 9), table(-3, 7)
+    ham = SeparableHamiltonian1D(kin, pot)
+    if coupled:
+        ham = SeparableHamiltonian1D(kin, pot, table(-3, 7), table(-4, 9))
+    window = [(q, p) for q in range(-3, 4) for p in range(-4, 5)]
+    for energy in sorted({ham.value(*s) for s in window}) + [scale * 100]:
+        expected = [s for s in window if ham.value(*s) == energy]
+        assert enumerate_shell(ham, energy) == expected

@@ -1,5 +1,6 @@
 """Lattice field automaton: energies, sweeps, reversal, locality, drift."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -132,6 +133,20 @@ class TestMomentumBound:
         bound = momentum_bound(160, Fraction(1))
         assert bound == 18
         assert (17 * 17) // 2 <= 160 < (18 * 18) * 1 // 2
+
+    def test_integer_form_matches_the_fraction_formula(self):
+        def by_fractions(energy, stiffness):
+            target = 2 * Fraction(energy + 1) / stiffness
+            b = math.isqrt(target.numerator // target.denominator)
+            while b * b * target.denominator < target.numerator:
+                b += 1
+            return b
+
+        stiffnesses = [Fraction(n, d) for n in (1, 2, 3, 5, 7) for d in (1, 2, 3, 4, 9)]
+        energies = list(range(-1, 400)) + [10**6 + 7, 2**64 + 1, 10**40]
+        for stiffness in stiffnesses:
+            for energy in energies:
+                assert momentum_bound(energy, stiffness) == by_fractions(energy, stiffness)
 
     def test_scales_with_stiffness(self):
         # floor(rho/2 * p^2) > E first at the returned magnitude
@@ -468,9 +483,14 @@ class TestLocalRuleMemo:
         state = start
         for _ in range(40):
             expected = step(state, fresh_spec(LINE16, (Fraction(0),), (-64, 64)))
+            newest = list(spec._memo)[-48:]
             state = step(state, spec)
             assert states_equal(state, expected)
             assert 0 < len(spec._memo) <= 64
+            # A step stores at most 16 keys, so at the cap it drops only the
+            # oldest entries and the 48 newest stay servable.
+            assert set(newest) <= spec._memo.keys()
+        assert len(spec._memo) == 64
         for _ in range(40):
             state = step_inverse(state, spec)
         assert states_equal(state, start)
