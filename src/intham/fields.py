@@ -14,9 +14,19 @@ lattice link and same-class updates commute; in higher dimensions a sweep
 can carry a change along a whole line of constant ``sum(x)``, so the L1
 radius has no such bound and the sweep order is fixed.
 
-A two-layer second-order automaton (field value plus previous field value)
-is included as a contrast: exactly reversible for any integer update rule,
-but with no conserved energy.
+The sweep is one integer kernel over flat Python lists.  A step reads the
+arrays once, checks every value against its component's windows, and writes
+them back once at the end.  Per-spec neighbour tables, built on the first
+sweep, give each site's flat index and those of its forward and backward
+neighbours.  A sub-update's restricted potential is one exact integer
+quadratic per density it touches, floored density by density, and a memo on
+the spec serves repeated neighbourhoods without a table build or a walk.
+
+A two-layer second-order automaton in Fredkin's style (field value plus
+previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
+1987) is included as a contrast: exactly reversible for any integer update
+rule, but with no conserved energy.  Its names keep the historical
+``margolus`` prefix.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .contours import next_site, prev_site
-from .errors import IntHamError
+from .errors import IntHamError, WindowExceeded
 from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 
 Site = tuple[int, ...]
@@ -129,9 +139,11 @@ class FieldHamiltonianSpec:
             2 * self.stiffness.denominator * md,
         )
         object.__setattr__(self, "_kin_den", 2 * self.stiffness.denominator)
-        # Local-rule memo of the sweep; not a field, so equality, hashing
-        # and repr ignore it.
+        # Local-rule memo and neighbour tables of the sweep (the tables are
+        # built on the first sweep); not fields, so equality, hashing and
+        # repr ignore them.
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_nbrs", None)
 
     @classmethod
     def uniform(
@@ -194,50 +206,81 @@ def _check_state(state: FieldState, spec: FieldHamiltonianSpec):
         raise ValueError(f"state shape {state.phi.shape} != spec shape {expected}")
 
 
-def _pot_floor(spec: FieldHamiltonianSpec, phi, x: Site) -> int:
-    """Floored potential density at x, computed in exact integers."""
-    shape = spec.shape
-    grads = 0
-    mass = 0
-    for k in range(spec.components):
-        center = int(phi[(k, *x)])
-        for axis in range(shape.dimensions):
-            nb = int(phi[(k, *shape.shift(x, axis, 1))])
-            grads += (nb - center) ** 2
-        if spec._mass_num[k]:
-            mass += spec._mass_num[k] * center * center
+def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
+    """The spec's neighbour tables, built on first use and kept on the spec.
+
+    Sites are numbered in C order, as ``array.ravel()`` lays them out, and
+    component ``k`` of site ``i`` sits at ``k * n + i`` of a flat list over
+    ``n`` sites.  Returns ``(entries, classes)``: ``entries[i]`` is
+    ``(x, i, fwd, back)``, where ``fwd`` holds the flat indices of the
+    forward neighbours ``x + e_a`` and ``back`` one ``(w, wfwd, wrest)`` per
+    backward neighbour ``w = x - e_a``: ``wfwd`` is ``w``'s ``fwd`` and
+    ``wrest`` the same without ``x``.  ``classes[parity]`` lists the entries
+    of that parity class in C order.
+    """
+    tables = spec._nbrs
+    if tables is None:
+        shape = spec.shape
+        sites = list(shape.sites())
+        index = {x: i for i, x in enumerate(sites)}
+        axes = range(shape.dimensions)
+        fwd = [tuple(index[shape.shift(x, a, 1)] for a in axes) for x in sites]
+        entries = []
+        for i, x in enumerate(sites):
+            back = []
+            for a in axes:
+                w = index[shape.shift(x, a, -1)]
+                back.append((w, fwd[w], fwd[w][:a] + fwd[w][a + 1:]))
+            entries.append((x, i, fwd[i], tuple(back)))
+        classes = tuple([e for e in entries if shape.parity(e[0]) == c] for c in (0, 1))
+        tables = (entries, classes)
+        object.__setattr__(spec, "_nbrs", tables)
+    return tables
+
+
+def _site_index(shape: LatticeShape, x: Site) -> int:
+    """Flat C-order index of the site x, whose coordinates wrap periodically."""
+    return int(np.ravel_multi_index(tuple(x), shape.sizes, mode="wrap"))
+
+
+def _energy(spec: FieldHamiltonianSpec, phi: list, mom: list, sites: Iterable[int]) -> int:
+    """Sum of the energy densities at the given flat sites of the flat lists
+    ``phi``/``mom``: per site, the potential part (squared forward gradients
+    plus mass terms) and the kinetic part (squared momenta) are floored
+    separately, in exact integers."""
+    entries = _neighbours(spec)[0]
+    n = len(entries)
     sn = spec.stiffness.numerator
-    return sn * (spec._mass_den * grads + mass) // spec._pot_den
-
-
-def _kin_floor(spec: FieldHamiltonianSpec, squares: int) -> int:
-    return spec.stiffness.numerator * squares // spec._kin_den
-
-
-def _kinetic_sum(mom, spec: FieldHamiltonianSpec, x: Site) -> int:
-    return sum(int(mom[(k, *x)]) ** 2 for k in range(spec.components))
+    md, pden, kden = spec._mass_den, spec._pot_den, spec._kin_den
+    rows = [(k * n, mk) for k, mk in enumerate(spec._mass_num)]
+    total = 0
+    for i in sites:
+        fwd = entries[i][2]
+        grads = mass = squares = 0
+        for base, mk in rows:
+            c = phi[base + i]
+            for j in fwd:
+                d = phi[base + j] - c
+                grads += d * d
+            if mk:
+                mass += mk * c * c
+            m = mom[base + i]
+            squares += m * m
+        total += sn * (md * grads + mass) // pden + sn * squares // kden
+    return total
 
 
 def site_energy(state: FieldState, spec: FieldHamiltonianSpec, x: Site) -> int:
     """Energy density at x: separately floored potential and kinetic terms."""
     _check_state(state, spec)
-    pot = _pot_floor(spec, state.phi, x)
-    kin = _kin_floor(spec, _kinetic_sum(state.mom, spec, x))
-    return pot + kin
-
-
-def _energy_from_arrays(spec: FieldHamiltonianSpec, phi, mom) -> int:
-    total = 0
-    for x in spec.shape.sites():
-        total += _pot_floor(spec, phi, x) + _kin_floor(
-            spec, _kinetic_sum(mom, spec, x)
-        )
-    return total
+    i = _site_index(spec.shape, x)
+    return _energy(spec, state.phi.ravel().tolist(), state.mom.ravel().tolist(), (i,))
 
 
 def total_energy(state: FieldState, spec: FieldHamiltonianSpec) -> int:
     _check_state(state, spec)
-    return _energy_from_arrays(spec, state.phi, state.mom)
+    phi = state.phi.ravel().tolist()
+    return _energy(spec, phi, state.mom.ravel().tolist(), range(len(phi) // spec.components))
 
 
 def momentum_bound(energy: int, stiffness: Fraction) -> int:
@@ -250,58 +293,47 @@ def momentum_bound(energy: int, stiffness: Fraction) -> int:
     return b if b * b * sn >= target else b + 1
 
 
-def _local_terms(spec: FieldHamiltonianSpec, phi, mom, x: Site, k: int) -> tuple:
+def _local_terms(spec: FieldHamiltonianSpec, phi: list, mom: list, entry: tuple, k: int, msq: int) -> tuple:
     """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
+    ``phi``/``mom`` are flat lists and ``entry`` is the site's row of
+    :func:`_neighbours`; ``msq`` is the sum of the squared momenta at x.
     Returns ``(frozen_parts, center_lists, q, p, others)``.  Per involved
     density (this site's, then each backward neighbor's) the floor argument
     splits into a frozen part and ``(value - c)^2`` gradient terms, one per
     frozen center ``c``; ``q`` and ``p`` are the pair's own values and
     ``others`` the other components' squared momenta at x.
     """
-    shape = spec.shape
+    _, i, fwd, back = entry
+    n = len(phi) // spec.components
     md = spec._mass_den
-    frozen_parts: list[int] = []
-    center_lists: list[list[int]] = []
-
-    centers = []
-    grads = 0
-    mass = 0
-    for j in range(spec.components):
-        cj = int(phi[(j, *x)])
-        for axis in range(shape.dimensions):
-            nb = int(phi[(j, *shape.shift(x, axis, 1))])
-            if j == k:
-                centers.append(nb)
-            else:
-                grads += (nb - cj) ** 2
-        if j != k and spec._mass_num[j]:
-            mass += spec._mass_num[j] * cj * cj
-    frozen_parts.append(md * grads + mass)
-    center_lists.append(centers)
-
-    for axis in range(shape.dimensions):
-        w = shape.shift(x, axis, -1)
-        centers = []
-        grads = 0
-        mass = 0
-        for j in range(spec.components):
-            cj = int(phi[(j, *w)])
-            for b in range(shape.dimensions):
-                nb = int(phi[(j, *shape.shift(w, b, 1))])
-                if j == k and b == axis:
-                    centers.append(cj)
-                else:
-                    grads += (nb - cj) ** 2
-            if spec._mass_num[j]:
-                mass += spec._mass_num[j] * cj * cj
+    own = k * n
+    grads = mass = 0
+    for j, mj in enumerate(spec._mass_num):
+        if j != k:
+            base = j * n
+            c = phi[base + i]
+            for f in fwd:
+                d = phi[base + f] - c
+                grads += d * d
+            if mj:
+                mass += mj * c * c
+    frozen_parts = [md * grads + mass]
+    center_lists = [[phi[own + f] for f in fwd]]
+    for w, wfwd, wrest in back:
+        grads = mass = 0
+        for j, mj in enumerate(spec._mass_num):
+            base = j * n
+            c = phi[base + w]
+            for f in (wrest if j == k else wfwd):
+                d = phi[base + f] - c
+                grads += d * d
+            if mj:
+                mass += mj * c * c
         frozen_parts.append(md * grads + mass)
-        center_lists.append(centers)
-
-    q = int(phi[(k, *x)])
-    p = int(mom[(k, *x)])
-    others = _kinetic_sum(mom, spec, x) - p * p
-    return frozen_parts, center_lists, q, p, others
+        center_lists.append([phi[own + w]])
+    p = mom[own + i]
+    return frozen_parts, center_lists, phi[own + i], p, msq - p * p
 
 
 def restricted_hamiltonian(
@@ -319,35 +351,39 @@ def restricted_hamiltonian(
     of each backward neighbor (the densities whose gradients straddle x); the
     kinetic table is this site's floored momentum term.  Their sum plus the
     untouched remainder reproduces the total energy exactly.  ``_terms`` is
-    the pair's :func:`_local_terms`, when the caller already has them; the
-    level's :func:`momentum_bound` is appended to ``_reach`` when given.
+    the pair's :func:`_local_terms`, when the caller already has them (then
+    only the state's shape is read); the level's :func:`momentum_bound` is
+    appended to ``_reach`` when given.
     """
     _check_state(state, spec)
     if _terms is None:
-        _terms = _local_terms(spec, state.phi, state.mom, x, k)
+        entry = _neighbours(spec)[0][_site_index(spec.shape, x)]
+        mom = state.mom.ravel().tolist()
+        msq = sum(m * m for m in mom[entry[1]::len(mom) // spec.components])
+        _terms = _local_terms(spec, state.phi.ravel().tolist(), mom, entry, k, msq)
     frozen_parts, center_lists, q_cur, p_cur, others = _terms
     qlo, qhi = spec.phi_windows[k]
     plo, phi_hi = spec.p_windows[k]
     md = spec._mass_den
     sn = spec.stiffness.numerator
     pden = spec._pot_den
-    mnum_k = spec._mass_num[k]
+    kden = spec._kin_den
 
-    def pot_at(value: int) -> int:
-        acc = 0
-        own_mass = mnum_k * value * value
-        first = True
-        for frozen, cents in zip(frozen_parts, center_lists):
-            arg = frozen
-            for c in cents:
-                arg += md * (value - c) ** 2
-            if first:
-                arg += own_mass
-                first = False
-            acc += sn * arg // pden
-        return acc
-
-    level = pot_at(q_cur) + _kin_floor(spec, others + p_cur * p_cur)
+    # Each density's floor argument is one integer quadratic in the pair's
+    # value v: md * sum((v - c)^2) + frozen (+ the own mass term at x), that
+    # is a*v^2 + b*v + c, here pre-multiplied by the stiffness numerator.
+    quads = []
+    own_mass = spec._mass_num[k]
+    for frozen, cents in zip(frozen_parts, center_lists):
+        quads.append((
+            sn * (md * len(cents) + own_mass),
+            -2 * sn * md * sum(cents),
+            sn * (frozen + md * sum(c * c for c in cents)),
+        ))
+        own_mass = 0
+    kin0 = sn * others
+    level = sum(((a * q_cur + b) * q_cur + c) // pden for a, b, c in quads)
+    level += (kin0 + sn * p_cur * p_cur) // kden
 
     # A field value whose squared distance from every frozen neighbor already
     # floors above the current level is unreachable on this contour (each
@@ -361,14 +397,16 @@ def restricted_hamiltonian(
     cents = [c for lst in center_lists for c in lst]
     band_lo = max(qlo, min(min(cents), q_cur) - reach)
     band_hi = min(qhi, max(max(cents), q_cur) + reach)
-    pot_values = [pot_at(v) for v in range(band_lo, band_hi + 1)]
+    band = range(band_lo, band_hi + 1)
+    (a, b, c), *rest = quads
+    pot_values = [((a * v + b) * v + c) // pden for v in band]
+    for a, b, c in rest:
+        pot_values = [t + ((a * v + b) * v + c) // pden for t, v in zip(pot_values, band)]
 
     p_span = max(reach, abs(p_cur) + 1)
     p_lo = max(plo, -p_span)
     p_hi = min(phi_hi, p_span)
-    kin_values = [
-        _kin_floor(spec, others + p * p) for p in range(p_lo, p_hi + 1)
-    ]
+    kin_values = [(kin0 + sn * p * p) // kden for p in range(p_lo, p_hi + 1)]
 
     return SeparableHamiltonian1D(
         IntegerFunction1D(p_lo, tuple(kin_values)),
@@ -383,23 +421,62 @@ def _band_clear(spec: FieldHamiltonianSpec, k: int, cents, q: int, p: int, reach
     plo, phi_hi = spec.p_windows[k]
     p_span = max(reach, abs(p) + 1)
     return (
-        qlo <= min(min(cents), q) - reach
-        and max(max(cents), q) + reach <= qhi
+        qlo <= min(q, *cents) - reach
+        and max(q, *cents) + reach <= qhi
         and plo <= -p_span
         and p_span <= phi_hi
     )
 
 
+def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> tuple[list, list]:
+    """The state's field and momentum as flat lists (see :func:`_neighbours`),
+    after checking every value against its component's window."""
+    _check_state(state, spec)
+    phi = state.phi.ravel().tolist()
+    mom = state.mom.ravel().tolist()
+    entries = _neighbours(spec)[0]
+    n = len(entries)
+    for k in range(spec.components):
+        for name, values, (lo, hi) in (
+            ("field", phi, spec.phi_windows[k]),
+            ("momentum", mom, spec.p_windows[k]),
+        ):
+            row = values[k * n:(k + 1) * n]
+            if lo <= min(row) and max(row) <= hi:
+                continue
+            i = next(i for i, v in enumerate(row) if not lo <= v <= hi)
+            x = entries[i][0]
+            exc = WindowExceeded(
+                f"{name} value {row[i]} of component {k} at site {x} "
+                f"outside window [{lo}, {hi}]",
+                argument=row[i],
+            )
+            exc.field_site = (x, k)
+            raise exc
+    return phi, mom
+
+
+def _unflat(spec: FieldHamiltonianSpec, phi: list, mom: list, time: int) -> FieldState:
+    shape = (spec.components, *spec.shape.sizes)
+    return FieldState(np.reshape(phi, shape), np.reshape(mom, shape), time)
+
+
 def _sweep(
-    state_phi, state_mom, spec, parity, inverse: bool, site_order=None
+    state: FieldState, phi: list, mom: list, spec, parity, inverse: bool, site_order=None
 ):
-    shape = spec.shape
-    sites = [x for x in shape.sites() if shape.parity(x) == parity]
+    """One half sweep over the flat lists ``phi``/``mom``, in place.
+
+    ``state`` only carries the shape to :func:`restricted_hamiltonian`, which
+    a miss calls with the pair's terms already read from the lists.
+    """
+    entries, classes = _neighbours(spec)
+    sites = classes[parity]
     if site_order is not None:
         site_order = [tuple(x) for x in site_order]
-        if sorted(site_order) != sorted(sites):
+        if sorted(site_order) != [e[0] for e in sites]:
             raise ValueError("site_order must enumerate the parity class exactly")
-        sites = site_order
+        by_site = {e[0]: e for e in sites}
+        sites = [by_site[x] for x in site_order]
     component_list = list(range(spec.components))
     if inverse:
         # Exact inversion replays every sub-update in reverse, including the
@@ -410,11 +487,8 @@ def _sweep(
         sites = sites[::-1]
         component_list.reverse()
     mover = prev_site if inverse else next_site
-
-    work = FieldState.__new__(FieldState)  # light view for restricted()
-    work.phi = state_phi
-    work.mom = state_mom
-    work.time = 0
+    n = len(entries)
+    massless = [not m for m in spec._mass_num]
 
     # The local rule is memoized on the spec.  While neither window clamps
     # the band, the tables are a function of the key alone; a massless
@@ -422,14 +496,18 @@ def _sweep(
     # and its stored image are taken relative to the site's own value, and
     # a repeat anywhere in phi walks an exact translate of the same tables.
     memo = spec._memo
-    for x in sites:
+    for entry in sites:
+        i = entry[1]
+        msq = 0
+        for m in mom[i::n]:
+            msq += m * m
         for k in component_list:
-            terms = _local_terms(spec, state_phi, state_mom, x, k)
+            terms = _local_terms(spec, phi, mom, entry, k, msq)
             frozen_parts, center_lists, q, p, others = terms
             cents = [c for lst in center_lists for c in lst]
-            shift = 0 if spec._mass_num[k] else q
+            shift = q if massless[k] else 0
             key = (
-                inverse, k, *frozen_parts, *(c - shift for c in cents),
+                inverse, k, *frozen_parts, *[c - shift for c in cents],
                 q - shift, p, others,
             )
             hit = memo.get(key)
@@ -437,18 +515,19 @@ def _sweep(
                 q2, p2 = hit[0] + shift, hit[1]
             else:
                 reach: list = []
-                ham = restricted_hamiltonian(work, spec, x, k, _terms=terms, _reach=reach)
+                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _reach=reach)
                 try:
                     q2, p2 = mover(ham, q, p)
                 except IntHamError as exc:
-                    exc.field_site = (x, k)
+                    exc.field_site = (entry[0], k)
                     raise
                 if _band_clear(spec, k, cents, q, p, reach[0]):
                     if len(memo) >= _MEMO_CAP:
                         del memo[next(iter(memo))]
                     memo[key] = (q2 - shift, p2, reach[0])
-            state_phi[(k, *x)] = q2
-            state_mom[(k, *x)] = p2
+            phi[k * n + i] = q2
+            mom[k * n + i] = p2
+            msq += p2 * p2 - p * p
 
 
 def step_parity(
@@ -459,31 +538,25 @@ def step_parity(
     site_order: Optional[Sequence[Site]] = None,
 ) -> FieldState:
     """Apply one checkerboard half-sweep to the given parity class."""
-    _check_state(state, spec)
-    phi = np.array(state.phi, dtype=np.int64)
-    mom = np.array(state.mom, dtype=np.int64)
-    _sweep(phi, mom, spec, parity, inverse, site_order)
-    return FieldState(phi, mom, state.time)
+    phi, mom = _flat(state, spec)
+    _sweep(state, phi, mom, spec, parity, inverse, site_order)
+    return _unflat(spec, phi, mom, state.time)
 
 
 def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     """One full time step: even class, then odd class, components ascending."""
-    _check_state(state, spec)
-    phi = np.array(state.phi, dtype=np.int64)
-    mom = np.array(state.mom, dtype=np.int64)
-    _sweep(phi, mom, spec, 0, False)
-    _sweep(phi, mom, spec, 1, False)
-    return FieldState(phi, mom, state.time + 1)
+    phi, mom = _flat(state, spec)
+    _sweep(state, phi, mom, spec, 0, False)
+    _sweep(state, phi, mom, spec, 1, False)
+    return _unflat(spec, phi, mom, state.time + 1)
 
 
 def step_inverse(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     """Undo one full step: odd class, then even class, components descending."""
-    _check_state(state, spec)
-    phi = np.array(state.phi, dtype=np.int64)
-    mom = np.array(state.mom, dtype=np.int64)
-    _sweep(phi, mom, spec, 1, True)
-    _sweep(phi, mom, spec, 0, True)
-    return FieldState(phi, mom, state.time - 1)
+    phi, mom = _flat(state, spec)
+    _sweep(state, phi, mom, spec, 1, True)
+    _sweep(state, phi, mom, spec, 0, True)
+    return _unflat(spec, phi, mom, state.time - 1)
 
 
 def diff_sites(a: FieldState, b: FieldState) -> set[Site]:
@@ -566,7 +639,9 @@ def margolus_energy(state: MargolusFieldState, spec: FieldHamiltonianSpec) -> in
     expected = (spec.components, *spec.shape.sizes)
     if state.newer.shape != expected:
         raise ValueError(f"layer shape {state.newer.shape} != spec shape {expected}")
-    return _energy_from_arrays(spec, state.newer, state.newer - state.older)
+    phi = state.newer.ravel().tolist()
+    mom = (state.newer - state.older).ravel().tolist()
+    return _energy(spec, phi, mom, range(len(phi) // spec.components))
 
 
 def margolus_states_equal(a: MargolusFieldState, b: MargolusFieldState) -> bool:

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intham import fields
-from intham.errors import ConfigError, IntHamError
+from intham import contours, fields
+from intham.errors import ConfigError, IntHamError, WindowExceeded
 from intham.fields import (
     FieldHamiltonianSpec,
     FieldState,
     LatticeShape,
     MargolusFieldState,
+    diagonal_radius,
     diff_sites,
     laplacian_rule,
     margolus_energy,
@@ -494,3 +495,302 @@ class TestLocalRuleMemo:
         for _ in range(40):
             state = step_inverse(state, spec)
         assert states_equal(state, start)
+
+
+# -- flat sweep kernel ----------------------------------------------------------
+
+
+BOX442 = LatticeShape((4, 4, 2))
+
+
+def reference_density(spec, state, x):
+    """Energy density at x straight from its definition, in Fractions:
+    floor(s/2 * (squared forward gradients + m^2 phi^2)) + floor(s/2 * p^2)."""
+    shape = spec.shape
+    pot = kin = Fraction(0)
+    for k, mass in enumerate(spec.masses):
+        center = int(state.phi[(k, *x)])
+        for axis in range(shape.dimensions):
+            pot += (int(state.phi[(k, *shape.shift(x, axis, 1))]) - center) ** 2
+        pot += mass * mass * center * center
+        kin += int(state.mom[(k, *x)]) ** 2
+    half = spec.stiffness / 2
+    return math.floor(half * pot) + math.floor(half * kin)
+
+
+def check_windows(state, spec):
+    """The entry check the steppers make, written out per value."""
+    for k in range(spec.components):
+        for name, values, (lo, hi) in (
+            ("field", state.phi, spec.phi_windows[k]),
+            ("momentum", state.mom, spec.p_windows[k]),
+        ):
+            for x in spec.shape.sites():
+                v = int(values[(k, *x)])
+                if not lo <= v <= hi:
+                    exc = WindowExceeded(
+                        f"{name} value {v} of component {k} at site {x} "
+                        f"outside window [{lo}, {hi}]",
+                        argument=v,
+                    )
+                    exc.field_site = (x, k)
+                    raise exc
+
+
+def reference_sweeps(state, spec, parities, inverse, order=None):
+    """One public ``restricted_hamiltonian`` and one contour step per
+    (site, component), in the sweep order, on numpy copies of the state."""
+    check_windows(state, spec)
+    shape = spec.shape
+    phi, mom = state.phi.copy(), state.mom.copy()
+    mover = contours.prev_site if inverse else contours.next_site
+    components = list(range(spec.components))[:: -1 if inverse else 1]
+    for parity in parities:
+        sites = order or [x for x in shape.sites() if shape.parity(x) == parity]
+        for x in sites[::-1] if inverse else sites:
+            for k in components:
+                ham = restricted_hamiltonian(FieldState(phi, mom), spec, x, k)
+                try:
+                    q, p = mover(ham, int(phi[(k, *x)]), int(mom[(k, *x)]))
+                except IntHamError as exc:
+                    exc.field_site = (x, k)
+                    raise
+                phi[(k, *x)] = q
+                mom[(k, *x)] = p
+    return FieldState(phi, mom)
+
+
+def reference_step(state, spec):
+    return reference_sweeps(state, spec, (0, 1), False)
+
+
+def reference_step_inverse(state, spec):
+    return reference_sweeps(state, spec, (1, 0), True)
+
+
+def kernel_spec(shape, masses, window, scale=Fraction(1)):
+    return FieldHamiltonianSpec(
+        shape,
+        len(masses),
+        masses,
+        scale / shape.dimensions,
+        (window,) * len(masses),
+        (window,) * len(masses),
+    )
+
+
+MASS_CHOICES = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2, 3)]
+
+
+class TestFlatKernel:
+    @given(
+        shape=st.sampled_from([LINE8, GRID44, BOX442]),
+        masses=st.lists(st.sampled_from(MASS_CHOICES), min_size=1, max_size=3).map(tuple),
+        window=st.sampled_from([(-4, 4), (-6, 6), (-40, 40)]),
+        scale=st.sampled_from([Fraction(1), Fraction(2, 3)]),
+        spread=st.sampled_from([2, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_steps_match_the_per_pair_reference(self, shape, masses, window, scale, spread, seed):
+        spec = kernel_spec(shape, masses, window, scale)
+        start = random_state(spec, random.Random(seed), -spread, spread)
+        state = start
+        for stepper, reference in ((step, reference_step),) * 3 + (
+            (step_inverse, reference_step_inverse),
+        ) * 3:
+            expected = outcome(reference, state, kernel_spec(shape, masses, window, scale))
+            assert outcome(stepper, state, spec) == expected
+            if isinstance(expected[0], str):
+                return
+            state = stepper(state, spec)
+        assert states_equal(state, start)
+
+    @given(
+        masses=st.sampled_from([(Fraction(0),), (Fraction(1, 2),), (Fraction(0), Fraction(1))]),
+        parity=st.integers(0, 1),
+        inverse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_planar_site_order_is_replayed_as_given(self, masses, parity, inverse, seed):
+        rng = random.Random(seed)
+        spec = kernel_spec(GRID44, masses, (-40, 40))
+        state = random_state(spec, rng, -3, 3)
+        order = [x for x in GRID44.sites() if GRID44.parity(x) == parity]
+        rng.shuffle(order)
+        got = step_parity(state, spec, parity, inverse, site_order=order)
+        expected = reference_sweeps(state, kernel_spec(GRID44, masses, (-40, 40)), (parity,), inverse, order)
+        assert states_equal(got, expected, include_time=False)
+
+    def test_site_order_must_be_the_parity_class(self):
+        spec = kernel_spec(GRID44, (Fraction(0),), (-40, 40))
+        state = random_state(spec, random.Random(3))
+        evens = [x for x in GRID44.sites() if GRID44.parity(x) == 0]
+        for order in (evens[1:], evens[1:] + [(0, 1)], evens + [(0, 0)]):
+            with pytest.raises(ValueError):
+                step_parity(state, spec, 0, site_order=order)
+
+    def test_energies_match_the_density_definition(self):
+        rng = random.Random(12)
+        for shape, masses, scale in (
+            (LINE8, (Fraction(0), Fraction(1, 3)), Fraction(1, 2)),
+            (GRID44, (Fraction(2, 3),), Fraction(1)),
+            (BOX442, (Fraction(1), Fraction(0), Fraction(3, 2)), Fraction(3, 5)),
+        ):
+            spec = kernel_spec(shape, masses, (-64, 64), scale)
+            for _ in range(5):
+                state = random_state(spec, rng, -9, 9)
+                densities = [reference_density(spec, state, x) for x in shape.sites()]
+                assert [site_energy(state, spec, x) for x in shape.sites()] == densities
+                assert total_energy(state, spec) == sum(densities)
+
+
+TABLE_CASES = [
+    (LINE8, (Fraction(0),), Fraction(1)),
+    (LINE8, (Fraction(1, 2), Fraction(0)), Fraction(1, 2)),
+    (GRID44, (Fraction(2, 3),), Fraction(1, 3)),
+    (GRID44, (Fraction(0), Fraction(1, 2)), Fraction(1, 2)),
+    (BOX442, (Fraction(0), Fraction(3, 2), Fraction(1, 3)), Fraction(2, 9)),
+]
+
+
+class TestRestrictedTables:
+    @given(
+        case=st.sampled_from(TABLE_CASES),
+        window=st.sampled_from([(-5, 5), (-64, 64)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tables_are_total_energy_differences(self, case, window, seed):
+        # Moving one value across its band changes the total energy by the
+        # table difference, measured without the tables' quadratic form.
+        shape, masses, stiffness = case
+        spec = FieldHamiltonianSpec(
+            shape, len(masses), masses, stiffness,
+            (window,) * len(masses), (window,) * len(masses),
+        )
+        rng = random.Random(seed)
+        state = random_state(spec, rng, -4, 4)
+        x = tuple(rng.randrange(s) for s in shape.sizes)
+        k = rng.randrange(spec.components)
+        ham = restricted_hamiltonian(state, spec, x, k)
+        base = total_energy(state, spec)
+        q, p = int(state.phi[(k, *x)]), int(state.mom[(k, *x)])
+        for values, table, own in (
+            ("phi", ham.potential, q),
+            ("mom", ham.kinetic, p),
+        ):
+            lo, hi = table.window
+            assert lo <= own <= hi
+            for v in range(lo, hi + 1):
+                arrays = {"phi": state.phi.copy(), "mom": state.mom.copy()}
+                arrays[values][(k, *x)] = v
+                moved = total_energy(FieldState(arrays["phi"], arrays["mom"]), spec)
+                assert moved - base == table(v) - table(own)
+
+
+class TestEntryValidation:
+    def narrow(self):
+        return FieldHamiltonianSpec(
+            GRID44, 2, (Fraction(0), Fraction(1, 2)), Fraction(1, 2),
+            ((-8, 8), (-6, 6)), ((-5, 5), (-7, 7)),
+        )
+
+    @pytest.mark.parametrize(
+        "array,k,x,value,message",
+        [
+            ("phi", 0, (1, 2), 9, "field value 9 of component 0 at site (1, 2) outside window [-8, 8]"),
+            ("phi", 1, (3, 0), -7, "field value -7 of component 1 at site (3, 0) outside window [-6, 6]"),
+            ("mom", 0, (0, 1), 6, "momentum value 6 of component 0 at site (0, 1) outside window [-5, 5]"),
+            ("mom", 1, (2, 3), -8, "momentum value -8 of component 1 at site (2, 3) outside window [-7, 7]"),
+        ],
+    )
+    def test_every_stepper_rejects_the_state_before_sweeping(
+        self, monkeypatch, array, k, x, value, message
+    ):
+        spec = self.narrow()
+        state = random_state(spec, random.Random(4), -2, 2)
+        arrays = {"phi": state.phi.copy(), "mom": state.mom.copy()}
+        arrays[array][(k, *x)] = value
+        bad = FieldState(arrays["phi"], arrays["mom"])
+        calls = []
+        monkeypatch.setattr(fields, "restricted_hamiltonian", lambda *a, **kw: calls.append(a))
+        # Every x here has parity 1, so step_parity(0) finds the bad value
+        # among the frozen neighbours of its sweep.
+        for stepper in (
+            step,
+            step_inverse,
+            lambda s, sp: step_parity(s, sp, 0),
+            lambda s, sp: step_parity(s, sp, 1, inverse=True),
+        ):
+            with pytest.raises(WindowExceeded) as err:
+                stepper(bad, spec)
+            assert str(err.value) == message
+            assert err.value.field_site == (x, k)
+            assert err.value.argument == value
+        assert calls == []
+
+    def test_values_on_the_window_edges_reach_the_first_sub_update(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(fields, "restricted_hamiltonian", reached)
+        spec = FieldHamiltonianSpec.uniform(LINE16, phi_window=(-4, 4), p_window=(-3, 3))
+        state = FieldState(np.array([[4, -4] * 8]), np.array([[3, -3, 0, 0] * 4]))
+        for stepper in (step, step_inverse):
+            with pytest.raises(Reached):
+                stepper(state, spec)
+
+
+class TestHigherDimensions:
+    @pytest.mark.parametrize(
+        "shape,masses,stiffness",
+        [
+            (GRID44, (Fraction(0), Fraction(1, 2)), Fraction(1, 2)),
+            (BOX442, (Fraction(0),), Fraction(1, 3)),
+            (BOX442, (Fraction(1, 2), Fraction(0)), Fraction(1, 4)),
+        ],
+    )
+    def test_long_runs_conserve_and_return_exactly(self, shape, masses, stiffness):
+        spec = FieldHamiltonianSpec(
+            shape, len(masses), masses, stiffness,
+            ((-64, 64),) * len(masses), ((-64, 64),) * len(masses),
+        )
+        start = random_state(spec, random.Random(2026), -3, 3)
+        energy = total_energy(start, spec)
+        state = start
+        for _ in range(50):
+            state = step(state, spec)
+            assert total_energy(state, spec) == energy
+        assert not states_equal(state, start, include_time=False)
+        for _ in range(50):
+            state = step_inverse(state, spec)
+        assert states_equal(state, start)
+
+    @pytest.mark.parametrize(
+        "sizes,masses,steps",
+        [((8, 8), (Fraction(0), Fraction(1, 2)), 6), ((8, 8, 8), (Fraction(0),), 3)],
+    )
+    def test_light_cone_grows_at_most_one_diagonal_per_half_sweep(self, sizes, masses, steps):
+        shape = LatticeShape(sizes)
+        spec = FieldHamiltonianSpec(
+            shape, len(masses), masses, Fraction(1, len(sizes)),
+            ((-64, 64),) * len(masses), ((-64, 64),) * len(masses),
+        )
+        base = random_state(spec, random.Random(77), -3, 3)
+        origin = tuple(s // 2 for s in sizes)
+        phi = base.phi.copy()
+        phi[(0, *origin)] += 1
+        a, b = base, FieldState(phi, base.mom)
+        radii = []
+        for _ in range(steps):
+            for parity in (0, 1):
+                a = step_parity(a, spec, parity)
+                b = step_parity(b, spec, parity)
+                radii.append(diagonal_radius(shape, origin, diff_sites(a, b)))
+        assert all(r <= n for n, r in enumerate(radii, start=1))
+        assert radii[-1] > 0
