@@ -30,7 +30,6 @@ from .errors import (
 )
 from .evolver import (
     CoupledSeparableHamiltonian,
-    PairIndexOrder,
     PhaseState,
     decoupled,
     step,
@@ -51,7 +50,6 @@ from .fields import (
 )
 from .hamiltonians import (
     IntegerFunction1D,
-    InterpolatedPoint,
     PowerLawFamily,
     SeparableHamiltonian1D,
     SmoothnessReport,
@@ -95,7 +93,6 @@ __all__ = [
     "UnboundedContour",
     "WindowExceeded",
     "CoupledSeparableHamiltonian",
-    "PairIndexOrder",
     "PhaseState",
     "decoupled",
     "step",
@@ -112,7 +109,6 @@ __all__ = [
     "restricted_hamiltonian",
     "site_energy",
     "IntegerFunction1D",
-    "InterpolatedPoint",
     "PowerLawFamily",
     "SeparableHamiltonian1D",
     "SmoothnessReport",

@@ -247,16 +247,24 @@ def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     }
 
 
-def _field_setup(cfg: dict, seed: int):
+def _field_setup(cfg: dict):
     try:
         return fields.spec_from_json(_require(cfg, "field"))
     except ValueError as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
 
 
-def _random_array(rng: random.Random, shape, lo: int, hi: int):
-    flat = [rng.randint(lo, hi) for _ in range(int(np.prod(shape)))]
-    return np.array(flat, dtype=np.int64).reshape(shape)
+def _random_layers(cfg: dict, rng: random.Random, shape):
+    """Two arrays of uniform integers in the config's ``random`` spread
+    (default ``[-3, 3]``), drawn one after the other."""
+    spread = cfg.get("random", {})
+    lo = int(spread.get("lo", -3))
+    hi = int(spread.get("hi", 3))
+    size = int(np.prod(shape))
+    return tuple(
+        np.array([rng.randint(lo, hi) for _ in range(size)], dtype=np.int64).reshape(shape)
+        for _ in range(2)
+    )
 
 
 def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
@@ -266,28 +274,17 @@ def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
         if state.phi.shape != shape:
             raise ConfigError(f"state shape {state.phi.shape} != {shape}")
         return state
-    spread = cfg.get("random", {})
-    lo = int(spread.get("lo", -3))
-    hi = int(spread.get("hi", 3))
-    return fields.FieldState(
-        _random_array(rng, shape, lo, hi), _random_array(rng, shape, lo, hi)
-    )
+    return fields.FieldState(*_random_layers(cfg, rng, shape))
 
 
 def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    spec = _field_setup(cfg, seed)
-    rng = random.Random(seed)
+    spec = _field_setup(cfg)
     shape = (spec.components, *spec.shape.sizes)
     if "layers" in cfg:
         layers = cfg["layers"]
         state = fields.MargolusFieldState(layers["older"], layers["newer"])
     else:
-        spread = cfg.get("random", {})
-        lo = int(spread.get("lo", -3))
-        hi = int(spread.get("hi", 3))
-        state = fields.MargolusFieldState(
-            _random_array(rng, shape, lo, hi), _random_array(rng, shape, lo, hi)
-        )
+        state = fields.MargolusFieldState(*_random_layers(cfg, random.Random(seed), shape))
     if state.newer.shape != shape:
         raise ConfigError(f"layer shape {state.newer.shape} != {shape}")
     initial = state
@@ -311,9 +308,8 @@ def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 
 def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    spec = _field_setup(cfg, seed)
-    rng = random.Random(seed)
-    base = _field_state(cfg, spec, rng)
+    spec = _field_setup(cfg)
+    base = _field_state(cfg, spec, random.Random(seed))
     perturb = cfg.get("perturb", {})
     site = tuple(perturb.get("site", (0,) * spec.shape.dimensions))
     component = int(perturb.get("component", 0))

@@ -10,7 +10,7 @@ backward contour steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
 from .contours import next_site, prev_site
@@ -35,22 +35,6 @@ class PhaseState:
     @property
     def pairs(self) -> int:
         return len(self.positions)
-
-
-@dataclass(frozen=True)
-class PairIndexOrder:
-    """The cyclic update order; a permutation of ``range(n)``."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"{self.order} is not a permutation of 0..n-1")
-
-    @classmethod
-    def identity(cls, n: int) -> "PairIndexOrder":
-        return cls(tuple(range(n)))
 
 
 class RestrictedHamiltonianProvider(Protocol):
@@ -92,38 +76,22 @@ class CoupledSeparableHamiltonian:
         return h
 
     def restricted(self, state: PhaseState, index: int) -> SeparableHamiltonian1D:
-        qlo, qhi = self.q_windows[index]
-        plo, phi = self.p_windows[index]
+        qwin, pwin = self.q_windows[index], self.p_windows[index]
+        index %= self.pairs  # a negative index counts from the end, as for the windows
 
-        def vary(vec: tuple[int, ...], value: int) -> tuple[int, ...]:
-            out = list(vec)
-            out[index] = value
-            return tuple(out)
+        def table(fn: VectorFn, vec: tuple[int, ...], window) -> IntegerFunction1D:
+            """``fn`` along coordinate ``index`` of ``vec``, tabulated over ``window``."""
+            head, tail = vec[:index], vec[index + 1 :]
+            lo, hi = window
+            return IntegerFunction1D(lo, tuple(fn(head + (v,) + tail) for v in range(lo, hi + 1)))
 
-        potential = IntegerFunction1D(
-            qlo,
-            tuple(self.potential(vary(state.positions, q)) for q in range(qlo, qhi + 1)),
-        )
-        kinetic = IntegerFunction1D(
-            plo,
-            tuple(self.kinetic(vary(state.momenta, p)) for p in range(plo, phi + 1)),
-        )
+        qs, ps = state.positions, state.momenta
+        potential = table(self.potential, qs, qwin)
+        kinetic = table(self.kinetic, ps, pwin)
         coupling_pos = coupling_mom = None
         if self.coupling_pos is not None:
-            coupling_pos = IntegerFunction1D(
-                qlo,
-                tuple(
-                    self.coupling_pos(vary(state.positions, q))
-                    for q in range(qlo, qhi + 1)
-                ),
-            )
-            coupling_mom = IntegerFunction1D(
-                plo,
-                tuple(
-                    self.coupling_mom(vary(state.momenta, p))
-                    for p in range(plo, phi + 1)
-                ),
-            )
+            coupling_pos = table(self.coupling_pos, qs, qwin)
+            coupling_mom = table(self.coupling_mom, ps, pwin)
         return SeparableHamiltonian1D(kinetic, potential, coupling_pos, coupling_mom)
 
 
@@ -163,10 +131,9 @@ def decoupled(hams: Sequence[SeparableHamiltonian1D]) -> IndependentPairs:
 
 
 def _resolve_order(state: PhaseState, order) -> tuple[int, ...]:
+    """The update order: ascending by default, else a permutation of the pairs."""
     if order is None:
         return tuple(range(state.pairs))
-    if isinstance(order, PairIndexOrder):
-        order = order.order
     order = tuple(order)
     if sorted(order) != list(range(state.pairs)):
         raise ValueError(f"{order} is not a permutation of the pair indices")
@@ -178,23 +145,33 @@ def _tag(exc: IntHamError, index: int) -> IntHamError:
     return exc
 
 
+def _sweep(
+    state: PhaseState, system: RestrictedHamiltonianProvider, order, inverse: bool
+) -> PhaseState:
+    """One sub-update per pair: forward steps in ``order``, or backward steps
+    in reverse order.  The site steppers are looked up at call time, so a
+    rebound ``next_site``/``prev_site`` takes effect."""
+    order = _resolve_order(state, order)
+    move = prev_site if inverse else next_site
+    positions = list(state.positions)
+    momenta = list(state.momenta)
+    for i in reversed(order) if inverse else order:
+        current = PhaseState(tuple(positions), tuple(momenta), state.time)
+        ham = system.restricted(current, i)
+        try:
+            positions[i], momenta[i] = move(ham, positions[i], momenta[i])
+        except IntHamError as exc:
+            raise _tag(exc, i)
+    return PhaseState(tuple(positions), tuple(momenta), state.time + (-1 if inverse else 1))
+
+
 def step(
     state: PhaseState,
     system: RestrictedHamiltonianProvider,
     order=None,
 ) -> PhaseState:
     """Advance one time step: sub-update each pair in ascending order."""
-    order = _resolve_order(state, order)
-    positions = list(state.positions)
-    momenta = list(state.momenta)
-    for i in order:
-        current = PhaseState(tuple(positions), tuple(momenta), state.time)
-        ham = system.restricted(current, i)
-        try:
-            positions[i], momenta[i] = next_site(ham, positions[i], momenta[i])
-        except IntHamError as exc:
-            raise _tag(exc, i)
-    return PhaseState(tuple(positions), tuple(momenta), state.time + 1)
+    return _sweep(state, system, order, False)
 
 
 def step_inverse(
@@ -203,17 +180,7 @@ def step_inverse(
     order=None,
 ) -> PhaseState:
     """Undo one time step: backward sub-updates in descending order."""
-    order = _resolve_order(state, order)
-    positions = list(state.positions)
-    momenta = list(state.momenta)
-    for i in reversed(order):
-        current = PhaseState(tuple(positions), tuple(momenta), state.time)
-        ham = system.restricted(current, i)
-        try:
-            positions[i], momenta[i] = prev_site(ham, positions[i], momenta[i])
-        except IntHamError as exc:
-            raise _tag(exc, i)
-    return PhaseState(tuple(positions), tuple(momenta), state.time - 1)
+    return _sweep(state, system, order, True)
 
 
 def total_energy(state: PhaseState, system: RestrictedHamiltonianProvider) -> int:

@@ -94,6 +94,12 @@ class FieldHamiltonianSpec:
     ``stiffness`` is the overall prefactor of both energy terms and must not
     exceed ``1/dimensions``, which keeps every restricted single-pair
     potential steep enough for the checkerboard sweep to stay local.
+
+    ``phi_windows`` and ``p_windows`` bound each component's field values and
+    momenta.  A value that gets stepped needs one unit of room inside each
+    window: a contour step reads the four neighbours of its site, so a value
+    exactly on a window edge passes the entry check of :func:`step` but
+    raises ``WindowExceeded`` (with ``field_site`` set) at its sub-update.
     """
 
     shape: LatticeShape
@@ -544,7 +550,13 @@ def step_parity(
 
 
 def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
-    """One full time step: even class, then odd class, components ascending."""
+    """One full time step: even class, then odd class, components ascending.
+
+    Every value must lie inside its component's windows, else
+    ``WindowExceeded`` is raised before the first sub-update; a value that
+    gets stepped also needs one unit of room inside each window (see
+    :class:`FieldHamiltonianSpec`).
+    """
     phi, mom = _flat(state, spec)
     _sweep(state, phi, mom, spec, 0, False)
     _sweep(state, phi, mom, spec, 1, False)

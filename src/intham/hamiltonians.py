@@ -11,9 +11,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .dual import DualRational
 from .errors import ConfigError, WindowExceeded
 
 
@@ -141,28 +140,6 @@ class PowerLawFamily:
 
 
 @dataclass(frozen=True)
-class InterpolatedPoint:
-    """Phase-space point ``(Q + alpha, P + beta)`` with fractional offsets
-    in ``[0, 1]`` (exact rationals, or duals carrying an infinitesimal)."""
-
-    Q: int
-    P: int
-    alpha: object = Fraction(0)
-    beta: object = Fraction(0)
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            val = getattr(self, name)
-            if isinstance(val, (int, Fraction)):
-                val = Fraction(val)
-                object.__setattr__(self, name, val)
-            elif not isinstance(val, DualRational):
-                raise TypeError(f"{name} must be rational or DualRational")
-            if not (0 <= val and val <= 1):
-                raise ValueError(f"{name} must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class SeparableHamiltonian1D:
     """``H = kinetic(P) + potential(Q) + coupling_pos(Q) * coupling_mom(P)``.
 
@@ -202,17 +179,6 @@ class SeparableHamiltonian1D:
         h = self.kinetic(p) + self.potential(q)
         if self.coupling_pos is not None:
             h += self.coupling_pos(q) * self.coupling_mom(p)
-        return h
-
-    def value_interpolated(self, point: InterpolatedPoint):
-        """Energy at an off-lattice point; each factor interpolated linearly."""
-        t = self.kinetic.interpolate(point.P, point.beta)
-        v = self.potential.interpolate(point.Q, point.alpha)
-        h = t + v
-        if self.coupling_pos is not None:
-            a = self.coupling_pos.interpolate(point.Q, point.alpha)
-            b = self.coupling_mom.interpolate(point.P, point.beta)
-            h = h + a * b
         return h
 
     def cell_corners(self, cq: int, cp: int) -> tuple[int, int, int, int]:

@@ -205,6 +205,27 @@ def test_walk_steps_invert_and_follow_the_trace(coupled, seed):
         assert image == (later[0] if later else site)
 
 
+@pytest.mark.parametrize("landscape", ["bowl", "multi-well", "product-term"])
+def test_crossing_parameters_place_the_level_on_their_edges(landscape):
+    # A crossing lies std + inf*eps along its edge from the (Q, P) end, where
+    # the interpolated energy c0 + t*(c1 - c0) reaches E + eps.
+    if landscape == "bowl":
+        ham, ceiling = bowl, 20
+    else:
+        ham, ceiling = random_landscape(random.Random(5), landscape == "product-term")
+    checked = 0
+    for site in well_sites(ham, ceiling):
+        energy = ham.value(*site)
+        for crossing in trace_component(ham, energy, site).crossings:
+            Q, P = crossing.Q, crossing.P
+            c0 = ham.value(Q, P)
+            c1 = ham.value(Q + 1, P) if crossing.kind == "h" else ham.value(Q, P + 1)
+            assert c0 + crossing.param.std * (c1 - c0) == energy
+            assert crossing.param.inf * (c1 - c0) == 1
+            checked += 1
+    assert checked > 0
+
+
 def test_escape_after_the_image_still_raises():
     # |q| + |p| = 4 flows clockwise from (4, 0) through (3, -1), its image in
     # a full window; cutting the momentum window at -2 lets the contour leave

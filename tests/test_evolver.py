@@ -10,8 +10,8 @@ from intham.errors import UnboundedContour
 from intham.evolver import (
     CoupledSeparableHamiltonian,
     IndependentPairs,
-    PairIndexOrder,
     PhaseState,
+    _resolve_order,
     decoupled,
     step,
     step_inverse,
@@ -54,11 +54,11 @@ class TestPhaseState:
 
 class TestPairIndexOrder:
     def test_identity(self):
-        assert PairIndexOrder.identity(3).order == (0, 1, 2)
+        assert _resolve_order(PhaseState((0,) * 3, (0,) * 3), None) == (0, 1, 2)
 
     def test_non_permutations_rejected(self):
         with pytest.raises(ValueError):
-            PairIndexOrder((0, 0, 1))
+            _resolve_order(PhaseState((0,) * 3, (0,) * 3), (0, 0, 1))
 
 
 class TestIndependentPairs:

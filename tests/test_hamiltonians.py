@@ -11,7 +11,6 @@ from intham.errors import ConfigError, WindowExceeded
 from intham.hamiltonians import (
     IntegerFunction1D,
     _floor_nth_root,
-    InterpolatedPoint,
     PowerLawFamily,
     SeparableHamiltonian1D,
     floor_scaled_power,
@@ -157,20 +156,9 @@ class TestSeparableHamiltonian1D:
         with pytest.raises(ValueError):
             SeparableHamiltonian1D(halved, squares, coupling_pos=short, coupling_mom=halved)
 
-    def test_interpolated_energy_at_a_cell_midpoint(self):
-        ham = SeparableHamiltonian1D(squares, squares)
-        point = InterpolatedPoint(0, 1, alpha=Fraction(1, 2))
-        assert ham.value_interpolated(point) == Fraction(3, 2)
-
     def test_cell_corners_order(self):
         ham = SeparableHamiltonian1D(squares, squares)
         assert ham.cell_corners(0, 0) == (0, 1, 1, 2)
-
-    def test_interpolated_point_validates_offsets(self):
-        with pytest.raises(ValueError):
-            InterpolatedPoint(0, 0, alpha=Fraction(3, 2))
-        with pytest.raises(TypeError):
-            InterpolatedPoint(0, 0, alpha=0.5)
 
 
 class TestSmoothness:
