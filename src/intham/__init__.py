@@ -18,7 +18,6 @@ from .contours import (
     prev_site,
     trace_component,
 )
-from .dual import EPSILON, DualRational, as_dual
 from .errors import (
     ConfigError,
     IntHamError,
@@ -82,9 +81,6 @@ __all__ = [
     "orbit_map",
     "prev_site",
     "trace_component",
-    "EPSILON",
-    "DualRational",
-    "as_dual",
     "ConfigError",
     "IntHamError",
     "RegimeViolation",

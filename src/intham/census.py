@@ -195,23 +195,16 @@ def census(
         raise ValueError("need a nonempty ladder of nonnegative energies")
     ceiling = energies[-1]
 
-    wp = _window_for(kinetic, ceiling)
-    wq = _window_for(potential, ceiling)
-    kin_fn = kinetic.materialize(-wp, wp)
-    pot_fn = potential.materialize(-wq, wq)
-    kin = np.array(kin_fn.values, dtype=np.int64)
-    pot = np.array(pot_fn.values, dtype=np.int64)
-
-    grid = pot[:, None] + kin[None, :]
-    counts = np.bincount(grid.ravel(), minlength=ceiling + 1)
-
-    lo = -max(wp, wq)
-    width = 2 * max(wp, wq) + 1
-    flow = _InterpolatedFlow(
-        [kinetic.value(x) for x in range(lo, lo + width)],
-        [potential.value(x) for x in range(lo, lo + width)],
-        lo,
+    w = max(_window_for(kinetic, ceiling), _window_for(potential, ceiling))
+    kin = kinetic.materialize(-w, w).values
+    pot = potential.materialize(-w, w).values
+    # Both tables are nonnegative, so entries above the ceiling (all of each
+    # table past its own window) never reach a counted shell.
+    pot_low, kin_low = (
+        np.array([v for v in t if v <= ceiling], dtype=np.int64) for t in (pot, kin)
     )
+    counts = np.bincount(np.add.outer(pot_low, kin_low).ravel(), minlength=ceiling + 1)
+    flow = _InterpolatedFlow(kin, pot, -w)
 
     rows = []
     for energy in energies:

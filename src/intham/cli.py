@@ -44,50 +44,58 @@ from .spectral import (
     spectrum_rows,
 )
 
-MODES = (
-    "trajectory",
-    "invert",
-    "shell",
-    "spectral",
-    "census",
-    "margolus-contrast",
-    "lightcone",
-)
-
-
-def _require(cfg: dict, key: str):
+def _read(cfg: dict, key: str, default=None, kind=None, keys=None):
+    """``cfg[key]``, or ``default`` when the key is absent (a ConfigError when
+    there is none).  With ``kind`` the value must have exactly that JSON type,
+    so no bool passes for an int and no float is truncated; with ``keys`` it
+    must be an object with no other keys."""
     if key not in cfg:
-        raise ConfigError(f"config needs '{key}' for this mode")
-    return cfg[key]
+        if default is None:
+            raise ConfigError(f"config needs '{key}' for this mode")
+        return default
+    value = cfg[key]
+    if kind is not None and type(value) is not kind:
+        raise ConfigError(f"'{key}' must be of type {kind.__name__}, got {value!r}")
+    return value if keys is None else _only(value, keys, f"'{key}'")
+
+
+def _only(obj, keys: set, where: str) -> dict:
+    """``obj`` itself, checked to be an object with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return obj
+
+
+def _build(cfg: dict, key: str, build, keys=None, default=None):
+    """``build`` applied to ``_read(cfg, key, default, keys=keys)``, with the
+    builder's failures as ConfigErrors that name the key."""
+    obj = _read(cfg, key, default, keys=keys)
+    try:
+        return build(obj)
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad '{key}': {exc}") from exc
 
 
 def _load_models(cfg: dict):
-    if "models" in cfg:
-        entries = cfg["models"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("'models' must be a nonempty list")
-    elif "model" in cfg:
-        entries = [cfg["model"]]
-    else:
-        raise ConfigError("config needs 'model' or 'models'")
-    try:
-        return [hamiltonian_from_json(m) for m in entries]
-    except ValueError as exc:
-        raise ConfigError(f"bad model: {exc}") from exc
+    if "models" not in cfg:
+        return [_build(cfg, "model", hamiltonian_from_json)]
+    if not _read(cfg, "models", kind=list):
+        raise ConfigError("'models' must be a nonempty list")
+    return _build(cfg, "models", lambda entries: [hamiltonian_from_json(m) for m in entries])
 
 
 def _load_start(cfg: dict, pairs: int) -> PhaseState:
-    start = _require(cfg, "start")
+    start = _read(cfg, "start", kind=list)
     if pairs == 1 and len(start) == 2 and not isinstance(start[0], list):
         start = [start]
-    if len(start) != pairs:
-        raise ConfigError(f"'start' must give {pairs} (Q, P) pairs")
-    try:
-        qs = tuple(int(s[0]) for s in start)
-        ps = tuple(int(s[1]) for s in start)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"bad 'start' entry: {start!r}") from exc
-    return PhaseState(qs, ps)
+    if len(start) != pairs or not all(
+        type(s) is list and len(s) == 2 and all(type(v) is int for v in s) for s in start
+    ):
+        raise ConfigError(f"'start' must give {pairs} integer (Q, P) pairs, got {start!r}")
+    return PhaseState(tuple(s[0] for s in start), tuple(s[1] for s in start))
 
 
 def _write_csv(path: Path, header, rows):
@@ -147,7 +155,7 @@ def _mode_invert(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     (ham,) = _load_models(cfg)
-    energy = int(_require(cfg, "energy"))
+    energy = _read(cfg, "energy", kind=int)
     sites = enumerate_shell(ham, energy)
     rows = []
     by_kind: dict[str, int] = {}
@@ -161,7 +169,7 @@ def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     (ham,) = _load_models(cfg)
-    energy = int(_require(cfg, "energy"))
+    energy = _read(cfg, "energy", kind=int)
     shell = enumerate_shell(ham, energy)
     if not shell:
         raise ConfigError(f"energy level {energy} has no states in the window")
@@ -180,11 +188,10 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         "boundary_count": sum(1 for e in entries if e.boundary),
         "operator_check": None,
     }
-    size_cap = int(cfg.get("size_cap", 64))
-    wanted = cfg.get("operator_check", perm.size <= size_cap)
-    if wanted:
-        cfg_trunc = TruncationConfig.for_radius(
-            float(fraction_from_json(cfg.get("radius", 20)))
+    size_cap = _read(cfg, "size_cap", 64, int)
+    if _read(cfg, "operator_check", perm.size <= size_cap, bool):
+        cfg_trunc = _build(
+            cfg, "radius", lambda r: TruncationConfig.for_radius(float(fraction_from_json(r))), default=20
         )
         result = hfract_operator_check(perm, cfg_trunc, size_cap=size_cap)
         report["operator_check"] = {
@@ -195,43 +202,39 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     return report
 
 
-def _census_family(entry: dict, kind: str) -> PowerLawFamily:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"census '{kind}' must be an object")
-    exponent = fraction_from_json(entry.get("exponent", 1))
-    try:
-        if kind == "kinetic":
-            return PowerLawFamily(
-                "kinetic",
-                exponent,
-                mass=fraction_from_json(entry.get("mass", "1/2")),
-            )
-        return PowerLawFamily(
-            "potential", exponent, scale=fraction_from_json(entry.get("scale", 1))
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+# Per census family: the name and default of its prefactor key.
+_CENSUS_PREFACTORS = {"kinetic": ("mass", "1/2"), "potential": ("scale", 1)}
+
+
+def _census_family(section: dict, kind: str) -> PowerLawFamily:
+    name, default = _CENSUS_PREFACTORS[kind]
+
+    def build(entry):
+        exponent = fraction_from_json(entry.get("exponent", 1))
+        return PowerLawFamily(kind, exponent, **{name: fraction_from_json(entry.get(name, default))})
+
+    return _build(section, kind, build, {"exponent", name})
 
 
 def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    section = _require(cfg, "census")
-    kinetic = _census_family(_require(section, "kinetic"), "kinetic")
-    potential = _census_family(_require(section, "potential"), "potential")
-    energies = _require(section, "energies")
-    if (
-        isinstance(energies, list)
-        and len(energies) == 2
-        and all(isinstance(e, int) for e in energies)
-        and energies[1] > energies[0] + 1
-    ):
+    section = _read(cfg, "census", keys={"kinetic", "potential", "energies", "fit_floor", "periods"})
+    kinetic = _census_family(section, "kinetic")
+    potential = _census_family(section, "potential")
+    energies = _read(section, "energies", kind=list)
+    if not all(type(e) is int for e in energies):
+        raise ConfigError(f"'energies' must be a list of integers, got {energies!r}")
+    if len(energies) == 2 and energies[1] > energies[0] + 1:
         energies = range(energies[0], energies[1] + 1)
-    report = census(
-        kinetic,
-        potential,
-        energies,
-        fit_floor=int(section.get("fit_floor", 10)),
-        with_periods=bool(section.get("periods", True)),
-    )
+    try:
+        report = census(
+            kinetic,
+            potential,
+            energies,
+            fit_floor=_read(section, "fit_floor", 10, int),
+            with_periods=_read(section, "periods", True, bool),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"census: {exc}") from exc
     _write_csv(
         out / "census.csv", ["energy", "count", "period", "ratio"], census_rows(report)
     )
@@ -247,19 +250,13 @@ def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     }
 
 
-def _field_setup(cfg: dict):
-    try:
-        return fields.spec_from_json(_require(cfg, "field"))
-    except ValueError as exc:
-        raise ConfigError(f"bad field spec: {exc}") from exc
-
-
 def _random_layers(cfg: dict, rng: random.Random, shape):
     """Two arrays of uniform integers in the config's ``random`` spread
     (default ``[-3, 3]``), drawn one after the other."""
-    spread = cfg.get("random", {})
-    lo = int(spread.get("lo", -3))
-    hi = int(spread.get("hi", 3))
+    spread = _read(cfg, "random", {}, keys={"lo", "hi"})
+    lo, hi = _read(spread, "lo", -3, int), _read(spread, "hi", 3, int)
+    if lo > hi:
+        raise ConfigError(f"'random' needs lo <= hi, got [{lo}, {hi}]")
     size = int(np.prod(shape))
     return tuple(
         np.array([rng.randint(lo, hi) for _ in range(size)], dtype=np.int64).reshape(shape)
@@ -270,7 +267,7 @@ def _random_layers(cfg: dict, rng: random.Random, shape):
 def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
     shape = (spec.components, *spec.shape.sizes)
     if "state" in cfg:
-        state = fields.state_from_json(cfg["state"])
+        state = _build(cfg, "state", fields.state_from_json, {"phi", "mom", "time"})
         if state.phi.shape != shape:
             raise ConfigError(f"state shape {state.phi.shape} != {shape}")
         return state
@@ -278,11 +275,12 @@ def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
 
 
 def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    spec = _field_setup(cfg)
+    spec = _build(cfg, "field", fields.spec_from_json)
     shape = (spec.components, *spec.shape.sizes)
     if "layers" in cfg:
-        layers = cfg["layers"]
-        state = fields.MargolusFieldState(layers["older"], layers["newer"])
+        state = _build(
+            cfg, "layers", lambda o: fields.MargolusFieldState(o["older"], o["newer"]), {"older", "newer"}
+        )
     else:
         state = fields.MargolusFieldState(*_random_layers(cfg, random.Random(seed), shape))
     if state.newer.shape != shape:
@@ -308,16 +306,19 @@ def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 
 def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    spec = _field_setup(cfg)
+    spec = _build(cfg, "field", fields.spec_from_json)
     base = _field_state(cfg, spec, random.Random(seed))
-    perturb = cfg.get("perturb", {})
-    site = tuple(perturb.get("site", (0,) * spec.shape.dimensions))
-    component = int(perturb.get("component", 0))
-    amount = int(perturb.get("amount", 1))
-    if len(site) != spec.shape.dimensions:
-        raise ConfigError(f"perturbation site {site} has wrong dimension")
+    perturb = _read(cfg, "perturb", {}, keys={"site", "component", "amount"})
+    site = tuple(_read(perturb, "site", [0] * spec.shape.dimensions, list))
+    component = _read(perturb, "component", 0, int)
+    amount = _read(perturb, "amount", 1, int)
+    if len(site) != spec.shape.dimensions or not all(type(x) is int for x in site):
+        raise ConfigError(f"perturbation 'site' must list {spec.shape.dimensions} integers, got {site}")
     phi = np.array(base.phi)
-    phi[(component, *site)] += amount
+    try:
+        phi[(component, *site)] += amount
+    except (IndexError, OverflowError) as exc:
+        raise ConfigError(f"bad 'perturb': {exc}") from exc
     other = fields.FieldState(phi, base.mom)
 
     rows = []
@@ -344,6 +345,14 @@ _MODE_RUNNERS = {
     "margolus-contrast": _mode_margolus,
     "lightcone": _mode_lightcone,
 }
+MODES = tuple(_MODE_RUNNERS)
+
+# Every top-level key some mode reads; one config may serve several modes
+# through ``--mode``, so only keys that no mode reads are rejected.
+_CONFIG_KEYS = {
+    "mode", "steps", "seed", "out", "model", "models", "start", "energy", "size_cap",
+    "operator_check", "radius", "census", "field", "layers", "state", "random", "perturb",
+}
 
 
 def run(
@@ -358,16 +367,17 @@ def run(
     Raises :class:`ConfigError` for bad configs and :class:`IntHamError`
     subclasses for model failures; the CLI wrapper maps those to exit codes.
     """
+    _only(config, _CONFIG_KEYS, "config")
     mode = mode or config.get("mode")
-    if mode not in _MODE_RUNNERS:
+    if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if steps is None:
-        steps = int(config.get("steps", 8))
+        steps = _read(config, "steps", 8, int)
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
     if seed is None:
-        seed = int(config.get("seed", 0))
-    out = Path(out_dir if out_dir is not None else config.get("out", "."))
+        seed = _read(config, "seed", 0, int)
+    out = Path(out_dir if out_dir is not None else _read(config, "out", ".", str))
     out.mkdir(parents=True, exist_ok=True)
 
     report = _MODE_RUNNERS[mode](config, out, steps, seed)

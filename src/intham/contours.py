@@ -15,8 +15,9 @@ returns to it, and reports the sites its crossings brush.  :func:`next_site`
 and :func:`prev_site` walk the component through a site with and against
 its orientation, :func:`orbit_map` walks each component once for all its
 sites, and :func:`trace_component` records the walk's crossings.  All
-decisions in the walk are made with integer arithmetic; ``DualRational``
-crossing parameters are computed for the recorded crossings, for inspection.
+decisions in the walk are made with integer arithmetic; each recorded
+crossing carries its position along the crossed edge as the exact pair
+``(std, inf)``, meaning ``std + inf*eps``, for inspection.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .dual import EPSILON, DualRational
 from .errors import UnboundedContour, WindowExceeded
 from .hamiltonians import SeparableHamiltonian1D
 
@@ -53,6 +53,13 @@ _STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 _SIDES = ((0, 1, 1, 1), (1, 1, 0, 1), (0, 1, 0, 0), (0, 0, 0, 1))
 
 
+class CrossingParam(NamedTuple):
+    """Position ``std + inf*eps`` of a crossing along its edge."""
+
+    std: Fraction
+    inf: Fraction
+
+
 @dataclass(frozen=True)
 class Crossing:
     """One edge crossing of the ``E + eps`` level, in traversal order."""
@@ -61,15 +68,8 @@ class Crossing:
     Q: int
     P: int
     forward: bool
-    param: DualRational  # position along the edge, from (Q, P)
+    param: CrossingParam  # position along the edge, from (Q, P)
     touched: Optional[tuple[int, int]]  # lattice site brushed here, if any
-
-    def position(self, eps: float = 1e-6) -> tuple[float, float]:
-        """Numeric coordinates of the crossing for plotting/diagnostics."""
-        t = self.param.evaluate(eps)
-        if self.kind == _EDGE_H:
-            return (self.Q + t, float(self.P))
-        return (float(self.Q), self.P + t)
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,13 @@ def _is_regular(val, site, E) -> bool:
     return _local_kind(flags) is SiteClassification.REGULAR
 
 
-def _crossing_param(ham, kind, Q, P, E) -> DualRational:
+def _crossing_param(ham, kind, Q, P, E) -> CrossingParam:
     """Parameter of the level crossing along the edge, from its (Q, P) end."""
     if kind == _EDGE_H:
         c0, c1 = ham.value(Q, P), ham.value(Q + 1, P)
     else:
         c0, c1 = ham.value(Q, P), ham.value(Q, P + 1)
-    return (DualRational(Fraction(E - c0)) + EPSILON) / Fraction(c1 - c0)
+    return CrossingParam(Fraction(E - c0, c1 - c0), Fraction(1, c1 - c0))
 
 
 def _edge(cq: int, cp: int, move: int) -> tuple:

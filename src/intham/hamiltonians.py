@@ -47,17 +47,6 @@ class IntegerFunction1D:
             )
         return self.values[x - self.lo]
 
-    def interpolate(self, base: int, frac):
-        """Value at ``base + frac`` with ``0 <= frac <= 1`` (linear segment)."""
-        v0 = self(base)
-        if not frac:
-            return frac + v0  # preserves Fraction/DualRational type
-        return (1 - frac) * v0 + frac * self(base + 1)
-
-    def slope(self, base: int) -> int:
-        """Increment across the segment ``[base, base + 1]``."""
-        return self(base + 1) - self(base)
-
     @classmethod
     def from_callable(cls, fn: Callable[[int], int], lo: int, hi: int) -> "IntegerFunction1D":
         return cls(lo, tuple(int(fn(x)) for x in range(lo, hi + 1)))
@@ -218,18 +207,16 @@ def validate_smoothness(fn: IntegerFunction1D) -> SmoothnessReport:
 
 
 def fraction_from_json(value) -> Fraction:
-    """Exact rational from a JSON value: int, "num/den" string, or float
-    (floats are snapped to a nearby small-denominator rational)."""
-    if isinstance(value, bool):
-        raise ConfigError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
+    """Exact rational from a JSON value: int, "num/den" string, or finite
+    float (snapped to a nearby small-denominator rational)."""
+    if type(value) is int:  # bools fall through to the error below
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational literal {value!r}") from exc
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return Fraction(value).limit_denominator(10**9)
     raise ConfigError(f"expected a rational, got {value!r}")
 
@@ -254,7 +241,7 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
     if "table" in entry:
         table = entry["table"]
         try:
-            return IntegerFunction1D(int(table["lo"]), tuple(int(v) for v in table["values"]))
+            return IntegerFunction1D(operator.index(table["lo"]), tuple(table["values"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad table entry: {entry!r}") from exc
     if entry.get("family") == "power":

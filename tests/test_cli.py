@@ -27,6 +27,18 @@ HYPERBOLIC = {
 }
 
 
+HUGE = "<1e400>"  # placeholder for a float literal beyond the double range
+TRAJECTORY = {"mode": "trajectory", "model": DIAMOND, "start": [1, 0], "steps": 3}
+SHELL = {"mode": "shell", "model": BOWL, "energy": 2}
+SPECTRAL = {"mode": "spectral", "model": DIAMOND, "energy": 1}
+CENSUS = {
+    "mode": "census",
+    "census": {"kinetic": {"exponent": 1}, "potential": {"exponent": 1}, "energies": [10, 20]},
+}
+LIGHTCONE = {"mode": "lightcone", "field": {"sizes": [8], "stiffness": 1}, "steps": 2}
+MARGOLUS = {"mode": "margolus-contrast", "field": {"sizes": [4], "stiffness": 1}, "steps": 2}
+
+
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -299,6 +311,45 @@ class TestFailureModes:
     def test_run_function_rejects_negative_steps(self, tmp_path):
         with pytest.raises(ConfigError):
             run({"mode": "trajectory", "model": DIAMOND, "start": [1, 0]}, steps=-1)
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({**SPECTRAL, "radius": HUGE}, "radius"),
+            ({**SPECTRAL, "radius": float("nan")}, "radius"),
+            ({**SHELL, "energy": HUGE}, "energy"),
+            ({**SHELL, "energy": "ten"}, "energy"),
+            ({**SHELL, "energy": 10.7}, "10.7"),
+            ({**TRAJECTORY, "steps": "x"}, "steps"),
+            ({**SPECTRAL, "size_cap": "x"}, "size_cap"),
+            ({**LIGHTCONE, "random": {"lo": "a"}}, "'lo'"),
+            ({**LIGHTCONE, "perturb": {"site": 3}}, "site"),
+            ({**LIGHTCONE, "state": {}}, "state"),
+            ({**MARGOLUS, "layers": {}}, "layers"),
+            ({**TRAJECTORY, "start": 5}, "start"),
+            ({**CENSUS, "census": {**CENSUS["census"], "energies": "x"}}, "energies"),
+            ({**LIGHTCONE, "field": {"sizes": [8], "stiffness": HUGE}}, "field"),
+            ({**TRAJECTORY, "stpes": 9}, "stpes"),
+            ({**CENSUS, "census": {**CENSUS["census"], "fit_flor": 3}}, "fit_flor"),
+            ({**LIGHTCONE, "perturb": {"sit": [1]}}, "sit"),
+            ({**LIGHTCONE, "random": {"low": -2}}, "low"),
+            ({**LIGHTCONE, "random": {"lo": 3, "hi": -3}}, "random"),
+            ({**LIGHTCONE, "perturb": {"site": [99]}}, "perturb"),
+            ({**CENSUS, "census": {**CENSUS["census"], "energies": []}}, "census"),
+            ({**SPECTRAL, "operator_check": "yes"}, "operator_check"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": [1.5, 0, 1]}}}}, "1.5"),
+        ],
+    )
+    def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):
+        # HUGE is written as the JSON literal 1e400, which parses as inf.
+        text = json.dumps({**config, "out": str(tmp_path)}).replace(f'"{HUGE}"', "1e400")
+        assert HUGE not in text
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
 
 
 def test_module_entrypoint_round_trips(tmp_path):

@@ -49,15 +49,6 @@ class TestIntegerFunction1D:
             with pytest.raises(ValueError, match="integers"):
                 IntegerFunction1D(0, (bad,))
 
-    def test_interpolate_walks_the_segment_linearly(self):
-        assert squares.interpolate(1, Fraction(1, 2)) == Fraction(5, 2)
-        assert squares.interpolate(2, Fraction(0)) == 4
-        assert squares.interpolate(3, Fraction(1)) == 16
-
-    def test_slope_is_the_segment_increment(self):
-        assert squares.slope(1) == 3
-        assert squares.slope(-3) == -5
-
 
 class TestFloorScaledPower:
     def test_hand_checked_values(self):
