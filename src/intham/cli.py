@@ -170,6 +170,9 @@ def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     (ham,) = _load_models(cfg)
     energy = _read(cfg, "energy", kind=int)
+    cfg_trunc = _build(
+        cfg, "radius", lambda r: TruncationConfig.for_radius(float(fraction_from_json(r))), default=20
+    )
     shell = enumerate_shell(ham, energy)
     if not shell:
         raise ConfigError(f"energy level {energy} has no states in the window")
@@ -190,9 +193,6 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     }
     size_cap = _read(cfg, "size_cap", 64, int)
     if _read(cfg, "operator_check", perm.size <= size_cap, bool):
-        cfg_trunc = _build(
-            cfg, "radius", lambda r: TruncationConfig.for_radius(float(fraction_from_json(r))), default=20
-        )
         result = hfract_operator_check(perm, cfg_trunc, size_cap=size_cap)
         report["operator_check"] = {
             "radius": cfg_trunc.radius,
@@ -278,9 +278,7 @@ def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     spec = _build(cfg, "field", fields.spec_from_json)
     shape = (spec.components, *spec.shape.sizes)
     if "layers" in cfg:
-        state = _build(
-            cfg, "layers", lambda o: fields.MargolusFieldState(o["older"], o["newer"]), {"older", "newer"}
-        )
+        state = _build(cfg, "layers", fields.layers_from_json, {"older", "newer"})
     else:
         state = fields.MargolusFieldState(*_random_layers(cfg, random.Random(seed), shape))
     if state.newer.shape != shape:

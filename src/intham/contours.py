@@ -209,15 +209,21 @@ def _raise_escape(ham, E, cq, cp):
         raise UnboundedContour(msg, energy=E, site=(cq, cp)) from exc
 
 
-def _walk_component(ham, E: int, start: tuple, touches: list, record=None) -> int:
+def _walk_component(
+    ham, E: int, start: tuple, touches: list, record=None, stop=None
+) -> Optional[int]:
     """Walk the component of the ``E + eps`` level through ``start`` once.
 
     Crossing ``n`` (``start`` is 0) appends ``(n, site)`` to ``touches`` when
     its below-level end lies on the shell, and itself to ``record`` if given,
     up to the closing return to ``start``; returns the count ``n`` before it.
-    The walk always runs to closure, so an escaping component raises
-    ``UnboundedContour`` at the first cell outside the windows.  Closure is
-    tested on touching crossings only: every start crossing brushes a site.
+    Without ``stop`` the walk runs to closure, so an escaping component
+    raises ``UnboundedContour`` at the first cell outside the windows.
+    ``stop(site)`` is asked after each touch is appended, and the walk
+    returns ``None`` at the first site it accepts; a caller may pass it only
+    for a component known to close inside the windows, since sites past the
+    stop are never reached.  Closure and ``stop`` are tested on touching
+    crossings only: every start crossing brushes a site.
     """
     vv, vlo = ham.potential.values, ham.potential.lo
     kv, klo = ham.kinetic.values, ham.kinetic.lo
@@ -252,7 +258,10 @@ def _walk_component(ham, E: int, start: tuple, touches: list, record=None) -> in
             if c00 == E or c10 == E:
                 if n and i == ie and j == je and m == me:
                     return n
-                touches.append((n, (i + vlo if c00 == E else i + 1 + vlo, j + klo)))
+                site = (i + vlo if c00 == E else i + 1 + vlo, j + klo)
+                touches.append((n, site))
+                if stop is not None and stop(site):
+                    return None
             if j == jlast:
                 _raise_escape(ham, E, i + vlo, j + klo)
             k0, k1 = k1, kv[j + 1]
@@ -274,7 +283,10 @@ def _walk_component(ham, E: int, start: tuple, touches: list, record=None) -> in
             if c00 == E or c01 == E:
                 if n and i == ie and j == je and m == me:
                     return n
-                touches.append((n, (i + vlo, j + klo if c00 == E else j + 1 + klo)))
+                site = (i + vlo, j + klo if c00 == E else j + 1 + klo)
+                touches.append((n, site))
+                if stop is not None and stop(site):
+                    return None
             if i == ilast:
                 _raise_escape(ham, E, i + vlo, j + klo)
             v0, v1 = v1, vv[i + 1]
@@ -296,7 +308,10 @@ def _walk_component(ham, E: int, start: tuple, touches: list, record=None) -> in
             if c01 == E or c11 == E:
                 if n and i == ie and j == je and m == me:
                     return n
-                touches.append((n, (i + vlo if c01 == E else i + 1 + vlo, j + 1 + klo)))
+                site = (i + vlo if c01 == E else i + 1 + vlo, j + 1 + klo)
+                touches.append((n, site))
+                if stop is not None and stop(site):
+                    return None
             if j < 0:
                 _raise_escape(ham, E, i + vlo, j + klo)
             k0, k1 = kv[j], k0
@@ -318,7 +333,10 @@ def _walk_component(ham, E: int, start: tuple, touches: list, record=None) -> in
             if c10 == E or c11 == E:
                 if n and i == ie and j == je and m == me:
                     return n
-                touches.append((n, (i + 1 + vlo, j + klo if c10 == E else j + 1 + klo)))
+                site = (i + 1 + vlo, j + klo if c10 == E else j + 1 + klo)
+                touches.append((n, site))
+                if stop is not None and stop(site):
+                    return None
             if i < 0:
                 _raise_escape(ham, E, i + vlo, j + klo)
             v0, v1 = vv[i], v0
@@ -336,7 +354,9 @@ def _walk_component(ham, E: int, start: tuple, touches: list, record=None) -> in
                 m = _DOWN if _saddle_above(c00, c10, c01, c11, E) is s00 else _UP
 
 
-def _step(ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool) -> tuple[int, int]:
+def _step(
+    ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool, closed: bool
+) -> tuple[int, int]:
     E = ham.value(Q, P)
     val = _evaluator(ham)
     try:
@@ -348,29 +368,45 @@ def _step(ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool) -> tuple[
     if _local_kind(flags) is not SiteClassification.REGULAR:
         return (Q, P)
     start = _start_crossing(Q, P, flags)
+    if backward:
+        start = _flip(start)
     touches: list = []
+
     # The image is the first touched regular site other than (Q, P).
-    images = (s for _, s in touches if s != (Q, P) and _is_regular(val, s, E))
+    def is_image(s):
+        return s != (Q, P) and _is_regular(val, s, E)
+
+    if closed:  # the component cannot escape, so the image ends the walk
+        if _walk_component(ham, E, start, touches, stop=is_image) is None:
+            return touches[-1][1]
+        return (Q, P)
+    images = (s for _, s in touches if is_image(s))
     try:
-        _walk_component(ham, E, _flip(start) if backward else start, touches)
+        _walk_component(ham, E, start, touches)
     except UnboundedContour:
         next(images, None)  # a touched site that cannot be classified fails first
         raise
     return next(images, (Q, P))
 
 
-def next_site(ham: SeparableHamiltonian1D, Q: int, P: int) -> tuple[int, int]:
+def next_site(
+    ham: SeparableHamiltonian1D, Q: int, P: int, *, _closed: bool = False
+) -> tuple[int, int]:
     """One time step: the next lattice site on this site's contour.
 
     Saddle and extremum sites stand still; so does a site whose component
-    touches no other regular site.
+    touches no other regular site.  ``_closed`` is for callers that have
+    proven the component closes inside the windows (every window-edge row
+    and column above the level): the walk then stops at the image.
     """
-    return _step(ham, Q, P, False)
+    return _step(ham, Q, P, False, _closed)
 
 
-def prev_site(ham: SeparableHamiltonian1D, Q: int, P: int) -> tuple[int, int]:
+def prev_site(
+    ham: SeparableHamiltonian1D, Q: int, P: int, *, _closed: bool = False
+) -> tuple[int, int]:
     """Inverse step: walk the contour against its orientation."""
-    return _step(ham, Q, P, True)
+    return _step(ham, Q, P, True, _closed)
 
 
 def _visits(touches: list, n: int) -> list[tuple[int, int]]:

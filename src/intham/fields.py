@@ -21,6 +21,10 @@ sweep, give each site's flat index and those of its forward and backward
 neighbours.  A sub-update's restricted potential is one exact integer
 quadratic per density it touches, floored density by density, and a memo on
 the spec serves repeated neighbourhoods without a table build or a walk.
+The memo is direction-aware: a step is a permutation of its closed contour,
+so each forward walk also stores the backward sub-update it implies, and
+the other way round.  A walk whose band no window clamps is proven closed
+and stops at its image instead of going round the whole contour.
 
 A two-layer second-order automaton in Fredkin's style (field value plus
 previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
@@ -40,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .contours import next_site, prev_site
-from .errors import IntHamError, WindowExceeded
+from .errors import ConfigError, IntHamError, WindowExceeded
 from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 
 Site = tuple[int, ...]
@@ -415,8 +419,8 @@ def restricted_hamiltonian(
     kin_values = [(kin0 + sn * p * p) // kden for p in range(p_lo, p_hi + 1)]
 
     return SeparableHamiltonian1D(
-        IntegerFunction1D(p_lo, tuple(kin_values)),
-        IntegerFunction1D(band_lo, tuple(pot_values)),
+        IntegerFunction1D._trusted(p_lo, tuple(kin_values)),
+        IntegerFunction1D._trusted(band_lo, tuple(pot_values)),
     )
 
 
@@ -501,6 +505,11 @@ def _sweep(
     # component's potential depends only on differences of phi_k, so its key
     # and its stored image are taken relative to the site's own value, and
     # a repeat anywhere in phi walks an exact translate of the same tables.
+    # An unclamped band also proves the component closed (every band-edge
+    # row and column lies above the level, see momentum_bound), so the walk
+    # may stop at the image, and the step is a permutation of that closed
+    # contour: the image walked the other way leads back, at the same level
+    # and reach, so a miss stores that inverse entry too.
     memo = spec._memo
     for entry in sites:
         i = entry[1]
@@ -522,15 +531,22 @@ def _sweep(
             else:
                 reach: list = []
                 ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _reach=reach)
+                clear = _band_clear(spec, k, cents, q, p, reach[0])
                 try:
-                    q2, p2 = mover(ham, q, p)
+                    q2, p2 = mover(ham, q, p, _closed=clear)
                 except IntHamError as exc:
                     exc.field_site = (entry[0], k)
                     raise
-                if _band_clear(spec, k, cents, q, p, reach[0]):
-                    if len(memo) >= _MEMO_CAP:
-                        del memo[next(iter(memo))]
+                if clear:
                     memo[key] = (q2 - shift, p2, reach[0])
+                    shift = q2 if massless[k] else 0
+                    mirror = (
+                        not inverse, k, *frozen_parts, *[c - shift for c in cents],
+                        q2 - shift, p2, others,
+                    )
+                    memo[mirror] = (q - shift, p, reach[0])
+                    while len(memo) > _MEMO_CAP:
+                        del memo[next(iter(memo))]
             phi[k * n + i] = q2
             mom[k * n + i] = p2
             msq += p2 * p2 - p * p
@@ -679,7 +695,6 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     be written as numbers or strings like "1/2".  Any other key is a
     :class:`ConfigError`.
     """
-    from .errors import ConfigError
     from .hamiltonians import fraction_from_json
 
     unknown = set(obj) - _SPEC_KEYS
@@ -718,5 +733,25 @@ def state_to_json(state: FieldState) -> dict:
     }
 
 
+def _integer_entries(obj: dict, keys: tuple) -> list:
+    """``obj[key]`` for each key, checked to hold JSON integers only: a float
+    or a bool is a :class:`ConfigError`, never truncated or kept."""
+    arrays = []
+    for key in keys:
+        values = obj[key]
+        if not all(type(v) is int for v in np.array(values, dtype=object).ravel().tolist()):
+            raise ConfigError(f"'{key}' entries must be integers")
+        arrays.append(values)
+    return arrays
+
+
 def state_from_json(obj: dict) -> FieldState:
-    return FieldState(obj["phi"], obj["mom"], int(obj.get("time", 0)))
+    time = obj.get("time", 0)
+    if type(time) is not int:
+        raise ConfigError(f"'time' must be an integer, got {time!r}")
+    return FieldState(*_integer_entries(obj, ("phi", "mom")), time)
+
+
+def layers_from_json(obj: dict) -> MargolusFieldState:
+    """The two-layer state of ``{"older": ..., "newer": ...}``."""
+    return MargolusFieldState(*_integer_entries(obj, ("older", "newer")))

@@ -32,6 +32,17 @@ class IntegerFunction1D:
             raise ValueError("values must be integers") from None
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(cls, lo: int, values: tuple) -> "IntegerFunction1D":
+        """A table of Python ints the engine has just computed, built
+        without the per-value check of public construction."""
+        if not values:
+            raise ValueError("empty window")
+        table = object.__new__(cls)
+        object.__setattr__(table, "lo", lo)
+        object.__setattr__(table, "values", values)
+        return table
+
     @property
     def hi(self) -> int:
         return self.lo + len(self.values) - 1
@@ -232,12 +243,17 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
         null
 
     ``role`` is "kinetic" or "potential" and selects the power-law form when
-    neither ``scale`` nor ``mass`` makes it explicit.
+    neither ``scale`` nor ``mass`` makes it explicit.  Any other key is a
+    :class:`ConfigError` that names it.
     """
     if entry is None:
         return None
     if not isinstance(entry, dict):
         raise ConfigError(f"model entry must be an object or null, got {entry!r}")
+    known = {"table"} if "table" in entry else {"family", "exponent", "scale", "mass", "window"}
+    unknown = set(entry) - known
+    if unknown:
+        raise ConfigError(f"unknown model entry keys: {sorted(unknown)}")
     if "table" in entry:
         table = entry["table"]
         try:

@@ -34,6 +34,12 @@ TWO_PI = 2.0 * math.pi
 BOUNDARY_PHASE = math.nextafter(math.pi, 0.0)
 
 
+#: Largest damping radius :meth:`TruncationConfig.for_radius` accepts; the
+#: dense operator check runs one permutation pass per term, about 41 per
+#: unit of radius, so this bounds it at about 41 000 passes.
+MAX_RADIUS = 1000
+
+
 @dataclass(frozen=True)
 class TruncationConfig:
     """Damping radius and term count for the truncated operator series.
@@ -54,7 +60,11 @@ class TruncationConfig:
 
     @classmethod
     def for_radius(cls, radius, tail: float = 1e-18) -> "TruncationConfig":
+        """The term count that leaves a tail below ``tail``: about 41 terms
+        per unit of radius, so ``radius`` may not exceed :data:`MAX_RADIUS`."""
         radius = float(radius)
+        if radius > MAX_RADIUS:
+            raise ValueError(f"radius {radius:g} exceeds the cap {MAX_RADIUS}")
         terms = max(1, math.ceil(-radius * math.log(tail)))
         return cls(radius, terms)
 

@@ -338,6 +338,11 @@ class TestFailureModes:
             ({**CENSUS, "census": {**CENSUS["census"], "energies": []}}, "census"),
             ({**SPECTRAL, "operator_check": "yes"}, "operator_check"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": [1.5, 0, 1]}}}}, "1.5"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "exponnet": 3, "window": [-5, 5]}}}, "exponnet"),
+            ({**SPECTRAL, "radius": 1e6}, "radius"),
+            ({**SPECTRAL, "operator_check": False, "radius": 1e6}, "radius"),
+            ({**LIGHTCONE, "state": {"phi": [[1.5] + [0] * 7], "mom": [[0] * 8]}}, "state"),
+            ({**MARGOLUS, "layers": {"older": [[0] * 4], "newer": [[1.5, 0, 0, 0]]}}, "layers"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

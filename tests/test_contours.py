@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from conftest import random_confining, well_sites
 from intham.contours import (
     SiteClassification,
+    _evaluator,
+    _neighbor_flags,
+    _start_crossing,
+    _walk_component,
     classify_site,
     enumerate_shell,
     next_site,
@@ -191,6 +195,9 @@ def test_walk_steps_invert_and_follow_the_trace(coupled, seed):
     assert orbit_map(ham, sites) == images
     for site, image in images.items():
         assert prev_site(ham, *image) == site
+        # every contour here closes inside the windows, so may stop early
+        assert next_site(ham, *site, _closed=True) == image
+        assert prev_site(ham, *image, _closed=True) == site
         energy = ham.value(*site)
         if classify_site(ham, *site, energy) is not SiteClassification.REGULAR:
             assert image == site
@@ -224,6 +231,23 @@ def test_crossing_parameters_place_the_level_on_their_edges(landscape):
             assert crossing.param.inf * (c1 - c0) == 1
             checked += 1
     assert checked > 0
+
+
+def test_stop_is_asked_on_touches_only_and_ends_the_walk():
+    # The r^2 = 25 circle of the bowl touches (5, 0), (4, -3), (3, -4), ...
+    start = _start_crossing(5, 0, _neighbor_flags(_evaluator(bowl), 5, 0, 25))
+    full: list = []
+    n = _walk_component(bowl, 25, start, full)
+    asked: list = []
+    touches: list = []
+    record: list = []
+    stopped = _walk_component(
+        bowl, 25, start, touches, record, stop=lambda s: asked.append(s) or s == (3, -4)
+    )
+    assert stopped is None
+    assert asked == [s for _, s in touches]
+    assert touches == full[: len(touches)] and touches[-1][1] == (3, -4)
+    assert len(record) == touches[-1][0] + 1 < n
 
 
 def test_escape_after_the_image_still_raises():

@@ -19,6 +19,7 @@ from intham.fields import (
     diagonal_radius,
     diff_sites,
     laplacian_rule,
+    layers_from_json,
     margolus_energy,
     margolus_states_equal,
     margolus_step,
@@ -391,6 +392,24 @@ class TestJson:
         assert states_equal(state, again)
         assert again.time == 5
 
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            ({"phi": [[1.5, 0]], "mom": [[0, 0]]}, "phi"),
+            ({"phi": [[1, 0]], "mom": [[0, True]]}, "mom"),
+            ({"phi": [[1, 0]], "mom": [[0, 0]], "time": 2.0}, "time"),
+        ],
+    )
+    def test_state_entries_must_be_integers(self, obj, named):
+        with pytest.raises(ConfigError, match=named):
+            state_from_json(obj)
+
+    def test_layer_entries_must_be_integers(self):
+        with pytest.raises(ConfigError, match="newer"):
+            layers_from_json({"older": [[0, 1]], "newer": [[0.5, 1]]})
+        state = layers_from_json({"older": [[0, 1]], "newer": [[2, 1]]})
+        assert state.newer.tolist() == [[2, 1]]
+
 
 # -- local-rule memo -----------------------------------------------------------
 
@@ -477,8 +496,91 @@ class TestLocalRuleMemo:
                 errors += isinstance(expected[0], str)
         assert errors > 0
 
+    @given(
+        case=st.sampled_from(MEMO_CASES),
+        window=st.sampled_from([(-12, 12), (-40, 40)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_clear_bands_close_and_stop_early_exactly(self, case, window, seed):
+        shape, masses = case
+        spec = fresh_spec(shape, masses, window)
+        state = random_state(spec, random.Random(seed), -4, 4)
+        phi, mom = state.phi.ravel().tolist(), state.mom.ravel().tolist()
+        entries = fields._neighbours(spec)[0]
+        clear = 0
+        for entry in entries:
+            msq = sum(m * m for m in mom[entry[1]::len(entries)])
+            for k in range(spec.components):
+                terms = fields._local_terms(spec, phi, mom, entry, k, msq)
+                q, p = terms[2], terms[3]
+                reach = []
+                ham = restricted_hamiltonian(state, spec, entry[0], k, _reach=reach)
+                cents = [c for lst in terms[1] for c in lst]
+                if not fields._band_clear(spec, k, cents, q, p, reach[0]):
+                    continue
+                clear += 1
+                # The proof the sweep relies on: every window-edge row and
+                # column of the restricted tables lies above the level.
+                energy = ham.value(q, p)
+                (qlo, qhi), (plo, phi_hi) = ham.q_window, ham.p_window
+                edge = [(v, u) for v in (qlo, qhi) for u in range(plo, phi_hi + 1)]
+                edge += [(v, u) for u in (plo, phi_hi) for v in range(qlo, qhi + 1)]
+                assert min(ham.value(*s) for s in edge) > energy
+                for mover in (contours.next_site, contours.prev_site):
+                    assert mover(ham, q, p, _closed=True) == mover(ham, q, p)
+        if window == (-40, 40):
+            assert clear == spec.components * len(entries)
+
+    @pytest.mark.parametrize("shape, masses", MEMO_CASES)
+    def test_forward_steps_store_every_inverse_sub_update(self, monkeypatch, shape, masses):
+        spec = fresh_spec(shape, masses, (-64, 64))
+        start = random_state(spec, random.Random(5), -3, 3)
+        state = start
+        for _ in range(3):
+            state = step(state, spec)
+        assert any(key[0] for key in spec._memo)  # mirrors of forward walks
+        misses = []
+        original = fields.restricted_hamiltonian
+        monkeypatch.setattr(
+            fields, "restricted_hamiltonian",
+            lambda *args, **kw: misses.append(args[2]) or original(*args, **kw),
+        )
+        for _ in range(3):
+            state = step_inverse(state, spec)
+        assert misses == []
+        assert states_equal(state, start)
+
+    @given(
+        case=st.sampled_from(MEMO_CASES),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.integers(-7, 7),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_forward_warmed_memo_inverts_like_a_cold_one(self, case, seed, offset):
+        # Inverse entries stored by forward steps serve step_inverse; the
+        # translated copies put massless neighbourhoods near the +-8 window,
+        # where bands clamp and the cold path must raise the same errors.
+        shape, masses = case
+        window = (-8, 8)
+        warm = fresh_spec(shape, masses, window)
+        start = random_state(warm, random.Random(seed), -2, 2)
+        states = [start]
+        for _ in range(3):
+            try:
+                states.append(step(states[-1], warm))
+            except IntHamError:
+                break
+        for state in states[1:]:
+            moved = FieldState(np.clip(state.phi + offset, *window), state.mom)
+            for case_state in (state, moved):
+                expected = outcome(step_inverse, case_state, fresh_spec(shape, masses, window))
+                assert outcome(step_inverse, case_state, warm) == expected
+        for state, before in zip(states[:0:-1], states[-2::-1]):
+            assert states_equal(step_inverse(state, warm), before, include_time=False)
+
     def test_memo_stays_under_its_cap(self, monkeypatch):
-        monkeypatch.setattr(fields, "_MEMO_CAP", 64)
+        monkeypatch.setattr(fields, "_MEMO_CAP", 80)
         spec = fresh_spec(LINE16, (Fraction(0),), (-64, 64))
         start = random_state(spec, random.Random(7), -3, 3)
         state = start
@@ -487,11 +589,12 @@ class TestLocalRuleMemo:
             newest = list(spec._memo)[-48:]
             state = step(state, spec)
             assert states_equal(state, expected)
-            assert 0 < len(spec._memo) <= 64
-            # A step stores at most 16 keys, so at the cap it drops only the
-            # oldest entries and the 48 newest stay servable.
+            assert 0 < len(spec._memo) <= 80
+            # A step stores at most 32 keys (each miss adds its inverse), so
+            # at the cap it drops only the oldest entries and the 48 newest
+            # stay servable.
             assert set(newest) <= spec._memo.keys()
-        assert len(spec._memo) == 64
+        assert len(spec._memo) == 80
         for _ in range(40):
             state = step_inverse(state, spec)
         assert states_equal(state, start)

@@ -15,6 +15,7 @@ from intham.hamiltonians import (
     SeparableHamiltonian1D,
     floor_scaled_power,
     fraction_from_json,
+    function_from_json,
     hamiltonian_from_json,
     validate_smoothness,
 )
@@ -215,6 +216,18 @@ class TestJsonModels:
     def test_malformed_models_raise_config_error(self, model):
         with pytest.raises(ConfigError):
             hamiltonian_from_json(model)
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"family": "power", "exponnet": 3, "window": [-2, 2]}, "exponnet"),
+            ({"family": "power", "exponent": 2, "window": [-2, 2], "lo": 0}, "lo"),
+            ({"table": {"lo": 0, "values": [0]}, "window": [0, 0]}, "window"),
+        ],
+    )
+    def test_unknown_entry_keys_are_named(self, entry, named):
+        with pytest.raises(ConfigError, match=named):
+            function_from_json(entry, "potential")
 
 
 class TestFractionFromJson:

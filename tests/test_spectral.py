@@ -9,6 +9,7 @@ from intham.errors import ShellNotClosed, ShellTooLarge
 from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 from intham.spectral import (
     BOUNDARY_PHASE,
+    MAX_RADIUS,
     ShellPermutation,
     SpectrumEntry,
     TruncationConfig,
@@ -137,6 +138,11 @@ class TestDampedClosedForm:
 class TestOperatorCheck:
     def test_truncation_depth_scales_with_damping_radius(self):
         assert TruncationConfig.for_radius(20) == TruncationConfig(20.0, 829)
+
+    def test_radius_is_capped(self):
+        assert TruncationConfig.for_radius(MAX_RADIUS).radius == MAX_RADIUS
+        with pytest.raises(ValueError, match="radius"):
+            TruncationConfig.for_radius(MAX_RADIUS + 1)
 
     def test_dense_operator_reproduces_the_closed_form(self):
         cfg = TruncationConfig.for_radius(20)
