@@ -14,17 +14,21 @@ lattice link and same-class updates commute; in higher dimensions a sweep
 can carry a change along a whole line of constant ``sum(x)``, so the L1
 radius has no such bound and the sweep order is fixed.
 
-The sweep is one integer kernel over flat Python lists.  A step reads the
-arrays once, checks every value against its component's windows, and writes
-them back once at the end.  Per-spec neighbour tables, built on the first
-sweep, give each site's flat index and those of its forward and backward
-neighbours.  A sub-update's restricted potential is one exact integer
-quadratic per density it touches, floored density by density, and a memo on
-the spec serves repeated neighbourhoods without a table build or a walk.
-The memo is direction-aware: a step is a permutation of its closed contour,
-so each forward walk also stores the backward sub-update it implies, and
-the other way round.  A walk whose band no window clamps is proven closed
-and stops at its image instead of going round the whole contour.
+The sweep is one integer kernel over one flat Python list of field values
+and momenta.  A step reads the arrays once, checks every value against its
+component's windows, and writes them back once at the end.  Per-spec
+neighbour tables, built on the first sweep, give each site's flat index,
+those of its forward and backward neighbours, and per component the
+``itemgetter``s that gather the raw values a sub-update reads.  A memo on the
+spec is keyed on those values (a massless component's relative to its value
+at the site) and serves a repeated neighbourhood with one lookup: no table,
+no walk, no arithmetic beyond the shift.  A miss tabulates only the band its
+contour can reach, out to the first row and column on each side that lie
+wholly above the level; that proves the contour closed, so the walk stops
+at the image.  The memo is direction-aware: a step is a permutation of its
+closed contour, so each forward walk also stores the backward sub-update it
+implies, and the other way round.  A hit checks only that its translated
+band still lies inside the field window.
 
 A two-layer second-order automaton in Fredkin's style (field value plus
 previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
@@ -37,8 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -152,7 +158,7 @@ class FieldHamiltonianSpec:
         # Local-rule memo and neighbour tables of the sweep (the tables are
         # built on the first sweep); not fields, so equality, hashing and
         # repr ignore them.
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", OrderedDict())
         object.__setattr__(self, "_nbrs", None)
 
     @classmethod
@@ -219,14 +225,22 @@ def _check_state(state: FieldState, spec: FieldHamiltonianSpec):
 def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
     """The spec's neighbour tables, built on first use and kept on the spec.
 
-    Sites are numbered in C order, as ``array.ravel()`` lays them out, and
-    component ``k`` of site ``i`` sits at ``k * n + i`` of a flat list over
-    ``n`` sites.  Returns ``(entries, classes)``: ``entries[i]`` is
-    ``(x, i, fwd, back)``, where ``fwd`` holds the flat indices of the
-    forward neighbours ``x + e_a`` and ``back`` one ``(w, wfwd, wrest)`` per
-    backward neighbour ``w = x - e_a``: ``wfwd`` is ``w``'s ``fwd`` and
-    ``wrest`` the same without ``x``.  ``classes[parity]`` lists the entries
-    of that parity class in C order.
+    Sites are numbered in C order, as ``array.ravel()`` lays them out.  The
+    sweep keeps field values and momenta in one flat list over ``n`` sites:
+    ``phi_k`` of site ``i`` sits at ``k * n + i`` and ``mom_k`` at
+    ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries,
+    classes)``: ``entries[i]`` is ``(x, i, fwd, back, gathers)``, where
+    ``fwd`` holds the flat indices of the forward neighbours ``x + e_a`` and
+    ``back`` one ``(w, wfwd, wrest)`` per backward neighbour ``w = x - e_a``:
+    ``wfwd`` is ``w``'s ``fwd`` and ``wrest`` the same without ``x``.
+    ``gathers[k]`` is ``(k, own, rest, qi, pi, massless)``: ``own`` and
+    ``rest`` are ``itemgetter``s over the flat list (see :func:`_sweep`).
+    ``own`` reads component ``k`` at every site the sub-update reads, without
+    x itself when the component is massless (its key is relative to x);
+    ``rest`` reads the momenta at x, the pair's first, then the other
+    components at the same sites (with one component, the momentum alone).
+    ``qi``/``pi`` are the positions of the pair's value and momentum.
+    ``classes[parity]`` lists the entries of that parity class in C order.
     """
     tables = spec._nbrs
     if tables is None:
@@ -235,13 +249,26 @@ def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
         index = {x: i for i, x in enumerate(sites)}
         axes = range(shape.dimensions)
         fwd = [tuple(index[shape.shift(x, a, 1)] for a in axes) for x in sites]
+        n, kk = len(sites), spec.components
         entries = []
         for i, x in enumerate(sites):
             back = []
             for a in axes:
                 w = index[shape.shift(x, a, -1)]
                 back.append((w, fwd[w], fwd[w][:a] + fwd[w][a + 1:]))
-            entries.append((x, i, fwd[i], tuple(back)))
+            # Every site a sub-update at x reads: x, its forward neighbours,
+            # and each backward neighbour with its other forward neighbours.
+            reads = [i, *fwd[i]]
+            for w, _, wrest in back:
+                reads += [w, *wrest]
+            gathers = []
+            for k, mass in enumerate(spec._mass_num):
+                others = [j for j in range(kk) if j != k]
+                own = [k * n + s for s in (reads if mass else reads[1:])]
+                rest = [(kk + j) * n + i for j in (k, *others)]
+                rest += [j * n + s for j in others for s in reads]
+                gathers.append((k, itemgetter(*own), itemgetter(*rest), k * n + i, rest[0], not mass))
+            entries.append((x, i, fwd[i], tuple(back), tuple(gathers)))
         classes = tuple([e for e in entries if shape.parity(e[0]) == c] for c in (0, 1))
         tables = (entries, classes)
         object.__setattr__(spec, "_nbrs", tables)
@@ -303,47 +330,48 @@ def momentum_bound(energy: int, stiffness: Fraction) -> int:
     return b if b * b * sn >= target else b + 1
 
 
-def _local_terms(spec: FieldHamiltonianSpec, phi: list, mom: list, entry: tuple, k: int, msq: int) -> tuple:
+def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -> tuple:
     """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
-    ``phi``/``mom`` are flat lists and ``entry`` is the site's row of
-    :func:`_neighbours`; ``msq`` is the sum of the squared momenta at x.
-    Returns ``(frozen_parts, center_lists, q, p, others)``.  Per involved
-    density (this site's, then each backward neighbor's) the floor argument
-    splits into a frozen part and ``(value - c)^2`` gradient terms, one per
-    frozen center ``c``; ``q`` and ``p`` are the pair's own values and
-    ``others`` the other components' squared momenta at x.
+    ``vals`` is the flat list of field values and momenta and ``entry`` the
+    site's row of :func:`_neighbours`.  Returns ``(frozen_parts,
+    center_lists, q, p, others)``.  Per involved density (this site's, then
+    each backward neighbor's) the floor argument splits into a frozen part
+    and ``(value - c)^2`` gradient terms, one per frozen center ``c``; ``q``
+    and ``p`` are the pair's own values and ``others`` the other components'
+    squared momenta at x.
     """
-    _, i, fwd, back = entry
-    n = len(phi) // spec.components
+    _, i, fwd, back, _ = entry
+    n = len(vals) // (2 * spec.components)
     md = spec._mass_den
     own = k * n
-    grads = mass = 0
+    grads = mass = others = 0
     for j, mj in enumerate(spec._mass_num):
         if j != k:
             base = j * n
-            c = phi[base + i]
+            c = vals[base + i]
             for f in fwd:
-                d = phi[base + f] - c
+                d = vals[base + f] - c
                 grads += d * d
             if mj:
                 mass += mj * c * c
+            m = vals[(spec.components + j) * n + i]
+            others += m * m
     frozen_parts = [md * grads + mass]
-    center_lists = [[phi[own + f] for f in fwd]]
+    center_lists = [[vals[own + f] for f in fwd]]
     for w, wfwd, wrest in back:
         grads = mass = 0
         for j, mj in enumerate(spec._mass_num):
             base = j * n
-            c = phi[base + w]
+            c = vals[base + w]
             for f in (wrest if j == k else wfwd):
-                d = phi[base + f] - c
+                d = vals[base + f] - c
                 grads += d * d
             if mj:
                 mass += mj * c * c
         frozen_parts.append(md * grads + mass)
-        center_lists.append([phi[own + w]])
-    p = mom[own + i]
-    return frozen_parts, center_lists, phi[own + i], p, msq - p * p
+        center_lists.append([vals[own + w]])
+    return frozen_parts, center_lists, vals[own + i], vals[(spec.components + k) * n + i], others
 
 
 def restricted_hamiltonian(
@@ -353,24 +381,33 @@ def restricted_hamiltonian(
     k: int,
     *,
     _terms: Optional[tuple] = None,
-    _reach: Optional[list] = None,
+    _band: Optional[list] = None,
 ) -> SeparableHamiltonian1D:
     """Freeze everything except the pair (phi_k(x), mom_k(x)).
 
     The potential table collects the floored potential terms of this site and
     of each backward neighbor (the densities whose gradients straddle x); the
     kinetic table is this site's floored momentum term.  Their sum plus the
-    untouched remainder reproduces the total energy exactly.  ``_terms`` is
-    the pair's :func:`_local_terms`, when the caller already has them (then
-    only the state's shape is read); the level's :func:`momentum_bound` is
-    appended to ``_reach`` when given.
+    untouched remainder reproduces the total energy exactly.
+
+    ``_terms`` and ``_band`` are for the sweep.  ``_terms`` is the pair's
+    :func:`_local_terms` (then only the state's shape is read).  With
+    ``_band`` the tables cover only the band the contour through the pair can
+    reach: field values out to the first column on each side that lies
+    wholly above the level, ``V(v) > E - T(0)``, and momenta out to the first
+    rows ``+-s`` with ``T(s) > E - min V`` over those columns.  Every edge row
+    and column then lies above the level, so the contour is proven closed
+    inside the band, and ``(lo, hi)`` of the field band is appended to
+    ``_band``.  The band lies inside the public one, whose rows and columns
+    :func:`momentum_bound` past the centers already lie above the level, so
+    the walk is the same.  A scan that meets a window edge appends nothing
+    and returns the public band.
     """
     _check_state(state, spec)
     if _terms is None:
         entry = _neighbours(spec)[0][_site_index(spec.shape, x)]
-        mom = state.mom.ravel().tolist()
-        msq = sum(m * m for m in mom[entry[1]::len(mom) // spec.components])
-        _terms = _local_terms(spec, state.phi.ravel().tolist(), mom, entry, k, msq)
+        vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+        _terms = _local_terms(spec, vals, entry, k)
     frozen_parts, center_lists, q_cur, p_cur, others = _terms
     qlo, qhi = spec.phi_windows[k]
     plo, phi_hi = spec.p_windows[k]
@@ -395,6 +432,39 @@ def restricted_hamiltonian(
     level = sum(((a * q_cur + b) * q_cur + c) // pden for a, b, c in quads)
     level += (kin0 + sn * p_cur * p_cur) // kden
 
+    if _band is not None:
+        col_top = level - kin0 // kden  # a column above this lies above the level
+
+        def scan(v, dv, edge):
+            values = []
+            while v != edge:
+                v += dv
+                t = 0
+                for a, b, c in quads:
+                    t += ((a * v + b) * v + c) // pden
+                values.append(t)
+                if t > col_top:
+                    return values
+            return None
+
+        left = scan(q_cur, -1, qlo)
+        right = left and scan(q_cur, 1, qhi)
+        if right:
+            pot_values = left[::-1] + [level - (kin0 + sn * p_cur * p_cur) // kden] + right
+            row_top = level - min(pot_values)  # a row above this lies above the level
+            kin_values = [kin0 // kden]
+            while kin_values[-1] <= row_top:
+                s = len(kin_values)
+                kin_values.append((kin0 + sn * s * s) // kden)
+            s = len(kin_values) - 1
+            if plo <= -s and s <= phi_hi:
+                band_lo = q_cur - len(left)
+                _band.append((band_lo, q_cur + len(right)))
+                return SeparableHamiltonian1D(
+                    IntegerFunction1D._trusted(-s, tuple(kin_values[:0:-1] + kin_values)),
+                    IntegerFunction1D._trusted(band_lo, tuple(pot_values)),
+                )
+
     # A field value whose squared distance from every frozen neighbor already
     # floors above the current level is unreachable on this contour (each
     # gradient term alone contributes at least that floor), and likewise for
@@ -402,8 +472,6 @@ def restricted_hamiltonian(
     # of a sub-update proportional to the local energy rather than to the
     # window size, and leaves the windows free to be generous.
     reach = momentum_bound(level, spec.stiffness)
-    if _reach is not None:
-        _reach.append(reach)
     cents = [c for lst in center_lists for c in lst]
     band_lo = max(qlo, min(min(cents), q_cur) - reach)
     band_hi = min(qhi, max(max(cents), q_cur) + reach)
@@ -424,23 +492,10 @@ def restricted_hamiltonian(
     )
 
 
-def _band_clear(spec: FieldHamiltonianSpec, k: int, cents, q: int, p: int, reach: int) -> bool:
-    """Whether neither window clamps the tables :func:`restricted_hamiltonian`
-    builds for this pair, given the ``reach`` of its level."""
-    qlo, qhi = spec.phi_windows[k]
-    plo, phi_hi = spec.p_windows[k]
-    p_span = max(reach, abs(p) + 1)
-    return (
-        qlo <= min(q, *cents) - reach
-        and max(q, *cents) + reach <= qhi
-        and plo <= -p_span
-        and p_span <= phi_hi
-    )
-
-
-def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> tuple[list, list]:
-    """The state's field and momentum as flat lists (see :func:`_neighbours`),
-    after checking every value against its component's window."""
+def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
+    """The state's field values and momenta as one flat list (see
+    :func:`_neighbours`), after checking every value against its
+    component's window."""
     _check_state(state, spec)
     phi = state.phi.ravel().tolist()
     mom = state.mom.ravel().tolist()
@@ -463,21 +518,19 @@ def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> tuple[list, list]:
             )
             exc.field_site = (x, k)
             raise exc
-    return phi, mom
+    return phi + mom
 
 
-def _unflat(spec: FieldHamiltonianSpec, phi: list, mom: list, time: int) -> FieldState:
-    shape = (spec.components, *spec.shape.sizes)
-    return FieldState(np.reshape(phi, shape), np.reshape(mom, shape), time)
+def _unflat(spec: FieldHamiltonianSpec, vals: list, time: int) -> FieldState:
+    phi, mom = np.reshape(vals, (2, spec.components, *spec.shape.sizes))
+    return FieldState(phi, mom, time)
 
 
-def _sweep(
-    state: FieldState, phi: list, mom: list, spec, parity, inverse: bool, site_order=None
-):
-    """One half sweep over the flat lists ``phi``/``mom``, in place.
+def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_order=None):
+    """One half sweep over the flat list ``vals``, in place.
 
     ``state`` only carries the shape to :func:`restricted_hamiltonian`, which
-    a miss calls with the pair's terms already read from the lists.
+    a miss calls with the pair's terms already read from the list.
     """
     entries, classes = _neighbours(spec)
     sites = classes[parity]
@@ -487,69 +540,70 @@ def _sweep(
             raise ValueError("site_order must enumerate the parity class exactly")
         by_site = {e[0]: e for e in sites}
         sites = [by_site[x] for x in site_order]
-    component_list = list(range(spec.components))
     if inverse:
         # Exact inversion replays every sub-update in reverse, including the
         # site order.  In one dimension each density couples one even and one
         # odd site, so same-class updates commute and the order is moot; in
         # higher dimensions the shared floors can couple diagonal neighbors
         # of equal parity, and only the reversed order is guaranteed exact.
-        sites = sites[::-1]
-        component_list.reverse()
+        sites = [(e, e[4][::-1]) for e in reversed(sites)]
+    else:
+        sites = [(e, e[4]) for e in sites]
     mover = prev_site if inverse else next_site
-    n = len(entries)
-    massless = [not m for m in spec._mass_num]
+    windows = spec.phi_windows
 
-    # The local rule is memoized on the spec.  While neither window clamps
-    # the band, the tables are a function of the key alone; a massless
-    # component's potential depends only on differences of phi_k, so its key
-    # and its stored image are taken relative to the site's own value, and
-    # a repeat anywhere in phi walks an exact translate of the same tables.
-    # An unclamped band also proves the component closed (every band-edge
-    # row and column lies above the level, see momentum_bound), so the walk
-    # may stop at the image, and the step is a permutation of that closed
-    # contour: the image walked the other way leads back, at the same level
-    # and reach, so a miss stores that inverse entry too.
+    # The local rule is memoized on the spec, keyed on the raw values a
+    # sub-update reads (gathered by the site's itemgetters): the pair's
+    # component at x, at x's forward neighbours and at each backward
+    # neighbour w and w's other forward neighbours; the other components at
+    # the same sites; the momenta at x; and the direction as key[0].  A
+    # massless component's potential depends only on differences of phi_k,
+    # so its own values and its stored image are taken relative to its value
+    # at x (the shift), and a repeat anywhere in phi walks an exact
+    # translate of the same tables.  A miss tabulates only the band its
+    # contour can reach (see restricted_hamiltonian): every edge row and
+    # column lies above the level, so the contour is closed and the walk
+    # stops at the image.  The step permutes that closed contour, so the
+    # image walked the other way leads back inside the same band, and a miss
+    # stores that inverse entry too.  An entry keeps the range of shifts for
+    # which its translated band stays inside the field window; a hit outside
+    # it is exactly a translate whose scan would meet the window edge, and
+    # takes the cold path.  The key fixes the momentum band, so a hit checks
+    # nothing else and does no table arithmetic.
     memo = spec._memo
-    for entry in sites:
-        i = entry[1]
-        msq = 0
-        for m in mom[i::n]:
-            msq += m * m
-        for k in component_list:
-            terms = _local_terms(spec, phi, mom, entry, k, msq)
-            frozen_parts, center_lists, q, p, others = terms
-            cents = [c for lst in center_lists for c in lst]
-            shift = q if massless[k] else 0
-            key = (
-                inverse, k, *frozen_parts, *[c - shift for c in cents],
-                q - shift, p, others,
-            )
-            hit = memo.get(key)
-            if hit is not None and _band_clear(spec, k, cents, q, p, hit[2]):
-                q2, p2 = hit[0] + shift, hit[1]
+    get = memo.get
+    for entry, gathers in sites:
+        for k, own, rest, qi, pi, massless in gathers:
+            if massless:
+                shift = vals[qi]
+                key = (inverse, k, rest(vals), *map(shift.__rsub__, own(vals)))
             else:
-                reach: list = []
-                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _reach=reach)
-                clear = _band_clear(spec, k, cents, q, p, reach[0])
-                try:
-                    q2, p2 = mover(ham, q, p, _closed=clear)
-                except IntHamError as exc:
-                    exc.field_site = (entry[0], k)
-                    raise
-                if clear:
-                    memo[key] = (q2 - shift, p2, reach[0])
-                    shift = q2 if massless[k] else 0
-                    mirror = (
-                        not inverse, k, *frozen_parts, *[c - shift for c in cents],
-                        q2 - shift, p2, others,
-                    )
-                    memo[mirror] = (q - shift, p, reach[0])
-                    while len(memo) > _MEMO_CAP:
-                        del memo[next(iter(memo))]
-            phi[k * n + i] = q2
-            mom[k * n + i] = p2
-            msq += p2 * p2 - p * p
+                shift = 0
+                key = (inverse, k, rest(vals), *own(vals))
+            hit = get(key)
+            if hit is not None and hit[2] <= shift <= hit[3]:
+                vals[qi] = hit[0] + shift
+                vals[pi] = hit[1]
+                continue
+            q, p = vals[qi], vals[pi]
+            band: list = []
+            terms = _local_terms(spec, vals, entry, k)
+            ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
+            try:
+                q2, p2 = mover(ham, q, p, _closed=bool(band))
+            except IntHamError as exc:
+                exc.field_site = (entry[0], k)
+                raise
+            vals[qi] = q2
+            vals[pi] = p2
+            if band:
+                (lo, hi), (qlo, qhi) = band[0], windows[k]
+                memo[key] = (q2 - shift, p2, qlo - lo + shift, qhi - hi + shift)
+                shift = q2 if massless else 0  # a zero shift keeps the raw values
+                mirror =(not inverse, k, rest(vals), *map(shift.__rsub__, own(vals)))
+                memo[mirror] = (q - shift, p, qlo - lo + shift, qhi - hi + shift)
+                while len(memo) > _MEMO_CAP:
+                    memo.popitem(last=False)
 
 
 def step_parity(
@@ -560,9 +614,9 @@ def step_parity(
     site_order: Optional[Sequence[Site]] = None,
 ) -> FieldState:
     """Apply one checkerboard half-sweep to the given parity class."""
-    phi, mom = _flat(state, spec)
-    _sweep(state, phi, mom, spec, parity, inverse, site_order)
-    return _unflat(spec, phi, mom, state.time)
+    vals = _flat(state, spec)
+    _sweep(state, vals, spec, parity, inverse, site_order)
+    return _unflat(spec, vals, state.time)
 
 
 def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
@@ -573,18 +627,18 @@ def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     gets stepped also needs one unit of room inside each window (see
     :class:`FieldHamiltonianSpec`).
     """
-    phi, mom = _flat(state, spec)
-    _sweep(state, phi, mom, spec, 0, False)
-    _sweep(state, phi, mom, spec, 1, False)
-    return _unflat(spec, phi, mom, state.time + 1)
+    vals = _flat(state, spec)
+    _sweep(state, vals, spec, 0, False)
+    _sweep(state, vals, spec, 1, False)
+    return _unflat(spec, vals, state.time + 1)
 
 
 def step_inverse(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     """Undo one full step: odd class, then even class, components descending."""
-    phi, mom = _flat(state, spec)
-    _sweep(state, phi, mom, spec, 1, True)
-    _sweep(state, phi, mom, spec, 0, True)
-    return _unflat(spec, phi, mom, state.time - 1)
+    vals = _flat(state, spec)
+    _sweep(state, vals, spec, 1, True)
+    _sweep(state, vals, spec, 0, True)
+    return _unflat(spec, vals, state.time - 1)
 
 
 def diff_sites(a: FieldState, b: FieldState) -> set[Site]:

@@ -40,6 +40,7 @@ from intham.fields import (
 
 LINE16 = LatticeShape((16,))
 GRID44 = LatticeShape((4, 4))
+BOX442 = LatticeShape((4, 4, 2))
 
 
 def line_spec(mass=Fraction(0), stiffness=Fraction(1)):
@@ -447,6 +448,12 @@ MEMO_CASES = [
     (GRID44, (Fraction(0), Fraction(1, 2))),
 ]
 
+RAW_KEY_CASES = [
+    (LINE8, (Fraction(0),)),
+    (GRID44, (Fraction(0), Fraction(1, 2))),
+    (BOX442, (Fraction(1, 2), Fraction(0))),
+]
+
 
 class TestLocalRuleMemo:
     @given(
@@ -506,29 +513,37 @@ class TestLocalRuleMemo:
         shape, masses = case
         spec = fresh_spec(shape, masses, window)
         state = random_state(spec, random.Random(seed), -4, 4)
-        phi, mom = state.phi.ravel().tolist(), state.mom.ravel().tolist()
+        vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
         entries = fields._neighbours(spec)[0]
         clear = 0
         for entry in entries:
-            msq = sum(m * m for m in mom[entry[1]::len(entries)])
             for k in range(spec.components):
-                terms = fields._local_terms(spec, phi, mom, entry, k, msq)
+                terms = fields._local_terms(spec, vals, entry, k)
                 q, p = terms[2], terms[3]
-                reach = []
-                ham = restricted_hamiltonian(state, spec, entry[0], k, _reach=reach)
-                cents = [c for lst in terms[1] for c in lst]
-                if not fields._band_clear(spec, k, cents, q, p, reach[0]):
+                band = []
+                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
+                public = restricted_hamiltonian(state, spec, entry[0], k)
+                if not band:
+                    # A scan that meets a window edge keeps the public band.
+                    assert (ham.q_window, ham.p_window) == (public.q_window, public.p_window)
                     continue
                 clear += 1
-                # The proof the sweep relies on: every window-edge row and
-                # column of the restricted tables lies above the level.
+                assert band == [ham.q_window]
+                # The proof the sweep relies on: every edge row and column of
+                # the scanned band lies above the level ...
                 energy = ham.value(q, p)
                 (qlo, qhi), (plo, phi_hi) = ham.q_window, ham.p_window
                 edge = [(v, u) for v in (qlo, qhi) for u in range(plo, phi_hi + 1)]
                 edge += [(v, u) for u in (plo, phi_hi) for v in range(qlo, qhi + 1)]
                 assert min(ham.value(*s) for s in edge) > energy
+                # ... and the band lies inside the public one, with equal
+                # values, so the walk that stops at the image is the full one.
+                (pqlo, pqhi), (pplo, pphi) = public.q_window, public.p_window
+                assert pqlo <= qlo and qhi <= pqhi and pplo <= plo and phi_hi <= pphi
+                assert all(ham.value(v, u) == public.value(v, u)
+                           for v in range(qlo, qhi + 1) for u in range(plo, phi_hi + 1))
                 for mover in (contours.next_site, contours.prev_site):
-                    assert mover(ham, q, p, _closed=True) == mover(ham, q, p)
+                    assert mover(ham, q, p, _closed=True) == mover(ham, q, p) == mover(public, q, p)
         if window == (-40, 40):
             assert clear == spec.components * len(entries)
 
@@ -579,6 +594,41 @@ class TestLocalRuleMemo:
         for state, before in zip(states[:0:-1], states[-2::-1]):
             assert states_equal(step_inverse(state, warm), before, include_time=False)
 
+    @given(
+        case=st.sampled_from(RAW_KEY_CASES),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.integers(-6, 6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_raw_key_serves_only_exact_repeats(self, case, seed, offset):
+        # The memo is keyed on the raw values a sub-update reads.  After
+        # warming it on one state, step: a translate of the massless
+        # components (repeats up to the shift), a copy with the other
+        # components' values negated (equal frozen sums, other raw values),
+        # and translates that push stored bands past the +-8 window.
+        shape, masses = case
+        window = (-8, 8)
+        warm = fresh_spec(shape, masses, window)
+        start = random_state(warm, random.Random(seed), -2, 2)
+        for stepper in (step, step_inverse):
+            outcome(stepper, start, warm)
+        massless = np.array([not m for m in masses]).reshape(-1, *(1,) * shape.dimensions)
+        top = window[1] - int(start.phi.max())
+        states = [FieldState(start.phi + shift * massless, start.mom) for shift in (offset, top)]
+        for j in range(len(masses)):
+            flip = np.ones_like(start.phi)
+            flip[j] = -1
+            states.append(FieldState(start.phi * flip, start.mom * flip))
+        for state in states:
+            for stepper, reference in ((step, reference_step),) * 2 + (
+                (step_inverse, reference_step_inverse),
+            ) * 2:
+                expected = outcome(reference, state, fresh_spec(shape, masses, window))
+                assert outcome(stepper, state, warm) == expected
+                if isinstance(expected[0], str):
+                    break
+                state = stepper(state, warm)
+
     def test_memo_stays_under_its_cap(self, monkeypatch):
         monkeypatch.setattr(fields, "_MEMO_CAP", 80)
         spec = fresh_spec(LINE16, (Fraction(0),), (-64, 64))
@@ -601,9 +651,6 @@ class TestLocalRuleMemo:
 
 
 # -- flat sweep kernel ----------------------------------------------------------
-
-
-BOX442 = LatticeShape((4, 4, 2))
 
 
 def reference_density(spec, state, x):
