@@ -37,6 +37,7 @@ from .errors import ConfigError, IntHamError
 from .evolver import PhaseState, decoupled, step, step_inverse, total_energy
 from .hamiltonians import PowerLawFamily, fraction_from_json, hamiltonian_from_json
 from .spectral import (
+    MAX_CHECK_SIZE,
     ShellPermutation,
     TruncationConfig,
     eigenphases,
@@ -173,6 +174,9 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     cfg_trunc = _build(
         cfg, "radius", lambda r: TruncationConfig.for_radius(float(fraction_from_json(r))), default=20
     )
+    size_cap = _read(cfg, "size_cap", 64, int)
+    if size_cap > MAX_CHECK_SIZE:
+        raise ConfigError(f"'size_cap' {size_cap} exceeds the cap {MAX_CHECK_SIZE}")
     shell = enumerate_shell(ham, energy)
     if not shell:
         raise ConfigError(f"energy level {energy} has no states in the window")
@@ -191,7 +195,6 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         "boundary_count": sum(1 for e in entries if e.boundary),
         "operator_check": None,
     }
-    size_cap = _read(cfg, "size_cap", 64, int)
     if _read(cfg, "operator_check", perm.size <= size_cap, bool):
         result = hfract_operator_check(perm, cfg_trunc, size_cap=size_cap)
         report["operator_check"] = {

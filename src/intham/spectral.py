@@ -34,10 +34,17 @@ TWO_PI = 2.0 * math.pi
 BOUNDARY_PHASE = math.nextafter(math.pi, 0.0)
 
 
-#: Largest damping radius :meth:`TruncationConfig.for_radius` accepts; the
-#: dense operator check runs one permutation pass per term, about 41 per
-#: unit of radius, so this bounds it at about 41 000 passes.
+#: Largest damping radius :meth:`TruncationConfig.for_radius` accepts.  The
+#: operator check sums about 41 terms per unit of radius, each one pass over
+#: the k x k block of every distinct cycle length k, so this bounds it at
+#: about 41 000 passes.
 MAX_RADIUS = 1000
+
+#: Largest ``size_cap`` :func:`hfract_operator_check` accepts.  One check
+#: costs about terms x sum(k^2) over the distinct cycle lengths k, at most
+#: terms x size^2, so with :data:`MAX_RADIUS` this bounds a check at about
+#: 41 000 passes over 256 x 512 floats.
+MAX_CHECK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -241,43 +248,51 @@ def hfract_operator_check(
     damped sine series, i.e. +omega in the undamped limit.  Each residual is
     the max-norm difference between the operator applied to the eigenvector
     and the damped closed form times that eigenvector.
+
+    An eigenvector lives on its own cycle, where U^n is a cyclic shift by n,
+    and its coordinates there depend only on the cycle length k and the
+    mode index.  So the series runs once per distinct k, on the k x k block
+    of all modes of that length: row j holds coordinate j of every mode,
+    divided by i, tiled to three periods so that each term's shifts are row
+    slices.  Dividing by i swaps the real and imaginary parts and negates
+    one, exactly, so the block is summed as real pairs.  Terms with
+    2n = 0 mod k add an exact zero and are skipped; the others are added one
+    by one in order, with the same weights, so each residual equals the one
+    of the dense operator on the whole shell, bit for bit (the dense
+    operator is zero off the cycle).  ``size_cap`` may not exceed
+    :data:`MAX_CHECK_SIZE`.
     """
     n = perm.size
+    if size_cap > MAX_CHECK_SIZE:
+        raise ValueError(f"size_cap {size_cap} exceeds the cap {MAX_CHECK_SIZE}")
     if n > size_cap:
         raise ShellTooLarge(
-            f"shell of size {n} exceeds the dense-check cap",
+            f"shell of size {n} exceeds the operator-check cap",
             size=n,
             limit=size_cap,
         )
-    fwd = np.array(perm.mapping, dtype=np.intp)
-
+    weights = [
+        (1.0 if term % 2 else -1.0) * math.exp(-term / cfg.radius) / term
+        for term in range(1, cfg.terms + 1)
+    ]
     entries = eigenphases(perm)
-    vectors = np.zeros((len(entries), n), dtype=complex)
-    for row, entry in enumerate(entries):
-        cycle = perm.cycles[entry.cycle]
-        k = entry.length
-        for j, pos in enumerate(cycle):
-            vectors[row, pos] = cmath.exp(2j * math.pi * entry.index * j / k)
-
-    forward = vectors.copy()   # U^n applied to each vector
-    backward = vectors.copy()  # U^-n applied to each vector
-    acc = np.zeros_like(vectors)
-    sign = 1.0
-    for term in range(1, cfg.terms + 1):
-        next_forward = np.empty_like(forward)
-        next_forward[:, fwd] = forward
-        forward = next_forward
-        backward = backward[:, fwd]
-        weight = sign * math.exp(-term / cfg.radius) / term
-        acc += weight * (backward - forward) / 1j
-        sign = -sign
-
-    residuals = []
-    for row, entry in enumerate(entries):
-        reference = damped_closed_form(entry.omega, cfg.radius)
-        residual = np.max(np.abs(acc[row] - reference * vectors[row]))
-        residuals.append(float(residual))
-    return OperatorCheckResult(tuple(entries), tuple(residuals))
+    by_length = {}
+    for k in {len(cycle) for cycle in perm.cycles}:
+        modes = np.array([
+            [cmath.exp(2j * math.pi * m * j / k) for m in range(k)] for j in range(k)
+        ])
+        tiled = np.tile(modes / 1j, (3, 1)).view(float)
+        acc = np.zeros((k, 2 * k))
+        for term, weight in enumerate(weights, 1):
+            s = term % k
+            if 2 * s % k:
+                acc += weight * (tiled[k + s:2 * k + s] - tiled[k - s:2 * k - s])
+        reference = np.array(
+            [damped_closed_form(_reduced_omega(k, m), cfg.radius) for m in range(k)]
+        )
+        by_length[k] = np.abs(acc.view(complex) - reference * modes).max(axis=0).tolist()
+    residuals = tuple(by_length[e.length][e.index] for e in entries)
+    return OperatorCheckResult(tuple(entries), residuals)
 
 
 @dataclass(frozen=True)

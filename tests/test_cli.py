@@ -4,13 +4,18 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intham import fields
-from intham.cli import main, run
-from intham.errors import ConfigError
+from intham.cli import MODES, main, run
+from intham.errors import ConfigError, IntHamError
+from intham.spectral import MAX_CHECK_SIZE
 
 TABLE_ABS5 = {"table": {"lo": -5, "values": [5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5]}}
 TABLE_SQ5 = {"table": {"lo": -5, "values": [25, 16, 9, 4, 1, 0, 1, 4, 9, 16, 25]}}
@@ -37,6 +42,9 @@ CENSUS = {
 }
 LIGHTCONE = {"mode": "lightcone", "field": {"sizes": [8], "stiffness": 1}, "steps": 2}
 MARGOLUS = {"mode": "margolus-contrast", "field": {"sizes": [4], "stiffness": 1}, "steps": 2}
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(path, payload):
@@ -138,6 +146,17 @@ class TestSpectral:
         assert report["operator_check"]["max_residual"] < 1e-9
         rows = (tmp_path / "spectral.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 4
+
+    @pytest.mark.parametrize("energy, radius", [(3, 20), (30, 3), (36, 20)])
+    def test_outputs_match_the_dense_check_byte_for_byte(self, tmp_path, energy, radius):
+        # An asymmetric double well: shells with a fixed point, with two
+        # cycles of one length, and with two of different lengths.  The
+        # golden files were written by the dense n x n operator check.
+        cfg = json.loads((DATA / "spectral_double_well.json").read_text())
+        assert run({**cfg, "energy": energy, "radius": radius}, out_dir=str(tmp_path))[0] == 0
+        for ext in ("json", "csv"):
+            golden = DATA / "spectral_golden" / f"E{energy}-R{radius}.{ext}"
+            assert (tmp_path / f"spectral.{ext}").read_bytes() == golden.read_bytes()
 
 
 class TestCensus:
@@ -343,6 +362,8 @@ class TestFailureModes:
             ({**SPECTRAL, "operator_check": False, "radius": 1e6}, "radius"),
             ({**LIGHTCONE, "state": {"phi": [[1.5] + [0] * 7], "mom": [[0] * 8]}}, "state"),
             ({**MARGOLUS, "layers": {"older": [[0] * 4], "newer": [[1.5, 0, 0, 0]]}}, "layers"),
+            ({**SPECTRAL, "size_cap": MAX_CHECK_SIZE + 1}, "size_cap"),
+            ({**SPECTRAL, "operator_check": False, "size_cap": 10**9}, "size_cap"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):
@@ -355,6 +376,75 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
+
+
+# One valid config per mode, small enough that any mutation of it runs fast.
+VALID = {
+    "trajectory": TRAJECTORY,
+    "invert": {**TRAJECTORY, "mode": "invert"},
+    "shell": SHELL,
+    "spectral": {**SPECTRAL, "radius": 20, "size_cap": 64, "operator_check": True},
+    "census": CENSUS,
+    "margolus-contrast": MARGOLUS,
+    "lightcone": {**LIGHTCONE, "perturb": {"site": [3], "component": 0, "amount": 2}},
+}
+
+# Small values, so a mutated size, step count or energy stays cheap; the
+# radius and size_cap caps are probed by their own values.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "x", "1/2", "-3"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["lo", "hi", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+cap_probes = st.sampled_from([0, 1, 4, MAX_CHECK_SIZE, MAX_CHECK_SIZE + 1, 10**6, 2.5, "20", -1])
+
+
+@st.composite
+def mutated_configs(draw, mode):
+    """``VALID[mode]`` with a few edits: a key dropped, added or replaced, at
+    the top level or inside a nested object or list."""
+    config = json.loads(json.dumps(VALID[mode]))
+    for _ in range(draw(st.integers(1, 3))):
+        node = config
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if not isinstance(node[key], (dict, list)) or draw(st.booleans()):
+                break
+            node = node[key]
+        if isinstance(node, dict):
+            key = draw(st.sampled_from([*node, "radius", "size_cap", "operator_check", "extra"]))
+        elif node:
+            key = draw(st.sampled_from(range(len(node))))
+        else:
+            continue
+        action = draw(st.sampled_from(["replace", "probe", "drop"]))
+        if action == "drop":
+            if isinstance(node, dict):
+                node.pop(key, None)
+            else:
+                del node[key]
+        else:
+            node[key] = draw(cap_probes if action == "probe" else json_values)
+    return config
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mutated_configs_run_or_raise_package_errors(mode, data):
+    config = data.draw(mutated_configs(mode))
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run(config, out_dir=out)
+        except IntHamError:
+            pass
 
 
 def test_module_entrypoint_round_trips(tmp_path):

@@ -197,6 +197,23 @@ class TestRestrictedHamiltonian:
         for edge in (plo, phi_hi):
             assert min(ham.value(qq, edge) for qq in range(qlo, qhi + 1)) > level
 
+    @given(
+        sizes=st.sampled_from([(4, 4), (6, 4), (2, 6)]),
+        masses=st.sampled_from([(Fraction(0),), (Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_public_tables_equal_the_sweep_path_on_planes(self, sizes, masses, seed):
+        spec = kernel_spec(LatticeShape(sizes), masses, (-40, 40))
+        state = random_state(spec, random.Random(seed), -9, 9)
+        vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+        entries = fields._neighbours(spec)[0]
+        for entry in entries:
+            for k in range(spec.components):
+                terms = fields._local_terms(spec, vals, entry, k, len(entries))
+                swept = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
+                assert restricted_hamiltonian(state, spec, entry[0], k) == swept
+
     def test_wide_windows_cost_nothing(self):
         spec = FieldHamiltonianSpec.uniform(
             LINE16, phi_window=(-(1 << 30), 1 << 30), p_window=(-(1 << 30), 1 << 30)
@@ -518,7 +535,7 @@ class TestLocalRuleMemo:
         clear = 0
         for entry in entries:
             for k in range(spec.components):
-                terms = fields._local_terms(spec, vals, entry, k)
+                terms = fields._local_terms(spec, vals, entry, k, len(entries))
                 q, p = terms[2], terms[3]
                 band = []
                 ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)

@@ -1,14 +1,20 @@
-"""Shell permutations, eigenphases, the damped phase series, dense checks."""
+"""Shell permutations, eigenphases, the damped phase series, operator checks."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intham.contours import enumerate_shell, next_site
 from intham.errors import ShellNotClosed, ShellTooLarge
 from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
+from intham import spectral
 from intham.spectral import (
     BOUNDARY_PHASE,
+    MAX_CHECK_SIZE,
     MAX_RADIUS,
     ShellPermutation,
     SpectrumEntry,
@@ -39,6 +45,59 @@ def permutation(ham, energy):
 four_cycle = permutation(diamond, 1)
 two_cycle = permutation(pingpong, 1)
 rest = permutation(diamond, 0)
+
+
+def dense_operator_residuals(perm, cfg):
+    """The operator series applied to every eigenvector by n x n permutation
+    passes over the whole shell: the reference for the per-cycle check."""
+    n = perm.size
+    fwd = np.array(perm.mapping, dtype=np.intp)
+    entries = eigenphases(perm)
+    vectors = np.zeros((len(entries), n), dtype=complex)
+    for row, entry in enumerate(entries):
+        cycle = perm.cycles[entry.cycle]
+        k = entry.length
+        for j, pos in enumerate(cycle):
+            vectors[row, pos] = cmath.exp(2j * math.pi * entry.index * j / k)
+
+    forward = vectors.copy()   # U^n applied to each vector
+    backward = vectors.copy()  # U^-n applied to each vector
+    acc = np.zeros_like(vectors)
+    sign = 1.0
+    for term in range(1, cfg.terms + 1):
+        next_forward = np.empty_like(forward)
+        next_forward[:, fwd] = forward
+        forward = next_forward
+        backward = backward[:, fwd]
+        weight = sign * math.exp(-term / cfg.radius) / term
+        acc += weight * (backward - forward) / 1j
+        sign = -sign
+
+    residuals = []
+    for row, entry in enumerate(entries):
+        reference = damped_closed_form(entry.omega, cfg.radius)
+        residuals.append(float(np.max(np.abs(acc[row] - reference * vectors[row]))))
+    return entries, tuple(residuals)
+
+
+@st.composite
+def shell_permutations(draw, max_size=64):
+    """Permutations of up to ``max_size`` states, built from cycle lengths
+    that favour fixed points and repeats, placed on shuffled positions."""
+    lengths = []
+    size = draw(st.integers(0, max_size))
+    while sum(lengths) < size:
+        room = size - sum(lengths)
+        lengths.append(min(room, draw(st.sampled_from([1, 1, 2, 3, 4, 5, 8, 12, 30, 64]))))
+    order = draw(st.permutations(range(size)))
+    mapping = [0] * size
+    start = 0
+    for k in lengths:
+        cycle = order[start:start + k]
+        for j, pos in enumerate(cycle):
+            mapping[pos] = cycle[(j + 1) % k]
+        start += k
+    return ShellPermutation(tuple(range(size)), tuple(mapping), draw(st.integers(0, 5)))
 
 
 class TestShellPermutation:
@@ -156,6 +215,30 @@ class TestOperatorCheck:
             hfract_operator_check(four_cycle, cfg, size_cap=2)
         assert err.value.size == 4
         assert err.value.limit == 2
+
+    @given(perm=shell_permutations(), radius=st.sampled_from([1, 3, 20]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_dense_operator_bit_for_bit(self, perm, radius):
+        cfg = TruncationConfig.for_radius(radius)
+        entries, residuals = dense_operator_residuals(perm, cfg)
+        result = hfract_operator_check(perm, cfg)
+        assert result.entries == tuple(entries)
+        assert result.residuals == residuals
+        assert result.max_residual < 1e-9
+
+    def test_caps_are_checked_before_any_work(self, monkeypatch):
+        class Untouched:
+            def __getattr__(self, name):
+                raise AssertionError(f"config read before the cap check: {name}")
+
+        def no_work(perm):
+            raise AssertionError("eigenvectors built before the cap check")
+
+        monkeypatch.setattr(spectral, "eigenphases", no_work)
+        with pytest.raises(ShellTooLarge):
+            hfract_operator_check(four_cycle, Untouched(), size_cap=3)
+        with pytest.raises(ValueError, match="size_cap"):
+            hfract_operator_check(rest, Untouched(), size_cap=MAX_CHECK_SIZE + 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
