@@ -330,13 +330,11 @@ def momentum_bound(energy: int, stiffness: Fraction) -> int:
     return b if b * b * sn >= target else b + 1
 
 
-def _local_terms(spec: FieldHamiltonianSpec, vals: list | dict, entry: tuple, k: int, n: int) -> tuple:
+def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -> tuple:
     """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
-    ``vals`` maps flat positions over ``n`` sites (see :func:`_neighbours`)
-    to field values and momenta: the sweep's flat list, or a dict of the
-    neighbourhood only.  ``entry`` is the site's row of :func:`_neighbours`.
-    Returns ``(frozen_parts,
+    ``vals`` is the flat list of field values and momenta and ``entry`` the
+    site's row of :func:`_neighbours`.  Returns ``(frozen_parts,
     center_lists, q, p, others)``.  Per involved density (this site's, then
     each backward neighbor's) the floor argument splits into a frozen part
     and ``(value - c)^2`` gradient terms, one per frozen center ``c``; ``q``
@@ -344,6 +342,7 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list | dict, entry: tuple, k:
     squared momenta at x.
     """
     _, i, fwd, back, _ = entry
+    n = len(vals) // (2 * spec.components)
     md = spec._mass_den
     own = k * n
     grads = mass = others = 0
@@ -406,20 +405,9 @@ def restricted_hamiltonian(
     """
     _check_state(state, spec)
     if _terms is None:
-        entries = _neighbours(spec)[0]
-        entry = entries[_site_index(spec.shape, x)]
-        _, i, fwd, back, _ = entry
-        # Only the neighbourhood is read, into the flat positions the sweep
-        # uses, as Python ints.
-        n, kk = len(entries), spec.components
-        sites = sorted({i, *fwd, *(s for w, wfwd, _ in back for s in (w, *wfwd))})
-        phi = state.phi.reshape(kk, n)[:, sites].tolist()
-        mom = state.mom.reshape(kk, n)[:, i].tolist()
-        vals = {}
-        for j in range(kk):
-            vals.update(zip([j * n + s for s in sites], phi[j]))
-            vals[(kk + j) * n + i] = mom[j]
-        _terms = _local_terms(spec, vals, entry, k, n)
+        entry = _neighbours(spec)[0][_site_index(spec.shape, x)]
+        vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+        _terms = _local_terms(spec, vals, entry, k)
     frozen_parts, center_lists, q_cur, p_cur, others = _terms
     qlo, qhi = spec.phi_windows[k]
     plo, phi_hi = spec.p_windows[k]
@@ -545,7 +533,6 @@ def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_orde
     a miss calls with the pair's terms already read from the list.
     """
     entries, classes = _neighbours(spec)
-    n = len(entries)
     sites = classes[parity]
     if site_order is not None:
         site_order = [tuple(x) for x in site_order]
@@ -600,7 +587,7 @@ def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_orde
                 continue
             q, p = vals[qi], vals[pi]
             band: list = []
-            terms = _local_terms(spec, vals, entry, k, n)
+            terms = _local_terms(spec, vals, entry, k)
             ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
             try:
                 q2, p2 = mover(ham, q, p, _closed=bool(band))

@@ -40,7 +40,7 @@ BOUNDARY_PHASE = math.nextafter(math.pi, 0.0)
 #: about 41 000 passes.
 MAX_RADIUS = 1000
 
-#: Largest ``size_cap`` :func:`hfract_operator_check` accepts.  One check
+#: Largest ``size_cap`` the CLI accepts for :func:`hfract_operator_check`.  One check
 #: costs about terms x sum(k^2) over the distinct cycle lengths k, at most
 #: terms x size^2, so with :data:`MAX_RADIUS` this bounds a check at about
 #: 41 000 passes over 256 x 512 floats.
@@ -259,12 +259,9 @@ def hfract_operator_check(
     2n = 0 mod k add an exact zero and are skipped; the others are added one
     by one in order, with the same weights, so each residual equals the one
     of the dense operator on the whole shell, bit for bit (the dense
-    operator is zero off the cycle).  ``size_cap`` may not exceed
-    :data:`MAX_CHECK_SIZE`.
+    operator is zero off the cycle).
     """
     n = perm.size
-    if size_cap > MAX_CHECK_SIZE:
-        raise ValueError(f"size_cap {size_cap} exceeds the cap {MAX_CHECK_SIZE}")
     if n > size_cap:
         raise ShellTooLarge(
             f"shell of size {n} exceeds the operator-check cap",

@@ -389,17 +389,19 @@ VALID = {
     "lightcone": {**LIGHTCONE, "perturb": {"site": [3], "component": 0, "amount": 2}},
 }
 
-# Small values, so a mutated size, step count or energy stays cheap; the
-# radius and size_cap caps are probed by their own values.
+# Small values, so a mutated size, step count or energy stays cheap: at
+# most 12^3 sites and 12 steps.  Only the capped keys draw from the probes,
+# which sit at and past their caps.
 json_values = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-3, 40)
+    | st.integers(-3, 12)
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from(["", "x", "1/2", "-3"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["lo", "hi", "x"]), inner, max_size=2),
     max_leaves=6,
 )
+PROBED = ("radius", "size_cap", "operator_check")
 cap_probes = st.sampled_from([0, 1, 4, MAX_CHECK_SIZE, MAX_CHECK_SIZE + 1, 10**6, 2.5, "20", -1])
 
 
@@ -419,19 +421,17 @@ def mutated_configs(draw, mode):
                 break
             node = node[key]
         if isinstance(node, dict):
-            key = draw(st.sampled_from([*node, "radius", "size_cap", "operator_check", "extra"]))
+            key = draw(st.sampled_from([*node, *PROBED, "extra"]))
         elif node:
             key = draw(st.sampled_from(range(len(node))))
         else:
             continue
-        action = draw(st.sampled_from(["replace", "probe", "drop"]))
-        if action == "drop":
-            if isinstance(node, dict):
-                node.pop(key, None)
-            else:
-                del node[key]
+        if draw(st.booleans()):
+            node[key] = draw(cap_probes | json_values if key in PROBED else json_values)
+        elif isinstance(node, dict):
+            node.pop(key, None)
         else:
-            node[key] = draw(cap_probes if action == "probe" else json_values)
+            del node[key]
     return config
 
 

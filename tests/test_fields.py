@@ -207,10 +207,9 @@ class TestRestrictedHamiltonian:
         spec = kernel_spec(LatticeShape(sizes), masses, (-40, 40))
         state = random_state(spec, random.Random(seed), -9, 9)
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
-        entries = fields._neighbours(spec)[0]
-        for entry in entries:
+        for entry in fields._neighbours(spec)[0]:
             for k in range(spec.components):
-                terms = fields._local_terms(spec, vals, entry, k, len(entries))
+                terms = fields._local_terms(spec, vals, entry, k)
                 swept = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
                 assert restricted_hamiltonian(state, spec, entry[0], k) == swept
 
@@ -535,7 +534,7 @@ class TestLocalRuleMemo:
         clear = 0
         for entry in entries:
             for k in range(spec.components):
-                terms = fields._local_terms(spec, vals, entry, k, len(entries))
+                terms = fields._local_terms(spec, vals, entry, k)
                 q, p = terms[2], terms[3]
                 band = []
                 ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)

@@ -14,7 +14,6 @@ from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 from intham import spectral
 from intham.spectral import (
     BOUNDARY_PHASE,
-    MAX_CHECK_SIZE,
     MAX_RADIUS,
     ShellPermutation,
     SpectrumEntry,
@@ -226,7 +225,7 @@ class TestOperatorCheck:
         assert result.residuals == residuals
         assert result.max_residual < 1e-9
 
-    def test_caps_are_checked_before_any_work(self, monkeypatch):
+    def test_size_cap_is_checked_before_any_work(self, monkeypatch):
         class Untouched:
             def __getattr__(self, name):
                 raise AssertionError(f"config read before the cap check: {name}")
@@ -237,8 +236,6 @@ class TestOperatorCheck:
         monkeypatch.setattr(spectral, "eigenphases", no_work)
         with pytest.raises(ShellTooLarge):
             hfract_operator_check(four_cycle, Untouched(), size_cap=3)
-        with pytest.raises(ValueError, match="size_cap"):
-            hfract_operator_check(rest, Untouched(), size_cap=MAX_CHECK_SIZE + 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
