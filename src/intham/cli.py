@@ -313,12 +313,15 @@ def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     site = tuple(_read(perturb, "site", [0] * spec.shape.dimensions, list))
     component = _read(perturb, "component", 0, int)
     amount = _read(perturb, "amount", 1, int)
-    if len(site) != spec.shape.dimensions or not all(type(x) is int for x in site):
-        raise ConfigError(f"perturbation 'site' must list {spec.shape.dimensions} integers, got {site}")
+    sizes = spec.shape.sizes
+    if len(site) != len(sizes) or not all(type(x) is int and 0 <= x < s for x, s in zip(site, sizes)):
+        raise ConfigError(f"perturbation 'site' must list {len(sizes)} integers inside {sizes}, got {site}")
+    if not 0 <= component < spec.components:
+        raise ConfigError(f"perturbation 'component' must be in [0, {spec.components}), got {component}")
     phi = np.array(base.phi)
     try:
         phi[(component, *site)] += amount
-    except (IndexError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"bad 'perturb': {exc}") from exc
     other = fields.FieldState(phi, base.mom)
 

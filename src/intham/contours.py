@@ -357,36 +357,56 @@ def _walk_component(
 def _step(
     ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool, closed: bool
 ) -> tuple[int, int]:
-    E = ham.value(Q, P)
-    val = _evaluator(ham)
-    try:
-        flags = _neighbor_flags(val, Q, P, E)
-    except WindowExceeded as exc:
-        raise WindowExceeded(
-            f"site ({Q}, {P}) needs its four neighbors inside the windows"
-        ) from exc
-    if _local_kind(flags) is not SiteClassification.REGULAR:
+    vv, vlo, kv, klo = ham.potential.values, ham.potential.lo, ham.kinetic.values, ham.kinetic.lo
+    av, bv = (ham.coupling_pos.values, ham.coupling_mom.values) if ham.has_coupling else (None, None)
+    ilast, jlast = len(vv) - 1, len(kv) - 1
+
+    def flags(i: int, j: int) -> tuple:  # energy and E, N, W, S flags at an interior (i, j)
+        v, t = vv[i], kv[j]
+        if av is None:
+            e = v + t
+            return e, (vv[i + 1] + t > e, v + kv[j + 1] > e, vv[i - 1] + t > e, v + kv[j - 1] > e)
+        a, b = av[i], bv[j]
+        e = v + t + a * b
+        return e, (vv[i + 1] + t + av[i + 1] * b > e, v + kv[j + 1] + a * bv[j + 1] > e,
+                   vv[i - 1] + t + av[i - 1] * b > e, v + kv[j - 1] + a * bv[j - 1] > e)
+
+    if not (0 < Q - vlo < ilast and 0 < P - klo < jlast):  # raise what reading the values raises:
+        ham.value(Q, P)  # the site's own error, else the first outside neighbor's
+        try:
+            _neighbor_flags(ham.value, Q, P, 0)
+        except WindowExceeded as exc:
+            raise WindowExceeded(f"site ({Q}, {P}) needs its four neighbors inside the windows") from exc
+    E, site_flags = flags(Q - vlo, P - klo)
+    if _local_kind(site_flags) is not SiteClassification.REGULAR:
         return (Q, P)
-    start = _start_crossing(Q, P, flags)
+    start = _start_crossing(Q, P, site_flags)
     if backward:
         start = _flip(start)
     touches: list = []
+    here = (Q, P)
 
-    # The image is the first touched regular site other than (Q, P).
+    # The image is the first touched regular site other than (Q, P).  A touched
+    # site is on the shell; it is regular when one branch brushes it (_local_kind).
     def is_image(s):
-        return s != (Q, P) and _is_regular(val, s, E)
+        if s == here:
+            return False
+        i, j = s[0] - vlo, s[1] - klo
+        if not (0 < i < ilast and 0 < j < jlast):
+            return _is_regular(ham.value, s, E)  # raises: a neighbor lies outside
+        east, north, west, south = flags(i, j)[1]
+        above = east + north + west + south
+        return above == 1 or above == 3 or (above == 2 and east is not west)
 
     if closed:  # the component cannot escape, so the image ends the walk
-        if _walk_component(ham, E, start, touches, stop=is_image) is None:
-            return touches[-1][1]
-        return (Q, P)
+        return touches[-1][1] if _walk_component(ham, E, start, touches, stop=is_image) is None else here
     images = (s for _, s in touches if is_image(s))
     try:
         _walk_component(ham, E, start, touches)
     except UnboundedContour:
         next(images, None)  # a touched site that cannot be classified fails first
         raise
-    return next(images, (Q, P))
+    return next(images, here)
 
 
 def next_site(

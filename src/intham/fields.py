@@ -22,10 +22,12 @@ those of its forward and backward neighbours, and per component the
 ``itemgetter``s that gather the raw values a sub-update reads.  A memo on the
 spec is keyed on those values (a massless component's relative to its value
 at the site) and serves a repeated neighbourhood with one lookup: no table,
-no walk, no arithmetic beyond the shift.  A miss tabulates only the band its
-contour can reach, out to the first row and column on each side that lie
-wholly above the level; that proves the contour closed, so the walk stops
-at the image.  The memo is direction-aware: a step is a permutation of its
+no walk, no arithmetic beyond the shift.  A miss reads, in one pass, one
+integer quadratic in the pair's field value per density it touches (see
+:func:`_local_terms`), and tabulates sums of their floors only over the band
+its contour can reach, out to the first row and column on each side that lie
+wholly above the level; that proves the contour closed, so the walk stops at
+the image.  The memo is direction-aware: a step is a permutation of its
 closed contour, so each forward walk also stores the backward sub-update it
 implies, and the other way round.  A hit checks only that its translated
 band still lies inside the field window.
@@ -44,6 +46,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -334,19 +337,21 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -
     """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
     ``vals`` is the flat list of field values and momenta and ``entry`` the
-    site's row of :func:`_neighbours`.  Returns ``(frozen_parts,
-    center_lists, q, p, others)``.  Per involved density (this site's, then
-    each backward neighbor's) the floor argument splits into a frozen part
-    and ``(value - c)^2`` gradient terms, one per frozen center ``c``; ``q``
-    and ``p`` are the pair's own values and ``others`` the other components'
-    squared momenta at x.
+    site's row of :func:`_neighbours`.  Returns ``(quads, centers, q, p,
+    kin0)``.  Per involved density (this site's, then each backward
+    neighbour's) ``quads`` holds ``(a, b, c)``: its floor argument, ``sn``
+    times the mass-scaled gradients and masses, is ``a*v^2 + b*v + c`` in the
+    pair's value v.  ``centers`` are the frozen values of component k in its
+    ``(v - center)^2`` terms, ``q`` and ``p`` the pair's values, and ``kin0``
+    is ``sn`` times the other components' squared momenta at x.
     """
     _, i, fwd, back, _ = entry
-    n = len(vals) // (2 * spec.components)
-    md = spec._mass_den
+    kk = spec.components
+    n = len(vals) // (2 * kk)
+    sn, md, masses = spec.stiffness.numerator, spec._mass_den, spec._mass_num
     own = k * n
     grads = mass = others = 0
-    for j, mj in enumerate(spec._mass_num):
+    for j, mj in enumerate(masses):
         if j != k:
             base = j * n
             c = vals[base + i]
@@ -355,13 +360,18 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -
                 grads += d * d
             if mj:
                 mass += mj * c * c
-            m = vals[(spec.components + j) * n + i]
+            m = vals[(kk + j) * n + i]
             others += m * m
-    frozen_parts = [md * grads + mass]
-    center_lists = [[vals[own + f] for f in fwd]]
+    a, centers, total, squares = sn * md, [], 0, 0
+    for f in fwd:
+        c = vals[own + f]
+        centers.append(c)
+        total += c
+        squares += c * c
+    quads = [(a * len(fwd) + sn * masses[k], -2 * a * total, sn * (md * (grads + squares) + mass))]
     for w, wfwd, wrest in back:
         grads = mass = 0
-        for j, mj in enumerate(spec._mass_num):
+        for j, mj in enumerate(masses):
             base = j * n
             c = vals[base + w]
             for f in (wrest if j == k else wfwd):
@@ -369,9 +379,31 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -
                 grads += d * d
             if mj:
                 mass += mj * c * c
-        frozen_parts.append(md * grads + mass)
-        center_lists.append([vals[own + w]])
-    return frozen_parts, center_lists, vals[own + i], vals[(spec.components + k) * n + i], others
+        c = vals[own + w]
+        centers.append(c)
+        quads.append((a, -2 * a * c, sn * (md * (grads + c * c) + mass)))
+    return quads, centers, vals[own + i], vals[(kk + k) * n + i], sn * others
+
+
+def _scan(quads: list, pden: int, v: int, dv: int, edge: int, top: int) -> Optional[list]:
+    """Potential values at v + dv, v + 2*dv, ... to the first above ``top``; None at ``edge``."""
+    values = []
+    while v != edge:
+        v += dv
+        t = 0
+        for a, b, c in quads:
+            t += ((a * v + b) * v + c) // pden
+        values.append(t)
+        if t > top:
+            return values
+    return None
+
+
+@lru_cache(maxsize=256)
+def _kinetic_band(kin0: int, sn: int, kden: int, s: int) -> IntegerFunction1D:
+    """The kinetic table ``(kin0 + sn*p^2) // kden`` on ``[-s, s]``; few recur."""
+    half = [(kin0 + sn * u * u) // kden for u in range(s + 1)]
+    return IntegerFunction1D._trusted(-s, tuple(half[:0:-1] + half))
 
 
 def restricted_hamiltonian(
@@ -391,7 +423,8 @@ def restricted_hamiltonian(
     untouched remainder reproduces the total energy exactly.
 
     ``_terms`` and ``_band`` are for the sweep.  ``_terms`` is the pair's
-    :func:`_local_terms` (then only the state's shape is read).  With
+    :func:`_local_terms` tuple ``(quads, centers, q, p, kin0)``, so each
+    potential entry is a sum of floored quadratics and ``state`` is unread.  With
     ``_band`` the tables cover only the band the contour through the pair can
     reach: field values out to the first column on each side that lies
     wholly above the level, ``V(v) > E - T(0)``, and momenta out to the first
@@ -403,66 +436,33 @@ def restricted_hamiltonian(
     the walk is the same.  A scan that meets a window edge appends nothing
     and returns the public band.
     """
-    _check_state(state, spec)
     if _terms is None:
+        _check_state(state, spec)
         entry = _neighbours(spec)[0][_site_index(spec.shape, x)]
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
         _terms = _local_terms(spec, vals, entry, k)
-    frozen_parts, center_lists, q_cur, p_cur, others = _terms
-    qlo, qhi = spec.phi_windows[k]
-    plo, phi_hi = spec.p_windows[k]
-    md = spec._mass_den
-    sn = spec.stiffness.numerator
-    pden = spec._pot_den
-    kden = spec._kin_den
-
-    # Each density's floor argument is one integer quadratic in the pair's
-    # value v: md * sum((v - c)^2) + frozen (+ the own mass term at x), that
-    # is a*v^2 + b*v + c, here pre-multiplied by the stiffness numerator.
-    quads = []
-    own_mass = spec._mass_num[k]
-    for frozen, cents in zip(frozen_parts, center_lists):
-        quads.append((
-            sn * (md * len(cents) + own_mass),
-            -2 * sn * md * sum(cents),
-            sn * (frozen + md * sum(c * c for c in cents)),
-        ))
-        own_mass = 0
-    kin0 = sn * others
-    level = sum(((a * q_cur + b) * q_cur + c) // pden for a, b, c in quads)
-    level += (kin0 + sn * p_cur * p_cur) // kden
+    quads, centers, q_cur, p_cur, kin0 = _terms
+    sn, pden, kden = spec.stiffness.numerator, spec._pot_den, spec._kin_den
+    pot_cur = 0
+    for a, b, c in quads:
+        pot_cur += ((a * q_cur + b) * q_cur + c) // pden
+    level = pot_cur + (kin0 + sn * p_cur * p_cur) // kden
+    (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
 
     if _band is not None:
         col_top = level - kin0 // kden  # a column above this lies above the level
-
-        def scan(v, dv, edge):
-            values = []
-            while v != edge:
-                v += dv
-                t = 0
-                for a, b, c in quads:
-                    t += ((a * v + b) * v + c) // pden
-                values.append(t)
-                if t > col_top:
-                    return values
-            return None
-
-        left = scan(q_cur, -1, qlo)
-        right = left and scan(q_cur, 1, qhi)
+        left = _scan(quads, pden, q_cur, -1, qlo, col_top)
+        right = left and _scan(quads, pden, q_cur, 1, qhi, col_top)
         if right:
-            pot_values = left[::-1] + [level - (kin0 + sn * p_cur * p_cur) // kden] + right
-            row_top = level - min(pot_values)  # a row above this lies above the level
-            kin_values = [kin0 // kden]
-            while kin_values[-1] <= row_top:
-                s = len(kin_values)
-                kin_values.append((kin0 + sn * s * s) // kden)
-            s = len(kin_values) - 1
+            pot_values = left[::-1] + [pot_cur] + right
+            # rows +-s lie above the level: the least s with kin0 + sn*s^2 >= (E - min V + 1)*kden
+            need = (level - min(pot_values) + 1) * kden - kin0
+            s = math.isqrt((need - 1) // sn) + 1 if need > 0 else 0
             if plo <= -s and s <= phi_hi:
                 band_lo = q_cur - len(left)
                 _band.append((band_lo, q_cur + len(right)))
-                return SeparableHamiltonian1D(
-                    IntegerFunction1D._trusted(-s, tuple(kin_values[:0:-1] + kin_values)),
-                    IntegerFunction1D._trusted(band_lo, tuple(pot_values)),
+                return SeparableHamiltonian1D._trusted(
+                    _kinetic_band(kin0, sn, kden, s), IntegerFunction1D._trusted(band_lo, tuple(pot_values))
                 )
 
     # A field value whose squared distance from every frozen neighbor already
@@ -472,21 +472,17 @@ def restricted_hamiltonian(
     # of a sub-update proportional to the local energy rather than to the
     # window size, and leaves the windows free to be generous.
     reach = momentum_bound(level, spec.stiffness)
-    cents = [c for lst in center_lists for c in lst]
-    band_lo = max(qlo, min(min(cents), q_cur) - reach)
-    band_hi = min(qhi, max(max(cents), q_cur) + reach)
-    band = range(band_lo, band_hi + 1)
-    (a, b, c), *rest = quads
-    pot_values = [((a * v + b) * v + c) // pden for v in band]
-    for a, b, c in rest:
-        pot_values = [t + ((a * v + b) * v + c) // pden for t, v in zip(pot_values, band)]
+    band_lo = max(qlo, min(min(centers), q_cur) - reach)
+    band_hi = min(qhi, max(max(centers), q_cur) + reach)
+    pot_values = [sum([((a * v + b) * v + c) // pden for a, b, c in quads])
+                  for v in range(band_lo, band_hi + 1)]
 
     p_span = max(reach, abs(p_cur) + 1)
     p_lo = max(plo, -p_span)
     p_hi = min(phi_hi, p_span)
     kin_values = [(kin0 + sn * p * p) // kden for p in range(p_lo, p_hi + 1)]
 
-    return SeparableHamiltonian1D(
+    return SeparableHamiltonian1D._trusted(
         IntegerFunction1D._trusted(p_lo, tuple(kin_values)),
         IntegerFunction1D._trusted(band_lo, tuple(pot_values)),
     )

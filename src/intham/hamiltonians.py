@@ -39,8 +39,7 @@ class IntegerFunction1D:
         if not values:
             raise ValueError("empty window")
         table = object.__new__(cls)
-        object.__setattr__(table, "lo", lo)
-        object.__setattr__(table, "values", values)
+        table.__dict__.update(lo=lo, values=values)
         return table
 
     @property
@@ -161,6 +160,13 @@ class SeparableHamiltonian1D:
             # a missing factor zeroes the product; normalize to both-None
             object.__setattr__(self, "coupling_pos", None)
             object.__setattr__(self, "coupling_mom", None)
+
+    @classmethod
+    def _trusted(cls, kinetic, potential) -> "SeparableHamiltonian1D":
+        """``T(P) + V(Q)`` over tables the engine has just built, unchecked."""
+        ham = object.__new__(cls)
+        ham.__dict__.update(kinetic=kinetic, potential=potential, coupling_pos=None, coupling_mom=None)
+        return ham
 
     @property
     def q_window(self) -> tuple[int, int]:

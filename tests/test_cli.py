@@ -364,6 +364,10 @@ class TestFailureModes:
             ({**MARGOLUS, "layers": {"older": [[0] * 4], "newer": [[1.5, 0, 0, 0]]}}, "layers"),
             ({**SPECTRAL, "size_cap": MAX_CHECK_SIZE + 1}, "size_cap"),
             ({**SPECTRAL, "operator_check": False, "size_cap": 10**9}, "size_cap"),
+            ({**LIGHTCONE, "perturb": {"site": [-3]}}, "'site'"),
+            ({**LIGHTCONE, "perturb": {"site": [8]}}, "'site'"),
+            ({**LIGHTCONE, "perturb": {"component": -1}}, "'component'"),
+            ({**LIGHTCONE, "perturb": {"component": 1}}, "'component'"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

@@ -21,7 +21,7 @@ from intham.contours import (
     trace_component,
     trace_rows,
 )
-from intham.errors import UnboundedContour
+from intham.errors import UnboundedContour, WindowExceeded
 from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 
 W = 6
@@ -185,6 +185,29 @@ def random_landscape(rng, coupled, half=7):
     return ham, min(ham.value(*s) for s in ring) - 1
 
 
+def tightened(ham, energy):
+    """``ham`` cut down to one site around everything at or below ``energy``,
+    so every window-edge row and column lies above that level and the level
+    sits right next to the edges."""
+    low = well_sites(ham, energy)
+    q0, q1 = min(q for q, _ in low) - 1, max(q for q, _ in low) + 1
+    p0, p1 = min(p for _, p in low) - 1, max(p for _, p in low) + 1
+
+    def cut(table, lo, hi):
+        if table is None:
+            return None
+        return IntegerFunction1D(lo, table.values[lo - table.lo : hi - table.lo + 1])
+
+    tight = SeparableHamiltonian1D(
+        cut(ham.kinetic, p0, p1), cut(ham.potential, q0, q1),
+        cut(ham.coupling_pos, q0, q1), cut(ham.coupling_mom, p0, p1),
+    )
+    edge = [(q, p) for q in (q0, q1) for p in range(p0, p1 + 1)]
+    edge += [(q, p) for p in (p0, p1) for q in range(q0, q1 + 1)]
+    assert min(tight.value(*s) for s in edge) > energy  # proven closed
+    return tight
+
+
 @pytest.mark.parametrize("coupled", [False, True], ids=["multi-well", "product-term"])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -193,12 +216,15 @@ def test_walk_steps_invert_and_follow_the_trace(coupled, seed):
     sites = well_sites(ham, ceiling)
     images = {s: next_site(ham, *s) for s in sites}
     assert orbit_map(ham, sites) == images
+    tight = {e: tightened(ham, e) for e in {ham.value(*s) for s in sites}}
     for site, image in images.items():
         assert prev_site(ham, *image) == site
-        # every contour here closes inside the windows, so may stop early
-        assert next_site(ham, *site, _closed=True) == image
-        assert prev_site(ham, *image, _closed=True) == site
         energy = ham.value(*site)
+        # every contour here closes inside the windows, so may stop early,
+        # also when the windows are cut to one site around the level
+        for closed in (ham, tight[energy]):
+            assert next_site(closed, *site, _closed=True) == image == next_site(closed, *site)
+            assert prev_site(closed, *image, _closed=True) == site == prev_site(closed, *image)
         if classify_site(ham, *site, energy) is not SiteClassification.REGULAR:
             assert image == site
             continue
@@ -266,21 +292,28 @@ def test_escape_after_the_image_still_raises():
     for walk, cell in walks:
         with pytest.raises(UnboundedContour) as err:
             walk()
+        assert str(err.value) == f"level 4+eps leaves the window at cell {cell}"
         assert err.value.energy == 4
         assert err.value.site == cell
+        assert err.value.__cause__.argument == -3
 
 
 def test_unclassifiable_touch_fails_before_a_later_escape():
     # With momenta cut at -1 the first site after (4, 0), (3, -1), has no
     # south neighbor: the step reports it, not the escape the walk meets
     # afterwards, which is what orbit_map (classifying after the walk) sees.
+    # Walking backward, the image (3, 1) comes before the escape, which is
+    # reported.
     cut = SeparableHamiltonian1D(IntegerFunction1D.from_callable(abs, -1, W), absolute)
-    with pytest.raises(UnboundedContour, match="cannot classify") as err:
-        next_site(cut, 4, 0)
-    assert (err.value.energy, err.value.site) == (4, (3, -1))
-    with pytest.raises(UnboundedContour, match="leaves the window") as err:
-        orbit_map(cut, [(4, 0)])
-    assert (err.value.energy, err.value.site) == (4, (3, -2))
+    for walk, message, site in [
+        (lambda: next_site(cut, 4, 0), "cannot classify touched site (3, -1): window too small", (3, -1)),
+        (lambda: prev_site(cut, 4, 0), "level 4+eps leaves the window at cell (-4, -2)", (-4, -2)),
+        (lambda: orbit_map(cut, [(4, 0)]), "level 4+eps leaves the window at cell (3, -2)", (3, -2)),
+    ]:
+        with pytest.raises(UnboundedContour) as err:
+            walk()
+        assert (str(err.value), err.value.energy, err.value.site) == (message, 4, site)
+        assert err.value.__cause__.argument == -2
 
 
 @pytest.mark.parametrize("coupled", [False, True])
@@ -300,3 +333,56 @@ def test_enumerate_shell_matches_a_brute_force_scan(coupled, scale):
     for energy in sorted({ham.value(*s) for s in window}) + [scale * 100]:
         expected = [s for s in window if ham.value(*s) == energy]
         assert enumerate_shell(ham, energy) == expected
+
+
+# -- proven-closed tables and window-edge errors -------------------------------
+
+
+# Windows of unequal reach, so each message names the table that raised:
+# momenta cover [-5, 6] and field values [-6, 4].
+lopsided = SeparableHamiltonian1D(
+    IntegerFunction1D.from_callable(abs, -5, 6), IntegerFunction1D.from_callable(abs, -6, 4)
+)
+lopsided_coupled = SeparableHamiltonian1D(
+    lopsided.kinetic,
+    lopsided.potential,
+    coupling_pos=IntegerFunction1D.from_callable(lambda x: x, -6, 4),
+    coupling_mom=IntegerFunction1D.from_callable(lambda x: x, -5, 6),
+)
+NEEDS_NEIGHBORS = "site {} needs its four neighbors inside the windows"
+Q_OUT, P_OUT = "argument {} outside window [-6, 4]", "argument {} outside window [-5, 6]"
+
+
+@pytest.mark.parametrize("ham", [lopsided, lopsided_coupled], ids=["separable", "product-term"])
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("mover", [next_site, prev_site])
+@pytest.mark.parametrize(
+    "site, message, argument, cause",
+    [
+        # outside the windows: the table's own error, momentum read first
+        ((5, 0), Q_OUT.format(5), 5, None),
+        ((0, 7), P_OUT.format(7), 7, None),
+        ((5, 7), P_OUT.format(7), 7, None),
+        ((-7, -6), P_OUT.format(-6), -6, None),
+        # on an edge: the first neighbor outside (east, north, west, south)
+        ((4, 0), NEEDS_NEIGHBORS.format((4, 0)), None, Q_OUT.format(5)),
+        ((0, 6), NEEDS_NEIGHBORS.format((0, 6)), None, P_OUT.format(7)),
+        ((0, -5), NEEDS_NEIGHBORS.format((0, -5)), None, P_OUT.format(-6)),
+        ((-6, 2), NEEDS_NEIGHBORS.format((-6, 2)), None, Q_OUT.format(-7)),
+        ((4, 6), NEEDS_NEIGHBORS.format((4, 6)), None, Q_OUT.format(5)),
+        ((-6, -5), NEEDS_NEIGHBORS.format((-6, -5)), None, Q_OUT.format(-7)),
+        ((-6, 6), NEEDS_NEIGHBORS.format((-6, 6)), None, P_OUT.format(7)),
+    ],
+)
+def test_sites_on_or_past_a_window_edge_raise_pinned_errors(
+    ham, closed, mover, site, message, argument, cause
+):
+    with pytest.raises(WindowExceeded) as err:
+        mover(ham, *site, _closed=closed)
+    assert type(err.value) is WindowExceeded
+    assert (str(err.value), err.value.argument) == (message, argument)
+    if cause is None:
+        assert err.value.__cause__ is None
+    else:
+        assert type(err.value.__cause__) is WindowExceeded
+        assert str(err.value.__cause__) == cause

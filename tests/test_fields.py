@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from intham.fields import (
     step_parity,
     total_energy,
 )
+from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 
 LINE16 = LatticeShape((16,))
 GRID44 = LatticeShape((4, 4))
@@ -212,6 +214,24 @@ class TestRestrictedHamiltonian:
                 terms = fields._local_terms(spec, vals, entry, k)
                 swept = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
                 assert restricted_hamiltonian(state, spec, entry[0], k) == swept
+
+    def test_trusted_tables_equal_checked_ones(self):
+        spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
+        state = random_state(spec, random.Random(4), -9, 9)
+        vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+        for entry in fields._neighbours(spec)[0]:
+            for k in range(spec.components):
+                terms = fields._local_terms(spec, vals, entry, k)
+                for band in ([], None):
+                    ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
+                    kin, pot = ham.kinetic, ham.potential
+                    checked = SeparableHamiltonian1D(
+                        IntegerFunction1D(kin.lo, kin.values), IntegerFunction1D(pot.lo, pot.values)
+                    )
+                    trusted = SeparableHamiltonian1D._trusted(kin, pot)
+                    assert trusted == checked == SeparableHamiltonian1D(kin, pot) == ham
+                    assert (hash(trusted), repr(trusted)) == (hash(checked), repr(checked))
+                    assert not trusted.has_coupling
 
     def test_wide_windows_cost_nothing(self):
         spec = FieldHamiltonianSpec.uniform(
@@ -644,6 +664,46 @@ class TestLocalRuleMemo:
                 if isinstance(expected[0], str):
                     break
                 state = stepper(state, warm)
+
+    @pytest.mark.parametrize("shape", [LINE8, GRID44], ids=["1-D", "2-D"])
+    def test_every_miss_and_no_hit_reaches_the_traced_layers(self, monkeypatch, shape):
+        # The per-layer trace rebinds these module globals, so every memo
+        # miss must call them and no hit may.  With wide windows every band
+        # closes, and a miss stores its entry and its mirror: two stores.
+        spec = fresh_spec(shape, (Fraction(0), Fraction(1, 2)), (-64, 64))
+        stores = []
+
+        class CountingMemo(OrderedDict):
+            def __setitem__(self, key, value):
+                stores.append(key)
+                super().__setitem__(key, value)
+
+        object.__setattr__(spec, "_memo", CountingMemo())
+        calls = Counter()
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("restricted_hamiltonian", "next_site", "prev_site"):
+            monkeypatch.setattr(fields, name, counting(name, getattr(fields, name)))
+        state = random_state(spec, random.Random(3), -3, 3)
+        misses = []
+        for stepper in (step, step, step_inverse, step_inverse, step_inverse, step, step):
+            calls.clear()
+            stores.clear()
+            state = stepper(state, spec)
+            assert len(stores) % 2 == 0
+            mover, idle = ("next_site", "prev_site") if stepper is step else ("prev_site", "next_site")
+            assert calls["restricted_hamiltonian"] == calls[mover] == len(stores) // 2
+            assert calls[idle] == 0
+            misses.append(len(stores) // 2)
+        # forward misses, inverse steps served by their mirrors, misses past
+        # the start, and forward steps served again
+        assert misses[0] > 0 and misses[4] > 0
+        assert misses[2:4] == misses[5:] == [0, 0]
 
     def test_memo_stays_under_its_cap(self, monkeypatch):
         monkeypatch.setattr(fields, "_MEMO_CAP", 80)
