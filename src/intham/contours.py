@@ -12,12 +12,12 @@ at infinitesimal distance and are read off as the visit sequence.
 One walk serves every query: :func:`_walk_component` follows a component
 cell by cell, reading the tables directly, from a start crossing until it
 returns to it, and reports the sites its crossings brush.  :func:`next_site`
-and :func:`prev_site` walk the component through a site with and against
-its orientation, :func:`orbit_map` walks each component once for all its
-sites, and :func:`trace_component` records the walk's crossings.  All
-decisions in the walk are made with integer arithmetic; each recorded
-crossing carries its position along the crossed edge as the exact pair
-``(std, inf)``, meaning ``std + inf*eps``, for inspection.
+and :func:`prev_site` walk through a site with and against its orientation,
+recording nothing past the image, only confirming closure; :func:`orbit_map`
+walks each component once for all its sites; :func:`trace_component` records
+the walk's crossings.  All decisions in the walk are integer arithmetic;
+each recorded crossing carries its position along the crossed edge as the
+exact pair ``(std, inf)``, meaning ``std + inf*eps``, for inspection.
 """
 
 from __future__ import annotations
@@ -210,20 +210,20 @@ def _raise_escape(ham, E, cq, cp):
 
 
 def _walk_component(
-    ham, E: int, start: tuple, touches: list, record=None, stop=None
+    ham, E: int, start: tuple, touches: list, record=None, stop=None, closed=False
 ) -> Optional[int]:
     """Walk the component of the ``E + eps`` level through ``start`` once.
 
     Crossing ``n`` (``start`` is 0) appends ``(n, site)`` to ``touches`` when
     its below-level end lies on the shell, and itself to ``record`` if given,
     up to the closing return to ``start``; returns the count ``n`` before it.
-    Without ``stop`` the walk runs to closure, so an escaping component
-    raises ``UnboundedContour`` at the first cell outside the windows.
-    ``stop(site)`` is asked after each touch is appended, and the walk
-    returns ``None`` at the first site it accepts; a caller may pass it only
-    for a component known to close inside the windows, since sites past the
-    stop are never reached.  Closure and ``stop`` are tested on touching
-    crossings only: every start crossing brushes a site.
+    An escaping component raises ``UnboundedContour`` at the first cell
+    outside the windows.  ``stop(site)`` is asked after each touch is
+    appended; once it accepts a site the walk returns ``None``: at once if
+    ``closed`` (the component is known to close inside the windows), else
+    on closing, after walking on with no more touches or ``stop`` calls, so
+    an escape past the stop still raises.  Closure and ``stop`` are tested
+    on touching crossings only: every start crossing brushes a site.
     """
     vv, vlo = ham.potential.values, ham.potential.lo
     kv, klo = ham.kinetic.values, ham.kinetic.lo
@@ -243,7 +243,7 @@ def _walk_component(
     c00, c10 = v0 + k0 + a0 * b0, v1 + k0 + a1 * b0
     c01, c11 = v0 + k1 + a0 * b1, v1 + k1 + a1 * b1
     s00, s10, s01, s11 = c00 > E, c10 > E, c01 > E, c11 > E
-    n = -1
+    n, live = -1, True  # live: touches are still recorded
     # Each branch enters the next cell across the edge crossed last, shifts
     # its corners into place, reads the two new ones and exits across the
     # other crossed edge.  With all four edges crossed the arc hugs the entry
@@ -257,11 +257,14 @@ def _walk_component(
             c00, c10, s00, s10 = c01, c11, s01, s11
             if c00 == E or c10 == E:
                 if n and i == ie and j == je and m == me:
-                    return n
-                site = (i + vlo if c00 == E else i + 1 + vlo, j + klo)
-                touches.append((n, site))
-                if stop is not None and stop(site):
-                    return None
+                    return n if live else None
+                if live:
+                    site = (i + vlo if c00 == E else i + 1 + vlo, j + klo)
+                    touches.append((n, site))
+                    if stop is not None and stop(site):
+                        if closed:
+                            return None
+                        live = False
             if j == jlast:
                 _raise_escape(ham, E, i + vlo, j + klo)
             k0, k1 = k1, kv[j + 1]
@@ -282,11 +285,14 @@ def _walk_component(
             c00, c01, s00, s01 = c10, c11, s10, s11
             if c00 == E or c01 == E:
                 if n and i == ie and j == je and m == me:
-                    return n
-                site = (i + vlo, j + klo if c00 == E else j + 1 + klo)
-                touches.append((n, site))
-                if stop is not None and stop(site):
-                    return None
+                    return n if live else None
+                if live:
+                    site = (i + vlo, j + klo if c00 == E else j + 1 + klo)
+                    touches.append((n, site))
+                    if stop is not None and stop(site):
+                        if closed:
+                            return None
+                        live = False
             if i == ilast:
                 _raise_escape(ham, E, i + vlo, j + klo)
             v0, v1 = v1, vv[i + 1]
@@ -307,11 +313,14 @@ def _walk_component(
             c01, c11, s01, s11 = c00, c10, s00, s10
             if c01 == E or c11 == E:
                 if n and i == ie and j == je and m == me:
-                    return n
-                site = (i + vlo if c01 == E else i + 1 + vlo, j + 1 + klo)
-                touches.append((n, site))
-                if stop is not None and stop(site):
-                    return None
+                    return n if live else None
+                if live:
+                    site = (i + vlo if c01 == E else i + 1 + vlo, j + 1 + klo)
+                    touches.append((n, site))
+                    if stop is not None and stop(site):
+                        if closed:
+                            return None
+                        live = False
             if j < 0:
                 _raise_escape(ham, E, i + vlo, j + klo)
             k0, k1 = kv[j], k0
@@ -332,11 +341,14 @@ def _walk_component(
             c10, c11, s10, s11 = c00, c01, s00, s01
             if c10 == E or c11 == E:
                 if n and i == ie and j == je and m == me:
-                    return n
-                site = (i + 1 + vlo, j + klo if c10 == E else j + 1 + klo)
-                touches.append((n, site))
-                if stop is not None and stop(site):
-                    return None
+                    return n if live else None
+                if live:
+                    site = (i + 1 + vlo, j + klo if c10 == E else j + 1 + klo)
+                    touches.append((n, site))
+                    if stop is not None and stop(site):
+                        if closed:
+                            return None
+                        live = False
             if i < 0:
                 _raise_escape(ham, E, i + vlo, j + klo)
             v0, v1 = vv[i], v0
@@ -357,6 +369,10 @@ def _walk_component(
 def _step(
     ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool, closed: bool
 ) -> tuple[int, int]:
+    """The first regular site other than (Q, P), else (Q, P) itself, touched by
+    the walk with (``backward``: against) the orientation; regular means one
+    branch brushes it (_local_kind).  Past that image the walk records
+    nothing and, unless ``closed``, only confirms closure."""
     vv, vlo, kv, klo = ham.potential.values, ham.potential.lo, ham.kinetic.values, ham.kinetic.lo
     av, bv = (ham.coupling_pos.values, ham.coupling_mom.values) if ham.has_coupling else (None, None)
     ilast, jlast = len(vv) - 1, len(kv) - 1
@@ -386,8 +402,6 @@ def _step(
     touches: list = []
     here = (Q, P)
 
-    # The image is the first touched regular site other than (Q, P).  A touched
-    # site is on the shell; it is regular when one branch brushes it (_local_kind).
     def is_image(s):
         if s == here:
             return False
@@ -398,15 +412,8 @@ def _step(
         above = east + north + west + south
         return above == 1 or above == 3 or (above == 2 and east is not west)
 
-    if closed:  # the component cannot escape, so the image ends the walk
-        return touches[-1][1] if _walk_component(ham, E, start, touches, stop=is_image) is None else here
-    images = (s for _, s in touches if is_image(s))
-    try:
-        _walk_component(ham, E, start, touches)
-    except UnboundedContour:
-        next(images, None)  # a touched site that cannot be classified fails first
-        raise
-    return next(images, here)
+    found = _walk_component(ham, E, start, touches, stop=is_image, closed=closed) is None
+    return touches[-1][1] if found else here
 
 
 def next_site(
@@ -415,9 +422,10 @@ def next_site(
     """One time step: the next lattice site on this site's contour.
 
     Saddle and extremum sites stand still; so does a site whose component
-    touches no other regular site.  ``_closed`` is for callers that have
-    proven the component closes inside the windows (every window-edge row
-    and column above the level): the walk then stops at the image.
+    touches no other regular site.  Past the image the walk records nothing
+    but runs on to closure, so an escape still raises.  ``_closed`` is for
+    callers that have proven the component closes inside the windows (every
+    window-edge row and column above the level): the walk stops at the image.
     """
     return _step(ham, Q, P, False, _closed)
 
@@ -512,10 +520,7 @@ def orbit_map(
         touches: list = []
         n = _walk_component(ham, E, _start_crossing(Q, P, flags), touches)
         regular = [s for s in _visits(touches, n) if _is_regular(val, s, E)]
-        if len(regular) <= 1:
-            result[site] = site
-            continue
-        for i, s in enumerate(regular):
+        for i, s in enumerate(regular):  # regular[0] is site, fixed if alone
             result[s] = regular[(i + 1) % len(regular)]
     return result
 

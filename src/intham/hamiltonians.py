@@ -15,6 +15,9 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, WindowExceeded
 
+#: Most entries a power-family ``window`` may hold: about 3 s at 0.8-11 us each (exponents 1 to 37/13).
+MAX_WINDOW = 2**18
+
 
 @dataclass(frozen=True)
 class IntegerFunction1D:
@@ -272,8 +275,9 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
             not isinstance(window, (list, tuple))
             or len(window) != 2
             or not all(isinstance(w, int) for w in window)
+            or not 0 <= window[1] - window[0] < MAX_WINDOW
         ):
-            raise ConfigError("power-family entries need an integer 'window': [lo, hi]")
+            raise ConfigError(f"power-family 'window' must be [lo, hi] integers, 1 to {MAX_WINDOW} entries")
         kind = "kinetic" if ("mass" in entry or role == "kinetic") and "scale" not in entry else "potential"
         try:
             family = PowerLawFamily(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from intham import fields
 from intham.cli import MODES, main, run
 from intham.errors import ConfigError, IntHamError
+from intham.hamiltonians import MAX_WINDOW
 from intham.spectral import MAX_CHECK_SIZE
 
 TABLE_ABS5 = {"table": {"lo": -5, "values": [5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5]}}
@@ -368,6 +369,10 @@ class TestFailureModes:
             ({**LIGHTCONE, "perturb": {"site": [8]}}, "'site'"),
             ({**LIGHTCONE, "perturb": {"component": -1}}, "'component'"),
             ({**LIGHTCONE, "perturb": {"component": 1}}, "'component'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [5, -5]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [1, 0]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "window": [0, MAX_WINDOW]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [-10**9, 10**9]}}}, "'window'"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_confining, well_sites
+from intham import contours
 from intham.contours import (
     SiteClassification,
     _evaluator,
+    _flip,
+    _is_regular,
+    _local_kind,
     _neighbor_flags,
     _start_crossing,
     _walk_component,
@@ -185,13 +189,14 @@ def random_landscape(rng, coupled, half=7):
     return ham, min(ham.value(*s) for s in ring) - 1
 
 
-def tightened(ham, energy):
-    """``ham`` cut down to one site around everything at or below ``energy``,
-    so every window-edge row and column lies above that level and the level
-    sits right next to the edges."""
+def cut_around(ham, energy):
+    """``ham`` cut down to one site around everything at or below ``energy``
+    (no further than its own windows), and the least energy on the cut
+    windows' edge rows and columns."""
     low = well_sites(ham, energy)
-    q0, q1 = min(q for q, _ in low) - 1, max(q for q, _ in low) + 1
-    p0, p1 = min(p for _, p in low) - 1, max(p for _, p in low) + 1
+    (qlo, qhi), (plo, phi) = ham.q_window, ham.p_window
+    q0, q1 = max(qlo, min(q for q, _ in low) - 1), min(qhi, max(q for q, _ in low) + 1)
+    p0, p1 = max(plo, min(p for _, p in low) - 1), min(phi, max(p for _, p in low) + 1)
 
     def cut(table, lo, hi):
         if table is None:
@@ -204,7 +209,15 @@ def tightened(ham, energy):
     )
     edge = [(q, p) for q in (q0, q1) for p in range(p0, p1 + 1)]
     edge += [(q, p) for p in (p0, p1) for q in range(q0, q1 + 1)]
-    assert min(tight.value(*s) for s in edge) > energy  # proven closed
+    return tight, min(tight.value(*s) for s in edge)
+
+
+def tightened(ham, energy):
+    """``ham`` cut down to one site around everything at or below ``energy``,
+    so every window-edge row and column lies above that level and the level
+    sits right next to the edges."""
+    tight, edge_min = cut_around(ham, energy)
+    assert edge_min > energy  # proven closed
     return tight
 
 
@@ -263,17 +276,22 @@ def test_stop_is_asked_on_touches_only_and_ends_the_walk():
     # The r^2 = 25 circle of the bowl touches (5, 0), (4, -3), (3, -4), ...
     start = _start_crossing(5, 0, _neighbor_flags(_evaluator(bowl), 5, 0, 25))
     full: list = []
-    n = _walk_component(bowl, 25, start, full)
-    asked: list = []
-    touches: list = []
-    record: list = []
-    stopped = _walk_component(
-        bowl, 25, start, touches, record, stop=lambda s: asked.append(s) or s == (3, -4)
-    )
-    assert stopped is None
-    assert asked == [s for _, s in touches]
-    assert touches == full[: len(touches)] and touches[-1][1] == (3, -4)
-    assert len(record) == touches[-1][0] + 1 < n
+    full_record: list = []
+    n = _walk_component(bowl, 25, start, full, full_record)
+    # A proven-closed walk ends at the accepted site.  Any other walk goes on
+    # to closure, crossing for crossing, but touches and asks nothing more.
+    for closed in (True, False):
+        asked: list = []
+        touches: list = []
+        record: list = []
+        stopped = _walk_component(
+            bowl, 25, start, touches, record, stop=lambda s: asked.append(s) or s == (3, -4), closed=closed
+        )
+        assert stopped is None
+        assert asked == [s for _, s in touches]
+        assert touches == full[: len(touches)] and touches[-1][1] == (3, -4)
+        assert touches[-1][0] + 1 < n
+        assert record == (full_record[: touches[-1][0] + 1] if closed else full_record)
 
 
 def test_escape_after_the_image_still_raises():
@@ -300,10 +318,11 @@ def test_escape_after_the_image_still_raises():
 
 def test_unclassifiable_touch_fails_before_a_later_escape():
     # With momenta cut at -1 the first site after (4, 0), (3, -1), has no
-    # south neighbor: the step reports it, not the escape the walk meets
-    # afterwards, which is what orbit_map (classifying after the walk) sees.
-    # Walking backward, the image (3, 1) comes before the escape, which is
-    # reported.
+    # south neighbor.  The step classifies each touched site as the walk
+    # reaches it, so it reports (3, -1) before the walk gets to the escape;
+    # orbit_map classifies after its walk, so it sees the escape.  Walking
+    # backward, the walk finds the image (3, 1) first, then goes on to
+    # confirm closure without recording, meets the escape and reports it.
     cut = SeparableHamiltonian1D(IntegerFunction1D.from_callable(abs, -1, W), absolute)
     for walk, message, site in [
         (lambda: next_site(cut, 4, 0), "cannot classify touched site (3, -1): window too small", (3, -1)),
@@ -386,3 +405,131 @@ def test_sites_on_or_past_a_window_edge_raise_pinned_errors(
     else:
         assert type(err.value.__cause__) is WindowExceeded
         assert str(err.value.__cause__) == cause
+
+
+# -- unproven steps: the image found during the walk, closure confirmed after --
+
+
+def recorded_step(ham, Q, P, backward):
+    """The reference step: record the whole component, then take the first
+    touched regular site other than (Q, P).  A touched site that cannot be
+    classified before the image fails before an escape the walk meets."""
+    val = _evaluator(ham)
+    E = ham.value(Q, P)
+    flags = _neighbor_flags(val, Q, P, E)
+    if _local_kind(flags) is not SiteClassification.REGULAR:
+        return (Q, P)
+    start = _start_crossing(Q, P, flags)
+    if backward:
+        start = _flip(start)
+    touches: list = []
+    images = (s for _, s in touches if s != (Q, P) and _is_regular(val, s, E))
+    try:
+        _walk_component(ham, E, start, touches)
+    except UnboundedContour:
+        next(images, None)
+        raise
+    return next(images, (Q, P))
+
+
+def outcome(call):
+    """What ``call`` returns, or what it raises with the fields it carries."""
+    try:
+        return ("image", call())
+    except UnboundedContour as err:
+        cause = err.__cause__
+        return (
+            type(err), str(err), err.energy, err.site,
+            type(cause), str(cause), getattr(cause, "argument", None),
+        )
+
+
+def cut_landscapes(kind, seed):
+    """For each level of a random table, the table cut to one site around
+    everything at or below the level - 1, the level and the level + 1, with
+    the shell sites of the level whose four neighbors lie inside the cut."""
+    rng = random.Random(seed)
+    if kind == "confining":
+        ham, ceiling = random_confining(rng, box=5)
+    else:
+        ham, ceiling = random_landscape(rng, kind == "product-term")
+    for energy in sorted({ham.value(*s) for s in well_sites(ham, ceiling)}):
+        for reach in (energy - 1, energy, energy + 1):
+            if not well_sites(ham, reach):
+                continue
+            cut, edge_min = cut_around(ham, reach)
+            (qlo, qhi), (plo, phi) = cut.q_window, cut.p_window
+            sites = [(q, p) for q, p in enumerate_shell(cut, energy) if qlo < q < qhi and plo < p < phi]
+            yield cut, energy, edge_min, sites
+
+
+def step_outcomes(kind, seed):
+    """(mover, ham, site, proven, expected, got) over every cut of
+    :func:`cut_landscapes` and both movers."""
+    for cut, energy, edge_min, sites in cut_landscapes(kind, seed):
+        for site in sites:
+            for mover, backward in ((next_site, False), (prev_site, True)):
+                expected = outcome(lambda: recorded_step(cut, *site, backward))
+                got = outcome(lambda: mover(cut, *site))
+                yield mover, cut, site, edge_min > energy, expected, got
+
+
+@pytest.mark.parametrize("kind", ["confining", "multi-well", "product-term"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_unproven_steps_equal_the_fully_recorded_walk(kind, seed):
+    for mover, cut, site, proven, expected, got in step_outcomes(kind, seed):
+        assert got == expected
+        if proven:  # every edge row and column lies above the level
+            assert outcome(lambda: mover(cut, *site, _closed=True)) == expected
+
+
+@pytest.mark.parametrize("kind", ["confining", "multi-well", "product-term"])
+def test_cut_windows_reach_every_outcome(kind):
+    # The cuts above must exercise each path: images, sites that stand
+    # still, touched sites that cannot be classified, and escapes past the
+    # image, which a walk told to stop there never meets.
+    seen = set()
+    for mover, cut, site, _, expected, _ in step_outcomes(kind, 0):
+        if expected[0] == "image":
+            seen.add("moves" if expected[1] != site else "stands")
+        elif expected[1].startswith("cannot classify"):
+            seen.add("unclassifiable")
+        elif outcome(lambda: mover(cut, *site, _closed=True))[0] == "image":
+            seen.add("escape past the image")
+    assert seen == {"moves", "stands", "unclassifiable", "escape past the image"}
+
+
+def test_unproven_step_stops_recording_at_an_early_image(monkeypatch):
+    # On the r^2 = 25 circle of the bowl the image of (5, 0) is the next
+    # touched site, (4, -3), and the walk goes on round the whole circle.
+    start = _start_crossing(5, 0, _neighbor_flags(_evaluator(bowl), 5, 0, 25))
+    full: list = []
+    _walk_component(bowl, 25, start, full)
+    seen: list = []
+    closed: list = []
+
+    def spy(ham, E, start, touches, *args, **kwargs):
+        found = _walk_component(ham, E, start, touches, *args, **kwargs)
+        seen.append((list(touches), found))
+        closed.append(kwargs.get("closed", False))
+        return found
+
+    monkeypatch.setattr(contours, "_walk_component", spy)
+    assert next_site(bowl, 5, 0) == (4, -3)
+    [(touches, found)] = seen
+    assert found is None
+    assert touches == full[: len(touches)] and touches[-1][1] == (4, -3)
+    assert len(touches) < len(full) // 4
+    # a proven-closed step hands its proof on, so its walk ends at the image
+    assert next_site(bowl, 5, 0, _closed=True) == (4, -3) and seen[1] == seen[0]
+    assert closed == [False, True]
+    # orbit_map and trace_component still see every touch of the circle
+    seen.clear()
+    trace = trace_component(bowl, 25, (5, 0))
+    assert seen == [(full, 44)]
+    seen.clear()
+    successors = orbit_map(bowl, [(5, 0)])
+    assert seen == [(full, 44)]
+    assert len(trace.sites) == len(successors) == 12
+    assert successors[(5, 0)] == (4, -3) and trace.sites[:2] == ((5, 0), (4, -3))

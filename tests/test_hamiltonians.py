@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from intham.errors import ConfigError, WindowExceeded
 from intham.hamiltonians import (
+    MAX_WINDOW,
     IntegerFunction1D,
     _floor_nth_root,
     PowerLawFamily,
@@ -228,6 +229,12 @@ class TestJsonModels:
     def test_unknown_entry_keys_are_named(self, entry, named):
         with pytest.raises(ConfigError, match=named):
             function_from_json(entry, "potential")
+
+    @pytest.mark.parametrize("window", [[3, 3], [0, MAX_WINDOW - 1]])
+    def test_power_windows_up_to_the_cap_are_built(self, window):
+        # one entry past either end is a ConfigError (tests/test_cli.py)
+        table = function_from_json({"family": "power", "exponent": 1, "window": window}, "potential")
+        assert table.window == tuple(window) and table(window[1]) == window[1]
 
 
 class TestFractionFromJson:
