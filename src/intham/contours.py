@@ -186,19 +186,35 @@ def _start_crossing(Q, P, flags) -> tuple:
     return (Q, P - 1, _LEFT)
 
 
-def _flip(cross: tuple) -> tuple:
-    """The same crossing, traversed from the cell it enters."""
-    cq, cp, move = cross
-    dq, dp = _STEPS[move]
-    return (cq + dq, cp + dp, (move + 2) % 4)
-
-
 def _saddle_above(c00, c10, c01, c11, E) -> bool:
     """Whether the bilinear saddle of a diagonal cell lies above ``E + eps``.
     The denominator cannot vanish for a diagonal sign pattern of integers."""
     den = c00 + c11 - c10 - c01
     num = c00 * c11 - c10 * c01 - E * den
     return num != 0 and (num > 0) == (den > 0)
+
+
+def _regular_flags(ham, vv, kv, av, bv, i, j) -> Optional[tuple]:
+    """``(E, east, north, west, south)`` of the table site (i, j), with E its
+    own energy and the flags marking neighbors above E, if one branch
+    brushes it (regular, see _local_kind); else None.  ``av``/``bv`` are the
+    product term's tables or None.  A site without its four neighbors inside
+    the tables raises ``UnboundedContour``, as _is_regular does."""
+    if not (0 < i < len(vv) - 1 and 0 < j < len(kv) - 1):
+        site = (i + ham.potential.lo, j + ham.kinetic.lo)
+        _is_regular(ham.value, site, ham.value(*site))
+    v, t = vv[i], kv[j]
+    if av is None:  # a neighbor lies above iff its own factor is larger
+        E, east, north, west, south = v + t, vv[i + 1] > v, kv[j + 1] > t, vv[i - 1] > v, kv[j - 1] > t
+    else:
+        a, b = av[i], bv[j]
+        E = v + t + a * b
+        east, north = vv[i + 1] + t + av[i + 1] * b > E, v + kv[j + 1] + a * bv[j + 1] > E
+        west, south = vv[i - 1] + t + av[i - 1] * b > E, v + kv[j - 1] + a * bv[j - 1] > E
+    above = east + north + west + south
+    if above == 1 or above == 3 or (above == 2 and east is not west):
+        return E, east, north, west, south
+    return None
 
 
 def _raise_escape(ham, E, cq, cp):
@@ -218,12 +234,14 @@ def _walk_component(
     its below-level end lies on the shell, and itself to ``record`` if given,
     up to the closing return to ``start``; returns the count ``n`` before it.
     An escaping component raises ``UnboundedContour`` at the first cell
-    outside the windows.  ``stop(site)`` is asked after each touch is
-    appended; once it accepts a site the walk returns ``None``: at once if
-    ``closed`` (the component is known to close inside the windows), else
-    on closing, after walking on with no more touches or ``stop`` calls, so
-    an escape past the stop still raises.  Closure and ``stop`` are tested
-    on touching crossings only: every start crossing brushes a site.
+    outside the windows.  ``stop`` is a site whose image ends the walk: the
+    first touched site other than ``stop`` that is regular
+    (_regular_flags), judged after its touch is appended.  At that image the
+    walk returns ``None``: at once if ``closed`` (the component is known to
+    close inside the windows), else on closing, after walking on with no
+    more touches or tests, so an escape past the image still raises.
+    Closure and ``stop`` are tested on touching crossings only: every start
+    crossing brushes a site.
     """
     vv, vlo = ham.potential.values, ham.potential.lo
     kv, klo = ham.kinetic.values, ham.kinetic.lo
@@ -259,9 +277,10 @@ def _walk_component(
                 if n and i == ie and j == je and m == me:
                     return n if live else None
                 if live:
-                    site = (i + vlo if c00 == E else i + 1 + vlo, j + klo)
+                    ti = i if c00 == E else i + 1
+                    site = (ti + vlo, j + klo)
                     touches.append((n, site))
-                    if stop is not None and stop(site):
+                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, ti, j):
                         if closed:
                             return None
                         live = False
@@ -287,9 +306,10 @@ def _walk_component(
                 if n and i == ie and j == je and m == me:
                     return n if live else None
                 if live:
-                    site = (i + vlo, j + klo if c00 == E else j + 1 + klo)
+                    tj = j if c00 == E else j + 1
+                    site = (i + vlo, tj + klo)
                     touches.append((n, site))
-                    if stop is not None and stop(site):
+                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, i, tj):
                         if closed:
                             return None
                         live = False
@@ -315,9 +335,10 @@ def _walk_component(
                 if n and i == ie and j == je and m == me:
                     return n if live else None
                 if live:
-                    site = (i + vlo if c01 == E else i + 1 + vlo, j + 1 + klo)
+                    ti = i if c01 == E else i + 1
+                    site = (ti + vlo, j + 1 + klo)
                     touches.append((n, site))
-                    if stop is not None and stop(site):
+                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, ti, j + 1):
                         if closed:
                             return None
                         live = False
@@ -343,9 +364,10 @@ def _walk_component(
                 if n and i == ie and j == je and m == me:
                     return n if live else None
                 if live:
-                    site = (i + 1 + vlo, j + klo if c10 == E else j + 1 + klo)
+                    tj = j if c10 == E else j + 1
+                    site = (i + 1 + vlo, tj + klo)
                     touches.append((n, site))
-                    if stop is not None and stop(site):
+                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, i + 1, tj):
                         if closed:
                             return None
                         live = False
@@ -373,47 +395,35 @@ def _step(
     the walk with (``backward``: against) the orientation; regular means one
     branch brushes it (_local_kind).  Past that image the walk records
     nothing and, unless ``closed``, only confirms closure."""
-    vv, vlo, kv, klo = ham.potential.values, ham.potential.lo, ham.kinetic.values, ham.kinetic.lo
-    av, bv = (ham.coupling_pos.values, ham.coupling_mom.values) if ham.has_coupling else (None, None)
-    ilast, jlast = len(vv) - 1, len(kv) - 1
-
-    def flags(i: int, j: int) -> tuple:  # energy and E, N, W, S flags at an interior (i, j)
-        v, t = vv[i], kv[j]
-        if av is None:
-            e = v + t
-            return e, (vv[i + 1] + t > e, v + kv[j + 1] > e, vv[i - 1] + t > e, v + kv[j - 1] > e)
-        a, b = av[i], bv[j]
-        e = v + t + a * b
-        return e, (vv[i + 1] + t + av[i + 1] * b > e, v + kv[j + 1] + a * bv[j + 1] > e,
-                   vv[i - 1] + t + av[i - 1] * b > e, v + kv[j - 1] + a * bv[j - 1] > e)
-
-    if not (0 < Q - vlo < ilast and 0 < P - klo < jlast):  # raise what reading the values raises:
+    pot, kin, cpos = ham.potential, ham.kinetic, ham.coupling_pos
+    vv, kv = pot.values, kin.values
+    i, j = Q - pot.lo, P - kin.lo
+    if not (0 < i < len(vv) - 1 and 0 < j < len(kv) - 1):  # raise what reading the values raises:
         ham.value(Q, P)  # the site's own error, else the first outside neighbor's
         try:
             _neighbor_flags(ham.value, Q, P, 0)
         except WindowExceeded as exc:
             raise WindowExceeded(f"site ({Q}, {P}) needs its four neighbors inside the windows") from exc
-    E, site_flags = flags(Q - vlo, P - klo)
-    if _local_kind(site_flags) is not SiteClassification.REGULAR:
+    av, bv = (None, None) if cpos is None else (cpos.values, ham.coupling_mom.values)
+    flags = _regular_flags(ham, vv, kv, av, bv, i, j)
+    if flags is None:
         return (Q, P)
-    start = _start_crossing(Q, P, site_flags)
-    if backward:
-        start = _flip(start)
+    E, east, north, west, _ = flags
+    # The crossing that brushes (Q, P) toward its first above-level neighbor
+    # (E, N, W, S order), as _start_crossing gives it, or backward the same
+    # crossing traversed from the cell it enters.
+    if east:
+        start = (Q, P - 1, _UP) if backward else (Q, P, _DOWN)
+    elif north:
+        start = (Q, P, _LEFT) if backward else (Q - 1, P, _RIGHT)
+    elif west:
+        start = (Q - 1, P, _DOWN) if backward else (Q - 1, P - 1, _UP)
+    else:
+        start = (Q - 1, P - 1, _RIGHT) if backward else (Q, P - 1, _LEFT)
     touches: list = []
-    here = (Q, P)
-
-    def is_image(s):
-        if s == here:
-            return False
-        i, j = s[0] - vlo, s[1] - klo
-        if not (0 < i < ilast and 0 < j < jlast):
-            return _is_regular(ham.value, s, E)  # raises: a neighbor lies outside
-        east, north, west, south = flags(i, j)[1]
-        above = east + north + west + south
-        return above == 1 or above == 3 or (above == 2 and east is not west)
-
-    found = _walk_component(ham, E, start, touches, stop=is_image, closed=closed) is None
-    return touches[-1][1] if found else here
+    if _walk_component(ham, E, start, touches, stop=(Q, P), closed=closed) is None:
+        return touches[-1][1]
+    return (Q, P)
 
 
 def next_site(

@@ -18,8 +18,9 @@ The sweep is one integer kernel over one flat Python list of field values
 and momenta.  A step reads the arrays once, checks every value against its
 component's windows, and writes them back once at the end.  Per-spec
 neighbour tables, built on the first sweep, give each site's flat index,
-those of its forward and backward neighbours, and per component the
-``itemgetter``s that gather the raw values a sub-update reads.  A memo on the
+those of its forward neighbours, and per component the ``itemgetter``s that
+gather the raw values a sub-update reads and the flat positions its
+restriction reads.  A memo on the
 spec is keyed on those values (a massless component's relative to its value
 at the site) and serves a repeated neighbourhood with one lookup: no table,
 no walk, no arithmetic beyond the shift.  A miss reads, in one pass, one
@@ -158,6 +159,7 @@ class FieldHamiltonianSpec:
             2 * self.stiffness.denominator * md,
         )
         object.__setattr__(self, "_kin_den", 2 * self.stiffness.denominator)
+        object.__setattr__(self, "_sn", self.stiffness.numerator)
         # Local-rule memo and neighbour tables of the sweep (the tables are
         # built on the first sweep); not fields, so equality, hashing and
         # repr ignore them.
@@ -232,18 +234,25 @@ def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
     sweep keeps field values and momenta in one flat list over ``n`` sites:
     ``phi_k`` of site ``i`` sits at ``k * n + i`` and ``mom_k`` at
     ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries,
-    classes)``: ``entries[i]`` is ``(x, i, fwd, back, gathers)``, where
-    ``fwd`` holds the flat indices of the forward neighbours ``x + e_a`` and
-    ``back`` one ``(w, wfwd, wrest)`` per backward neighbour ``w = x - e_a``:
-    ``wfwd`` is ``w``'s ``fwd`` and ``wrest`` the same without ``x``.
+    classes)``: ``entries[i]`` is ``(x, fwd, gathers, layouts)``, where
+    ``fwd`` holds the flat indices of the forward neighbours ``x + e_a``.
     ``gathers[k]`` is ``(k, own, rest, qi, pi, massless)``: ``own`` and
     ``rest`` are ``itemgetter``s over the flat list (see :func:`_sweep`).
-    ``own`` reads component ``k`` at every site the sub-update reads, without
-    x itself when the component is massless (its key is relative to x);
-    ``rest`` reads the momenta at x, the pair's first, then the other
+    ``own`` reads component ``k`` at every site the sub-update reads, x first,
+    without x itself when the component is massless (its key is relative to
+    x); ``rest`` reads the momenta at x, the pair's first, then the other
     components at the same sites (with one component, the momentum alone).
     ``qi``/``pi`` are the positions of the pair's value and momentum.
-    ``classes[parity]`` lists the entries of that parity class in C order.
+    ``layouts[k]`` is the same neighbourhood as flat positions for
+    :func:`_local_terms`: ``(densities, moms, qi, pi)``, with ``moms`` the
+    other components' momenta at x and one ``(a0, centers, pairs, masses)``
+    per density the pair enters, x's and then each backward neighbour
+    ``w = x - e_a``'s: ``a0`` is its ``v^2`` coefficient, ``centers`` the
+    positions of component k in its ``(v - center)^2`` terms (at x's forward
+    neighbours, or at w), ``pairs`` the ``(forward, site)`` positions of its
+    other gradients and ``masses`` its other ``(mass numerator, position)``
+    terms.  ``classes[parity]`` lists the entries of that parity class in C
+    order.
     """
     tables = spec._nbrs
     if tables is None:
@@ -252,26 +261,41 @@ def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
         index = {x: i for i, x in enumerate(sites)}
         axes = range(shape.dimensions)
         fwd = [tuple(index[shape.shift(x, a, 1)] for a in axes) for x in sites]
-        n, kk = len(sites), spec.components
+        n, kk, masses = len(sites), spec.components, spec._mass_num
+        a = spec._sn * spec._mass_den
         entries = []
         for i, x in enumerate(sites):
             back = []
-            for a in axes:
-                w = index[shape.shift(x, a, -1)]
-                back.append((w, fwd[w], fwd[w][:a] + fwd[w][a + 1:]))
+            for ax in axes:
+                w = index[shape.shift(x, ax, -1)]
+                back.append((w, fwd[w], fwd[w][:ax] + fwd[w][ax + 1:]))
             # Every site a sub-update at x reads: x, its forward neighbours,
             # and each backward neighbour with its other forward neighbours.
             reads = [i, *fwd[i]]
             for w, _, wrest in back:
                 reads += [w, *wrest]
-            gathers = []
-            for k, mass in enumerate(spec._mass_num):
+            gathers, layouts = [], []
+            for k, mass in enumerate(masses):
                 others = [j for j in range(kk) if j != k]
                 own = [k * n + s for s in (reads if mass else reads[1:])]
                 rest = [(kk + j) * n + i for j in (k, *others)]
                 rest += [j * n + s for j in others for s in reads]
                 gathers.append((k, itemgetter(*own), itemgetter(*rest), k * n + i, rest[0], not mass))
-            entries.append((x, i, fwd[i], tuple(back), tuple(gathers)))
+                densities = [(
+                    a * len(fwd[i]) + spec._sn * mass,
+                    tuple(k * n + f for f in fwd[i]),
+                    tuple((j * n + f, j * n + i) for j in others for f in fwd[i]),
+                    tuple((masses[j], j * n + i) for j in others if masses[j]),
+                )]
+                for w, wfwd, wrest in back:
+                    densities.append((
+                        a,
+                        (k * n + w,),
+                        tuple((j * n + f, j * n + w) for j in range(kk) for f in (wrest if j == k else wfwd)),
+                        tuple((mj, j * n + w) for j, mj in enumerate(masses) if mj),
+                    ))
+                layouts.append((tuple(densities), rest[1:kk], k * n + i, rest[0]))
+            entries.append((x, fwd[i], tuple(gathers), tuple(layouts)))
         classes = tuple([e for e in entries if shape.parity(e[0]) == c] for c in (0, 1))
         tables = (entries, classes)
         object.__setattr__(spec, "_nbrs", tables)
@@ -290,12 +314,11 @@ def _energy(spec: FieldHamiltonianSpec, phi: list, mom: list, sites: Iterable[in
     separately, in exact integers."""
     entries = _neighbours(spec)[0]
     n = len(entries)
-    sn = spec.stiffness.numerator
-    md, pden, kden = spec._mass_den, spec._pot_den, spec._kin_den
+    sn, md, pden, kden = spec._sn, spec._mass_den, spec._pot_den, spec._kin_den
     rows = [(k * n, mk) for k, mk in enumerate(spec._mass_num)]
     total = 0
     for i in sites:
-        fwd = entries[i][2]
+        fwd = entries[i][1]
         grads = mass = squares = 0
         for base, mk in rows:
             c = phi[base + i]
@@ -345,49 +368,35 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -
     ``(v - center)^2`` terms, ``q`` and ``p`` the pair's values, and ``kin0``
     is ``sn`` times the other components' squared momenta at x.
     """
-    _, i, fwd, back, _ = entry
-    kk = spec.components
-    n = len(vals) // (2 * kk)
-    sn, md, masses = spec.stiffness.numerator, spec._mass_den, spec._mass_num
-    own = k * n
-    grads = mass = others = 0
-    for j, mj in enumerate(masses):
-        if j != k:
-            base = j * n
-            c = vals[base + i]
-            for f in fwd:
-                d = vals[base + f] - c
-                grads += d * d
-            if mj:
-                mass += mj * c * c
-            m = vals[(kk + j) * n + i]
-            others += m * m
-    a, centers, total, squares = sn * md, [], 0, 0
-    for f in fwd:
-        c = vals[own + f]
-        centers.append(c)
-        total += c
-        squares += c * c
-    quads = [(a * len(fwd) + sn * masses[k], -2 * a * total, sn * (md * (grads + squares) + mass))]
-    for w, wfwd, wrest in back:
-        grads = mass = 0
-        for j, mj in enumerate(masses):
-            base = j * n
-            c = vals[base + w]
-            for f in (wrest if j == k else wfwd):
-                d = vals[base + f] - c
-                grads += d * d
-            if mj:
-                mass += mj * c * c
-        c = vals[own + w]
-        centers.append(c)
-        quads.append((a, -2 * a * c, sn * (md * (grads + c * c) + mass)))
-    return quads, centers, vals[own + i], vals[(kk + k) * n + i], sn * others
+    densities, moms, qi, pi = entry[3][k]
+    sn, md = spec._sn, spec._mass_den
+    b = -2 * sn * md
+    others = 0
+    for u in moms:
+        m = vals[u]
+        others += m * m
+    quads, centers = [], []
+    for a0, kpos, pairs, masses in densities:
+        grads = mass = total = 0
+        for u, w in pairs:
+            d = vals[u] - vals[w]
+            grads += d * d
+        for mj, u in masses:
+            c = vals[u]
+            mass += mj * c * c
+        for u in kpos:
+            c = vals[u]
+            centers.append(c)
+            total += c
+            grads += c * c
+        quads.append((a0, b * total, sn * (md * grads + mass)))
+    return quads, centers, vals[qi], vals[pi], sn * others
 
 
-def _scan(quads: list, pden: int, v: int, dv: int, edge: int, top: int) -> Optional[list]:
-    """Potential values at v + dv, v + 2*dv, ... to the first above ``top``; None at ``edge``."""
-    values = []
+def _scan(values: list, quads: list, pden: int, v: int, dv: int, edge: int, top: int, low: int) -> Optional[int]:
+    """Append the potential values at v + dv, v + 2*dv, ... to ``values``, up
+    to the first above ``top``, and return the least of ``low`` and those at
+    or below ``top``; None if ``edge`` comes first."""
     while v != edge:
         v += dv
         t = 0
@@ -395,7 +404,9 @@ def _scan(quads: list, pden: int, v: int, dv: int, edge: int, top: int) -> Optio
             t += ((a * v + b) * v + c) // pden
         values.append(t)
         if t > top:
-            return values
+            return low
+        if t < low:
+            low = t
     return None
 
 
@@ -442,7 +453,7 @@ def restricted_hamiltonian(
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
         _terms = _local_terms(spec, vals, entry, k)
     quads, centers, q_cur, p_cur, kin0 = _terms
-    sn, pden, kden = spec.stiffness.numerator, spec._pot_den, spec._kin_den
+    sn, pden, kden = spec._sn, spec._pot_den, spec._kin_den
     pot_cur = 0
     for a, b, c in quads:
         pot_cur += ((a * q_cur + b) * q_cur + c) // pden
@@ -451,19 +462,23 @@ def restricted_hamiltonian(
 
     if _band is not None:
         col_top = level - kin0 // kden  # a column above this lies above the level
-        left = _scan(quads, pden, q_cur, -1, qlo, col_top)
-        right = left and _scan(quads, pden, q_cur, 1, qhi, col_top)
-        if right:
-            pot_values = left[::-1] + [pot_cur] + right
-            # rows +-s lie above the level: the least s with kin0 + sn*s^2 >= (E - min V + 1)*kden
-            need = (level - min(pot_values) + 1) * kden - kin0
-            s = math.isqrt((need - 1) // sn) + 1 if need > 0 else 0
-            if plo <= -s and s <= phi_hi:
-                band_lo = q_cur - len(left)
-                _band.append((band_lo, q_cur + len(right)))
-                return SeparableHamiltonian1D._trusted(
-                    _kinetic_band(kin0, sn, kden, s), IntegerFunction1D._trusted(band_lo, tuple(pot_values))
-                )
+        pot_values: list = []
+        low = _scan(pot_values, quads, pden, q_cur, -1, qlo, col_top, pot_cur)
+        if low is not None:
+            band_lo = q_cur - len(pot_values)
+            pot_values.reverse()
+            pot_values.append(pot_cur)
+            # min V over the band: its edge columns lie above col_top >= pot_cur
+            low = _scan(pot_values, quads, pden, q_cur, 1, qhi, col_top, low)
+            if low is not None:
+                # rows +-s lie above the level: the least s with kin0 + sn*s^2 >= (E - min V + 1)*kden
+                need = (level - low + 1) * kden - kin0
+                s = math.isqrt((need - 1) // sn) + 1 if need > 0 else 0
+                if plo <= -s and s <= phi_hi:
+                    _band.append((band_lo, band_lo + len(pot_values) - 1))
+                    return SeparableHamiltonian1D._trusted(
+                        _kinetic_band(kin0, sn, kden, s), IntegerFunction1D._trusted(band_lo, tuple(pot_values))
+                    )
 
     # A field value whose squared distance from every frozen neighbor already
     # floors above the current level is unreachable on this contour (each
@@ -542,9 +557,9 @@ def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_orde
         # odd site, so same-class updates commute and the order is moot; in
         # higher dimensions the shared floors can couple diagonal neighbors
         # of equal parity, and only the reversed order is guaranteed exact.
-        sites = [(e, e[4][::-1]) for e in reversed(sites)]
+        sites = [(e, e[2][::-1]) for e in reversed(sites)]
     else:
-        sites = [(e, e[4]) for e in sites]
+        sites = [(e, e[2]) for e in sites]
     mover = prev_site if inverse else next_site
     windows = spec.phi_windows
 
@@ -566,16 +581,23 @@ def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_orde
     # it is exactly a translate whose scan would meet the window edge, and
     # takes the cold path.  The key fixes the momentum band, so a hit checks
     # nothing else and does no table arithmetic.
+    #
+    # The mirror key is the forward key at the stepped state, where only the
+    # pair's value and momentum differ: ``rest``'s first item is the pair's
+    # momentum, and ``own``'s first item is the pair's value for a massive
+    # component, while a massless component's own values are re-shifted.
     memo = spec._memo
     get = memo.get
+    single = spec.components == 1  # then ``rest`` is the momentum alone
     for entry, gathers in sites:
         for k, own, rest, qi, pi, massless in gathers:
+            r, o = rest(vals), own(vals)
             if massless:
                 shift = vals[qi]
-                key = (inverse, k, rest(vals), *map(shift.__rsub__, own(vals)))
+                key = (inverse, k, r, *map(shift.__rsub__, o))
             else:
                 shift = 0
-                key = (inverse, k, rest(vals), *own(vals))
+                key = (inverse, k, r, *o)
             hit = get(key)
             if hit is not None and hit[2] <= shift <= hit[3]:
                 vals[qi] = hit[0] + shift
@@ -595,8 +617,12 @@ def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_orde
             if band:
                 (lo, hi), (qlo, qhi) = band[0], windows[k]
                 memo[key] = (q2 - shift, p2, qlo - lo + shift, qhi - hi + shift)
-                shift = q2 if massless else 0  # a zero shift keeps the raw values
-                mirror =(not inverse, k, rest(vals), *map(shift.__rsub__, own(vals)))
+                r = p2 if single else (p2, *r[1:])
+                if massless:
+                    mirror = (not inverse, k, r, *map(q2.__rsub__, o))
+                    shift = q2
+                else:
+                    mirror = (not inverse, k, r, q2, *o[1:])
                 memo[mirror] = (q - shift, p, qlo - lo + shift, qhi - hi + shift)
                 while len(memo) > _MEMO_CAP:
                     memo.popitem(last=False)

@@ -17,6 +17,11 @@ from .errors import ConfigError, WindowExceeded
 
 #: Most entries a power-family ``window`` may hold: about 3 s at 0.8-11 us each (exponents 1 to 37/13).
 MAX_WINDOW = 2**18
+#: Largest numerator + denominator of a power-family ``exponent`` in lowest
+#: terms.  An entry's cost grows with both (127 us at 401/3); within the cap
+#: the costliest exponents (29/14, 33/16) cost within 1.2x of 37/13, so a
+#: ``MAX_WINDOW`` table stays at about 3 s.
+MAX_EXPONENT_TERMS = 50
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,8 @@ class IntegerFunction1D:
         if not values:
             raise ValueError("empty window")
         table = object.__new__(cls)
-        table.__dict__.update(lo=lo, values=values)
+        fields = table.__dict__
+        fields["lo"], fields["values"] = lo, values
         return table
 
     @property
@@ -168,7 +174,10 @@ class SeparableHamiltonian1D:
     def _trusted(cls, kinetic, potential) -> "SeparableHamiltonian1D":
         """``T(P) + V(Q)`` over tables the engine has just built, unchecked."""
         ham = object.__new__(cls)
-        ham.__dict__.update(kinetic=kinetic, potential=potential, coupling_pos=None, coupling_mom=None)
+        fields = ham.__dict__
+        fields["kinetic"], fields["potential"], fields["coupling_pos"], fields["coupling_mom"] = (
+            kinetic, potential, None, None
+        )
         return ham
 
     @property
@@ -279,10 +288,15 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
         ):
             raise ConfigError(f"power-family 'window' must be [lo, hi] integers, 1 to {MAX_WINDOW} entries")
         kind = "kinetic" if ("mass" in entry or role == "kinetic") and "scale" not in entry else "potential"
+        exponent = fraction_from_json(entry.get("exponent", 1))
+        if exponent.numerator + exponent.denominator > MAX_EXPONENT_TERMS:
+            raise ConfigError(
+                f"power-family 'exponent' {exponent} needs numerator + denominator at most {MAX_EXPONENT_TERMS}"
+            )
         try:
             family = PowerLawFamily(
                 kind=kind,
-                exponent=fraction_from_json(entry.get("exponent", 1)),
+                exponent=exponent,
                 scale=fraction_from_json(entry.get("scale", 1)),
                 mass=fraction_from_json(entry["mass"]) if "mass" in entry else None,
             )

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np

@@ -373,6 +373,10 @@ class TestFailureModes:
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [1, 0]}}}, "'window'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "window": [0, MAX_WINDOW]}}}, "'window'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [-10**9, 10**9]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "exponent": "401/3", "window": [0, 2000]}}}, "'exponent'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "exponent": "37/14", "window": [-5, 5]}}}, "'exponent'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "exponent": 50, "window": [-5, 5]}}}, "'exponent'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "exponent": 0.123456, "window": [-5, 5]}}}, "'exponent'"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

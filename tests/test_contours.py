@@ -10,8 +10,8 @@ from conftest import random_confining, well_sites
 from intham import contours
 from intham.contours import (
     SiteClassification,
+    _STEPS,
     _evaluator,
-    _flip,
     _is_regular,
     _local_kind,
     _neighbor_flags,
@@ -272,24 +272,23 @@ def test_crossing_parameters_place_the_level_on_their_edges(landscape):
     assert checked > 0
 
 
-def test_stop_is_asked_on_touches_only_and_ends_the_walk():
+@pytest.mark.parametrize("seed, image", [((5, 0), (4, -3)), ((4, -3), (3, -4))])
+def test_stop_ends_the_walk_at_the_image(seed, image):
     # The r^2 = 25 circle of the bowl touches (5, 0), (4, -3), (3, -4), ...
-    start = _start_crossing(5, 0, _neighbor_flags(_evaluator(bowl), 5, 0, 25))
+    start = _start_crossing(*seed, _neighbor_flags(_evaluator(bowl), *seed, 25))
     full: list = []
     full_record: list = []
     n = _walk_component(bowl, 25, start, full, full_record)
-    # A proven-closed walk ends at the accepted site.  Any other walk goes on
-    # to closure, crossing for crossing, but touches and asks nothing more.
+    # A proven-closed walk ends at the image, the first touched regular site
+    # other than ``stop``.  Any other walk goes on to closure, crossing for
+    # crossing, but touches nothing more.
     for closed in (True, False):
-        asked: list = []
         touches: list = []
         record: list = []
-        stopped = _walk_component(
-            bowl, 25, start, touches, record, stop=lambda s: asked.append(s) or s == (3, -4), closed=closed
-        )
+        stopped = _walk_component(bowl, 25, start, touches, record, stop=seed, closed=closed)
         assert stopped is None
-        assert asked == [s for _, s in touches]
-        assert touches == full[: len(touches)] and touches[-1][1] == (3, -4)
+        assert touches == full[: len(touches)] and touches[-1][1] == image
+        assert {s for _, s in touches[:-1]} == {seed}
         assert touches[-1][0] + 1 < n
         assert record == (full_record[: touches[-1][0] + 1] if closed else full_record)
 
@@ -408,6 +407,13 @@ def test_sites_on_or_past_a_window_edge_raise_pinned_errors(
 
 
 # -- unproven steps: the image found during the walk, closure confirmed after --
+
+
+def _flip(cross: tuple) -> tuple:
+    """The same walk crossing, traversed from the cell it enters."""
+    cq, cp, move = cross
+    dq, dp = _STEPS[move]
+    return (cq + dq, cp + dp, (move + 2) % 4)
 
 
 def recorded_step(ham, Q, P, backward):

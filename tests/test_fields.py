@@ -705,6 +705,59 @@ class TestLocalRuleMemo:
         assert misses[0] > 0 and misses[4] > 0
         assert misses[2:4] == misses[5:] == [0, 0]
 
+    @pytest.mark.parametrize(
+        "shape, masses",
+        [
+            (LINE8, (Fraction(0),)),
+            (GRID44, (Fraction(0), Fraction(1, 2))),
+            (GRID44, (Fraction(1, 2), Fraction(1))),
+        ],
+        ids=["1-D massless", "2-D masses 0 and 1/2", "2-D all massive"],
+    )
+    def test_every_mirror_key_is_the_key_at_the_stepped_state(self, shape, masses):
+        # A miss builds its mirror key from the forward key's own gathers.
+        # It must equal the key the site's gathers build from the list at
+        # the stepped state, for the other direction.  With one component
+        # ``rest`` gathers the momentum alone, as an int.
+        spec = fresh_spec(shape, masses, (-64, 64))
+        seen = {}
+
+        def watched(gather):
+            k, own, rest, qi, pi, massless = gather
+
+            def rest_seen(vals):
+                seen["pair"] = (vals, gather)
+                return rest(vals)
+
+            return (k, own, rest_seen, qi, pi, massless)
+
+        entries, classes = fields._neighbours(spec)
+        swap = {id(e): (*e[:2], tuple(map(watched, e[2])), e[3]) for e in entries}
+        tables = ([swap[id(e)] for e in entries], tuple([swap[id(e)] for e in c] for c in classes))
+        object.__setattr__(spec, "_nbrs", tables)
+        forward_keys = []
+
+        class MirrorCheckingMemo(OrderedDict):
+            def __setitem__(self, key, value):
+                if len(forward_keys) > len(mirrors):  # the second store of a miss
+                    vals, (k, own, rest, qi, pi, massless) = seen["pair"]
+                    shift = vals[qi] if massless else 0
+                    expected = (not forward_keys[-1][0], k, rest(vals), *(v - shift for v in own(vals)))
+                    assert key == expected
+                    mirrors.append(key)
+                else:
+                    forward_keys.append(key)
+                super().__setitem__(key, value)
+
+        mirrors = []
+        object.__setattr__(spec, "_memo", MirrorCheckingMemo())
+        state = random_state(spec, random.Random(3), -3, 3)
+        for stepper in (step, step, step_inverse, step_inverse, step_inverse, step, step):
+            state = stepper(state, spec)
+        assert len(mirrors) == len(forward_keys) > 0
+        assert {key[0] for key in forward_keys} == {False, True}  # mirrors of both directions
+        assert isinstance(mirrors[0][2], int) == (len(masses) == 1)
+
     def test_memo_stays_under_its_cap(self, monkeypatch):
         monkeypatch.setattr(fields, "_MEMO_CAP", 80)
         spec = fresh_spec(LINE16, (Fraction(0),), (-64, 64))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from intham.errors import ConfigError, WindowExceeded
 from intham.hamiltonians import (
+    MAX_EXPONENT_TERMS,
     MAX_WINDOW,
     IntegerFunction1D,
     _floor_nth_root,
@@ -229,6 +230,14 @@ class TestJsonModels:
     def test_unknown_entry_keys_are_named(self, entry, named):
         with pytest.raises(ConfigError, match=named):
             function_from_json(entry, "potential")
+
+    @pytest.mark.parametrize("exponent", [1, 2, "3/2", "37/13", 49, "1/49"])
+    def test_power_exponents_up_to_the_cap_are_built(self, exponent):
+        # numerator + denominator one past MAX_EXPONENT_TERMS is a ConfigError (tests/test_cli.py)
+        e = fraction_from_json(exponent)
+        assert e.numerator + e.denominator <= MAX_EXPONENT_TERMS
+        table = function_from_json({"family": "power", "exponent": exponent, "window": [-3, 3]}, "potential")
+        assert table.values == tuple(floor_scaled_power(Fraction(1), abs(x), e) for x in range(-3, 4))
 
     @pytest.mark.parametrize("window", [[3, 3], [0, MAX_WINDOW - 1]])
     def test_power_windows_up_to_the_cap_are_built(self, window):
