@@ -15,7 +15,9 @@ returns to it, and reports the sites its crossings brush.  :func:`next_site`
 and :func:`prev_site` walk through a site with and against its orientation,
 recording nothing past the image, only confirming closure; :func:`orbit_map`
 walks each component once for all its sites; :func:`trace_component` records
-the walk's crossings.  All decisions in the walk are integer arithmetic;
+the walk's crossings.  Every site is judged by one reader, :func:`_flags`
+(its energy and which neighbors lie above it, from the tables), and one
+rule, :func:`_regular`.  All decisions in the walk are integer arithmetic;
 each recorded crossing carries its position along the crossed edge as the
 exact pair ``(std, inf)``, meaning ``std + inf*eps``, for inspection.
 """
@@ -83,45 +85,42 @@ class ContourTrace:
     crossings: tuple[Crossing, ...] = ()
 
 
-def _evaluator(ham: SeparableHamiltonian1D):
-    """Site evaluator with direct table indexing; outside the windows it
-    defers to ``ham.value``, which raises the table's ``WindowExceeded``."""
-    kin, pot = ham.kinetic, ham.potential
-    kvals, klo, khi = kin.values, kin.lo, kin.hi
-    vvals, vlo, vhi = pot.values, pot.lo, pot.hi
-    avals = bvals = None
-    if ham.coupling_pos is not None:
-        avals, bvals = ham.coupling_pos.values, ham.coupling_mom.values
-
-    def val(q: int, p: int) -> int:
-        if q < vlo or q > vhi or p < klo or p > khi:
-            return ham.value(q, p)
-        if avals is None:
-            return kvals[p - klo] + vvals[q - vlo]
-        return kvals[p - klo] + vvals[q - vlo] + avals[q - vlo] * bvals[p - klo]
-
-    return val
+def _tables(ham: SeparableHamiltonian1D) -> tuple:
+    """The value lists ``(vv, kv, av, bv)`` of the potential, the kinetic
+    term and the product term's two factors (None without it)."""
+    cpos, vv, kv = ham.coupling_pos, ham.potential.values, ham.kinetic.values
+    if cpos is None:
+        return vv, kv, None, None
+    return vv, kv, cpos.values, ham.coupling_mom.values
 
 
-def _neighbor_flags(val, Q, P, E):
-    """(east, north, west, south) neighbor-above-level flags."""
-    return (val(Q + 1, P) > E, val(Q, P + 1) > E, val(Q - 1, P) > E, val(Q, P - 1) > E)
+def _flags(ham, vv, kv, av, bv, i, j) -> tuple:
+    """``(E, east, north, west, south)`` of the table site (i, j) of
+    :func:`_tables`: its energy and which of its four neighbors lie above E.
+    Off the tables' interior it raises the ``WindowExceeded`` of the first
+    read outside, as ``ham.value`` raises it: the site's own, then the
+    neighbors' in east, north, west, south order."""
+    if not (0 < i < len(vv) - 1 and 0 < j < len(kv) - 1):
+        Q, P = i + ham.potential.lo, j + ham.kinetic.lo
+        for q, p in ((Q, P), (Q + 1, P), (Q, P + 1), (Q - 1, P), (Q, P - 1)):
+            ham.value(q, p)
+    v, t = vv[i], kv[j]
+    if av is None:  # a neighbor lies above iff its own factor is larger
+        return v + t, vv[i + 1] > v, kv[j + 1] > t, vv[i - 1] > v, kv[j - 1] > t
+    a, b = av[i], bv[j]
+    E = v + t + a * b
+    east, north = vv[i + 1] + t + av[i + 1] * b > E, v + kv[j + 1] + a * bv[j + 1] > E
+    west, south = vv[i - 1] + t + av[i - 1] * b > E, v + kv[j - 1] + a * bv[j - 1] > E
+    return E, east, north, west, south
 
 
-def _local_kind(flags) -> SiteClassification:
-    """Classification of an on-shell site from its 4-neighbor flags alone.
-
-    Valid whenever at least one flag is set; the all-clear case needs the
-    diagonal refinement done in :func:`classify_site`.
-    """
-    m = sum(flags)
-    if m == 4:
-        return SiteClassification.EXTREMUM  # infinitesimal closed loop
-    if m == 0:
-        return SiteClassification.EXTREMUM  # refined by caller
-    if m == 2 and (flags[0] == flags[2]):  # east/west or north/south pair
-        return SiteClassification.SADDLE  # two branches passing on both sides
-    return SiteClassification.REGULAR  # a single branch brushing the site
+def _regular(flags) -> bool:
+    """Whether one branch brushes the on-shell site with these :func:`_flags`,
+    which makes it regular: one or three neighbors lie above, or two that
+    are not opposite.  Only regular sites move."""
+    _, east, north, west, south = flags
+    above = east + north + west + south
+    return above == 1 or above == 3 or (above == 2 and east != west)
 
 
 def classify_site(ham: SeparableHamiltonian1D, Q: int, P: int, E: int) -> SiteClassification:
@@ -129,34 +128,41 @@ def classify_site(ham: SeparableHamiltonian1D, Q: int, P: int, E: int) -> SiteCl
 
     Requires the full 3x3 neighborhood to lie inside the windows.
     """
-    val = _evaluator(ham)
-    for dq in (-1, 0, 1):
-        for dp in (-1, 0, 1):
-            val(Q + dq, P + dp)  # raises WindowExceeded if outside
-    if val(Q, P) != E:
+    vv, kv, av, bv = _tables(ham)
+    i, j = Q - ham.potential.lo, P - ham.kinetic.lo
+    if not (0 < i < len(vv) - 1 and 0 < j < len(kv) - 1):
+        for dq in (-1, 0, 1):
+            for dp in (-1, 0, 1):
+                ham.value(Q + dq, P + dp)  # raises WindowExceeded: one is outside
+    flags = _flags(ham, vv, kv, av, bv, i, j)
+    if flags[0] != E:
         return SiteClassification.OFF_CONTOUR
-    flags = _neighbor_flags(val, Q, P, E)
-    kind = _local_kind(flags)
-    if kind is SiteClassification.EXTREMUM and not any(flags):
-        # Untouched site: either isolated (a top of the landscape) or a
-        # degenerate saddle whose branches pass at second order, revealed by
-        # alternating diagonal cells.
-        ne = val(Q + 1, P + 1) > E
-        nw = val(Q - 1, P + 1) > E
-        sw = val(Q - 1, P - 1) > E
-        se = val(Q + 1, P - 1) > E
-        if ne == sw and nw == se and ne != nw:
-            return SiteClassification.SADDLE
-    return kind
+    if _regular(flags):
+        return SiteClassification.REGULAR
+    if any(flags[1:]):  # four above: an infinitesimal loop; two opposite: a crossing
+        return SiteClassification.EXTREMUM if all(flags[1:]) else SiteClassification.SADDLE
+    # Untouched site: either isolated (a top of the landscape) or a
+    # degenerate saddle whose branches pass at second order, revealed by
+    # alternating diagonal cells.
+    ne = ham.value(Q + 1, P + 1) > E
+    nw = ham.value(Q - 1, P + 1) > E
+    sw = ham.value(Q - 1, P - 1) > E
+    se = ham.value(Q + 1, P - 1) > E
+    if ne == sw and nw == se and ne != nw:
+        return SiteClassification.SADDLE
+    return SiteClassification.EXTREMUM
 
 
-def _is_regular(val, site, E) -> bool:
+def _touched_regular(ham, vv, kv, av, bv, i, j) -> bool:
+    """Whether the touched table site (i, j) is regular (:func:`_regular`).
+    One without its four neighbors inside the tables raises
+    ``UnboundedContour`` at its own energy, the level's."""
     try:
-        flags = _neighbor_flags(val, site[0], site[1], E)
+        return _regular(_flags(ham, vv, kv, av, bv, i, j))
     except WindowExceeded as exc:
+        site = (i + ham.potential.lo, j + ham.kinetic.lo)
         msg = f"cannot classify touched site {site}: window too small"
-        raise UnboundedContour(msg, energy=E, site=site) from exc
-    return _local_kind(flags) is SiteClassification.REGULAR
+        raise UnboundedContour(msg, energy=ham.value(*site), site=site) from exc
 
 
 def _crossing_param(ham, kind, Q, P, E) -> CrossingParam:
@@ -176,12 +182,14 @@ def _edge(cq: int, cp: int, move: int) -> tuple:
 
 def _start_crossing(Q, P, flags) -> tuple:
     """A crossing brushing the on-shell site (Q, P), oriented with the flow:
-    across the edge to the first above-level neighbor (E, N, W, S order)."""
-    if flags[0]:
+    across the edge to the first above-level neighbor (E, N, W, S order) of
+    its :func:`_flags`."""
+    _, east, north, west, _ = flags
+    if east:
         return (Q, P, _DOWN)
-    if flags[1]:
+    if north:
         return (Q - 1, P, _RIGHT)
-    if flags[2]:
+    if west:
         return (Q - 1, P - 1, _UP)
     return (Q, P - 1, _LEFT)
 
@@ -192,29 +200,6 @@ def _saddle_above(c00, c10, c01, c11, E) -> bool:
     den = c00 + c11 - c10 - c01
     num = c00 * c11 - c10 * c01 - E * den
     return num != 0 and (num > 0) == (den > 0)
-
-
-def _regular_flags(ham, vv, kv, av, bv, i, j) -> Optional[tuple]:
-    """``(E, east, north, west, south)`` of the table site (i, j), with E its
-    own energy and the flags marking neighbors above E, if one branch
-    brushes it (regular, see _local_kind); else None.  ``av``/``bv`` are the
-    product term's tables or None.  A site without its four neighbors inside
-    the tables raises ``UnboundedContour``, as _is_regular does."""
-    if not (0 < i < len(vv) - 1 and 0 < j < len(kv) - 1):
-        site = (i + ham.potential.lo, j + ham.kinetic.lo)
-        _is_regular(ham.value, site, ham.value(*site))
-    v, t = vv[i], kv[j]
-    if av is None:  # a neighbor lies above iff its own factor is larger
-        E, east, north, west, south = v + t, vv[i + 1] > v, kv[j + 1] > t, vv[i - 1] > v, kv[j - 1] > t
-    else:
-        a, b = av[i], bv[j]
-        E = v + t + a * b
-        east, north = vv[i + 1] + t + av[i + 1] * b > E, v + kv[j + 1] + a * bv[j + 1] > E
-        west, south = vv[i - 1] + t + av[i - 1] * b > E, v + kv[j - 1] + a * bv[j - 1] > E
-    above = east + north + west + south
-    if above == 1 or above == 3 or (above == 2 and east is not west):
-        return E, east, north, west, south
-    return None
 
 
 def _raise_escape(ham, E, cq, cp):
@@ -236,7 +221,7 @@ def _walk_component(
     An escaping component raises ``UnboundedContour`` at the first cell
     outside the windows.  ``stop`` is a site whose image ends the walk: the
     first touched site other than ``stop`` that is regular
-    (_regular_flags), judged after its touch is appended.  At that image the
+    (_touched_regular), judged after its touch is appended.  At that image the
     walk returns ``None``: at once if ``closed`` (the component is known to
     close inside the windows), else on closing, after walking on with no
     more touches or tests, so an escape past the image still raises.
@@ -280,7 +265,7 @@ def _walk_component(
                     ti = i if c00 == E else i + 1
                     site = (ti + vlo, j + klo)
                     touches.append((n, site))
-                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, ti, j):
+                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, ti, j):
                         if closed:
                             return None
                         live = False
@@ -309,7 +294,7 @@ def _walk_component(
                     tj = j if c00 == E else j + 1
                     site = (i + vlo, tj + klo)
                     touches.append((n, site))
-                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, i, tj):
+                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, i, tj):
                         if closed:
                             return None
                         live = False
@@ -338,7 +323,7 @@ def _walk_component(
                     ti = i if c01 == E else i + 1
                     site = (ti + vlo, j + 1 + klo)
                     touches.append((n, site))
-                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, ti, j + 1):
+                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, ti, j + 1):
                         if closed:
                             return None
                         live = False
@@ -367,7 +352,7 @@ def _walk_component(
                     tj = j if c10 == E else j + 1
                     site = (i + 1 + vlo, tj + klo)
                     touches.append((n, site))
-                    if stop is not None and site != stop and _regular_flags(ham, vv, kv, av, bv, i + 1, tj):
+                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, i + 1, tj):
                         if closed:
                             return None
                         live = False
@@ -393,35 +378,23 @@ def _step(
 ) -> tuple[int, int]:
     """The first regular site other than (Q, P), else (Q, P) itself, touched by
     the walk with (``backward``: against) the orientation; regular means one
-    branch brushes it (_local_kind).  Past that image the walk records
+    branch brushes it (_regular).  Past that image the walk records
     nothing and, unless ``closed``, only confirms closure."""
-    pot, kin, cpos = ham.potential, ham.kinetic, ham.coupling_pos
-    vv, kv = pot.values, kin.values
-    i, j = Q - pot.lo, P - kin.lo
-    if not (0 < i < len(vv) - 1 and 0 < j < len(kv) - 1):  # raise what reading the values raises:
-        ham.value(Q, P)  # the site's own error, else the first outside neighbor's
-        try:
-            _neighbor_flags(ham.value, Q, P, 0)
-        except WindowExceeded as exc:
-            raise WindowExceeded(f"site ({Q}, {P}) needs its four neighbors inside the windows") from exc
-    av, bv = (None, None) if cpos is None else (cpos.values, ham.coupling_mom.values)
-    flags = _regular_flags(ham, vv, kv, av, bv, i, j)
-    if flags is None:
+    vv, kv, av, bv = _tables(ham)
+    i, j = Q - ham.potential.lo, P - ham.kinetic.lo
+    try:
+        flags = _flags(ham, vv, kv, av, bv, i, j)
+    except WindowExceeded as exc:
+        if not (0 <= i < len(vv) and 0 <= j < len(kv)):
+            raise  # the site's own error
+        raise WindowExceeded(f"site ({Q}, {P}) needs its four neighbors inside the windows") from exc
+    if not _regular(flags):
         return (Q, P)
-    E, east, north, west, _ = flags
-    # The crossing that brushes (Q, P) toward its first above-level neighbor
-    # (E, N, W, S order), as _start_crossing gives it, or backward the same
-    # crossing traversed from the cell it enters.
-    if east:
-        start = (Q, P - 1, _UP) if backward else (Q, P, _DOWN)
-    elif north:
-        start = (Q, P, _LEFT) if backward else (Q - 1, P, _RIGHT)
-    elif west:
-        start = (Q - 1, P, _DOWN) if backward else (Q - 1, P - 1, _UP)
-    else:
-        start = (Q - 1, P - 1, _RIGHT) if backward else (Q, P - 1, _LEFT)
+    cq, cp, m = start = _start_crossing(Q, P, flags)
+    if backward:  # the same crossing, traversed from the cell it enters
+        start = (cq + _STEPS[m][0], cp + _STEPS[m][1], (m + 2) % 4)
     touches: list = []
-    if _walk_component(ham, E, start, touches, stop=(Q, P), closed=closed) is None:
+    if _walk_component(ham, flags[0], start, touches, stop=(Q, P), closed=closed) is None:
         return touches[-1][1]
     return (Q, P)
 
@@ -476,12 +449,10 @@ def trace_component(
     if ham.value(Q, P) != E:
         raise ValueError(f"seed {seed} is not on the shell: H={ham.value(Q, P)} != {E}")
     try:
-        flags = _neighbor_flags(_evaluator(ham), Q, P, E)
+        flags = _flags(ham, *_tables(ham), Q - ham.potential.lo, P - ham.kinetic.lo)
     except WindowExceeded as exc:
-        raise WindowExceeded(
-            f"seed {seed} needs its four neighbors inside the windows"
-        ) from exc
-    if not any(flags):
+        raise WindowExceeded(f"seed {seed} needs its four neighbors inside the windows") from exc
+    if not any(flags[1:]):
         kind = classify_site(ham, Q, P, E)
         return ContourTrace(E, (seed,), (kind,), True, ())
     touches: list = []
@@ -517,27 +488,19 @@ def orbit_map(
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Successor map for many sites at once, tracing each component once."""
     result: dict[tuple[int, int], tuple[int, int]] = {}
-    val = _evaluator(ham)
+    vv, kv, av, bv = _tables(ham)
+    qlo, plo = ham.potential.lo, ham.kinetic.lo
     for site in sites:
         if site in result:
             continue
         Q, P = site
-        E = ham.value(Q, P)
-        flags = _neighbor_flags(val, Q, P, E)
-        if _local_kind(flags) is not SiteClassification.REGULAR:
+        flags = _flags(ham, vv, kv, av, bv, Q - qlo, P - plo)
+        if not _regular(flags):
             result[site] = site
             continue
         touches: list = []
-        n = _walk_component(ham, E, _start_crossing(Q, P, flags), touches)
-        regular = [s for s in _visits(touches, n) if _is_regular(val, s, E)]
+        n = _walk_component(ham, flags[0], _start_crossing(Q, P, flags), touches)
+        regular = [s for s in _visits(touches, n) if _touched_regular(ham, vv, kv, av, bv, s[0] - qlo, s[1] - plo)]
         for i, s in enumerate(regular):  # regular[0] is site, fixed if alone
             result[s] = regular[(i + 1) % len(regular)]
     return result
-
-
-def trace_rows(trace: ContourTrace, component_id: int) -> list[tuple]:
-    """CSV-ready rows: (component id, ordinal, Q, P, classification)."""
-    return [
-        (component_id, i, s[0], s[1], k.value)
-        for i, (s, k) in enumerate(zip(trace.sites, trace.kinds))
-    ]

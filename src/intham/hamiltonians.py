@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, WindowExceeded
 
-#: Most entries a power-family ``window`` may hold: about 3 s at 0.8-11 us each (exponents 1 to 37/13).
+#: Most entries a power-family ``window`` may hold, and the bound on its ends' distance
+#: from 0: an entry of 37/13 costs 10 us near 0, 24 us near 2**18; a table about 3 s.
 MAX_WINDOW = 2**18
 #: Largest numerator + denominator of a power-family ``exponent`` in lowest
 #: terms.  An entry's cost grows with both (127 us at 401/3); within the cap
@@ -284,9 +285,10 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
             not isinstance(window, (list, tuple))
             or len(window) != 2
             or not all(isinstance(w, int) for w in window)
-            or not 0 <= window[1] - window[0] < MAX_WINDOW
+            or not -MAX_WINDOW < window[0] <= window[1] < MAX_WINDOW
+            or window[1] - window[0] >= MAX_WINDOW
         ):
-            raise ConfigError(f"power-family 'window' must be [lo, hi] integers, 1 to {MAX_WINDOW} entries")
+            raise ConfigError(f"power-family 'window' must be [lo, hi] integers in (-{MAX_WINDOW}, {MAX_WINDOW}), 1 to {MAX_WINDOW} entries")
         kind = "kinetic" if ("mass" in entry or role == "kinetic") and "scale" not in entry else "potential"
         exponent = fraction_from_json(entry.get("exponent", 1))
         if exponent.numerator + exponent.denominator > MAX_EXPONENT_TERMS:

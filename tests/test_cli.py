@@ -377,6 +377,10 @@ class TestFailureModes:
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "exponent": "37/14", "window": [-5, 5]}}}, "'exponent'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "exponent": 50, "window": [-5, 5]}}}, "'exponent'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "exponent": 0.123456, "window": [-5, 5]}}}, "'exponent'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "exponent": "37/13", "window": [10**100, 10**100 + 49]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [MAX_WINDOW - 5, MAX_WINDOW]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "window": [-MAX_WINDOW, 5 - MAX_WINDOW]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "window": [1 - MAX_WINDOW, 1]}}}, "'window'"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

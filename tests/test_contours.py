@@ -10,12 +10,11 @@ from conftest import random_confining, well_sites
 from intham import contours
 from intham.contours import (
     SiteClassification,
+    _DOWN,
+    _LEFT,
+    _RIGHT,
     _STEPS,
-    _evaluator,
-    _is_regular,
-    _local_kind,
-    _neighbor_flags,
-    _start_crossing,
+    _UP,
     _walk_component,
     classify_site,
     enumerate_shell,
@@ -23,7 +22,6 @@ from intham.contours import (
     orbit_map,
     prev_site,
     trace_component,
-    trace_rows,
 )
 from intham.errors import UnboundedContour, WindowExceeded
 from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
@@ -33,6 +31,7 @@ absolute = IntegerFunction1D.from_callable(abs, -W, W)
 square = IntegerFunction1D.from_callable(lambda x: x * x, -W, W)
 identity = IntegerFunction1D.from_callable(lambda x: x, -W, W)
 zero = IntegerFunction1D.zero(-W, W)
+drop = IntegerFunction1D.from_callable(lambda x: -x * x, -W, W)
 
 diamond = SeparableHamiltonian1D(absolute, absolute)
 bowl = SeparableHamiltonian1D(square, square)
@@ -100,9 +99,14 @@ class TestSuccessors:
 class TestClassification:
     def test_energy_pit_is_an_extremum(self):
         assert classify_site(bowl, 0, 0, 0) is SiteClassification.EXTREMUM
+        # a peak: no neighbor above, and no diagonal either
+        assert classify_site(SeparableHamiltonian1D(drop, drop), 0, 0, 0) is SiteClassification.EXTREMUM
 
     def test_crossing_strands_make_a_saddle(self):
+        # crossing at second order (no neighbor above, alternating diagonals)
         assert classify_site(hyperbolic, 0, 0, 0) is SiteClassification.SADDLE
+        # and at first order: east and west above, north and south below
+        assert classify_site(SeparableHamiltonian1D(drop, square), 0, 0, 0) is SiteClassification.SADDLE
 
     def test_ordinary_through_site_is_regular(self):
         assert classify_site(bowl, 1, 0, 1) is SiteClassification.REGULAR
@@ -131,11 +135,6 @@ class TestTraces:
         assert trace.sites == ((0, 0),)
         assert trace.kinds[0] is SiteClassification.EXTREMUM
         assert trace.closed
-
-    def test_trace_rows_are_csv_ready(self):
-        trace = trace_component(pingpong, 1, (0, 1))
-        rows = trace_rows(trace, 7)
-        assert rows == [(7, 0, 0, 1, "regular"), (7, 1, 0, -1, "regular")]
 
 
 @settings(max_examples=12, deadline=None)
@@ -275,7 +274,7 @@ def test_crossing_parameters_place_the_level_on_their_edges(landscape):
 @pytest.mark.parametrize("seed, image", [((5, 0), (4, -3)), ((4, -3), (3, -4))])
 def test_stop_ends_the_walk_at_the_image(seed, image):
     # The r^2 = 25 circle of the bowl touches (5, 0), (4, -3), (3, -4), ...
-    start = _start_crossing(*seed, _neighbor_flags(_evaluator(bowl), *seed, 25))
+    start = reference_start(bowl, *seed, 25)
     full: list = []
     full_record: list = []
     n = _walk_component(bowl, 25, start, full, full_record)
@@ -406,6 +405,47 @@ def test_sites_on_or_past_a_window_edge_raise_pinned_errors(
         assert str(err.value.__cause__) == cause
 
 
+@pytest.mark.parametrize("ham", [lopsided, lopsided_coupled], ids=["separable", "product-term"])
+@pytest.mark.parametrize(
+    "query, site, message, cause",
+    [
+        # classify_site: the first of its 3x3 neighborhood outside, read from
+        # the south-west corner up each column in turn
+        ("classify", (4, 0), Q_OUT.format(5), None),
+        ("classify", (5, 0), Q_OUT.format(5), None),
+        ("classify", (4, 6), P_OUT.format(7), None),
+        ("classify", (-6, -5), P_OUT.format(-6), None),
+        # trace_component: the seed's own error, else its first neighbor
+        # outside (east, north, west, south) as the cause
+        ("trace", (5, 0), Q_OUT.format(5), None),
+        ("trace", (4, 0), "seed (4, 0) needs its four neighbors inside the windows", Q_OUT.format(5)),
+        ("trace", (0, -5), "seed (0, -5) needs its four neighbors inside the windows", P_OUT.format(-6)),
+        # orbit_map: the site's own error, else its first neighbor outside
+        ("orbit", (4, 0), Q_OUT.format(5), None),
+        ("orbit", (0, 7), P_OUT.format(7), None),
+        ("orbit", (4, 6), Q_OUT.format(5), None),
+        ("orbit", (-6, 6), P_OUT.format(7), None),
+    ],
+)
+def test_site_queries_on_or_past_a_window_edge_raise_pinned_errors(ham, query, site, message, cause):
+    energy = abs(site[0]) + abs(site[1])  # H on an axis, where the product term vanishes
+    calls = {
+        "classify": lambda: classify_site(ham, *site, energy),
+        "trace": lambda: trace_component(ham, energy, site),
+        "orbit": lambda: orbit_map(ham, [site]),
+    }
+    with pytest.raises(WindowExceeded) as err:
+        calls[query]()
+    assert type(err.value) is WindowExceeded
+    assert str(err.value) == message
+    if cause is None:
+        assert err.value.__cause__ is None
+        assert err.value.argument == int(message.split()[1])
+    else:
+        assert (err.value.argument, type(err.value.__cause__)) == (None, WindowExceeded)
+        assert str(err.value.__cause__) == cause
+
+
 # -- unproven steps: the image found during the walk, closure confirmed after --
 
 
@@ -416,20 +456,54 @@ def _flip(cross: tuple) -> tuple:
     return (cq + dq, cp + dp, (move + 2) % 4)
 
 
+def reference_above(ham, Q, P, E):
+    """(east, north, west, south): which neighbors of (Q, P) lie above E,
+    read through ``ham.value`` rather than the contour layer's own reader."""
+    return (
+        ham.value(Q + 1, P) > E, ham.value(Q, P + 1) > E, ham.value(Q - 1, P) > E, ham.value(Q, P - 1) > E
+    )
+
+
+def reference_regular(ham, site, E):
+    """Whether one branch brushes the on-shell site: one or three neighbors
+    above, or two that are not opposite.  A site without its four neighbors
+    cannot be classified."""
+    try:
+        east, north, west, south = reference_above(ham, *site, E)
+    except WindowExceeded as exc:
+        msg = f"cannot classify touched site {site}: window too small"
+        raise UnboundedContour(msg, energy=E, site=site) from exc
+    above = east + north + west + south
+    return above in (1, 3) or (above == 2 and east != west)
+
+
+def reference_start(ham, Q, P, E):
+    """The walk crossing that brushes the on-shell site (Q, P) with the flow:
+    across the edge toward its first neighbor above E (east, north, west,
+    south order), as (cq, cp, move): the level leaves the cell with lower-left
+    site (cq, cp) across that edge, moving ``move``."""
+    east, north, west, _ = reference_above(ham, Q, P, E)
+    if east:  # edge (Q, P)-(Q + 1, P), the bottom of cell (Q, P)
+        return (Q, P, _DOWN)
+    if north:  # edge (Q, P)-(Q, P + 1), the right side of cell (Q - 1, P)
+        return (Q - 1, P, _RIGHT)
+    if west:  # edge (Q - 1, P)-(Q, P), the top of cell (Q - 1, P - 1)
+        return (Q - 1, P - 1, _UP)
+    return (Q, P - 1, _LEFT)  # edge (Q, P - 1)-(Q, P), the left side of cell (Q, P - 1)
+
+
 def recorded_step(ham, Q, P, backward):
     """The reference step: record the whole component, then take the first
     touched regular site other than (Q, P).  A touched site that cannot be
     classified before the image fails before an escape the walk meets."""
-    val = _evaluator(ham)
     E = ham.value(Q, P)
-    flags = _neighbor_flags(val, Q, P, E)
-    if _local_kind(flags) is not SiteClassification.REGULAR:
+    if not reference_regular(ham, (Q, P), E):
         return (Q, P)
-    start = _start_crossing(Q, P, flags)
+    start = reference_start(ham, Q, P, E)
     if backward:
         start = _flip(start)
     touches: list = []
-    images = (s for _, s in touches if s != (Q, P) and _is_regular(val, s, E))
+    images = (s for _, s in touches if s != (Q, P) and reference_regular(ham, s, E))
     try:
         _walk_component(ham, E, start, touches)
     except UnboundedContour:
@@ -509,7 +583,7 @@ def test_cut_windows_reach_every_outcome(kind):
 def test_unproven_step_stops_recording_at_an_early_image(monkeypatch):
     # On the r^2 = 25 circle of the bowl the image of (5, 0) is the next
     # touched site, (4, -3), and the walk goes on round the whole circle.
-    start = _start_crossing(5, 0, _neighbor_flags(_evaluator(bowl), 5, 0, 25))
+    start = reference_start(bowl, 5, 0, 25)
     full: list = []
     _walk_component(bowl, 25, start, full)
     seen: list = []

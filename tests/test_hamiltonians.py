@@ -239,11 +239,13 @@ class TestJsonModels:
         table = function_from_json({"family": "power", "exponent": exponent, "window": [-3, 3]}, "potential")
         assert table.values == tuple(floor_scaled_power(Fraction(1), abs(x), e) for x in range(-3, 4))
 
-    @pytest.mark.parametrize("window", [[3, 3], [0, MAX_WINDOW - 1]])
+    @pytest.mark.parametrize(
+        "window", [[3, 3], [0, MAX_WINDOW - 1], [MAX_WINDOW - 50, MAX_WINDOW - 1], [1 - MAX_WINDOW, 50 - MAX_WINDOW]]
+    )
     def test_power_windows_up_to_the_cap_are_built(self, window):
-        # one entry past either end is a ConfigError (tests/test_cli.py)
+        # one entry more, or an end at +-MAX_WINDOW, is a ConfigError (tests/test_cli.py)
         table = function_from_json({"family": "power", "exponent": 1, "window": window}, "potential")
-        assert table.window == tuple(window) and table(window[1]) == window[1]
+        assert table.window == tuple(window) and table(window[1]) == abs(window[1])
 
 
 class TestFractionFromJson:

@@ -1,8 +1,30 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
+
 import intham
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in intham.__all__ if not hasattr(intham, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # ``__init__`` imports to re-export; every other module imports to use.
+    unused = []
+    for path in sorted(Path(intham.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
