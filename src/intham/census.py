@@ -26,6 +26,11 @@ import numpy as np
 from .errors import RegimeViolation
 from .hamiltonians import PowerLawFamily
 
+#: Arc length of one integration step of :func:`continuum_period`, in
+#: lattice units, and the most steps it takes before it gives up.
+PATH_STEP = 0.15
+MAX_PERIOD_STEPS = 2_000_000
+
 
 @dataclass(frozen=True)
 class CensusRow:
@@ -121,12 +126,7 @@ def _level_start(flow: _InterpolatedFlow, energy: int) -> tuple[float, float]:
     raise RegimeViolation(f"level {energy} not reached inside the window")
 
 
-def continuum_period(
-    flow: _InterpolatedFlow,
-    energy: int,
-    path_step: float = 0.15,
-    max_steps: int = 2_000_000,
-) -> float:
+def continuum_period(flow: _InterpolatedFlow, energy: int) -> float:
     """Time for one full revolution of the interpolated flow at this level.
 
     Fourth-order integration with steps of roughly constant arc length;
@@ -137,12 +137,12 @@ def continuum_period(
     velocity = flow.velocity
     total_angle = 0.0
     elapsed = 0.0
-    for _ in range(max_steps):
+    for _ in range(MAX_PERIOD_STEPS):
         vq, vp = velocity(q, p)
         speed = math.hypot(vq, vp)
         if speed == 0.0:
             raise RegimeViolation(f"stationary point on level {energy}")
-        h = path_step / speed
+        h = PATH_STEP / speed
         k1q, k1p = vq, vp
         k2q, k2p = velocity(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
         k3q, k3p = velocity(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
@@ -165,7 +165,6 @@ def census(
     potential: PowerLawFamily,
     energies: Iterable[int],
     fit_floor: int = 10,
-    path_step: float = 0.15,
     with_periods: bool = True,
 ) -> CensusReport:
     """Count shell sites per energy, measure periods, fit the growth law.
@@ -210,7 +209,7 @@ def census(
     for energy in energies:
         period = None
         if with_periods and energy > 0:
-            period = continuum_period(flow, energy, path_step=path_step)
+            period = continuum_period(flow, energy)
         rows.append(CensusRow(energy, int(counts[energy]), period))
 
     fitted = [r for r in rows if r.energy >= fit_floor and r.count > 0]

@@ -35,7 +35,9 @@ from .census import census, census_rows
 from .contours import classify_site, enumerate_shell, next_site
 from .errors import ConfigError, IntHamError
 from .evolver import PhaseState, decoupled, step, step_inverse, total_energy
-from .hamiltonians import PowerLawFamily, fraction_from_json, hamiltonian_from_json
+from .hamiltonians import (
+    PowerLawFamily, fraction_from_json, hamiltonian_from_json, integers, only_keys, read_key
+)
 from .spectral import (
     MAX_CHECK_SIZE,
     ShellPermutation,
@@ -45,35 +47,10 @@ from .spectral import (
     spectrum_rows,
 )
 
-def _read(cfg: dict, key: str, default=None, kind=None, keys=None):
-    """``cfg[key]``, or ``default`` when the key is absent (a ConfigError when
-    there is none).  With ``kind`` the value must have exactly that JSON type,
-    so no bool passes for an int and no float is truncated; with ``keys`` it
-    must be an object with no other keys."""
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"config needs '{key}' for this mode")
-        return default
-    value = cfg[key]
-    if kind is not None and type(value) is not kind:
-        raise ConfigError(f"'{key}' must be of type {kind.__name__}, got {value!r}")
-    return value if keys is None else _only(value, keys, f"'{key}'")
-
-
-def _only(obj, keys: set, where: str) -> dict:
-    """``obj`` itself, checked to be an object with no key outside ``keys``."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {obj!r}")
-    unknown = set(obj) - keys
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    return obj
-
-
 def _build(cfg: dict, key: str, build, keys=None, default=None):
-    """``build`` applied to ``_read(cfg, key, default, keys=keys)``, with the
+    """``build`` applied to ``read_key(cfg, key, default, keys=keys)``, with the
     builder's failures as ConfigErrors that name the key."""
-    obj = _read(cfg, key, default, keys=keys)
+    obj = read_key(cfg, key, default, keys=keys)
     try:
         return build(obj)
     except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -83,17 +60,17 @@ def _build(cfg: dict, key: str, build, keys=None, default=None):
 def _load_models(cfg: dict):
     if "models" not in cfg:
         return [_build(cfg, "model", hamiltonian_from_json)]
-    if not _read(cfg, "models", kind=list):
+    if not read_key(cfg, "models", kind=list):
         raise ConfigError("'models' must be a nonempty list")
     return _build(cfg, "models", lambda entries: [hamiltonian_from_json(m) for m in entries])
 
 
 def _load_start(cfg: dict, pairs: int) -> PhaseState:
-    start = _read(cfg, "start", kind=list)
+    start = integers(read_key(cfg, "start", kind=list), "start")
     if pairs == 1 and len(start) == 2 and not isinstance(start[0], list):
         start = [start]
     if len(start) != pairs or not all(
-        type(s) is list and len(s) == 2 and all(type(v) is int for v in s) for s in start
+        type(s) is list and len(s) == 2 and list not in map(type, s) for s in start
     ):
         raise ConfigError(f"'start' must give {pairs} integer (Q, P) pairs, got {start!r}")
     return PhaseState(tuple(s[0] for s in start), tuple(s[1] for s in start))
@@ -156,7 +133,7 @@ def _mode_invert(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     (ham,) = _load_models(cfg)
-    energy = _read(cfg, "energy", kind=int)
+    energy = read_key(cfg, "energy", kind=int)
     sites = enumerate_shell(ham, energy)
     rows = []
     by_kind: dict[str, int] = {}
@@ -170,11 +147,11 @@ def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     (ham,) = _load_models(cfg)
-    energy = _read(cfg, "energy", kind=int)
+    energy = read_key(cfg, "energy", kind=int)
     cfg_trunc = _build(
         cfg, "radius", lambda r: TruncationConfig.for_radius(float(fraction_from_json(r))), default=20
     )
-    size_cap = _read(cfg, "size_cap", 64, int)
+    size_cap = read_key(cfg, "size_cap", 64, int)
     if size_cap > MAX_CHECK_SIZE:
         raise ConfigError(f"'size_cap' {size_cap} exceeds the cap {MAX_CHECK_SIZE}")
     shell = enumerate_shell(ham, energy)
@@ -195,7 +172,7 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         "boundary_count": sum(1 for e in entries if e.boundary),
         "operator_check": None,
     }
-    if _read(cfg, "operator_check", perm.size <= size_cap, bool):
+    if read_key(cfg, "operator_check", perm.size <= size_cap, bool):
         result = hfract_operator_check(perm, cfg_trunc, size_cap=size_cap)
         report["operator_check"] = {
             "radius": cfg_trunc.radius,
@@ -220,12 +197,12 @@ def _census_family(section: dict, kind: str) -> PowerLawFamily:
 
 
 def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    section = _read(cfg, "census", keys={"kinetic", "potential", "energies", "fit_floor", "periods"})
+    section = read_key(cfg, "census", keys={"kinetic", "potential", "energies", "fit_floor", "periods"})
     kinetic = _census_family(section, "kinetic")
     potential = _census_family(section, "potential")
-    energies = _read(section, "energies", kind=list)
-    if not all(type(e) is int for e in energies):
-        raise ConfigError(f"'energies' must be a list of integers, got {energies!r}")
+    energies = integers(read_key(section, "energies", kind=list), "energies")
+    if list in map(type, energies):
+        raise ConfigError(f"'energies' must be a flat list, got {energies!r}")
     if len(energies) == 2 and energies[1] > energies[0] + 1:
         energies = range(energies[0], energies[1] + 1)
     try:
@@ -233,8 +210,8 @@ def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
             kinetic,
             potential,
             energies,
-            fit_floor=_read(section, "fit_floor", 10, int),
-            with_periods=_read(section, "periods", True, bool),
+            fit_floor=read_key(section, "fit_floor", 10, int),
+            with_periods=read_key(section, "periods", True, bool),
         )
     except ValueError as exc:
         raise ConfigError(f"census: {exc}") from exc
@@ -256,8 +233,8 @@ def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 def _random_layers(cfg: dict, rng: random.Random, shape):
     """Two arrays of uniform integers in the config's ``random`` spread
     (default ``[-3, 3]``), drawn one after the other."""
-    spread = _read(cfg, "random", {}, keys={"lo", "hi"})
-    lo, hi = _read(spread, "lo", -3, int), _read(spread, "hi", 3, int)
+    spread = read_key(cfg, "random", {}, keys={"lo", "hi"})
+    lo, hi = read_key(spread, "lo", -3, int), read_key(spread, "hi", 3, int)
     if lo > hi:
         raise ConfigError(f"'random' needs lo <= hi, got [{lo}, {hi}]")
     size = int(np.prod(shape))
@@ -309,12 +286,12 @@ def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     spec = _build(cfg, "field", fields.spec_from_json)
     base = _field_state(cfg, spec, random.Random(seed))
-    perturb = _read(cfg, "perturb", {}, keys={"site", "component", "amount"})
-    site = tuple(_read(perturb, "site", [0] * spec.shape.dimensions, list))
-    component = _read(perturb, "component", 0, int)
-    amount = _read(perturb, "amount", 1, int)
+    perturb = read_key(cfg, "perturb", {}, keys={"site", "component", "amount"})
+    site = tuple(integers(read_key(perturb, "site", [0] * spec.shape.dimensions, list), "site"))
+    component = read_key(perturb, "component", 0, int)
+    amount = read_key(perturb, "amount", 1, int)
     sizes = spec.shape.sizes
-    if len(site) != len(sizes) or not all(type(x) is int and 0 <= x < s for x, s in zip(site, sizes)):
+    if len(site) != len(sizes) or not all(x in range(s) for x, s in zip(site, sizes)):
         raise ConfigError(f"perturbation 'site' must list {len(sizes)} integers inside {sizes}, got {site}")
     if not 0 <= component < spec.components:
         raise ConfigError(f"perturbation 'component' must be in [0, {spec.components}), got {component}")
@@ -371,17 +348,17 @@ def run(
     Raises :class:`ConfigError` for bad configs and :class:`IntHamError`
     subclasses for model failures; the CLI wrapper maps those to exit codes.
     """
-    _only(config, _CONFIG_KEYS, "config")
+    only_keys(config, _CONFIG_KEYS, "config")
     mode = mode or config.get("mode")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if steps is None:
-        steps = _read(config, "steps", 8, int)
+        steps = read_key(config, "steps", 8, int)
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
     if seed is None:
-        seed = _read(config, "seed", 0, int)
-    out = Path(out_dir if out_dir is not None else _read(config, "out", ".", str))
+        seed = read_key(config, "seed", 0, int)
+    out = Path(out_dir if out_dir is not None else read_key(config, "out", ".", str))
     out.mkdir(parents=True, exist_ok=True)
 
     report = _MODE_RUNNERS[mode](config, out, steps, seed)

@@ -228,11 +228,8 @@ def _walk_component(
     Closure and ``stop`` are tested on touching crossings only: every start
     crossing brushes a site.
     """
-    vv, vlo = ham.potential.values, ham.potential.lo
-    kv, klo = ham.kinetic.values, ham.kinetic.lo
-    av = bv = None
-    if ham.coupling_pos is not None:
-        av, bv = ham.coupling_pos.values, ham.coupling_mom.values
+    vv, kv, av, bv = _tables(ham)
+    vlo, klo = ham.potential.lo, ham.kinetic.lo
     ilast, jlast = len(vv) - 1, len(kv) - 1  # cell (i, j) needs i < ilast, j < jlast
     cq, cp, m = start
     i, j = cq - vlo, cp - klo
@@ -246,15 +243,16 @@ def _walk_component(
     c00, c10 = v0 + k0 + a0 * b0, v1 + k0 + a1 * b0
     c01, c11 = v0 + k1 + a0 * b1, v1 + k1 + a1 * b1
     s00, s10, s01, s11 = c00 > E, c10 > E, c01 > E, c11 > E
-    n, live = -1, True  # live: touches are still recorded
+    live = True  # touches are still recorded
     # Each branch enters the next cell across the edge crossed last, shifts
     # its corners into place, reads the two new ones and exits across the
     # other crossed edge.  With all four edges crossed the arc hugs the entry
     # edge's left-of-travel corner iff the saddle is on the other side of E.
-    while True:
+    # The level crosses each table edge at most once, so a walk that has not
+    # closed after 4 crossings per table site did not start on the level.
+    for n in range(4 * len(vv) * len(kv)):
         if record is not None:
             record.append((i + vlo, j + klo, m))
-        n += 1
         if m == _UP:
             j += 1
             c00, c10, s00, s10 = c01, c11, s01, s11
@@ -371,6 +369,7 @@ def _walk_component(
                 m = _DOWN
             else:
                 m = _DOWN if _saddle_above(c00, c10, c01, c11, E) is s00 else _UP
+    raise RuntimeError(f"level {E}+eps from crossing {start} does not close: a start off the level")
 
 
 def _step(

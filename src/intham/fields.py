@@ -54,8 +54,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .contours import next_site, prev_site
-from .errors import ConfigError, IntHamError, WindowExceeded
-from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
+from .errors import IntHamError, WindowExceeded
+from .hamiltonians import (
+    IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, integers, only_keys, read_key
+)
 
 Site = tuple[int, ...]
 
@@ -771,26 +773,17 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     be written as numbers or strings like "1/2".  Any other key is a
     :class:`ConfigError`.
     """
-    from .hamiltonians import fraction_from_json
-
-    unknown = set(obj) - _SPEC_KEYS
-    if unknown:
-        raise ConfigError(f"unknown field spec keys: {sorted(unknown)}")
-    if "sizes" not in obj:
-        raise ConfigError("field spec needs 'sizes'")
-    shape = LatticeShape(tuple(obj["sizes"]))
-    components = int(obj.get("components", 1))
-    masses = obj.get("masses")
-    if masses is None:
-        masses = [0] * components
-    masses = tuple(fraction_from_json(m) for m in masses)
+    only_keys(obj, _SPEC_KEYS, "field spec")
+    shape = LatticeShape(tuple(integers(read_key(obj, "sizes", kind=list), "sizes")))
+    components = read_key(obj, "components", 1, int)
+    masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list))
     raw_stiffness = obj.get("stiffness")
     if raw_stiffness is None:
         stiffness = Fraction(1, shape.dimensions)
     else:
         stiffness = fraction_from_json(raw_stiffness)
-    phi_window = tuple(obj.get("phi_window", (-64, 64)))
-    p_window = tuple(obj.get("p_window", (-64, 64)))
+    phi_window = tuple(integers(read_key(obj, "phi_window", [-64, 64], list), "phi_window"))
+    p_window = tuple(integers(read_key(obj, "p_window", [-64, 64], list), "p_window"))
     return FieldHamiltonianSpec(
         shape,
         components,
@@ -809,25 +802,11 @@ def state_to_json(state: FieldState) -> dict:
     }
 
 
-def _integer_entries(obj: dict, keys: tuple) -> list:
-    """``obj[key]`` for each key, checked to hold JSON integers only: a float
-    or a bool is a :class:`ConfigError`, never truncated or kept."""
-    arrays = []
-    for key in keys:
-        values = obj[key]
-        if not all(type(v) is int for v in np.array(values, dtype=object).ravel().tolist()):
-            raise ConfigError(f"'{key}' entries must be integers")
-        arrays.append(values)
-    return arrays
-
-
 def state_from_json(obj: dict) -> FieldState:
-    time = obj.get("time", 0)
-    if type(time) is not int:
-        raise ConfigError(f"'time' must be an integer, got {time!r}")
-    return FieldState(*_integer_entries(obj, ("phi", "mom")), time)
+    phi, mom = (integers(read_key(obj, key), key) for key in ("phi", "mom"))
+    return FieldState(phi, mom, read_key(obj, "time", 0, int))
 
 
 def layers_from_json(obj: dict) -> MargolusFieldState:
     """The two-layer state of ``{"older": ..., "newer": ...}``."""
-    return MargolusFieldState(*_integer_entries(obj, ("older", "newer")))
+    return MargolusFieldState(*(integers(read_key(obj, key), key) for key in ("older", "newer")))

@@ -236,6 +236,44 @@ def validate_smoothness(fn: IntegerFunction1D) -> SmoothnessReport:
 # -- JSON model descriptions -------------------------------------------------
 
 
+def read_key(cfg: dict, key: str, default=None, kind=None, keys=None):
+    """``cfg[key]``, or ``default`` when the key is absent (a ConfigError when
+    there is none).  With ``kind`` the value must have exactly that JSON type,
+    so no bool passes for an int and no float is truncated; with ``keys`` it
+    must be an object with no other keys."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"config needs '{key}'")
+        return default
+    value = cfg[key]
+    if kind is not None and type(value) is not kind:
+        raise ConfigError(f"'{key}' must be of type {kind.__name__}, got {value!r}")
+    return value if keys is None else only_keys(value, keys, f"'{key}'")
+
+
+def only_keys(obj, keys: set, where: str) -> dict:
+    """``obj`` itself, checked to be an object with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return obj
+
+
+def integers(value, key: str):
+    """``value`` itself, checked to be a JSON integer or a list of them,
+    nested to any depth.  A float, a bool, a string or any other entry is a
+    ConfigError that names ``key``: never truncated, never read as 0 or 1."""
+    if type(value) is list:
+        for entry in value:
+            if type(entry) is not int:
+                integers(entry, key)
+    elif type(value) is not int:
+        raise ConfigError(f"'{key}' entries must be integers, got {value!r}")
+    return value
+
+
 def fraction_from_json(value) -> Fraction:
     """Exact rational from a JSON value: int, "num/den" string, or finite
     float (snapped to a nearby small-denominator rational)."""
@@ -267,24 +305,16 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
     """
     if entry is None:
         return None
-    if not isinstance(entry, dict):
-        raise ConfigError(f"model entry must be an object or null, got {entry!r}")
-    known = {"table"} if "table" in entry else {"family", "exponent", "scale", "mass", "window"}
-    unknown = set(entry) - known
-    if unknown:
-        raise ConfigError(f"unknown model entry keys: {sorted(unknown)}")
-    if "table" in entry:
-        table = entry["table"]
-        try:
-            return IntegerFunction1D(operator.index(table["lo"]), tuple(table["values"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad table entry: {entry!r}") from exc
+    if isinstance(entry, dict) and "table" in entry:
+        table = read_key(only_keys(entry, {"table"}, "model entry"), "table", keys={"lo", "values"})
+        values = integers(read_key(table, "values", kind=list), "values")
+        return IntegerFunction1D(read_key(table, "lo", kind=int), tuple(values))
+    only_keys(entry, {"family", "exponent", "scale", "mass", "window"}, "model entry")
     if entry.get("family") == "power":
-        window = entry.get("window")
+        window = integers(read_key(entry, "window", kind=list), "window")
         if (
-            not isinstance(window, (list, tuple))
-            or len(window) != 2
-            or not all(isinstance(w, int) for w in window)
+            len(window) != 2
+            or list in map(type, window)
             or not -MAX_WINDOW < window[0] <= window[1] < MAX_WINDOW
             or window[1] - window[0] >= MAX_WINDOW
         ):
@@ -314,12 +344,7 @@ def hamiltonian_from_json(model: dict) -> SeparableHamiltonian1D:
     Required keys: ``kinetic`` and ``potential``.  Optional ``coupling_pos``
     and ``coupling_mom`` enable the product term.
     """
-    if not isinstance(model, dict):
-        raise ConfigError("model must be an object")
-    known = {"kinetic", "potential", "coupling_pos", "coupling_mom"}
-    unknown = set(model) - known
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+    only_keys(model, {"kinetic", "potential", "coupling_pos", "coupling_mom"}, "model")
     kinetic = function_from_json(model.get("kinetic"), "kinetic")
     potential = function_from_json(model.get("potential"), "potential")
     if kinetic is None or potential is None:

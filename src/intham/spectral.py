@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,10 @@ TWO_PI = 2.0 * math.pi
 #: entries are reported at this value and flagged as boundary cases.
 BOUNDARY_PHASE = math.nextafter(math.pi, 0.0)
 
+
+#: Bound on the exp(-n/radius) tail that :meth:`TruncationConfig.for_radius`
+#: leaves out of the operator series, below double precision.
+TAIL = 1e-18
 
 #: Largest damping radius :meth:`TruncationConfig.for_radius` accepts.  The
 #: operator check sums about 41 terms per unit of radius, each one pass over
@@ -65,13 +69,13 @@ class TruncationConfig:
             raise ValueError("need at least one term")
 
     @classmethod
-    def for_radius(cls, radius, tail: float = 1e-18) -> "TruncationConfig":
-        """The term count that leaves a tail below ``tail``: about 41 terms
+    def for_radius(cls, radius) -> "TruncationConfig":
+        """The term count that leaves a tail below :data:`TAIL`: about 41 terms
         per unit of radius, so ``radius`` may not exceed :data:`MAX_RADIUS`."""
         radius = float(radius)
         if radius > MAX_RADIUS:
             raise ValueError(f"radius {radius:g} exceeds the cap {MAX_RADIUS}")
-        terms = max(1, math.ceil(-radius * math.log(tail)))
+        terms = max(1, math.ceil(-radius * math.log(TAIL)))
         return cls(radius, terms)
 
 
@@ -111,31 +115,21 @@ class ShellPermutation:
         return len(self.basis)
 
     @classmethod
-    def from_step(
-        cls,
-        step: Callable,
-        shell: Sequence,
-        energy: int,
-        key: Optional[Callable[[object], Hashable]] = None,
-    ) -> "ShellPermutation":
+    def from_step(cls, step: Callable, shell: Sequence, energy: int) -> "ShellPermutation":
         """Tabulate one application of ``step`` over ``shell``.
 
-        ``key`` extracts the identity of a state (default: the state itself);
-        use it to ignore bookkeeping fields such as a time counter.  Raises
-        :class:`ShellNotClosed` if any image falls outside the shell, which
-        signals that the shell list is incomplete or a window is truncating
-        the dynamics.
+        Raises :class:`ShellNotClosed` if any image falls outside the shell,
+        which signals that the shell list is incomplete or a window is
+        truncating the dynamics.
         """
-        if key is None:
-            key = lambda s: s
         basis = tuple(shell)
-        index = {key(s): j for j, s in enumerate(basis)}
+        index = {s: j for j, s in enumerate(basis)}
         if len(index) != len(basis):
             raise ValueError("shell contains duplicate states")
         mapping = []
         for s in basis:
             image = step(s)
-            j = index.get(key(image))
+            j = index.get(image)
             if j is None:
                 raise ShellNotClosed(
                     f"step leaves the shell of size {len(basis)}",

@@ -381,6 +381,18 @@ class TestFailureModes:
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [MAX_WINDOW - 5, MAX_WINDOW]}}}, "'window'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "window": [-MAX_WINDOW, 5 - MAX_WINDOW]}}}, "'window'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "window": [1 - MAX_WINDOW, 1]}}}, "'window'"),
+            ({**LIGHTCONE, "field": {"sizes": [4.7], "stiffness": 1}}, "'sizes'"),
+            ({**LIGHTCONE, "field": {"sizes": "44", "stiffness": "1/2"}}, "'sizes'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "components": 1.9}}, "'components'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "components": True}}, "'components'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "phi_window": [-3.9, 3.9]}}, "'phi_window'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "phi_window": "09"}}, "'phi_window'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "p_window": [False, True]}}, "'p_window'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "components": 2, "masses": "12"}}, "'masses'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {**TABLE_ABS5["table"], "lo": True}}}}, "'lo'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": [True, False, True]}}}}, "'values'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [False, True]}}}, "'window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {**TABLE_ABS5["table"], "hi": 5}}}}, "'hi'"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

@@ -292,6 +292,14 @@ def test_stop_ends_the_walk_at_the_image(seed, image):
         assert record == (full_record[: touches[-1][0] + 1] if closed else full_record)
 
 
+def test_a_start_off_the_level_fails_instead_of_cycling():
+    # The crossing that starts the r^2 = 25 circle of the bowl through (5, 0)
+    # is no crossing of the 26 level, so that walk can never close.
+    start = reference_start(bowl, 5, 0, 25)
+    with pytest.raises(RuntimeError, match=r"level 26\+eps from crossing \(5, 0, 2\)"):
+        _walk_component(bowl, 26, start, [])
+
+
 def test_escape_after_the_image_still_raises():
     # |q| + |p| = 4 flows clockwise from (4, 0) through (3, -1), its image in
     # a full window; cutting the momentum window at -2 lets the contour leave

@@ -419,6 +419,23 @@ class TestJson:
         assert spec.masses == (Fraction(1, 2), Fraction(1))
         assert spec.phi_windows == ((-10, 10), (-10, 10))
 
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            ({"sizes": [4.7]}, "'sizes'"),
+            ({"sizes": "44"}, "'sizes'"),
+            ({"sizes": [4], "components": 1.9}, "'components'"),
+            ({"sizes": [4], "components": True}, "'components'"),
+            ({"sizes": [4], "phi_window": [-3.9, 3.9]}, "'phi_window'"),
+            ({"sizes": [4], "phi_window": "09"}, "'phi_window'"),
+            ({"sizes": [4], "p_window": [False, True]}, "'p_window'"),
+            ({"sizes": [4], "components": 2, "masses": "12"}, "'masses'"),
+        ],
+    )
+    def test_spec_entries_are_honoured_or_named(self, obj, named):
+        with pytest.raises(ConfigError, match=named):
+            spec_from_json(obj)
+
     def test_spec_without_sizes_rejected(self):
         with pytest.raises(ConfigError):
             spec_from_json({"components": 1})

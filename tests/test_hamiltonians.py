@@ -225,9 +225,23 @@ class TestJsonModels:
             ({"family": "power", "exponnet": 3, "window": [-2, 2]}, "exponnet"),
             ({"family": "power", "exponent": 2, "window": [-2, 2], "lo": 0}, "lo"),
             ({"table": {"lo": 0, "values": [0]}, "window": [0, 0]}, "window"),
+            ({"table": {"lo": 0, "values": [0], "hi": 0}}, "hi"),
         ],
     )
     def test_unknown_entry_keys_are_named(self, entry, named):
+        with pytest.raises(ConfigError, match=named):
+            function_from_json(entry, "potential")
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"table": {"lo": True, "values": [0, 1]}}, "'lo'"),
+            ({"table": {"lo": 0, "values": [True, False, True]}}, "'values'"),
+            ({"family": "power", "window": [False, True]}, "'window'"),
+            ({"family": "power", "window": [[-1], [1]]}, "'window'"),
+        ],
+    )
+    def test_integer_entries_are_named(self, entry, named):
         with pytest.raises(ConfigError, match=named):
             function_from_json(entry, "potential")
 

@@ -28,3 +28,22 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_json_decoders_read_integers_through_one_rule():
+    # ``int()`` truncates 3.9 and reads "44" as 44; ``operator.index`` and
+    # ``isinstance(v, int)`` admit true and false.  Every ``*_from_json``
+    # decoder leaves integers to ``hamiltonians.integers`` and ``read_key``.
+    found = []
+    for path in sorted(Path(intham.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.endswith("_from_json")):
+                continue
+            for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+                name = ast.unparse(call.func)
+                admits_int = name == "isinstance" and len(call.args) == 2 and any(
+                    isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(call.args[1])
+                )
+                if name in ("int", "operator.index") or admits_int:
+                    found.append(f"{path.name}:{call.lineno} {fn.name} calls {ast.unparse(call)}")
+    assert found == []
