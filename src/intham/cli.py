@@ -66,7 +66,7 @@ def _load_models(cfg: dict):
 
 
 def _load_start(cfg: dict, pairs: int) -> PhaseState:
-    start = integers(read_key(cfg, "start", kind=list), "start")
+    start = integers(read_key(cfg, "start", kind=list), "start", nested=True)
     if pairs == 1 and len(start) == 2 and not isinstance(start[0], list):
         start = [start]
     if len(start) != pairs or not all(
@@ -201,8 +201,6 @@ def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     kinetic = _census_family(section, "kinetic")
     potential = _census_family(section, "potential")
     energies = integers(read_key(section, "energies", kind=list), "energies")
-    if list in map(type, energies):
-        raise ConfigError(f"'energies' must be a flat list, got {energies!r}")
     if len(energies) == 2 and energies[1] > energies[0] + 1:
         energies = range(energies[0], energies[1] + 1)
     try:

@@ -15,12 +15,12 @@ can carry a change along a whole line of constant ``sum(x)``, so the L1
 radius has no such bound and the sweep order is fixed.
 
 The sweep is one integer kernel over one flat Python list of field values
-and momenta.  A step reads the arrays once, checks every value against its
-component's windows, and writes them back once at the end.  Per-spec
-neighbour tables, built on the first sweep, give each site's flat index,
-those of its forward neighbours, and per component the ``itemgetter``s that
-gather the raw values a sub-update reads and the flat positions its
-restriction reads.  A memo on the
+and momenta.  Once per step it reads both arrays with one ``tolist``, checks
+them against the windows with one min and max, and writes one read-only int64
+array at the end.  Per-spec tables, built on the first sweep, give each
+site's flat index, those of its forward neighbours, per component the
+``itemgetter``s that gather the raw values a sub-update reads and the flat
+positions its restriction reads, and the four sweep orders.  A memo on the
 spec is keyed on those values (a massless component's relative to its value
 at the site) and serves a repeated neighbourhood with one lookup: no table,
 no walk, no arithmetic beyond the shift.  A miss reads, in one pass, one
@@ -505,65 +505,74 @@ def restricted_hamiltonian(
     )
 
 
+def _plan(spec: FieldHamiltonianSpec) -> tuple:
+    """``(orders, lo, hi)``, built once from :func:`_neighbours` and kept on
+    the spec: ``orders[inverse][parity]`` is that half sweep (see
+    :func:`_order`), and every window holds ``[lo, hi]``."""
+    try:
+        return spec._plan
+    except AttributeError:
+        orders = tuple(tuple(_order(c, inverse) for c in _neighbours(spec)[1]) for inverse in (False, True))
+        windows = spec.phi_windows + spec.p_windows
+        object.__setattr__(spec, "_plan", (orders, max(w[0] for w in windows), min(w[1] for w in windows)))
+        return spec._plan
+
+
+def _order(entries: Sequence[tuple], inverse: bool) -> list:
+    """One ``(entry, k, own, rest, qi, pi, massless)`` per sub-update over
+    ``entries``, components ascending.  ``inverse`` replays them in reverse,
+    site order included, which keeps inversion exact where shared floors couple
+    equal-parity diagonal neighbours (in one dimension same-class updates commute)."""
+    if inverse:
+        return [(e, *g) for e in reversed(entries) for g in reversed(e[2])]
+    return [(e, *g) for e in entries for g in e[2]]
+
+
 def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
     """The state's field values and momenta as one flat list (see
-    :func:`_neighbours`), after checking every value against its
-    component's window."""
+    :func:`_neighbours`), after one min and max over both arrays; only a value
+    outside ``[lo, hi]`` of :func:`_plan` runs the per-window scan."""
     _check_state(state, spec)
-    phi = state.phi.ravel().tolist()
-    mom = state.mom.ravel().tolist()
+    both = np.concatenate((state.phi, state.mom), axis=None)
+    vals, (_, lo, hi) = both.tolist(), _plan(spec)
+    if lo <= both.min() and both.max() <= hi:
+        return vals
     entries = _neighbours(spec)[0]
     n = len(entries)
     for k in range(spec.components):
-        for name, values, (lo, hi) in (
-            ("field", phi, spec.phi_windows[k]),
-            ("momentum", mom, spec.p_windows[k]),
+        for name, start, (lo, hi) in (
+            ("field", k * n, spec.phi_windows[k]),
+            ("momentum", (spec.components + k) * n, spec.p_windows[k]),
         ):
-            row = values[k * n:(k + 1) * n]
-            if lo <= min(row) and max(row) <= hi:
-                continue
-            i = next(i for i, v in enumerate(row) if not lo <= v <= hi)
-            x = entries[i][0]
-            exc = WindowExceeded(
-                f"{name} value {row[i]} of component {k} at site {x} "
-                f"outside window [{lo}, {hi}]",
-                argument=row[i],
-            )
-            exc.field_site = (x, k)
-            raise exc
-    return phi + mom
+            for i, v in enumerate(vals[start:start + n]):
+                if not lo <= v <= hi:
+                    x = entries[i][0]
+                    exc = WindowExceeded(
+                        f"{name} value {v} of component {k} at site {x} outside window [{lo}, {hi}]",
+                        argument=v,
+                    )
+                    exc.field_site = (x, k)
+                    raise exc
+    return vals
 
 
 def _unflat(spec: FieldHamiltonianSpec, vals: list, time: int) -> FieldState:
-    phi, mom = np.reshape(vals, (2, spec.components, *spec.shape.sizes))
-    return FieldState(phi, mom, time)
+    """A state viewing one fresh int64 array, read-only so no view can write."""
+    both = np.fromiter(vals, np.int64, len(vals))
+    both.setflags(write=False)
+    state = object.__new__(FieldState)
+    state.phi, state.mom = both.reshape(2, spec.components, *spec.shape.sizes)
+    state.time = time
+    return state
 
 
-def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_order=None):
-    """One half sweep over the flat list ``vals``, in place.
+def _sweep(state: FieldState, vals: list, spec, order: list, inverse: bool):
+    """One half sweep of ``order`` (see :func:`_order`) over ``vals``, in place.
 
     ``state`` only carries the shape to :func:`restricted_hamiltonian`, which
     a miss calls with the pair's terms already read from the list.
     """
-    entries, classes = _neighbours(spec)
-    sites = classes[parity]
-    if site_order is not None:
-        site_order = [tuple(x) for x in site_order]
-        if sorted(site_order) != [e[0] for e in sites]:
-            raise ValueError("site_order must enumerate the parity class exactly")
-        by_site = {e[0]: e for e in sites}
-        sites = [by_site[x] for x in site_order]
-    if inverse:
-        # Exact inversion replays every sub-update in reverse, including the
-        # site order.  In one dimension each density couples one even and one
-        # odd site, so same-class updates commute and the order is moot; in
-        # higher dimensions the shared floors can couple diagonal neighbors
-        # of equal parity, and only the reversed order is guaranteed exact.
-        sites = [(e, e[2][::-1]) for e in reversed(sites)]
-    else:
-        sites = [(e, e[2]) for e in sites]
     mover = prev_site if inverse else next_site
-    windows = spec.phi_windows
 
     # The local rule is memoized on the spec, keyed on the raw values a
     # sub-update reads (gathered by the site's itemgetters): the pair's
@@ -591,43 +600,42 @@ def _sweep(state: FieldState, vals: list, spec, parity, inverse: bool, site_orde
     memo = spec._memo
     get = memo.get
     single = spec.components == 1  # then ``rest`` is the momentum alone
-    for entry, gathers in sites:
-        for k, own, rest, qi, pi, massless in gathers:
-            r, o = rest(vals), own(vals)
+    for entry, k, own, rest, qi, pi, massless in order:
+        r, o = rest(vals), own(vals)
+        if massless:
+            shift = vals[qi]
+            key = (inverse, k, r, *map(shift.__rsub__, o))
+        else:
+            shift = 0
+            key = (inverse, k, r, *o)
+        hit = get(key)
+        if hit is not None and hit[2] <= shift <= hit[3]:
+            vals[qi] = hit[0] + shift
+            vals[pi] = hit[1]
+            continue
+        q, p = vals[qi], vals[pi]
+        band: list = []
+        terms = _local_terms(spec, vals, entry, k)
+        ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
+        try:
+            q2, p2 = mover(ham, q, p, _closed=bool(band))
+        except IntHamError as exc:
+            exc.field_site = (entry[0], k)
+            raise
+        vals[qi] = q2
+        vals[pi] = p2
+        if band:
+            (lo, hi), (qlo, qhi) = band[0], spec.phi_windows[k]
+            memo[key] = (q2 - shift, p2, qlo - lo + shift, qhi - hi + shift)
+            r = p2 if single else (p2, *r[1:])
             if massless:
-                shift = vals[qi]
-                key = (inverse, k, r, *map(shift.__rsub__, o))
+                mirror = (not inverse, k, r, *map(q2.__rsub__, o))
+                shift = q2
             else:
-                shift = 0
-                key = (inverse, k, r, *o)
-            hit = get(key)
-            if hit is not None and hit[2] <= shift <= hit[3]:
-                vals[qi] = hit[0] + shift
-                vals[pi] = hit[1]
-                continue
-            q, p = vals[qi], vals[pi]
-            band: list = []
-            terms = _local_terms(spec, vals, entry, k)
-            ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
-            try:
-                q2, p2 = mover(ham, q, p, _closed=bool(band))
-            except IntHamError as exc:
-                exc.field_site = (entry[0], k)
-                raise
-            vals[qi] = q2
-            vals[pi] = p2
-            if band:
-                (lo, hi), (qlo, qhi) = band[0], windows[k]
-                memo[key] = (q2 - shift, p2, qlo - lo + shift, qhi - hi + shift)
-                r = p2 if single else (p2, *r[1:])
-                if massless:
-                    mirror = (not inverse, k, r, *map(q2.__rsub__, o))
-                    shift = q2
-                else:
-                    mirror = (not inverse, k, r, q2, *o[1:])
-                memo[mirror] = (q - shift, p, qlo - lo + shift, qhi - hi + shift)
-                while len(memo) > _MEMO_CAP:
-                    memo.popitem(last=False)
+                mirror = (not inverse, k, r, q2, *o[1:])
+            memo[mirror] = (q - shift, p, qlo - lo + shift, qhi - hi + shift)
+            while len(memo) > _MEMO_CAP:
+                memo.popitem(last=False)
 
 
 def step_parity(
@@ -639,7 +647,14 @@ def step_parity(
 ) -> FieldState:
     """Apply one checkerboard half-sweep to the given parity class."""
     vals = _flat(state, spec)
-    _sweep(state, vals, spec, parity, inverse, site_order)
+    order = _plan(spec)[0][bool(inverse)][parity]
+    if site_order is not None:
+        by_site = {e[0]: e for e in _neighbours(spec)[1][parity]}
+        site_order = [tuple(x) for x in site_order]
+        if sorted(site_order) != sorted(by_site):
+            raise ValueError("site_order must enumerate the parity class exactly")
+        order = _order([by_site[x] for x in site_order], inverse)
+    _sweep(state, vals, spec, order, inverse)
     return _unflat(spec, vals, state.time)
 
 
@@ -652,16 +667,16 @@ def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     :class:`FieldHamiltonianSpec`).
     """
     vals = _flat(state, spec)
-    _sweep(state, vals, spec, 0, False)
-    _sweep(state, vals, spec, 1, False)
+    for order in _plan(spec)[0][False]:
+        _sweep(state, vals, spec, order, False)
     return _unflat(spec, vals, state.time + 1)
 
 
 def step_inverse(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     """Undo one full step: odd class, then even class, components descending."""
     vals = _flat(state, spec)
-    _sweep(state, vals, spec, 1, True)
-    _sweep(state, vals, spec, 0, True)
+    for order in _plan(spec)[0][True][::-1]:
+        _sweep(state, vals, spec, order, True)
     return _unflat(spec, vals, state.time - 1)
 
 
@@ -803,10 +818,10 @@ def state_to_json(state: FieldState) -> dict:
 
 
 def state_from_json(obj: dict) -> FieldState:
-    phi, mom = (integers(read_key(obj, key), key) for key in ("phi", "mom"))
+    phi, mom = (integers(read_key(obj, key), key, nested=True) for key in ("phi", "mom"))
     return FieldState(phi, mom, read_key(obj, "time", 0, int))
 
 
 def layers_from_json(obj: dict) -> MargolusFieldState:
     """The two-layer state of ``{"older": ..., "newer": ...}``."""
-    return MargolusFieldState(*(integers(read_key(obj, key), key) for key in ("older", "newer")))
+    return MargolusFieldState(*(integers(read_key(obj, key), key, nested=True) for key in ("older", "newer")))

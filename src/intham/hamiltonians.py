@@ -261,16 +261,16 @@ def only_keys(obj, keys: set, where: str) -> dict:
     return obj
 
 
-def integers(value, key: str):
-    """``value`` itself, checked to be a JSON integer or a list of them,
-    nested to any depth.  A float, a bool, a string or any other entry is a
-    ConfigError that names ``key``: never truncated, never read as 0 or 1."""
-    if type(value) is list:
-        for entry in value:
-            if type(entry) is not int:
-                integers(entry, key)
-    elif type(value) is not int:
-        raise ConfigError(f"'{key}' entries must be integers, got {value!r}")
+def integers(value, key: str, nested: bool = False):
+    """``value`` itself, checked to be a JSON integer or a flat list of them
+    (with ``nested``, lists nested to any depth).  A float, a bool, a string,
+    a list where only integers belong or any other entry is a ConfigError
+    that names ``key``: never truncated, never read as 0 or 1."""
+    for entry in value if type(value) is list else (value,):
+        if nested and type(entry) is list:
+            integers(entry, key, nested)
+        elif type(entry) is not int:
+            raise ConfigError(f"'{key}' entries must be integers, got {entry!r}")
     return value
 
 
@@ -308,13 +308,14 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
     if isinstance(entry, dict) and "table" in entry:
         table = read_key(only_keys(entry, {"table"}, "model entry"), "table", keys={"lo", "values"})
         values = integers(read_key(table, "values", kind=list), "values")
+        if not values:
+            raise ConfigError("'values' needs at least one entry")
         return IntegerFunction1D(read_key(table, "lo", kind=int), tuple(values))
     only_keys(entry, {"family", "exponent", "scale", "mass", "window"}, "model entry")
     if entry.get("family") == "power":
         window = integers(read_key(entry, "window", kind=list), "window")
         if (
             len(window) != 2
-            or list in map(type, window)
             or not -MAX_WINDOW < window[0] <= window[1] < MAX_WINDOW
             or window[1] - window[0] >= MAX_WINDOW
         ):

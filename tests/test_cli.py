@@ -393,6 +393,11 @@ class TestFailureModes:
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": [True, False, True]}}}}, "'values'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "window": [False, True]}}}, "'window'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {**TABLE_ABS5["table"], "hi": 5}}}}, "'hi'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "sizes": [[8]]}}, "'sizes'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "phi_window": [[1], [2]]}}, "'phi_window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": [[1], [0], [1]]}}}}, "'values'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": []}}}}, "'values'"),
+            ({**CENSUS, "census": {**CENSUS["census"], "energies": [[4], 5]}}, "'energies'"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

@@ -430,6 +430,9 @@ class TestJson:
             ({"sizes": [4], "phi_window": "09"}, "'phi_window'"),
             ({"sizes": [4], "p_window": [False, True]}, "'p_window'"),
             ({"sizes": [4], "components": 2, "masses": "12"}, "'masses'"),
+            ({"sizes": [[4]]}, "'sizes'"),
+            ({"sizes": [4], "phi_window": [[1], [2]]}, "'phi_window'"),
+            ({"sizes": [4], "p_window": [-2, [2]]}, "'p_window'"),
         ],
     )
     def test_spec_entries_are_honoured_or_named(self, obj, named):
@@ -457,6 +460,12 @@ class TestJson:
     def test_state_entries_must_be_integers(self, obj, named):
         with pytest.raises(ConfigError, match=named):
             state_from_json(obj)
+
+    def test_nested_state_arrays_stay_accepted(self):
+        state = state_from_json({"phi": [[[1, 2], [3, 4]]], "mom": [[[0, 0], [0, -1]]], "time": 3})
+        assert state.phi.tolist() == [[[1, 2], [3, 4]]] and state.mom.shape == (1, 2, 2)
+        with pytest.raises(ConfigError, match="'phi'"):
+            state_from_json({"phi": [[[1, 2], [3, 4.0]]], "mom": [[[0, 0], [0, 0]]]})
 
     def test_layer_entries_must_be_integers(self):
         with pytest.raises(ConfigError, match="newer"):
@@ -1090,3 +1099,129 @@ class TestHigherDimensions:
                 radii.append(diagonal_radius(shape, origin, diff_sites(a, b)))
         assert all(r <= n for n, r in enumerate(radii, start=1))
         assert radii[-1] > 0
+
+
+# -- what a step reads and writes once per op ------------------------------------
+
+
+def parent_construction(state, spec, time):
+    """The stepped values as the public constructor builds them from one flat
+    list: ``FieldState(np.reshape(vals, ...))``."""
+    vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+    phi, mom = np.reshape(vals, (2, spec.components, *spec.shape.sizes))
+    return FieldState(phi, mom, time)
+
+
+class TestStepOutput:
+    @given(
+        case=st.sampled_from([
+            (LINE8, (Fraction(0),)),
+            (LINE8, (Fraction(1, 2),)),
+            (GRID44, (Fraction(0),)),
+            (GRID44, (Fraction(0), Fraction(1, 2))),
+            (GRID44, (Fraction(1), Fraction(2, 3))),
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+        time=st.integers(-5, 5),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_steps_return_fresh_read_only_int64_states(self, case, seed, time):
+        shape, masses = case
+        rng = random.Random(seed)
+        spec = kernel_spec(shape, masses, (-40, 40))
+        sizes = (len(masses), *shape.sizes)
+        phi0 = np.array([rng.randint(-3, 3) for _ in range(int(np.prod(sizes)))]).reshape(sizes)
+        mom0 = np.array([rng.randint(-3, 3) for _ in range(int(np.prod(sizes)))]).reshape(sizes)
+        state = FieldState(phi0, mom0, time)
+        parity = rng.randrange(2)
+        order = [x for x in shape.sites() if shape.parity(x) == parity]
+        rng.shuffle(order)
+        cases = [
+            (step(state, spec), reference_step(state, spec), time + 1),
+            (step_inverse(state, spec), reference_step_inverse(state, spec), time - 1),
+        ]
+        for inverse in (False, True):
+            cases.append((
+                step_parity(state, spec, parity, inverse),
+                reference_sweeps(state, spec, (parity,), inverse),
+                time,
+            ))
+            cases.append((
+                step_parity(state, spec, parity, inverse, site_order=order),
+                reference_sweeps(state, spec, (parity,), inverse, order),
+                time,
+            ))
+        snapshots = [(got.phi.copy(), got.mom.copy()) for got, _, _ in cases]
+        phi0 += 7
+        mom0 -= 7
+        for (got, reference, t), (phi, mom) in zip(cases, snapshots):
+            assert states_equal(got, parent_construction(reference, spec, t))
+            assert type(got.time) is int and got.time == t
+            for array, before in ((got.phi, phi), (got.mom, mom)):
+                assert array.dtype == np.int64 and array.shape == sizes
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 1
+                with pytest.raises(ValueError):
+                    array.setflags(write=True)
+                assert not np.shares_memory(array, state.phi) and not np.shares_memory(array, state.mom)
+                assert np.array_equal(array, before)  # the sources moved, the result did not
+
+    def test_windows_wider_than_int64_round_trip_exactly(self):
+        huge = (-(2**70), 2**70)
+        spec = FieldHamiltonianSpec.uniform(LINE16, phi_window=huge, p_window=huge)
+        narrow = FieldHamiltonianSpec.uniform(LINE16, phi_window=(-64, 64), p_window=(-64, 64))
+        start = random_state(spec, random.Random(70), -3, 3)
+        state = start
+        for _ in range(6):
+            state, expected = step(state, spec), step(state, narrow)
+            assert states_equal(state, expected)
+            assert state.phi.dtype == np.int64
+        assert not states_equal(state, start, include_time=False)
+        for _ in range(6):
+            state = step_inverse(state, spec)
+        assert states_equal(state, start)
+
+    def test_a_narrow_window_beside_a_wide_one_is_still_named(self):
+        # Component 0's windows are wider than int64; component 1's are the
+        # narrow ones of TestEntryValidation.  A value outside the window of
+        # component 1 still raises the pinned message and field_site, and one
+        # outside component 1's windows but inside component 0's is stepped.
+        huge = (-(2**70), 2**70)
+        spec = FieldHamiltonianSpec(
+            GRID44, 2, (Fraction(0), Fraction(1, 2)), Fraction(1, 2), (huge, (-6, 6)), (huge, (-7, 7)),
+        )
+        state = random_state(spec, random.Random(4), -2, 2)
+        phi = state.phi.copy()
+        phi[(1, 3, 0)] = -7
+        for stepper in (step, step_inverse):
+            with pytest.raises(WindowExceeded) as err:
+                stepper(FieldState(phi, state.mom), spec)
+            assert str(err.value) == "field value -7 of component 1 at site (3, 0) outside window [-6, 6]"
+            assert err.value.field_site == ((3, 0), 1)
+            assert err.value.argument == -7
+        phi = state.phi.copy()
+        phi[(0, 3, 0)] = 9  # outside every window of component 1, inside component 0's
+        wide = FieldState(phi, state.mom)
+        for stepper, reference in ((step, reference_step), (step_inverse, reference_step_inverse)):
+            assert outcome(stepper, wide, spec) == outcome(reference, wide, spec)
+
+    def test_steps_reuse_the_orders_built_once_per_spec(self):
+        spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
+        state = step(random_state(spec, random.Random(5), -3, 3), spec)
+        plan = spec._plan
+        orders = [order for pair in plan[0] for order in pair]
+        classes = fields._neighbours(spec)[1]
+        for parity in (0, 1):  # built from the cached neighbour tables, not copies
+            first = classes[parity][0]
+            assert plan[0][False][parity][0] == (first, *first[2][0]) and plan[0][False][parity][0][0] is first
+            assert plan[0][True][parity][-1] == (first, *first[2][0]) and plan[0][True][parity][-1][0] is first
+        for stepper in (step, step_inverse, lambda s, sp: step_parity(s, sp, 1, True)):
+            state = stepper(state, spec)
+            assert spec._plan is plan and fields._plan(spec) is plan
+            assert all(a is b for a, b in zip((o for pair in spec._plan[0] for o in pair), orders, strict=True))
+        evens = [x for x in GRID44.sites() if GRID44.parity(x) == 0]
+        for order in (evens[1:], evens[1:] + [evens[1]], evens[1:] + [(0, 1)], evens + [(0, 0)]):
+            with pytest.raises(ValueError):
+                step_parity(state, spec, 0, site_order=order)
+        assert spec._plan is plan

@@ -239,6 +239,8 @@ class TestJsonModels:
             ({"table": {"lo": 0, "values": [True, False, True]}}, "'values'"),
             ({"family": "power", "window": [False, True]}, "'window'"),
             ({"family": "power", "window": [[-1], [1]]}, "'window'"),
+            ({"table": {"lo": 0, "values": [[1], [0], [1]]}}, "'values'"),
+            ({"table": {"lo": 0, "values": []}}, "'values'"),
         ],
     )
     def test_integer_entries_are_named(self, entry, named):
