@@ -233,8 +233,8 @@ def _random_layers(cfg: dict, rng: random.Random, shape):
     (default ``[-3, 3]``), drawn one after the other."""
     spread = read_key(cfg, "random", {}, keys={"lo", "hi"})
     lo, hi = read_key(spread, "lo", -3, int), read_key(spread, "hi", 3, int)
-    if lo > hi:
-        raise ConfigError(f"'random' needs lo <= hi, got [{lo}, {hi}]")
+    if not -(2**63) <= lo <= hi < 2**63:
+        raise ConfigError(f"'random' needs lo <= hi, both in int64, got [{lo}, {hi}]")
     size = int(np.prod(shape))
     return tuple(
         np.array([rng.randint(lo, hi) for _ in range(size)], dtype=np.int64).reshape(shape)

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .contours import next_site, prev_site
-from .errors import IntHamError, WindowExceeded
+from .errors import ConfigError, IntHamError, WindowExceeded
 from .hamiltonians import (
     IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, integers, only_keys, read_key
 )
@@ -537,28 +537,47 @@ def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
     vals, (_, lo, hi) = both.tolist(), _plan(spec)
     if lo <= both.min() and both.max() <= hi:
         return vals
+    exc = _outside(spec, vals, (spec.phi_windows, spec.p_windows), "window")
+    if exc is not None:
+        raise exc
+    return vals
+
+
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+def _outside(spec: FieldHamiltonianSpec, vals: list, windows, label: str) -> Optional[WindowExceeded]:
+    """The error naming the first value of the flat list ``vals`` outside its
+    component's ``windows`` (field windows, momentum windows), with
+    ``field_site`` set; None when every value lies inside."""
     entries = _neighbours(spec)[0]
     n = len(entries)
     for k in range(spec.components):
         for name, start, (lo, hi) in (
-            ("field", k * n, spec.phi_windows[k]),
-            ("momentum", (spec.components + k) * n, spec.p_windows[k]),
+            ("field", k * n, windows[0][k]),
+            ("momentum", (spec.components + k) * n, windows[1][k]),
         ):
             for i, v in enumerate(vals[start:start + n]):
                 if not lo <= v <= hi:
                     x = entries[i][0]
                     exc = WindowExceeded(
-                        f"{name} value {v} of component {k} at site {x} outside window [{lo}, {hi}]",
+                        f"{name} value {v} of component {k} at site {x} outside {label} [{lo}, {hi}]",
                         argument=v,
                     )
                     exc.field_site = (x, k)
-                    raise exc
-    return vals
+                    return exc
+    return None
 
 
 def _unflat(spec: FieldHamiltonianSpec, vals: list, time: int) -> FieldState:
-    """A state viewing one fresh int64 array, read-only so no view can write."""
-    both = np.fromiter(vals, np.int64, len(vals))
+    """A state viewing one fresh int64 array, read-only so no view can write.
+
+    A value past int64, which only windows wider than int64 let a step reach,
+    raises ``WindowExceeded`` naming its site, component and kind."""
+    try:
+        both = np.fromiter(vals, np.int64, len(vals))
+    except OverflowError:
+        raise _outside(spec, vals, ((_INT64,) * spec.components,) * 2, "int64") from None
     both.setflags(write=False)
     state = object.__new__(FieldState)
     state.phi, state.mom = both.reshape(2, spec.components, *spec.shape.sizes)
@@ -818,8 +837,14 @@ def state_to_json(state: FieldState) -> dict:
 
 
 def state_from_json(obj: dict) -> FieldState:
-    phi, mom = (integers(read_key(obj, key), key, nested=True) for key in ("phi", "mom"))
-    return FieldState(phi, mom, read_key(obj, "time", 0, int))
+    arrays = []
+    for key in ("phi", "mom"):
+        value = integers(read_key(obj, key), key, nested=True)
+        try:
+            arrays.append(np.array(value, dtype=np.int64))
+        except OverflowError:
+            raise ConfigError(f"'{key}' entries must lie in int64 [{_INT64[0]}, {_INT64[1]}]") from None
+    return FieldState(*arrays, read_key(obj, "time", 0, int))
 
 
 def layers_from_json(obj: dict) -> MargolusFieldState:

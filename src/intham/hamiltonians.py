@@ -16,12 +16,12 @@ from typing import Callable, Optional
 from .errors import ConfigError, WindowExceeded
 
 #: Most entries a power-family ``window`` may hold, and the bound on its ends' distance
-#: from 0: an entry of 37/13 costs 10 us near 0, 24 us near 2**18; a table about 3 s.
+#: from 0: an entry of 37/13 costs about 2 us near 0, 3 us near 2**18; a table under 1 s.
 MAX_WINDOW = 2**18
 #: Largest numerator + denominator of a power-family ``exponent`` in lowest
-#: terms.  An entry's cost grows with both (127 us at 401/3); within the cap
-#: the costliest exponents (29/14, 33/16) cost within 1.2x of 37/13, so a
-#: ``MAX_WINDOW`` table stays at about 3 s.
+#: terms.  An entry's cost grows with both (about 120 us at 401/3, whose
+#: radicands pass 2**1000); within the cap the costliest exponents (29/14,
+#: 33/16) cost within 1.1x of 37/13, so a ``MAX_WINDOW`` table stays under 1 s.
 MAX_EXPONENT_TERMS = 50
 
 
@@ -77,7 +77,20 @@ class IntegerFunction1D:
 
 
 def _floor_nth_root(n: int, v: int) -> int:
-    """Largest integer k with k**v <= n (n >= 0)."""
+    """Largest integer k with k**v <= n (n >= 0).
+
+    For ``v >= 3`` an integer Newton iteration runs from a seed at least
+    ``floor(r)``, ``r = n**(1/v)``; from there its iterates decrease strictly
+    until they reach ``floor(r)``, where the next one is not smaller.  Below
+    2**1000 the seed is ``int(float(n) ** (1/v) * (1 + 2**-30))``.
+    ``float(n)`` and ``1/v`` are each within a factor ``1 ± 2**-53`` of exact,
+    which moves the power off ``r`` by a factor of at most
+    ``exp((1/v)·2**-53·(ln n + 1))``, and ``ln n < 694`` keeps that below
+    ``1 + 2**-45``.  So a power within a few ulps of its exact value stays
+    above ``r·(1 - 2**-44)``, the factor ``1 + 2**-30`` lifts the product past
+    ``r``, and its ``int`` is at least ``floor(r) >= 1``.  From 2**1000 on,
+    where ``float(n)`` nears overflow, the seed is ``2**ceil(bits/v)``.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
@@ -86,9 +99,10 @@ def _floor_nth_root(n: int, v: int) -> int:
         return n
     if v == 2:
         return math.isqrt(n)
-    # Integer Newton iteration from 2**ceil(bits/v), which is at least the
-    # root; the iterates decrease strictly until they reach the floor.
-    k = 1 << -(-n.bit_length() // v)
+    if n.bit_length() <= 1000:
+        k = int(float(n) ** (1 / v) * (1 + 2**-30))
+    else:
+        k = 1 << -(-n.bit_length() // v)
     while True:
         nxt = ((v - 1) * k + n // k ** (v - 1)) // v
         if nxt >= k:
@@ -96,17 +110,34 @@ def _floor_nth_root(n: int, v: int) -> int:
         k = nxt
 
 
+def _power_constants(scale: Fraction, exponent: Fraction) -> tuple[int, int, int, int]:
+    """``(u, v, num**v, den**v)`` for ``exponent = u/v`` and ``scale = num/den``."""
+    if exponent <= 0:
+        raise ValueError("exponent must be positive")
+    u, v = exponent.numerator, exponent.denominator
+    return u, v, scale.numerator**v, scale.denominator**v
+
+
+def _floor_powers(magnitudes, u: int, v: int, num: int, den: int) -> list[int]:
+    """``floor(scale * m**(u/v))`` for each ``m`` of ``magnitudes``, given the
+    constants of :func:`_power_constants`.  ``k <= scale * m**(u/v)`` exactly
+    when ``k**v * den <= num * m**u``, so each value is the floored ``v``-th
+    root of ``num * m**u // den``."""
+    if num == den:  # a prefactor of 1
+        radicands = (m**u for m in magnitudes)
+    else:
+        radicands = (num * m**u // den for m in magnitudes)
+    if v == 1:
+        return list(radicands)
+    root = _floor_nth_root
+    return [root(n, v) for n in radicands]
+
+
 def floor_scaled_power(scale: Fraction, magnitude: int, exponent: Fraction) -> int:
     """Exact ``floor(scale * magnitude**exponent)`` for nonneg arguments."""
     if magnitude < 0:
         raise ValueError("magnitude must be nonnegative")
-    u, v = exponent.numerator, exponent.denominator
-    if magnitude == 0:
-        return 0
-    # k <= s * m**(u/v)  <=>  k**v * s_d**v <= s_n**v * m**u
-    num = scale.numerator**v * magnitude**u
-    den = scale.denominator**v
-    return _floor_nth_root(num // den, v)
+    return _floor_powers((magnitude,), *_power_constants(scale, exponent))[0]
 
 
 @dataclass(frozen=True)
@@ -124,8 +155,6 @@ class PowerLawFamily:
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "exponent", Fraction(self.exponent))
         object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
         if self.kind == "kinetic":
             mass = Fraction(self.mass if self.mass is not None else 1)
             if mass <= 0:
@@ -134,6 +163,8 @@ class PowerLawFamily:
         else:
             if self.scale <= 0:
                 raise ValueError("scale must be positive")
+        # Every entry's integer constants, outside equality, hash and repr.
+        object.__setattr__(self, "_constants", _power_constants(self.prefactor, self.exponent))
 
     @property
     def prefactor(self) -> Fraction:
@@ -142,10 +173,18 @@ class PowerLawFamily:
         return self.scale
 
     def value(self, x: int) -> int:
-        return floor_scaled_power(self.prefactor, abs(x), self.exponent)
+        return _floor_powers((abs(x),), *self._constants)[0]
 
     def materialize(self, lo: int, hi: int) -> IntegerFunction1D:
-        return IntegerFunction1D.from_callable(self.value, lo, hi)
+        """The table on ``[lo, hi]``; each magnitude in it is evaluated once."""
+        if lo >= 0:
+            values = _floor_powers(range(lo, hi + 1), *self._constants)
+        elif hi <= 0:
+            values = _floor_powers(range(-hi, -lo + 1), *self._constants)[::-1]
+        else:
+            values = _floor_powers(range(max(-lo, hi) + 1), *self._constants)
+            values = values[-lo:0:-1] + values[: hi + 1]
+        return IntegerFunction1D._trusted(lo, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,18 @@ class Escaped(Exception):
 
 
 class FloatTracer:
-    def __init__(self, ham):
+    """With ``cache`` (the default) each closed cycle is walked once per level:
+    it is kept under ``(level, edge)`` for every edge on it, and a later walk
+    from any of those edges reads it back rotated to its start edge.  A walk
+    from another edge of a cycle crosses the same edges and cells, so its
+    touches are a rotation of the first walk's and its ambiguity is the same;
+    ``cache=False`` re-walks every site."""
+
+    def __init__(self, ham, cache=True):
         self.ham = ham
         self.level = None
         self.ambiguous = False
+        self._cycles = {} if cache else None
         qlo, qhi = ham.q_window
         plo, phi = ham.p_window
         self._qlo, self._qhi = qlo, qhi
@@ -137,18 +145,29 @@ class FloatTracer:
         start, cell = self._oriented_start(Q, P)
         if start is None:
             return []
+        cycles = self._cycles
+        if cycles is not None and (self.level, start) in cycles:
+            out, at, ambiguous = cycles[self.level, start]
+            self.ambiguous = self.ambiguous or ambiguous
+            return out[at:] + out[:at]
         out = []
+        edges = []
         edge = start
         while True:
             t = self._crossing(*edge)
             if t is None:
                 raise Escaped()
             out.append(self._touched(*edge, t))
+            edges.append(edge)
             edge2 = self._cell_exit(*cell, edge)
             cell = self._next_cell(edge2, cell)
             edge = edge2
             if edge == start:
-                return out
+                break
+        if cycles is not None:
+            for at, edge in enumerate(edges):
+                cycles[self.level, edge] = (out, at, self.ambiguous)
+        return out
 
     def _passes_through(self, Q, P):
         """True when a single contour strand runs through the site.

@@ -1,10 +1,11 @@
 """Shell-size counting, continuum periods, and the growth-exponent fit."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from intham.census import CensusReport, census, census_rows
+from intham.census import CensusReport, _window_for, census, census_rows
 from intham.errors import RegimeViolation
 from intham.hamiltonians import PowerLawFamily
 
@@ -81,6 +82,46 @@ class TestRegimeGate:
                 range(10, 50),
             )
         assert not err.value.degenerate
+
+
+def scanned_window(family, ceiling):
+    """The window margin found one |x| at a time."""
+    w = 1
+    while family.value(w) <= ceiling:
+        w += 1
+    return w + 1
+
+
+class TestWindow:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            linear_kinetic,
+            linear_potential,
+            PowerLawFamily("kinetic", Fraction(3, 2), mass=Fraction(1, 2)),
+            PowerLawFamily("potential", Fraction(1, 2), scale=Fraction(7)),
+            PowerLawFamily("potential", Fraction(2, 3)),
+            PowerLawFamily("kinetic", Fraction(37, 13), mass=Fraction(5)),
+        ],
+    )
+    @pytest.mark.parametrize("ceiling", [0, 1, 2, 7, 100, 1023, 1024, 1025])
+    def test_bisection_finds_the_window_of_the_scan(self, family, ceiling):
+        assert _window_for(family, ceiling) == scanned_window(family, ceiling)
+
+    def test_the_first_magnitude_above_the_ceiling_gives_2(self):
+        assert _window_for(linear_potential, 0) == 2
+        assert _window_for(PowerLawFamily("potential", Fraction(1, 3), scale=Fraction(9)), 8) == 2
+
+    def test_a_table_that_stays_under_the_ceiling_fails_fast(self):
+        # floor(sqrt(|x|) / 1000) is 3 at 10**7, so the scan ran to 10**7 before it raised
+        slow = PowerLawFamily("potential", Fraction(1, 2), scale=Fraction(1, 1000))
+        start = time.perf_counter()
+        with pytest.raises(RegimeViolation, match="table never exceeds the energy ceiling"):
+            census(linear_kinetic, slow, range(10, 20))
+        assert time.perf_counter() - start < 0.5
+        assert _window_for(slow, 2) == 9 * 10**6 + 1  # 3 is first reached at 9 * 10**6
+        with pytest.raises(RegimeViolation):
+            _window_for(slow, 3)  # and 4 at 1.6 * 10**7
 
 
 class TestOptions:

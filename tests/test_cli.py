@@ -328,6 +328,22 @@ class TestFailureModes:
         assert main(["run", cfg]) == 2
         assert "phi_windw" in capsys.readouterr().err
 
+    def test_field_windows_wider_than_int64_raise_no_bare_overflow(self, tmp_path, capsys):
+        huge = [-(2**70), 2**70]
+        field = {"sizes": [4], "stiffness": 1, "phi_window": huge, "p_window": huge}
+        near = {"phi": [[2**63 - 3] * 4], "mom": [[5] * 4]}
+        for config, status, named in (
+            ({"state": near, "steps": 3}, 3, '"error": "WindowExceeded",\n  "field_site"'),
+            ({"state": {**near, "phi": [[2**63] * 4]}, "steps": 1}, 2, "'phi' entries must lie in int64"),
+            ({"state": {**near, "mom": [[-(2**63) - 1] * 4]}, "steps": 1}, 2, "'mom' entries must lie in int64"),
+            ({"random": {"lo": 0, "hi": 2**63}, "steps": 1}, 2, "'random'"),
+            ({"random": {"lo": -(2**70), "hi": 0}, "steps": 1}, 2, "'random'"),
+            ({"state": near, "perturb": {"amount": 2**63}, "steps": 1}, 2, "'perturb'"),
+        ):
+            cfg = {"mode": "lightcone", "field": field, "out": str(tmp_path), **config}
+            assert main(["run", write_config(tmp_path / "c.json", cfg)]) == status
+            assert named in capsys.readouterr().err
+
     def test_run_function_rejects_negative_steps(self, tmp_path):
         with pytest.raises(ConfigError):
             run({"mode": "trajectory", "model": DIAMOND, "start": [1, 0]}, steps=-1)

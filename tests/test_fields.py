@@ -1206,6 +1206,32 @@ class TestStepOutput:
         for stepper, reference in ((step, reference_step), (step_inverse, reference_step_inverse)):
             assert outcome(stepper, wide, spec) == outcome(reference, wide, spec)
 
+    def test_values_past_int64_are_named_errors(self):
+        # Windows wider than int64 let a step carry a value past it: the step
+        # names the value's site, component and kind, and a state entry past
+        # int64 is a ConfigError naming its key.
+        huge = (-(2**70), 2**70)
+        spec = FieldHamiltonianSpec.uniform(LatticeShape((4,)), phi_window=huge, p_window=huge)
+        top = 2**63 - 1
+        for stepper, start, momentum, past in ((step, top - 2, 5, top + 1), (step_inverse, 1 - top, 5, -top - 2)):
+            state = FieldState([[start] * 4], [[momentum] * 4])
+            for _ in range(2):
+                state = stepper(state, spec)
+            with pytest.raises(WindowExceeded) as err:
+                stepper(state, spec)
+            assert str(err.value) == (
+                f"field value {past} of component 0 at site (0,) outside int64 [{-top - 1}, {top}]"
+            )
+            assert err.value.field_site == ((0,), 0)
+            assert err.value.argument == past
+        for key in ("phi", "mom"):
+            for value in (top + 1, -top - 2):
+                obj = {"phi": [[0, 0]], "mom": [[0, 0]], key: [[1, value]]}
+                with pytest.raises(ConfigError, match=f"^'{key}' entries must lie in int64"):
+                    state_from_json(obj)
+        assert states_equal(state_from_json({"phi": [[top, -top - 1]], "mom": [[0, 0]]}),
+                            FieldState([[top, -top - 1]], [[0, 0]]))
+
     def test_steps_reuse_the_orders_built_once_per_spec(self):
         spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
         state = step(random_state(spec, random.Random(5), -3, 3), spec)

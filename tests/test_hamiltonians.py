@@ -127,6 +127,82 @@ class TestPowerLawFamily:
             PowerLawFamily("kinetic", Fraction(2), mass=Fraction(-1))
 
 
+# exponents within the cap, and scales/masses with small denominators
+capped_exponents = st.builds(Fraction, st.integers(1, 49), st.integers(1, 49)).filter(
+    lambda e: e.numerator + e.denominator <= MAX_EXPONENT_TERMS
+)
+small_fractions = st.fractions(min_value="1/6", max_value=12, max_denominator=6)
+
+
+@st.composite
+def windows(draw):
+    """A window that holds 0, lies wholly below or above it, or holds one entry."""
+    form = draw(st.sampled_from(["around 0", "below 0", "above 0", "single"]))
+    if form == "single":
+        x = draw(st.integers(-5000, 5000))
+        return x, x
+    width = draw(st.integers(0, 80))
+    if form == "around 0":
+        lo = draw(st.integers(-80, 0))
+        return lo, draw(st.integers(0, 80))
+    if form == "below 0":
+        hi = draw(st.integers(-400, -1))
+        return hi - width, hi
+    lo = draw(st.integers(1, 400))
+    return lo, lo + width
+
+
+class TestPowerTables:
+    @given(st.sampled_from(["kinetic", "potential"]), capped_exponents, small_fractions, windows())
+    @settings(deadline=None)
+    def test_every_entry_is_the_scaled_power_of_its_magnitude(self, kind, exponent, factor, window):
+        fam = PowerLawFamily(kind, exponent, **{"mass" if kind == "kinetic" else "scale": factor})
+        lo, hi = window
+        table = fam.materialize(lo, hi)
+        assert table.window == (lo, hi)
+        scale, (u, v) = fam.prefactor, (exponent.numerator, exponent.denominator)
+        for x, k in zip(range(lo, hi + 1), table.values):
+            assert type(k) is int and k == fam.value(x)
+            assert k == floor_scaled_power(scale, abs(x), exponent)
+            lhs = scale.numerator**v * abs(x) ** u  # floor(scale * |x|**(u/v)) brackets it
+            assert k**v * scale.denominator**v <= lhs < (k + 1) ** v * scale.denominator**v
+
+    @given(st.one_of(st.integers(1, 1100), st.integers(990, 1010)), st.integers(3, 49), st.data())
+    def test_integer_root_brackets_both_sides_of_the_float_seed(self, bits, v, data):
+        # the float seed serves radicands up to 1000 bits, the bit-length seed beyond
+        n = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        k = _floor_nth_root(n, v)
+        assert k**v <= n < (k + 1) ** v
+
+    @given(st.integers(3, 49), st.integers(1, 1100), st.sampled_from([-1, 0, 1]), st.data())
+    def test_integer_root_at_perfect_powers_on_both_sides_of_the_float_seed(self, v, bits, delta, data):
+        base = data.draw(st.integers(2, max(2, 2 ** (bits // v))))
+        assert _floor_nth_root(base**v + delta, v) == (base - 1 if delta < 0 else base)
+
+    def test_the_float_seed_boundary_is_crossed(self):
+        for v in (3, 13, 49):
+            for bits in (999, 1000, 1001):
+                for n in (2 ** (bits - 1), 2**bits - 1):
+                    k = _floor_nth_root(n, v)
+                    assert k**v <= n < (k + 1) ** v
+
+    def test_entries_read_the_pinned_values_on_each_side_of_0(self):
+        fam = PowerLawFamily("kinetic", Fraction(3, 2), mass=Fraction(1, 3))  # floor(1.5 * |x|**1.5)
+        assert fam.materialize(-4, 3).values == (12, 7, 4, 1, 0, 1, 4, 7)
+        assert fam.materialize(-4, -2).values == (12, 7, 4)
+        assert fam.materialize(2, 4).values == (4, 7, 12)
+        assert fam.materialize(-3, -3).values == (7,)
+        with pytest.raises(ValueError):
+            fam.materialize(3, 2)
+
+    def test_constants_stay_out_of_equality_hash_and_repr(self):
+        a = PowerLawFamily("potential", Fraction(37, 13), scale=Fraction(2, 3))
+        b = PowerLawFamily("potential", Fraction(37, 13), scale=Fraction(2, 3))
+        assert a._constants == (37, 13, 2**13, 3**13)
+        assert a == b and hash(a) == hash(b)
+        assert "_constants" not in repr(a)
+
+
 class TestSeparableHamiltonian1D:
     def test_value_sums_kinetic_and_potential(self):
         ham = SeparableHamiltonian1D(halved, squares)
