@@ -233,7 +233,7 @@ def _random_layers(cfg: dict, rng: random.Random, shape):
     (default ``[-3, 3]``), drawn one after the other."""
     spread = read_key(cfg, "random", {}, keys={"lo", "hi"})
     lo, hi = read_key(spread, "lo", -3, int), read_key(spread, "hi", 3, int)
-    if not -(2**63) <= lo <= hi < 2**63:
+    if not fields.INT64[0] <= lo <= hi <= fields.INT64[1]:
         raise ConfigError(f"'random' needs lo <= hi, both in int64, got [{lo}, {hi}]")
     size = int(np.prod(shape))
     return tuple(

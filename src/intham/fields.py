@@ -543,7 +543,8 @@ def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
     return vals
 
 
-_INT64 = (-(2**63), 2**63 - 1)
+#: The closed range of a numpy int64, which holds every field and momentum value.
+INT64 = (-(2**63), 2**63 - 1)
 
 
 def _outside(spec: FieldHamiltonianSpec, vals: list, windows, label: str) -> Optional[WindowExceeded]:
@@ -577,7 +578,7 @@ def _unflat(spec: FieldHamiltonianSpec, vals: list, time: int) -> FieldState:
     try:
         both = np.fromiter(vals, np.int64, len(vals))
     except OverflowError:
-        raise _outside(spec, vals, ((_INT64,) * spec.components,) * 2, "int64") from None
+        raise _outside(spec, vals, ((INT64,) * spec.components,) * 2, "int64") from None
     both.setflags(write=False)
     state = object.__new__(FieldState)
     state.phi, state.mom = both.reshape(2, spec.components, *spec.shape.sizes)
@@ -837,14 +838,16 @@ def state_to_json(state: FieldState) -> dict:
 
 
 def state_from_json(obj: dict) -> FieldState:
-    arrays = []
-    for key in ("phi", "mom"):
-        value = integers(read_key(obj, key), key, nested=True)
-        try:
-            arrays.append(np.array(value, dtype=np.int64))
-        except OverflowError:
-            raise ConfigError(f"'{key}' entries must lie in int64 [{_INT64[0]}, {_INT64[1]}]") from None
-    return FieldState(*arrays, read_key(obj, "time", 0, int))
+    layers = {key: integers(read_key(obj, key), key, nested=True) for key in ("phi", "mom")}
+    try:
+        return FieldState(layers["phi"], layers["mom"], read_key(obj, "time", 0, int))
+    except OverflowError:
+        for key, value in layers.items():  # name the layer that overflowed
+            try:
+                np.array(value, dtype=np.int64)
+            except OverflowError:
+                raise ConfigError(f"'{key}' entries must lie in int64 [{INT64[0]}, {INT64[1]}]") from None
+        raise
 
 
 def layers_from_json(obj: dict) -> MargolusFieldState:

@@ -114,6 +114,8 @@ def _power_constants(scale: Fraction, exponent: Fraction) -> tuple[int, int, int
     """``(u, v, num**v, den**v)`` for ``exponent = u/v`` and ``scale = num/den``."""
     if exponent <= 0:
         raise ValueError("exponent must be positive")
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
     u, v = exponent.numerator, exponent.denominator
     return u, v, scale.numerator**v, scale.denominator**v
 
@@ -123,10 +125,7 @@ def _floor_powers(magnitudes, u: int, v: int, num: int, den: int) -> list[int]:
     constants of :func:`_power_constants`.  ``k <= scale * m**(u/v)`` exactly
     when ``k**v * den <= num * m**u``, so each value is the floored ``v``-th
     root of ``num * m**u // den``."""
-    if num == den:  # a prefactor of 1
-        radicands = (m**u for m in magnitudes)
-    else:
-        radicands = (num * m**u // den for m in magnitudes)
+    radicands = (num * m**u // den for m in magnitudes)
     if v == 1:
         return list(radicands)
     root = _floor_nth_root
