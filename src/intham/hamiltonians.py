@@ -16,12 +16,12 @@ from typing import Callable, Optional
 from .errors import ConfigError, WindowExceeded
 
 #: Most entries a power-family ``window`` may hold, and the bound on its ends' distance
-#: from 0: an entry of 37/13 costs about 2 us near 0, 3 us near 2**18; a table under 1 s.
+#: from 0: an entry of 37/13 costs about 3 us near 0, 4 us near 2**18; a table about 1 s.
 MAX_WINDOW = 2**18
 #: Largest numerator + denominator of a power-family ``exponent`` in lowest
 #: terms.  An entry's cost grows with both (about 120 us at 401/3, whose
 #: radicands pass 2**1000); within the cap the costliest exponents (29/14,
-#: 33/16) cost within 1.1x of 37/13, so a ``MAX_WINDOW`` table stays under 1 s.
+#: 33/16) cost within 1.1x of 37/13, so a ``MAX_WINDOW`` table stays about 1 s.
 MAX_EXPONENT_TERMS = 50
 
 
