@@ -43,7 +43,6 @@ from .fields import (
     margolus_energy,
     margolus_step,
     margolus_unstep,
-    momentum_bound,
     restricted_hamiltonian,
     site_energy,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "margolus_energy",
     "margolus_step",
     "margolus_unstep",
-    "momentum_bound",
     "restricted_hamiltonian",
     "site_energy",
     "IntegerFunction1D",

@@ -26,12 +26,13 @@ at the site) and serves a repeated neighbourhood with one lookup: no table,
 no walk, no arithmetic beyond the shift.  A miss reads, in one pass, one
 integer quadratic in the pair's field value per density it touches (see
 :func:`_local_terms`), and tabulates sums of their floors only over the band
-its contour can reach, out to the first row and column on each side that lie
-wholly above the level; that proves the contour closed, so the walk stops at
-the image.  The memo is direction-aware: a step is a permutation of its
-closed contour, so each forward walk also stores the backward sub-update it
-implies, and the other way round.  A hit checks only that its translated
-band still lies inside the field window.
+its contour can reach (see :func:`restricted_hamiltonian`).  A band strictly
+inside both windows proves the contour closed, so the walk stops at the
+image; one that touches an edge takes the full walk.  The memo is
+direction-aware: a step is a permutation of its closed contour, so each
+forward walk also stores the backward sub-update it implies, and the other
+way round.  A hit checks only that its translated band still lies strictly
+inside the field window.
 
 A two-layer second-order automaton in Fredkin's style (field value plus
 previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
@@ -56,7 +57,7 @@ import numpy as np
 from .contours import next_site, prev_site
 from .errors import ConfigError, IntHamError, WindowExceeded
 from .hamiltonians import (
-    IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, integers, only_keys, read_key
+    MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, integers, only_keys, read_key
 )
 
 Site = tuple[int, ...]
@@ -348,27 +349,16 @@ def total_energy(state: FieldState, spec: FieldHamiltonianSpec) -> int:
     return _energy(spec, phi, state.mom.ravel().tolist(), range(len(phi) // spec.components))
 
 
-def momentum_bound(energy: int, stiffness: Fraction) -> int:
-    """Smallest window half-width no reachable momentum can exceed:
-    ``ceil(sqrt(2*(energy + 1)/stiffness))``, the least ``b`` with
-    ``b**2 * sn >= 2*(energy + 1) * sd`` for ``stiffness = sn/sd``."""
-    sn, sd = stiffness.as_integer_ratio()
-    target = 2 * (energy + 1) * sd
-    b = math.isqrt(target // sn)  # floor(sqrt(target / sn))
-    return b if b * b * sn >= target else b + 1
-
-
 def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -> tuple:
     """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
     ``vals`` is the flat list of field values and momenta and ``entry`` the
-    site's row of :func:`_neighbours`.  Returns ``(quads, centers, q, p,
-    kin0)``.  Per involved density (this site's, then each backward
-    neighbour's) ``quads`` holds ``(a, b, c)``: its floor argument, ``sn``
-    times the mass-scaled gradients and masses, is ``a*v^2 + b*v + c`` in the
-    pair's value v.  ``centers`` are the frozen values of component k in its
-    ``(v - center)^2`` terms, ``q`` and ``p`` the pair's values, and ``kin0``
-    is ``sn`` times the other components' squared momenta at x.
+    site's row of :func:`_neighbours`.  Returns ``(quads, q, p, kin0)``.  Per
+    involved density (this site's, then each backward neighbour's) ``quads``
+    holds ``(a, b, c)``: its floor argument, ``sn`` times the mass-scaled
+    gradients and masses, is ``a*v^2 + b*v + c`` in the pair's value v.  ``q``
+    and ``p`` are the pair's values, and ``kin0`` is ``sn`` times the other
+    components' squared momenta at x.
     """
     densities, moms, qi, pi = entry[3][k]
     sn, md = spec._sn, spec._mass_den
@@ -377,7 +367,7 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -
     for u in moms:
         m = vals[u]
         others += m * m
-    quads, centers = [], []
+    quads = []
     for a0, kpos, pairs, masses in densities:
         grads = mass = total = 0
         for u, w in pairs:
@@ -386,37 +376,35 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -
         for mj, u in masses:
             c = vals[u]
             mass += mj * c * c
-        for u in kpos:
+        for u in kpos:  # the frozen values of component k in its (v - c)^2 terms
             c = vals[u]
-            centers.append(c)
             total += c
             grads += c * c
         quads.append((a0, b * total, sn * (md * grads + mass)))
-    return quads, centers, vals[qi], vals[pi], sn * others
+    return quads, vals[qi], vals[pi], sn * others
 
 
-def _scan(values: list, quads: list, pden: int, v: int, dv: int, edge: int, top: int, low: int) -> Optional[int]:
+def _scan(values: list, quads: list, pden: int, v: int, dv: int, edge: int, top: int) -> None:
     """Append the potential values at v + dv, v + 2*dv, ... to ``values``, up
-    to the first above ``top``, and return the least of ``low`` and those at
-    or below ``top``; None if ``edge`` comes first."""
-    while v != edge:
+    to the first above ``top`` or to ``edge``.  A scan that would pass
+    ``MAX_WINDOW`` values raises ``WindowExceeded`` instead."""
+    end = edge if (edge - v) * dv <= MAX_WINDOW else v + dv * MAX_WINDOW
+    while v != end:
         v += dv
         t = 0
         for a, b, c in quads:
             t += ((a * v + b) * v + c) // pden
         values.append(t)
         if t > top:
-            return low
-        if t < low:
-            low = t
-    return None
+            return
+    if v != edge:
+        raise WindowExceeded(f"contour band from {v - dv * MAX_WINDOW} passes {MAX_WINDOW} field values toward {edge}")
 
 
 @lru_cache(maxsize=256)
-def _kinetic_band(kin0: int, sn: int, kden: int, s: int) -> IntegerFunction1D:
-    """The kinetic table ``(kin0 + sn*p^2) // kden`` on ``[-s, s]``; few recur."""
-    half = [(kin0 + sn * u * u) // kden for u in range(s + 1)]
-    return IntegerFunction1D._trusted(-s, tuple(half[:0:-1] + half))
+def _kinetic_band(kin0: int, sn: int, kden: int, lo: int, hi: int) -> IntegerFunction1D:
+    """The kinetic table ``(kin0 + sn*p^2) // kden`` on ``[lo, hi]``; few recur."""
+    return IntegerFunction1D._trusted(lo, tuple([(kin0 + sn * u * u) // kden for u in range(lo, hi + 1)]))
 
 
 def restricted_hamiltonian(
@@ -426,7 +414,6 @@ def restricted_hamiltonian(
     k: int,
     *,
     _terms: Optional[tuple] = None,
-    _band: Optional[list] = None,
 ) -> SeparableHamiltonian1D:
     """Freeze everything except the pair (phi_k(x), mom_k(x)).
 
@@ -435,72 +422,48 @@ def restricted_hamiltonian(
     kinetic table is this site's floored momentum term.  Their sum plus the
     untouched remainder reproduces the total energy exactly.
 
-    ``_terms`` and ``_band`` are for the sweep.  ``_terms`` is the pair's
-    :func:`_local_terms` tuple ``(quads, centers, q, p, kin0)``, so each
-    potential entry is a sum of floored quadratics and ``state`` is unread.  With
-    ``_band`` the tables cover only the band the contour through the pair can
-    reach: field values out to the first column on each side that lies
-    wholly above the level, ``V(v) > E - T(0)``, and momenta out to the first
-    rows ``+-s`` with ``T(s) > E - min V`` over those columns.  Every edge row
-    and column then lies above the level, so the contour is proven closed
-    inside the band, and ``(lo, hi)`` of the field band is appended to
-    ``_band``.  The band lies inside the public one, whose rows and columns
-    :func:`momentum_bound` past the centers already lie above the level, so
-    the walk is the same.  A scan that meets a window edge appends nothing
-    and returns the public band.
+    The tables cover only the band the contour through the pair can reach:
+    field values out to the first column on each side that lies wholly above
+    the level, ``V(v) > E - T(0)``, or to the field window's edge, and momenta
+    out to the first rows ``+-s`` with ``T(s) > E - min V`` over those
+    columns, clipped to the momentum window.  The contour cannot cross a
+    column or row that lies wholly above the level, so a walk on the band is
+    the walk on the whole windows.  Tables strictly inside both windows prove
+    the contour closed (every edge row and column lies above the level); a
+    band that touches a window edge may escape there.  A scan that would pass
+    ``MAX_WINDOW`` field values on one side, or momenta that would span more
+    than ``2 * MAX_WINDOW + 1`` values, raise ``WindowExceeded`` and return
+    no tables.
+
+    ``_terms`` is for the sweep: the pair's :func:`_local_terms` tuple
+    ``(quads, q, p, kin0)``, so each potential entry is a sum of floored
+    quadratics and ``state`` is unread; without it a state with a value
+    outside its windows raises ``WindowExceeded``, as :func:`step` does.
     """
     if _terms is None:
-        _check_state(state, spec)
         entry = _neighbours(spec)[0][_site_index(spec.shape, x)]
-        vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
-        _terms = _local_terms(spec, vals, entry, k)
-    quads, centers, q_cur, p_cur, kin0 = _terms
+        _terms = _local_terms(spec, _flat(state, spec), entry, k)
+    quads, q_cur, p_cur, kin0 = _terms
     sn, pden, kden = spec._sn, spec._pot_den, spec._kin_den
     pot_cur = 0
     for a, b, c in quads:
         pot_cur += ((a * q_cur + b) * q_cur + c) // pden
     level = pot_cur + (kin0 + sn * p_cur * p_cur) // kden
     (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
-
-    if _band is not None:
-        col_top = level - kin0 // kden  # a column above this lies above the level
-        pot_values: list = []
-        low = _scan(pot_values, quads, pden, q_cur, -1, qlo, col_top, pot_cur)
-        if low is not None:
-            band_lo = q_cur - len(pot_values)
-            pot_values.reverse()
-            pot_values.append(pot_cur)
-            # min V over the band: its edge columns lie above col_top >= pot_cur
-            low = _scan(pot_values, quads, pden, q_cur, 1, qhi, col_top, low)
-            if low is not None:
-                # rows +-s lie above the level: the least s with kin0 + sn*s^2 >= (E - min V + 1)*kden
-                need = (level - low + 1) * kden - kin0
-                s = math.isqrt((need - 1) // sn) + 1 if need > 0 else 0
-                if plo <= -s and s <= phi_hi:
-                    _band.append((band_lo, band_lo + len(pot_values) - 1))
-                    return SeparableHamiltonian1D._trusted(
-                        _kinetic_band(kin0, sn, kden, s), IntegerFunction1D._trusted(band_lo, tuple(pot_values))
-                    )
-
-    # A field value whose squared distance from every frozen neighbor already
-    # floors above the current level is unreachable on this contour (each
-    # gradient term alone contributes at least that floor), and likewise for
-    # momenta around zero.  Clamping both tables to that band keeps the cost
-    # of a sub-update proportional to the local energy rather than to the
-    # window size, and leaves the windows free to be generous.
-    reach = momentum_bound(level, spec.stiffness)
-    band_lo = max(qlo, min(min(centers), q_cur) - reach)
-    band_hi = min(qhi, max(max(centers), q_cur) + reach)
-    pot_values = [sum([((a * v + b) * v + c) // pden for a, b, c in quads])
-                  for v in range(band_lo, band_hi + 1)]
-
-    p_span = max(reach, abs(p_cur) + 1)
-    p_lo = max(plo, -p_span)
-    p_hi = min(phi_hi, p_span)
-    kin_values = [(kin0 + sn * p * p) // kden for p in range(p_lo, p_hi + 1)]
-
+    col_top = level - kin0 // kden  # a column above this lies above the level
+    pot_values: list = []
+    _scan(pot_values, quads, pden, q_cur, -1, qlo, col_top)
+    band_lo = q_cur - len(pot_values)
+    pot_values.reverse()
+    pot_values.append(pot_cur)
+    _scan(pot_values, quads, pden, q_cur, 1, qhi, col_top)
+    # rows +-s lie above the level: the least s with T(s) > E - min V (>= T(p) >= T(0))
+    s = math.isqrt(((level - min(pot_values) + 1) * kden - kin0 - 1) // sn) + 1
+    p_lo, p_hi = (-s, s) if plo < -s and s < phi_hi else (max(plo, -s), min(phi_hi, s))
+    if p_hi - p_lo > 2 * MAX_WINDOW:
+        raise WindowExceeded(f"contour band at level {level} needs momenta [{p_lo}, {p_hi}], past +-{MAX_WINDOW}")
     return SeparableHamiltonian1D._trusted(
-        IntegerFunction1D._trusted(p_lo, tuple(kin_values)),
+        _kinetic_band(kin0, sn, kden, p_lo, p_hi),
         IntegerFunction1D._trusted(band_lo, tuple(pot_values)),
     )
 
@@ -602,16 +565,16 @@ def _sweep(state: FieldState, vals: list, spec, order: list, inverse: bool):
     # massless component's potential depends only on differences of phi_k,
     # so its own values and its stored image are taken relative to its value
     # at x (the shift), and a repeat anywhere in phi walks an exact
-    # translate of the same tables.  A miss tabulates only the band its
-    # contour can reach (see restricted_hamiltonian): every edge row and
-    # column lies above the level, so the contour is closed and the walk
-    # stops at the image.  The step permutes that closed contour, so the
-    # image walked the other way leads back inside the same band, and a miss
-    # stores that inverse entry too.  An entry keeps the range of shifts for
-    # which its translated band stays inside the field window; a hit outside
-    # it is exactly a translate whose scan would meet the window edge, and
-    # takes the cold path.  The key fixes the momentum band, so a hit checks
-    # nothing else and does no table arithmetic.
+    # translate of the same tables.  A miss whose band lies strictly inside
+    # both windows walks a contour proven closed (see restricted_hamiltonian)
+    # and stops at the image; the step permutes that contour, so the image
+    # walked the other way leads back inside the same band, and the miss
+    # stores that inverse entry too.  A band that touches a window edge takes
+    # the full walk and stores nothing.  An entry keeps the range of shifts
+    # for which its translated band stays strictly inside the field window; a
+    # hit outside it is exactly a translate whose band would touch the window
+    # edge, and takes the cold path.  The key fixes the momentum band, so a
+    # hit checks nothing else and does no table arithmetic.
     #
     # The mirror key is the forward key at the stepped state, where only the
     # pair's value and momentum differ: ``rest``'s first item is the pair's
@@ -634,26 +597,27 @@ def _sweep(state: FieldState, vals: list, spec, order: list, inverse: bool):
             vals[pi] = hit[1]
             continue
         q, p = vals[qi], vals[pi]
-        band: list = []
-        terms = _local_terms(spec, vals, entry, k)
-        ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
+        (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
         try:
-            q2, p2 = mover(ham, q, p, _closed=bool(band))
+            ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=_local_terms(spec, vals, entry, k))
+            pot, kin = ham.potential, ham.kinetic  # read without properties: a miss is hot
+            lo, hi, p_lo = pot.lo, pot.lo + len(pot.values) - 1, kin.lo
+            closed = qlo < lo and hi < qhi and plo < p_lo and p_lo + len(kin.values) - 1 < phi_hi
+            q2, p2 = mover(ham, q, p, _closed=closed)
         except IntHamError as exc:
             exc.field_site = (entry[0], k)
             raise
         vals[qi] = q2
         vals[pi] = p2
-        if band:
-            (lo, hi), (qlo, qhi) = band[0], spec.phi_windows[k]
-            memo[key] = (q2 - shift, p2, qlo - lo + shift, qhi - hi + shift)
+        if closed:
+            memo[key] = (q2 - shift, p2, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
             r = p2 if single else (p2, *r[1:])
             if massless:
                 mirror = (not inverse, k, r, *map(q2.__rsub__, o))
                 shift = q2
             else:
                 mirror = (not inverse, k, r, q2, *o[1:])
-            memo[mirror] = (q - shift, p, qlo - lo + shift, qhi - hi + shift)
+            memo[mirror] = (q - shift, p, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
             while len(memo) > _MEMO_CAP:
                 memo.popitem(last=False)
 

@@ -23,6 +23,10 @@ MAX_WINDOW = 2**18
 #: radicands pass 2**1000); within the cap the costliest exponents (29/14,
 #: 33/16) cost within 1.1x of 37/13, so a ``MAX_WINDOW`` table stays about 1 s.
 MAX_EXPONENT_TERMS = 50
+#: Largest numerator or denominator of a power family's ``scale`` or ``mass``; it
+#: admits every float :func:`fraction_from_json` snaps (denominators up to 10**9),
+#: and a ``MAX_WINDOW`` table at 33/16 takes about 5.6 s at a scale of 2**32.
+MAX_PREFACTOR = 2**32
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,9 @@ class PowerLawFamily:
         else:
             if self.scale <= 0:
                 raise ValueError("scale must be positive")
+        key = "mass" if self.kind == "kinetic" else "scale"
+        if max(getattr(self, key).as_integer_ratio()) > MAX_PREFACTOR:
+            raise ValueError(f"power-family '{key}' needs a numerator and denominator of at most 2**32")
         # Every entry's integer constants, outside equality, hash and repr.
         object.__setattr__(self, "_constants", _power_constants(self.prefactor, self.exponent))
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from intham import fields
 from intham.cli import MODES, main, run
-from intham.errors import ConfigError, IntHamError
+from intham.errors import ConfigError, IntHamError, WindowExceeded
 from intham.hamiltonians import MAX_WINDOW
 from intham.spectral import MAX_CHECK_SIZE
 
@@ -344,6 +345,21 @@ class TestFailureModes:
             assert main(["run", write_config(tmp_path / "c.json", cfg)]) == status
             assert named in capsys.readouterr().err
 
+    def test_a_band_past_the_scan_budget_fails_fast(self, tmp_path):
+        # A level near 2**126 inside windows wider than int64 once scanned
+        # about 2**62 potential values for one sub-update.
+        huge = [-(2**70), 2**70]
+        field = {"sizes": [4], "stiffness": 1, "phi_window": huge, "p_window": huge}
+        for state in (
+            {"phi": [[0, 3, 0, 3]], "mom": [[2**63 - 2, 0, 2**63 - 2, 0]]},
+            {"phi": [[-(2**63)] * 4], "mom": [[-(2**63)] * 4]},
+        ):
+            start = time.perf_counter()
+            with pytest.raises(WindowExceeded, match=f"passes {MAX_WINDOW} field values") as err:
+                run({"mode": "lightcone", "field": field, "state": state, "out": str(tmp_path)})
+            assert time.perf_counter() - start < 5
+            assert err.value.field_site == ((0,), 0)
+
     def test_run_function_rejects_negative_steps(self, tmp_path):
         with pytest.raises(ConfigError):
             run({"mode": "trajectory", "model": DIAMOND, "start": [1, 0]}, steps=-1)
@@ -414,6 +430,11 @@ class TestFailureModes:
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": [[1], [0], [1]]}}}}, "'values'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": []}}}}, "'values'"),
             ({**CENSUS, "census": {**CENSUS["census"], "energies": [[4], 5]}}, "'energies'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": 1e300, "window": [-5, 5]}}}, "'scale'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": "1/4294967297", "window": [-5, 5]}}}, "'scale'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "mass": 2**32 + 1, "window": [-5, 5]}}}, "'mass'"),
+            ({**CENSUS, "census": {**CENSUS["census"], "kinetic": {"exponent": 1, "mass": "1/8589934592"}}}, "'mass'"),
+            ({**CENSUS, "census": {**CENSUS["census"], "potential": {"exponent": 1, "scale": "4294967297/2"}}}, "'scale'"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

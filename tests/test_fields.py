@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter, OrderedDict
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intham import contours, fields
-from intham.errors import ConfigError, IntHamError, WindowExceeded
+from intham.errors import ConfigError, IntHamError, UnboundedContour, WindowExceeded
 from intham.fields import (
     FieldHamiltonianSpec,
     FieldState,
@@ -25,7 +26,6 @@ from intham.fields import (
     margolus_states_equal,
     margolus_step,
     margolus_unstep,
-    momentum_bound,
     restricted_hamiltonian,
     site_energy,
     spec_from_json,
@@ -38,7 +38,7 @@ from intham.fields import (
     step_parity,
     total_energy,
 )
-from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
+from intham.hamiltonians import MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D
 
 LINE16 = LatticeShape((16,))
 GRID44 = LatticeShape((4, 4))
@@ -133,35 +133,6 @@ class TestSiteEnergy:
         assert site_energy(state, spec, (2,)) == 2  # floor(0) + floor(9/4)
 
 
-class TestMomentumBound:
-    def test_first_excluded_magnitude(self):
-        bound = momentum_bound(160, Fraction(1))
-        assert bound == 18
-        assert (17 * 17) // 2 <= 160 < (18 * 18) * 1 // 2
-
-    def test_integer_form_matches_the_fraction_formula(self):
-        def by_fractions(energy, stiffness):
-            target = 2 * Fraction(energy + 1) / stiffness
-            b = math.isqrt(target.numerator // target.denominator)
-            while b * b * target.denominator < target.numerator:
-                b += 1
-            return b
-
-        stiffnesses = [Fraction(n, d) for n in (1, 2, 3, 5, 7) for d in (1, 2, 3, 4, 9)]
-        energies = list(range(-1, 400)) + [10**6 + 7, 2**64 + 1, 10**40]
-        for stiffness in stiffnesses:
-            for energy in energies:
-                assert momentum_bound(energy, stiffness) == by_fractions(energy, stiffness)
-
-    def test_scales_with_stiffness(self):
-        # floor(rho/2 * p^2) > E first at the returned magnitude
-        for energy in (0, 5, 99):
-            for stiffness in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
-                b = momentum_bound(energy, stiffness)
-                assert stiffness * b * b / 2 > energy
-                assert stiffness * (b - 1) * (b - 1) / 2 <= energy + 1
-
-
 class TestRestrictedHamiltonian:
     def test_single_pair_changes_move_total_and_restricted_alike(self):
         rng = random.Random(20260825)
@@ -170,12 +141,14 @@ class TestRestrictedHamiltonian:
         base = total_energy(state, spec)
         ham = restricted_hamiltonian(state, spec, (5,), 0)
         q, p = int(state.phi[0, 5]), int(state.mom[0, 5])
+        far = ham.q_window[1]  # the band's last column, past the level
+        assert far >= q + 1
         phi = state.phi.copy()
         mom = state.mom.copy()
-        phi[0, 5] = q + 2
+        phi[0, 5] = far
         mom[0, 5] = p - 1
         shifted = total_energy(FieldState(phi, mom), spec) - base
-        assert shifted == ham.value(q + 2, p - 1) - ham.value(q, p)
+        assert shifted == ham.value(far, p - 1) - ham.value(q, p)
 
     def test_tables_cover_the_reachable_band_inside_the_windows(self):
         spec = line_spec()
@@ -222,16 +195,31 @@ class TestRestrictedHamiltonian:
         for entry in fields._neighbours(spec)[0]:
             for k in range(spec.components):
                 terms = fields._local_terms(spec, vals, entry, k)
-                for band in ([], None):
-                    ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
-                    kin, pot = ham.kinetic, ham.potential
-                    checked = SeparableHamiltonian1D(
-                        IntegerFunction1D(kin.lo, kin.values), IntegerFunction1D(pot.lo, pot.values)
-                    )
-                    trusted = SeparableHamiltonian1D._trusted(kin, pot)
-                    assert trusted == checked == SeparableHamiltonian1D(kin, pot) == ham
-                    assert (hash(trusted), repr(trusted)) == (hash(checked), repr(checked))
-                    assert not trusted.has_coupling
+                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
+                kin, pot = ham.kinetic, ham.potential
+                checked = SeparableHamiltonian1D(
+                    IntegerFunction1D(kin.lo, kin.values), IntegerFunction1D(pot.lo, pot.values)
+                )
+                trusted = SeparableHamiltonian1D._trusted(kin, pot)
+                assert trusted == checked == SeparableHamiltonian1D(kin, pot) == ham
+                assert (hash(trusted), repr(trusted)) == (hash(checked), repr(checked))
+                assert not trusted.has_coupling
+
+    @pytest.mark.parametrize(
+        "array, value, kind, window",
+        [("phi", 9, "field", "[-4, 4]"), ("phi", -5, "field", "[-4, 4]"),
+         ("mom", 4, "momentum", "[-3, 3]"), ("mom", -7, "momentum", "[-3, 3]")],
+    )
+    def test_states_outside_their_windows_are_rejected(self, array, value, kind, window):
+        # as the steppers reject them, whichever pair is restricted
+        spec = FieldHamiltonianSpec.uniform(LatticeShape((4,)), phi_window=(-4, 4), p_window=(-3, 3))
+        arrays = {"phi": [[0, 1, 0, 1]], "mom": [[0, 0, 1, 0]]}
+        arrays[array][0][0] = value
+        for x in ((0,), (1,)):
+            with pytest.raises(WindowExceeded) as err:
+                restricted_hamiltonian(FieldState(arrays["phi"], arrays["mom"]), spec, x, 0)
+            assert str(err.value) == f"{kind} value {value} of component 0 at site (0,) outside window {window}"
+            assert err.value.field_site == ((0,), 0)
 
     def test_wide_windows_cost_nothing(self):
         spec = FieldHamiltonianSpec.uniform(
@@ -517,6 +505,71 @@ RAW_KEY_CASES = [
 ]
 
 
+def edge_state(spec, rng, near, momenta):
+    """Field values within 2 of ``near`` times (window edge - 2), momenta in
+    ``[-momenta, momenta]``, all clipped to the windows."""
+    (lo, hi), (plo, phi_hi) = spec.phi_windows[0], spec.p_windows[0]
+    centre = near * (hi - 2)
+    shape = (spec.components, *spec.shape.sizes)
+    count = int(np.prod(shape))
+    phi = [min(hi, max(lo, centre + rng.randint(-2, 2))) for _ in range(count)]
+    mom = [min(phi_hi, max(plo, rng.randint(-momenta, momenta))) for _ in range(count)]
+    return FieldState(np.reshape(phi, shape), np.reshape(mom, shape))
+
+
+def whole_window(spec, terms, k):
+    """The pair's tables over its whole windows, from its local terms alone."""
+    quads, _, _, kin0 = terms
+    (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
+    pot = [sum(((a * v + b) * v + c) // spec._pot_den for a, b, c in quads) for v in range(qlo, qhi + 1)]
+    kin = [(kin0 + spec._sn * u * u) // spec._kin_den for u in range(plo, phi_hi + 1)]
+    return SeparableHamiltonian1D(IntegerFunction1D(plo, tuple(kin)), IntegerFunction1D(qlo, tuple(pot)))
+
+
+def walk_outcome(mover, ham, q, p, **kw):
+    """The image of one contour step, or what it raised."""
+    try:
+        return mover(ham, q, p, **kw)
+    except IntHamError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "site", None))
+
+
+def compare_band_with_whole(spec, state):
+    """Check every pair's band tables against the whole-window oracle and
+    return how many bands lay strictly inside the windows, how many touched
+    an edge, and how many walks raised."""
+    vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+    counts = [0, 0, 0]
+    for entry in fields._neighbours(spec)[0]:
+        for k in range(spec.components):
+            terms = fields._local_terms(spec, vals, entry, k)
+            q, p = terms[1], terms[2]
+            ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
+            whole = whole_window(spec, terms, k)
+            (qlo, qhi), (plo, phi_hi) = ham.q_window, ham.p_window
+            (wqlo, wqhi), (wplo, wphi) = whole.q_window, whole.p_window
+            # The band is a piece of the whole tables around the pair.
+            assert wqlo <= qlo <= q <= qhi <= wqhi and wplo <= plo <= p <= phi_hi <= wphi
+            assert all(ham.value(v, u) == whole.value(v, u)
+                       for v in range(qlo, qhi + 1) for u in range(plo, phi_hi + 1))
+            inside = wqlo < qlo and qhi < wqhi and wplo < plo and phi_hi < wphi
+            energy = ham.value(q, p)
+            for mover in (contours.next_site, contours.prev_site):
+                expected = walk_outcome(mover, whole, q, p)
+                assert walk_outcome(mover, ham, q, p) == expected
+                counts[2] += isinstance(expected[0], str)
+                if inside:
+                    assert walk_outcome(mover, ham, q, p, _closed=True) == expected
+            if inside:
+                # The proof the sweep relies on: every edge row and column
+                # of a band strictly inside the windows lies above the level.
+                edge = [(v, u) for v in (qlo, qhi) for u in range(plo, phi_hi + 1)]
+                edge += [(v, u) for u in (plo, phi_hi) for v in range(qlo, qhi + 1)]
+                assert min(ham.value(*site) for site in edge) > energy
+            counts[not inside] += 1
+    return tuple(counts)
+
+
 class TestLocalRuleMemo:
     @given(
         case=st.sampled_from(MEMO_CASES),
@@ -567,47 +620,32 @@ class TestLocalRuleMemo:
 
     @given(
         case=st.sampled_from(MEMO_CASES),
-        window=st.sampled_from([(-12, 12), (-40, 40)]),
+        width=st.sampled_from([5, 6, 7, 8, 9, 40]),
+        near=st.sampled_from([-1, 0, 1]),
+        momenta=st.sampled_from([2, 9]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_clear_bands_close_and_stop_early_exactly(self, case, window, seed):
+    @settings(max_examples=60, deadline=None)
+    def test_band_walks_equal_whole_window_walks(self, case, width, near, momenta, seed):
+        # States crowd one window edge (near = +-1) or the middle, so scans
+        # meet edges and walks escape; in the middle of +-40 every band lies
+        # strictly inside.
         shape, masses = case
-        spec = fresh_spec(shape, masses, window)
-        state = random_state(spec, random.Random(seed), -4, 4)
-        vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
-        entries = fields._neighbours(spec)[0]
-        clear = 0
-        for entry in entries:
-            for k in range(spec.components):
-                terms = fields._local_terms(spec, vals, entry, k)
-                q, p = terms[2], terms[3]
-                band = []
-                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms, _band=band)
-                public = restricted_hamiltonian(state, spec, entry[0], k)
-                if not band:
-                    # A scan that meets a window edge keeps the public band.
-                    assert (ham.q_window, ham.p_window) == (public.q_window, public.p_window)
-                    continue
-                clear += 1
-                assert band == [ham.q_window]
-                # The proof the sweep relies on: every edge row and column of
-                # the scanned band lies above the level ...
-                energy = ham.value(q, p)
-                (qlo, qhi), (plo, phi_hi) = ham.q_window, ham.p_window
-                edge = [(v, u) for v in (qlo, qhi) for u in range(plo, phi_hi + 1)]
-                edge += [(v, u) for u in (plo, phi_hi) for v in range(qlo, qhi + 1)]
-                assert min(ham.value(*s) for s in edge) > energy
-                # ... and the band lies inside the public one, with equal
-                # values, so the walk that stops at the image is the full one.
-                (pqlo, pqhi), (pplo, pphi) = public.q_window, public.p_window
-                assert pqlo <= qlo and qhi <= pqhi and pplo <= plo and phi_hi <= pphi
-                assert all(ham.value(v, u) == public.value(v, u)
-                           for v in range(qlo, qhi + 1) for u in range(plo, phi_hi + 1))
-                for mover in (contours.next_site, contours.prev_site):
-                    assert mover(ham, q, p, _closed=True) == mover(ham, q, p) == mover(public, q, p)
-        if window == (-40, 40):
-            assert clear == spec.components * len(entries)
+        spec = fresh_spec(shape, masses, (-width, width))
+        _, touching, errors = compare_band_with_whole(spec, edge_state(spec, random.Random(seed), near, momenta))
+        if width == 40 and near == 0:
+            assert touching == errors == 0
+
+    def test_edge_states_meet_window_edges(self):
+        # The comparison above reaches every outcome: bands strictly inside,
+        # bands touching an edge, and walks that escape there.
+        totals = [0, 0, 0]
+        for seed in range(6):
+            for case in MEMO_CASES:
+                spec = fresh_spec(*case, (-6, 6))
+                state = edge_state(spec, random.Random(seed), 1 - 2 * (seed % 2), 9)
+                totals = [t + c for t, c in zip(totals, compare_band_with_whole(spec, state))]
+        assert min(totals) > 0
 
     @pytest.mark.parametrize("shape, masses", MEMO_CASES)
     def test_forward_steps_store_every_inverse_sub_update(self, monkeypatch, shape, masses):
@@ -1231,6 +1269,40 @@ class TestStepOutput:
                     state_from_json(obj)
         assert states_equal(state_from_json({"phi": [[top, -top - 1]], "mom": [[0, 0]]}),
                             FieldState([[top, -top - 1]], [[0, 0]]))
+
+    @pytest.mark.parametrize(
+        "window, phi, mom, sites, message",
+        [
+            # momenta near 2**63 inside windows wider than int64: a level near 2**126
+            ((-(2**70), 2**70), [0, 3, 0, 3], [2**63 - 2, 0, 2**63 - 2, 0], {(0,), (2,)},
+             f"contour band from 0 passes {MAX_WINDOW} field values toward {-(2**70)}"),
+            # columns within the budget, momenta past it
+            ((-(2**20), 2**20), [0, 0, 0, 0], [2**18 + 10, 0, 0, 0], {(0,)},
+             f"contour band at level 34362359858 needs momenta [{-MAX_WINDOW - 11}, {MAX_WINDOW + 11}], past +-{MAX_WINDOW}"),
+        ],
+    )
+    def test_a_band_past_the_scan_budget_raises_a_named_error(self, window, phi, mom, sites, message):
+        spec = FieldHamiltonianSpec.uniform(LatticeShape((4,)), phi_window=window, p_window=window)
+        for stepper in (step, step_inverse):
+            start = time.perf_counter()
+            with pytest.raises(WindowExceeded) as err:
+                stepper(FieldState([phi], [mom]), spec)
+            assert time.perf_counter() - start < 5
+            assert str(err.value) == message
+            assert err.value.field_site[0] in sites and err.value.field_site[1] == 0
+
+    def test_the_momentum_budget_counts_only_momenta_inside_the_window(self):
+        # A heavy pair far from its minimum has rows +-s near 3*10**5, past
+        # MAX_WINDOW, but a +-5 momentum window clips its table to 11 rows:
+        # the walk runs and escapes at the window edge, as on the whole window.
+        spec = FieldHamiltonianSpec.uniform(
+            LatticeShape((4,)), mass=Fraction(100), phi_window=(-(2**20), 2**20), p_window=(-5, 5)
+        )
+        state = FieldState([[3000] * 4], [[0] * 4])
+        assert restricted_hamiltonian(state, spec, (0,), 0).p_window == (-5, 5)
+        with pytest.raises(UnboundedContour, match=r"leaves the window at cell \(2999, -6\)") as err:
+            step(state, spec)
+        assert err.value.field_site == ((0,), 0)
 
     def test_steps_reuse_the_orders_built_once_per_spec(self):
         spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))

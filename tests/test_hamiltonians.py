@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from intham.errors import ConfigError, WindowExceeded
 from intham.hamiltonians import (
     MAX_EXPONENT_TERMS,
+    MAX_PREFACTOR,
     MAX_WINDOW,
     IntegerFunction1D,
     _floor_nth_root,
@@ -344,6 +345,17 @@ class TestJsonModels:
         # one entry more, or an end at +-MAX_WINDOW, is a ConfigError (tests/test_cli.py)
         table = function_from_json({"family": "power", "exponent": 1, "window": window}, "potential")
         assert table.window == tuple(window) and table(window[1]) == abs(window[1])
+
+    @pytest.mark.parametrize(
+        "key, value", [("scale", MAX_PREFACTOR), ("scale", f"{MAX_PREFACTOR}/{MAX_PREFACTOR - 1}"),
+                       ("scale", 0.123456789), ("mass", f"1/{MAX_PREFACTOR}")]
+    )
+    def test_prefactors_up_to_the_cap_are_built(self, key, value):
+        # one past MAX_PREFACTOR in a numerator or a denominator is a ConfigError (tests/test_cli.py)
+        entry = {"family": "power", "exponent": "33/16", key: value, "window": [-3, 3]}
+        family = PowerLawFamily("kinetic" if key == "mass" else "potential", Fraction(33, 16),
+                                **{key: fraction_from_json(value)})
+        assert function_from_json(entry, "potential") == family.materialize(-3, 3)
 
 
 class TestFractionFromJson:

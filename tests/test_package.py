@@ -47,3 +47,18 @@ def test_json_decoders_read_integers_through_one_rule():
                 if name in ("int", "operator.index") or admits_int:
                     found.append(f"{path.name}:{call.lineno} {fn.name} calls {ast.unparse(call)}")
     assert found == []
+
+
+def test_every_private_keyword_is_passed_inside_the_package():
+    # A ``_``-prefixed keyword-only parameter is an option for the package's
+    # own callers; one that no call in the package passes is dead code.
+    declared, passed = {}, set()
+    for path in sorted(Path(intham.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for arg in node.args.kwonlyargs:
+                    if arg.arg.startswith("_"):
+                        declared[f"{path.name}:{node.name}({arg.arg})"] = arg.arg
+            elif isinstance(node, ast.Call):
+                passed.update(kw.arg for kw in node.keywords if kw.arg)
+    assert declared and sorted(name for name, arg in declared.items() if arg not in passed) == []
