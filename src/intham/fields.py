@@ -149,18 +149,10 @@ class FieldHamiltonianSpec:
         # masses brought over the common denominator md, the potential floor
         # is (sn * (md*gradsum + mass_num)) // (2*sd*md) in exact integers.
         m2 = [m * m for m in self.masses]
-        md = math.lcm(*(f.denominator for f in m2)) if m2 else 1
+        md = math.lcm(*(f.denominator for f in m2))
         object.__setattr__(self, "_mass_den", md)
-        object.__setattr__(
-            self,
-            "_mass_num",
-            tuple(f.numerator * (md // f.denominator) for f in m2),
-        )
-        object.__setattr__(
-            self,
-            "_pot_den",
-            2 * self.stiffness.denominator * md,
-        )
+        object.__setattr__(self, "_mass_num", tuple(f.numerator * (md // f.denominator) for f in m2))
+        object.__setattr__(self, "_pot_den", 2 * self.stiffness.denominator * md)
         object.__setattr__(self, "_kin_den", 2 * self.stiffness.denominator)
         object.__setattr__(self, "_sn", self.stiffness.numerator)
         # Local-rule memo and neighbour tables of the sweep (the tables are
@@ -210,10 +202,6 @@ class FieldState:
         self.phi = phi
         self.mom = mom
         self.time = int(time)
-
-    @property
-    def components(self) -> int:
-        return self.phi.shape[0]
 
     def __repr__(self):
         return f"FieldState(t={self.time}, shape={self.phi.shape})"
@@ -432,17 +420,22 @@ def restricted_hamiltonian(
     the contour closed (every edge row and column lies above the level); a
     band that touches a window edge may escape there.  A scan that would pass
     ``MAX_WINDOW`` field values on one side, or momenta that would span more
-    than ``2 * MAX_WINDOW + 1`` values, raise ``WindowExceeded`` and return
-    no tables.
+    than ``2 * MAX_WINDOW + 1`` values, raises ``WindowExceeded`` naming the
+    pair in ``field_site`` and returns no tables.
 
     ``_terms`` is for the sweep: the pair's :func:`_local_terms` tuple
     ``(quads, q, p, kin0)``, so each potential entry is a sum of floored
-    quadratics and ``state`` is unread; without it a state with a value
-    outside its windows raises ``WindowExceeded``, as :func:`step` does.
+    quadratics and ``state`` is unread.  Without it a state with a value
+    outside its windows raises ``WindowExceeded`` naming that value's site.
     """
     if _terms is None:
         entry = _neighbours(spec)[0][_site_index(spec.shape, x)]
         _terms = _local_terms(spec, _flat(state, spec), entry, k)
+        try:
+            return restricted_hamiltonian(state, spec, x, k, _terms=_terms)
+        except WindowExceeded as exc:
+            exc.field_site = (entry[0], k)
+            raise
     quads, q_cur, p_cur, kin0 = _terms
     sn, pden, kden = spec._sn, spec._pot_den, spec._kin_den
     pot_cur = 0
@@ -459,7 +452,7 @@ def restricted_hamiltonian(
     _scan(pot_values, quads, pden, q_cur, 1, qhi, col_top)
     # rows +-s lie above the level: the least s with T(s) > E - min V (>= T(p) >= T(0))
     s = math.isqrt(((level - min(pot_values) + 1) * kden - kin0 - 1) // sn) + 1
-    p_lo, p_hi = (-s, s) if plo < -s and s < phi_hi else (max(plo, -s), min(phi_hi, s))
+    p_lo, p_hi = max(plo, -s), min(phi_hi, s)
     if p_hi - p_lo > 2 * MAX_WINDOW:
         raise WindowExceeded(f"contour band at level {level} needs momenta [{p_lo}, {p_hi}], past +-{MAX_WINDOW}")
     return SeparableHamiltonian1D._trusted(

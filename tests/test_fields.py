@@ -1290,6 +1290,10 @@ class TestStepOutput:
             assert time.perf_counter() - start < 5
             assert str(err.value) == message
             assert err.value.field_site[0] in sites and err.value.field_site[1] == 0
+        with pytest.raises(WindowExceeded) as err:  # the public restriction of the first pair stepped
+            restricted_hamiltonian(FieldState([phi], [mom]), spec, [0], 0)
+        assert str(err.value) == message
+        assert err.value.field_site == ((0,), 0)
 
     def test_the_momentum_budget_counts_only_momenta_inside_the_window(self):
         # A heavy pair far from its minimum has rows +-s near 3*10**5, past

@@ -51,14 +51,30 @@ def test_json_decoders_read_integers_through_one_rule():
 
 def test_every_private_keyword_is_passed_inside_the_package():
     # A ``_``-prefixed keyword-only parameter is an option for the package's
-    # own callers; one that no call in the package passes is dead code.
+    # own callers; one that no call in the package passes to its function is
+    # dead code.  Calls are matched by the called name's last part, a call
+    # through a local alias such as ``mover = prev_site if inverse else
+    # next_site`` passes to every function the alias may hold, and a function
+    # passing its own option to itself is not a caller.
+    def names(expr):
+        if isinstance(expr, ast.IfExp):
+            return names(expr.body) | names(expr.orelse)
+        return {ast.unparse(expr).split(".")[-1]}
+
     declared, passed = {}, set()
     for path in sorted(Path(intham.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for arg in node.args.kwonlyargs:
-                    if arg.arg.startswith("_"):
-                        declared[f"{path.name}:{node.name}({arg.arg})"] = arg.arg
-            elif isinstance(node, ast.Call):
-                passed.update(kw.arg for kw in node.keywords if kw.arg)
-    assert declared and sorted(name for name, arg in declared.items() if arg not in passed) == []
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {
+            node.targets[0].id: names(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, (ast.Name, ast.Attribute, ast.IfExp))
+        }
+        for fn in (n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            for arg in fn.args.kwonlyargs:
+                if arg.arg.startswith("_"):
+                    declared[f"{path.name}:{fn.name}({arg.arg})"] = (fn.name, arg.arg)
+            for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+                for name in set().union(*(aliases.get(n, {n}) for n in names(call.func))) - {fn.name}:
+                    passed.update((name, kw.arg) for kw in call.keywords if kw.arg)
+    assert declared and sorted(name for name, key in declared.items() if key not in passed) == []
