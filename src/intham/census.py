@@ -4,8 +4,9 @@ For power-law tables T ~ |P|^kappa and V ~ |Q|^gamma the number of sites on
 the shell H = E grows like E to the power 1/kappa + 1/gamma - 1, which is
 also how the continuum period of the interpolated flow scales; their ratio
 is the sites-per-unit-time density of the discrete dynamics.  The census
-counts shells exactly on a grid, integrates the continuum period
-numerically, and fits the growth exponent on log-log rows.
+counts shells exactly on a grid, sums the continuum period over the cells
+that the exact contour walk crosses, and fits the growth exponent on log-log
+rows.
 
 The exponent is positive only when 1/kappa + 1/gamma > 1; outside that
 regime shells do not fill out and the census refuses to run.  Exactly
@@ -16,20 +17,17 @@ densely sampled contours, and the fit is not meaningful there.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
+from .contours import _DOWN, _EDGE_H, _edge, _walk_component
 from .errors import RegimeViolation
-from .hamiltonians import PowerLawFamily
-
-#: Arc length of one integration step of :func:`continuum_period`, in
-#: lattice units, and the most steps it takes before it gives up.
-PATH_STEP = 0.15
-MAX_PERIOD_STEPS = 2_000_000
+from .hamiltonians import PowerLawFamily, SeparableHamiltonian1D
 
 
 @dataclass(frozen=True)
@@ -85,88 +83,44 @@ def _is_exact_polynomial(family: PowerLawFamily) -> bool:
     return family.exponent.denominator == 1 and family.prefactor.denominator == 1
 
 
-class _InterpolatedFlow:
-    """Continuum motion on the piecewise-bilinear interpolation of T + V.
+def continuum_period(ham: SeparableHamiltonian1D, energy: int) -> float:
+    """Time for one revolution of the interpolated flow on the ``energy + eps``
+    level of the origin's well.
 
-    Inside each unit cell the interpolated H is bilinear, so the velocity
-    (dH/dp, -dH/dq) is linear and the flow circulates clockwise around the
-    minimum at the origin.
+    Without a product term the interpolated H is linear in each unit cell, so
+    the velocity ``(T', -V')`` is constant there and the orbit is the polygon
+    whose corners are the contour walk's edge crossings.  The walk starts on
+    row ``p = 0`` on the +q side, crossing downward.  Each cell adds its q span
+    over ``T'``, or its p span over ``-V'`` where ``T'`` is 0; every term is a
+    ratio of integers, and the correctly rounded terms are summed exactly.
+    A level that row ``p = 0`` does not cross inside the window raises
+    ``RegimeViolation``, one that leaves it elsewhere ``UnboundedContour``.
     """
-
-    def __init__(self, kin_table: Sequence[int], pot_table: Sequence[int], lo: int):
-        self.kin = [float(v) for v in kin_table]
-        self.pot = [float(v) for v in pot_table]
-        self.lo = lo
-        self.hi = lo + len(self.kin) - 1
-
-    def value(self, q: float, p: float) -> float:
-        qi = math.floor(q)
-        pi = math.floor(p)
-        fq = q - qi
-        fp = p - pi
-        iq = qi - self.lo
-        ip = pi - self.lo
-        pot = self.pot[iq] * (1 - fq) + self.pot[iq + 1] * fq
-        kin = self.kin[ip] * (1 - fp) + self.kin[ip + 1] * fp
-        return pot + kin
-
-    def velocity(self, q: float, p: float) -> tuple[float, float]:
-        qi = math.floor(q)
-        pi = math.floor(p)
-        iq = qi - self.lo
-        ip = pi - self.lo
-        dq = self.kin[ip + 1] - self.kin[ip]
-        dp = -(self.pot[iq + 1] - self.pot[iq])
-        return dq, dp
-
-
-def _level_start(flow: _InterpolatedFlow, energy: int) -> tuple[float, float]:
-    """Point with interpolated H = energy on the ray p = 1/2, q > 0."""
-    p0 = 0.5
-    prev = flow.value(0.0, p0)
-    for q in range(1, flow.hi):
-        cur = flow.value(float(q), p0)
-        if cur >= energy:
-            if cur == prev:
-                return float(q), p0
-            frac = (energy - prev) / (cur - prev)
-            return (q - 1) + frac, p0
-        prev = cur
-    raise RegimeViolation(f"level {energy} not reached inside the window")
-
-
-def continuum_period(flow: _InterpolatedFlow, energy: int) -> float:
-    """Time for one full revolution of the interpolated flow at this level.
-
-    Fourth-order integration with steps of roughly constant arc length;
-    the winding angle around the origin is accumulated incrementally and the
-    final fraction past a full turn is removed by linear interpolation.
-    """
-    q, p = _level_start(flow, energy)
-    velocity = flow.velocity
-    total_angle = 0.0
-    elapsed = 0.0
-    for _ in range(MAX_PERIOD_STEPS):
-        vq, vp = velocity(q, p)
-        speed = math.hypot(vq, vp)
-        if speed == 0.0:
-            raise RegimeViolation(f"stationary point on level {energy}")
-        h = PATH_STEP / speed
-        k1q, k1p = vq, vp
-        k2q, k2p = velocity(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-        k3q, k3p = velocity(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-        k4q, k4p = velocity(q + h * k3q, p + h * k3p)
-        nq = q + h * (k1q + 2 * k2q + 2 * k3q + k4q) / 6.0
-        np_ = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        turn = math.atan2(np_ * q - nq * p, nq * q + np_ * p)
-        if abs(total_angle + turn) >= 2 * math.pi:
-            need = 2 * math.pi - abs(total_angle)
-            elapsed += h * need / abs(turn)
-            return elapsed
-        total_angle += turn
-        elapsed += h
-        q, p = nq, np_
-    raise RegimeViolation(f"period integration did not close at level {energy}")
+    vv, kv, vlo, klo = ham.potential.values, ham.kinetic.values, ham.potential.lo, ham.kinetic.lo
+    q = bisect.bisect_right(vv, energy - kv[-klo], lo=-vlo) + vlo
+    if q > ham.potential.hi:
+        raise RegimeViolation(f"level {energy} not reached inside the window")
+    record: list = []
+    _walk_component(ham, energy, (q - 1, 0, _DOWN), [], record)
+    corners = []  # each crossing point (x, y), in table coordinates, as (x * d, y * d, d)
+    for kind, Q, P, _ in (_edge(*cross) for cross in record):
+        i, j = Q - vlo, P - klo
+        t = energy - vv[i] - kv[j]
+        if kind == _EDGE_H:
+            d = vv[i + 1] - vv[i]
+            corners.append((i * d + t, j * d, d))
+        else:
+            d = kv[j + 1] - kv[j]
+            corners.append((i * d, j * d + t, d))
+    terms = []
+    for (cq, cp, _), (q0, p0, d0), (q1, p1, d1) in zip(record, corners[-1:] + corners[:-1], corners):
+        i, j = cq - vlo, cp - klo
+        slope = kv[j + 1] - kv[j]
+        if slope:
+            terms.append((q1 * d0 - q0 * d1) / (d0 * d1 * slope))
+        else:
+            terms.append((p1 * d0 - p0 * d1) / (d0 * d1 * (vv[i] - vv[i + 1])))
+    return math.fsum(terms)
 
 
 def census(
@@ -204,21 +158,23 @@ def census(
     ceiling = energies[-1]
 
     w = max(_window_for(kinetic, ceiling), _window_for(potential, ceiling))
-    kin = kinetic.materialize(-w, w).values
-    pot = potential.materialize(-w, w).values
+    ham = SeparableHamiltonian1D._trusted(kinetic.materialize(-w, w), potential.materialize(-w, w))
     # Both tables are nonnegative, so entries above the ceiling (all of each
-    # table past its own window) never reach a counted shell.
-    pot_low, kin_low = (
-        np.array([v for v in t if v <= ceiling], dtype=np.int64) for t in (pot, kin)
-    )
-    counts = np.bincount(np.add.outer(pot_low, kin_low).ravel(), minlength=ceiling + 1)
-    flow = _InterpolatedFlow(kin, pot, -w)
+    # table past its own window) never reach a counted shell: the shell
+    # counts are the convolution of the two tables' value histograms, summed
+    # as one shifted copy of the denser per value of the sparser.
+    hists = (np.bincount([v for v in t.values if v <= ceiling], minlength=ceiling + 1)
+             for t in (ham.potential, ham.kinetic))
+    sparse, dense = sorted(hists, key=np.count_nonzero)
+    counts = np.zeros(ceiling + 1, dtype=np.int64)
+    for v in np.flatnonzero(sparse):
+        counts[v:] += sparse[v] * dense[: ceiling + 1 - v]
 
     rows = []
     for energy in energies:
         period = None
         if with_periods and energy > 0:
-            period = continuum_period(flow, energy)
+            period = continuum_period(ham, energy)
         rows.append(CensusRow(energy, int(counts[energy]), period))
 
     fitted = [r for r in rows if r.energy >= fit_floor and r.count > 0]

@@ -294,10 +294,11 @@ def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     if not 0 <= component < spec.components:
         raise ConfigError(f"perturbation 'component' must be in [0, {spec.components}), got {component}")
     phi = np.array(base.phi)
-    try:
-        phi[(component, *site)] += amount
-    except OverflowError as exc:
-        raise ConfigError(f"bad 'perturb': {exc}") from exc
+    index = (component, *site)
+    value = int(phi[index]) + amount  # a Python int: numpy's int64 sum would wrap
+    if not fields.INT64[0] <= value <= fields.INT64[1]:
+        raise ConfigError(f"'perturb' moves phi{list(index)} to {value}, outside int64")
+    phi[index] = value
     other = fields.FieldState(phi, base.mom)
 
     rows = []

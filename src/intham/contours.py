@@ -225,8 +225,9 @@ def _walk_component(
     walk returns ``None``: at once if ``closed`` (the component is known to
     close inside the windows), else on closing, after walking on with no
     more touches or tests, so an escape past the image still raises.
-    Closure and ``stop`` are tested on touching crossings only: every start
-    crossing brushes a site.
+    Closure and ``stop`` are tested on touching crossings only, so ``start``
+    must brush a site, except in a walk given ``record``: that walk also
+    tests closure at ``start`` itself.
     """
     vv, kv, av, bv = _tables(ham)
     vlo, klo = ham.potential.lo, ham.kinetic.lo
@@ -252,6 +253,8 @@ def _walk_component(
     # closed after 4 crossings per table site did not start on the level.
     for n in range(4 * len(vv) * len(kv)):
         if record is not None:
+            if n and (i + vlo, j + klo, m) == start:  # a start that brushes no site
+                return n if live else None
             record.append((i + vlo, j + klo, m))
         if m == _UP:
             j += 1

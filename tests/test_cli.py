@@ -340,6 +340,10 @@ class TestFailureModes:
             ({"random": {"lo": 0, "hi": 2**63}, "steps": 1}, 2, "'random'"),
             ({"random": {"lo": -(2**70), "hi": 0}, "steps": 1}, 2, "'random'"),
             ({"state": near, "perturb": {"amount": 2**63}, "steps": 1}, 2, "'perturb'"),
+            # a base value at the int64 edge once wrapped to the other edge
+            ({"random": {"lo": 2**63 - 1, "hi": 2**63 - 1}, "steps": 1}, 2, f"'perturb' moves phi[0, 0] to {2**63}"),
+            ({"random": {"lo": 2**63 - 4, "hi": 2**63 - 1}, "perturb": {"amount": 4}, "steps": 1}, 2, "'perturb'"),
+            ({"state": {**near, "phi": [[-(2**63)] * 4]}, "perturb": {"amount": -1}, "steps": 1}, 2, "'perturb'"),
         ):
             cfg = {"mode": "lightcone", "field": field, "out": str(tmp_path), **config}
             assert main(["run", write_config(tmp_path / "c.json", cfg)]) == status

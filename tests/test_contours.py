@@ -300,6 +300,26 @@ def test_a_start_off_the_level_fails_instead_of_cycling():
         _walk_component(bowl, 26, start, [])
 
 
+def test_a_recorded_walk_closes_from_a_start_that_brushes_no_site():
+    # 24 is no sum of two squares, so the bowl's 24 shell is empty: the level
+    # crosses row p = 0 between q = 4 and 5, downward, brushing nothing.
+    start = (4, 0, _DOWN)
+    touches: list = []
+    record: list = []
+    n = _walk_component(bowl, 24, start, touches, record)
+    assert touches == [] and record[0] == start and len(record) == len(set(record)) == n
+    for (cq, cp, move), nxt in zip(record, record[1:] + record[:1]):
+        assert nxt[:2] == (cq + _STEPS[move][0], cp + _STEPS[move][1])
+    # The level crosses every edge with one end at or below 24 and one above once.
+    values = [[bowl.value(q, p) <= 24 for p in range(-W, W + 1)] for q in range(-W, W + 1)]
+    rows = sum(a != b for col in values for a, b in zip(col, col[1:]))
+    cols = sum(a != b for left, right in zip(values, values[1:]) for a, b in zip(left, right))
+    assert n == rows + cols == 36
+    # An unrecorded walk tests closure on touching crossings only.
+    with pytest.raises(RuntimeError, match="does not close"):
+        _walk_component(bowl, 24, start, [])
+
+
 def test_escape_after_the_image_still_raises():
     # |q| + |p| = 4 flows clockwise from (4, 0) through (3, -1), its image in
     # a full window; cutting the momentum window at -2 lets the contour leave
