@@ -63,20 +63,12 @@ class CensusReport:
 def _window_for(family: PowerLawFamily, ceiling: int) -> int:
     """Smallest w >= 1 with family value above ceiling at |x| = w (plus margin).
 
-    The value is nondecreasing in |x|, so doubling brackets w and bisection
-    finds it; a w past 10**7 raises."""
-    lo, hi = 0, 1  # every value at 1..lo is at most the ceiling
-    while family.value(hi) <= ceiling:
-        if hi == 10**7:
-            raise RegimeViolation("table never exceeds the energy ceiling")
-        lo, hi = hi, min(2 * hi, 10**7)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if family.value(mid) <= ceiling:
-            lo = mid
-        else:
-            hi = mid
-    return hi + 1
+    The value is nondecreasing in |x|, so one bisection over 0..10**7 finds
+    w; a w past 10**7 raises."""
+    w = bisect.bisect_right(range(10**7 + 1), ceiling, key=family.value)
+    if w > 10**7:
+        raise RegimeViolation("table never exceeds the energy ceiling")
+    return w + 1
 
 
 def _is_exact_polynomial(family: PowerLawFamily) -> bool:

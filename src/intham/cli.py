@@ -36,7 +36,7 @@ from .contours import classify_site, enumerate_shell, next_site
 from .errors import ConfigError, IntHamError
 from .evolver import PhaseState, decoupled, step, step_inverse, total_energy
 from .hamiltonians import (
-    PowerLawFamily, fraction_from_json, hamiltonian_from_json, integers, only_keys, read_key
+    fraction_from_json, hamiltonian_from_json, integers, only_keys, power_family_from_json, read_key
 )
 from .spectral import (
     MAX_CHECK_SIZE,
@@ -182,24 +182,12 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     return report
 
 
-# Per census family: the name and default of its prefactor key.
-_CENSUS_PREFACTORS = {"kinetic": ("mass", "1/2"), "potential": ("scale", 1)}
-
-
-def _census_family(section: dict, kind: str) -> PowerLawFamily:
-    name, default = _CENSUS_PREFACTORS[kind]
-
-    def build(entry):
-        exponent = fraction_from_json(entry.get("exponent", 1))
-        return PowerLawFamily(kind, exponent, **{name: fraction_from_json(entry.get(name, default))})
-
-    return _build(section, kind, build, {"exponent", name})
-
-
 def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     section = read_key(cfg, "census", keys={"kinetic", "potential", "energies", "fit_floor", "periods"})
-    kinetic = _census_family(section, "kinetic")
-    potential = _census_family(section, "potential")
+    kinetic = _build(
+        section, "kinetic", lambda e: power_family_from_json({"mass": "1/2", **e}, "kinetic"), {"exponent", "mass"}
+    )
+    potential = _build(section, "potential", lambda e: power_family_from_json(e, "potential"), {"exponent", "scale"})
     energies = integers(read_key(section, "energies", kind=list), "energies")
     if len(energies) == 2 and energies[1] > energies[0] + 1:
         energies = range(energies[0], energies[1] + 1)
@@ -247,7 +235,7 @@ def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
     if "state" in cfg:
         state = _build(cfg, "state", fields.state_from_json, {"phi", "mom", "time"})
         if state.phi.shape != shape:
-            raise ConfigError(f"state shape {state.phi.shape} != {shape}")
+            raise ConfigError(f"'state' shape {state.phi.shape} != {shape}")
         return state
     return fields.FieldState(*_random_layers(cfg, rng, shape))
 
@@ -260,7 +248,7 @@ def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     else:
         state = fields.MargolusFieldState(*_random_layers(cfg, random.Random(seed), shape))
     if state.newer.shape != shape:
-        raise ConfigError(f"layer shape {state.newer.shape} != {shape}")
+        raise ConfigError(f"'layers' shape {state.newer.shape} != {shape}")
     initial = state
     energies = [fields.margolus_energy(state, spec)]
     for _ in range(steps):

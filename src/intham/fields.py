@@ -57,7 +57,8 @@ import numpy as np
 from .contours import next_site, prev_site
 from .errors import ConfigError, IntHamError, WindowExceeded
 from .hamiltonians import (
-    MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, integers, only_keys, read_key
+    MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, integers, only_keys, read_key,
+    read_window,
 )
 
 Site = tuple[int, ...]
@@ -761,9 +762,9 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
 
     Expected keys: "sizes"; optional "components" (default 1), "masses"
     (list, default zeros), "stiffness" (default 1/dimensions), "phi_window"
-    and "p_window" (shared [lo, hi] pairs, default [-64, 64]).  Rationals may
-    be written as numbers or strings like "1/2".  Any other key is a
-    :class:`ConfigError`.
+    and "p_window" (shared [lo, hi] pairs with lo <= hi, default [-64, 64]).
+    Rationals may be written as numbers or strings like "1/2".  Any other key
+    is a :class:`ConfigError`.
     """
     only_keys(obj, _SPEC_KEYS, "field spec")
     shape = LatticeShape(tuple(integers(read_key(obj, "sizes", kind=list), "sizes")))
@@ -774,15 +775,13 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
         stiffness = Fraction(1, shape.dimensions)
     else:
         stiffness = fraction_from_json(raw_stiffness)
-    phi_window = tuple(integers(read_key(obj, "phi_window", [-64, 64], list), "phi_window"))
-    p_window = tuple(integers(read_key(obj, "p_window", [-64, 64], list), "p_window"))
     return FieldHamiltonianSpec(
         shape,
         components,
         masses,
         stiffness,
-        (phi_window,) * components,
-        (p_window,) * components,
+        (read_window(obj, "phi_window", [-64, 64]),) * components,
+        (read_window(obj, "p_window", [-64, 64]),) * components,
     )
 
 

@@ -99,8 +99,6 @@ def _floor_nth_root(n: int, v: int) -> int:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    if v == 1:
-        return n
     if v == 2:
         return math.isqrt(n)
     if n.bit_length() <= 1000:
@@ -158,6 +156,10 @@ class PowerLawFamily:
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "exponent", Fraction(self.exponent))
         object.__setattr__(self, "scale", Fraction(self.scale))
+        if self.exponent.numerator + self.exponent.denominator > MAX_EXPONENT_TERMS:
+            raise ValueError(
+                f"power-family 'exponent' {self.exponent} needs numerator + denominator at most {MAX_EXPONENT_TERMS}"
+            )
         if self.kind == "kinetic":
             mass = Fraction(self.mass if self.mass is not None else 1)
             if mass <= 0:
@@ -319,6 +321,15 @@ def integers(value, key: str, nested: bool = False):
     return value
 
 
+def read_window(cfg: dict, key: str, default=None) -> tuple[int, int]:
+    """``cfg[key]`` (or ``default``) read as a window ``[lo, hi]``: two JSON
+    integers with ``lo <= hi``, else a ConfigError that names ``key``."""
+    window = integers(read_key(cfg, key, default, list), key)
+    if len(window) != 2 or window[0] > window[1]:
+        raise ConfigError(f"'{key}' must be [lo, hi] integers with lo <= hi, got {window!r}")
+    return tuple(window)
+
+
 def fraction_from_json(value) -> Fraction:
     """Exact rational from a JSON value: int, "num/den" string, or finite
     float (snapped to a nearby small-denominator rational)."""
@@ -358,37 +369,34 @@ def function_from_json(entry: dict, role: str) -> Optional[IntegerFunction1D]:
         return IntegerFunction1D(read_key(table, "lo", kind=int), tuple(values))
     only_keys(entry, {"family", "exponent", "scale", "mass", "window"}, "model entry")
     if entry.get("family") == "power":
-        window = integers(read_key(entry, "window", kind=list), "window")
-        if (
-            len(window) != 2
-            or not -MAX_WINDOW < window[0] <= window[1] < MAX_WINDOW
-            or window[1] - window[0] >= MAX_WINDOW
-        ):
-            raise ConfigError(f"power-family 'window' must be [lo, hi] integers in (-{MAX_WINDOW}, {MAX_WINDOW}), 1 to {MAX_WINDOW} entries")
-        kind = "kinetic" if ("mass" in entry or role == "kinetic") and "scale" not in entry else "potential"
-        exponent = fraction_from_json(entry.get("exponent", 1))
-        if exponent.numerator + exponent.denominator > MAX_EXPONENT_TERMS:
-            raise ConfigError(
-                f"power-family 'exponent' {exponent} needs numerator + denominator at most {MAX_EXPONENT_TERMS}"
-            )
-        try:
-            family = PowerLawFamily(
-                kind=kind,
-                exponent=exponent,
-                scale=fraction_from_json(entry.get("scale", 1)),
-                mass=fraction_from_json(entry["mass"]) if "mass" in entry else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return family.materialize(window[0], window[1])
+        lo, hi = read_window(entry, "window")
+        if lo <= -MAX_WINDOW or hi >= MAX_WINDOW or hi - lo >= MAX_WINDOW:
+            raise ConfigError(f"power-family 'window' must lie in (-{MAX_WINDOW}, {MAX_WINDOW}), {MAX_WINDOW} entries at most")
+        return power_family_from_json(entry, role).materialize(lo, hi)
     raise ConfigError(f"unrecognized model entry: {entry!r}")
+
+
+def power_family_from_json(entry: dict, role: str) -> PowerLawFamily:
+    """The power family of ``entry``'s ``exponent`` (default 1) and ``scale``
+    or ``mass``, kinetic when ``mass`` is given or ``role`` is "kinetic" and
+    ``scale`` is not; a value the family refuses is a ConfigError."""
+    kind = "kinetic" if ("mass" in entry or role == "kinetic") and "scale" not in entry else "potential"
+    try:
+        return PowerLawFamily(
+            kind=kind,
+            exponent=fraction_from_json(entry.get("exponent", 1)),
+            scale=fraction_from_json(entry.get("scale", 1)),
+            mass=fraction_from_json(entry["mass"]) if "mass" in entry else None,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def hamiltonian_from_json(model: dict) -> SeparableHamiltonian1D:
     """Build a 1-pair Hamiltonian from a model object.
 
     Required keys: ``kinetic`` and ``potential``.  Optional ``coupling_pos``
-    and ``coupling_mom`` enable the product term.
+    and ``coupling_mom`` enable the product term, and need each other.
     """
     only_keys(model, {"kinetic", "potential", "coupling_pos", "coupling_mom"}, "model")
     kinetic = function_from_json(model.get("kinetic"), "kinetic")
@@ -397,6 +405,9 @@ def hamiltonian_from_json(model: dict) -> SeparableHamiltonian1D:
         raise ConfigError("model requires both 'kinetic' and 'potential'")
     coupling_pos = function_from_json(model.get("coupling_pos"), "potential")
     coupling_mom = function_from_json(model.get("coupling_mom"), "kinetic")
+    if (coupling_pos is None) != (coupling_mom is None):
+        missing = "coupling_pos" if coupling_pos is None else "coupling_mom"
+        raise ConfigError(f"model needs '{missing}' too: the product term takes both factors")
     try:
         return SeparableHamiltonian1D(kinetic, potential, coupling_pos, coupling_mom)
     except ValueError as exc:

@@ -439,6 +439,19 @@ class TestFailureModes:
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "mass": 2**32 + 1, "window": [-5, 5]}}}, "'mass'"),
             ({**CENSUS, "census": {**CENSUS["census"], "kinetic": {"exponent": 1, "mass": "1/8589934592"}}}, "'mass'"),
             ({**CENSUS, "census": {**CENSUS["census"], "potential": {"exponent": 1, "scale": "4294967297/2"}}}, "'scale'"),
+            # census families meet the model families' exponent cap
+            ({**CENSUS, "census": {**CENSUS["census"], "kinetic": {"exponent": "1000001/1000000"}}}, "'exponent'"),
+            ({**CENSUS, "census": {**CENSUS["census"], "potential": {"exponent": "401/3"}}}, "'exponent'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "phi_window": [5, -5]}}, "'phi_window'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "phi_window": [1, 2, 3]}}, "'phi_window'"),
+            ({**LIGHTCONE, "field": {**LIGHTCONE["field"], "p_window": [3]}}, "'p_window'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "coupling_pos": TABLE_ID5}}, "'coupling_mom'"),
+            ({**TRAJECTORY, "model": {**DIAMOND, "coupling_mom": TABLE_ID5}}, "'coupling_pos'"),
+            ({**TRAJECTORY, "models": []}, "'models'"),
+            ({**SPECTRAL, "energy": -1}, "energy"),
+            ({**LIGHTCONE, "state": {"phi": [[0] * 4], "mom": [[0] * 4]}}, "'state'"),
+            ({**MARGOLUS, "layers": {"older": [[0] * 3], "newer": [[0] * 3]}}, "'layers'"),
+            ({**TRAJECTORY, "model": {**HYPERBOLIC, "coupling_pos": {"table": {"lo": -4, "values": [0] * 9}}}}, "coupling_pos"),
         ],
     )
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):

@@ -1,6 +1,7 @@
 """Sequential multi-pair evolution: ordering, conservation, exact undo."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,23 @@ def chain_system(window=20):
         potential=lambda qs: abs(qs[0]) + abs(qs[1]) + abs(qs[0] - qs[1]),
         q_windows=((-window, window),) * 2,
         p_windows=((-window, window),) * 2,
+    )
+
+
+def product_system(window=30):
+    """Three chained pairs plus the product term ``(|q0 - q2| + 1)(|p0| + |p1|)``.
+
+    Both factors are nonnegative, so every restricted contour closes; at
+    energy 14 the run below stays within 8 of the origin.
+    """
+    return CoupledSeparableHamiltonian(
+        pairs=3,
+        kinetic=lambda ps: sum(abs(p) for p in ps),
+        potential=lambda qs: sum(abs(q) for q in qs) + abs(qs[0] - qs[1]) + abs(qs[1] - qs[2]),
+        q_windows=((-window, window),) * 3,
+        p_windows=((-window, window),) * 3,
+        coupling_pos=lambda qs: abs(qs[0] - qs[2]) + 1,
+        coupling_mom=lambda ps: abs(ps[0]) + abs(ps[1]),
     )
 
 
@@ -163,6 +181,46 @@ class TestConservationAndReversal:
         forward = step(start, system, order=order)
         assert total_energy(forward, system) == total_energy(start, system)
         assert step_inverse(forward, system, order=order) == start
+
+
+class TestProductTerm:
+    start = PhaseState((2, -1, 1), (1, 0, -2))
+
+    def test_energy_is_conserved_at_every_step(self):
+        system = product_system()
+        state = self.start
+        assert system.coupling_pos(state.positions) * system.coupling_mom(state.momenta) == 2
+        for _ in range(100):
+            state = step(state, system)
+            assert total_energy(state, system) == 14
+        assert step(self.start, system) != step(self.start, replace(system, coupling_pos=None, coupling_mom=None))
+
+    def test_steps_and_inverse_steps_round_trip_exactly(self):
+        system = product_system()
+        state = self.start
+        for _ in range(100):
+            forward = step(state, system)
+            assert step_inverse(forward, system) == state
+            state = forward
+        for _ in range(100):
+            state = step_inverse(state, system)
+        assert state == self.start
+
+    def test_restricted_tables_are_the_callables_along_the_pair(self):
+        system = product_system(window=5)
+        qs, ps = self.start.positions, self.start.momenta
+        for index in range(3):
+            reduced = system.restricted(self.start, index)
+            assert reduced.has_coupling
+            for fn, vec, table in (
+                (system.kinetic, ps, reduced.kinetic),
+                (system.potential, qs, reduced.potential),
+                (system.coupling_pos, qs, reduced.coupling_pos),
+                (system.coupling_mom, ps, reduced.coupling_mom),
+            ):
+                assert table.window == (-5, 5)
+                along = [fn(vec[:index] + (v,) + vec[index + 1 :]) for v in range(-5, 6)]
+                assert list(table.values) == along
 
 
 class TestErrorTagging:

@@ -131,6 +131,8 @@ class TestPowerLawFamily:
             PowerLawFamily("potential", Fraction(0))
         with pytest.raises(ValueError):
             PowerLawFamily("kinetic", Fraction(2), mass=Fraction(-1))
+        with pytest.raises(ValueError, match="'exponent' 401/3"):
+            PowerLawFamily("potential", Fraction(401, 3))
 
 
 # exponents within the cap, and scales/masses with small denominators

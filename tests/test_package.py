@@ -49,6 +49,20 @@ def test_json_decoders_read_integers_through_one_rule():
     assert found == []
 
 
+def test_power_families_are_decoded_in_one_place():
+    # Models and the census read ``exponent``/``scale``/``mass`` through
+    # ``hamiltonians.power_family_from_json``; a second decoder in another
+    # module once skipped the exponent cap that the first one enforced.
+    found = []
+    for path in sorted(Path(intham.__file__).parent.glob("*.py")):
+        if path.name == "hamiltonians.py":
+            continue
+        for call in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "PowerLawFamily":
+                found.append(f"{path.name}:{call.lineno} {ast.unparse(call)}")
+    assert found == []
+
+
 def test_every_private_keyword_is_passed_inside_the_package():
     # A ``_``-prefixed keyword-only parameter is an option for the package's
     # own callers; one that no call in the package passes to its function is
