@@ -17,9 +17,17 @@ recording nothing past the image, only confirming closure; :func:`orbit_map`
 walks each component once for all its sites; :func:`trace_component` records
 the walk's crossings.  Every site is judged by one reader, :func:`_flags`
 (its energy and which neighbors lie above it, from the tables), and one
-rule, :func:`_regular`.  All decisions in the walk are integer arithmetic;
-each recorded crossing carries its position along the crossed edge as the
-exact pair ``(std, inf)``, meaning ``std + inf*eps``, for inspection.
+rule, :func:`_regular`.
+
+The walk reads each cell in its frame of travel, so one move rule serves all
+four directions: the crossing just made lies on a line of the table along the
+move (the kinetic table moving along p, the potential along q), between two
+lines of the other.  Each cell reads one new line of the along table; the
+level then goes straight on, or turns out across one of the two side lines,
+and a turn swaps the roles of the two tables.  All decisions in the walk are
+integer arithmetic; each recorded crossing carries its position along the
+crossed edge as the exact pair ``(std, inf)``, meaning ``std + inf*eps``, for
+inspection.
 """
 
 from __future__ import annotations
@@ -48,11 +56,9 @@ _EDGE_V = "v"
 
 # Inside the walk a directed crossing is (cq, cp, move): the level leaves the
 # unit cell with lower-left site (cq, cp) across its edge facing ``move``.
-# Per move: the step to the next cell, and the column and row offsets
-# (q0, q1, p0, p1) of the crossed edge's two ends within the cell left.
+# Per move: the step to the next cell.
 _UP, _RIGHT, _DOWN, _LEFT = range(4)
 _STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
-_SIDES = ((0, 1, 1, 1), (1, 1, 0, 1), (0, 1, 0, 0), (0, 0, 0, 1))
 
 
 class CrossingParam(NamedTuple):
@@ -176,8 +182,8 @@ def _crossing_param(ham, kind, Q, P, E) -> CrossingParam:
 
 def _edge(cq: int, cp: int, move: int) -> tuple:
     """A walk crossing as (kind, Q, P, forward); up and right are forward."""
-    q0, q1, p0, _ = _SIDES[move]
-    return (_EDGE_V if q0 == q1 else _EDGE_H, cq + q0, cp + p0, move in (_UP, _RIGHT))
+    kind = _EDGE_V if move in (_RIGHT, _LEFT) else _EDGE_H
+    return (kind, cq + (move == _RIGHT), cp + (move == _UP), move in (_UP, _RIGHT))
 
 
 def _start_crossing(Q, P, flags) -> tuple:
@@ -231,147 +237,85 @@ def _walk_component(
     """
     vv, kv, av, bv = _tables(ham)
     vlo, klo = ham.potential.lo, ham.kinetic.lo
-    ilast, jlast = len(vv) - 1, len(kv) - 1  # cell (i, j) needs i < ilast, j < jlast
+    # The walk reads each cell in its frame of travel.  Y is the along table
+    # (kv moving along p, vv along q) and X the across one, with the product
+    # term's factors YB and XA, so H at frame site (x, y) is
+    # X[x] + Y[y] + XA[x] * YB[y].  A crossing crosses line y of Y in
+    # direction dy, between lines xa (left of travel) and xb of X, whose
+    # ends have energies na and nb.  A turn swaps the roles of the tables.
     cq, cp, m = start
-    i, j = cq - vlo, cp - klo
-    ie, je, me = i + _STEPS[m][0], j + _STEPS[m][1], m  # the cell ``start`` enters
-    # The cell left is read along the crossed edge only, each corner copying
-    # the edge end in its row or column, so the first move shifts it in place.
-    dq0, dq1, dp0, dp1 = _SIDES[m]
-    q0, q1, p0, p1 = i + dq0, i + dq1, j + dp0, j + dp1
-    v0, v1, k0, k1 = vv[q0], vv[q1], kv[p0], kv[p1]
-    a0, a1, b0, b1 = (av[q0], av[q1], bv[p0], bv[p1]) if av is not None else (0, 0, 0, 0)
-    c00, c10 = v0 + k0 + a0 * b0, v1 + k0 + a1 * b0
-    c01, c11 = v0 + k1 + a0 * b1, v1 + k1 + a1 * b1
-    s00, s10, s01, s11 = c00 > E, c10 > E, c01 > E, c11 > E
+    dq, dp = _STEPS[m]
+    if dq:
+        X, Y, XA, YB, x, y = kv, vv, bv, av, cp - klo, cq - vlo
+    else:
+        X, Y, XA, YB, x, y = vv, kv, av, bv, cq - vlo, cp - klo
+    dy = dq + dp
+    y += dy > 0
+    # Left of travel lies -q moving up, +p right, +q down and -p left.
+    xa, xb = x + (m in (_RIGHT, _DOWN)), x + (m in (_UP, _LEFT))
+    y0, dy0, xa0, xb0 = y, dy, xa, xb
+    t = Y[y]
+    na, nb = X[xa] + t, X[xb] + t
+    if XA is not None:
+        na, nb = na + XA[xa] * YB[y], nb + XA[xb] * YB[y]
+    sna, snb = na > E, nb > E
+    lx, ly = len(X), len(Y)
     live = True  # touches are still recorded
-    # Each branch enters the next cell across the edge crossed last, shifts
-    # its corners into place, reads the two new ones and exits across the
-    # other crossed edge.  With all four edges crossed the arc hugs the entry
-    # edge's left-of-travel corner iff the saddle is on the other side of E.
+    # Each cell reads the one new line Y[y + dy] and goes straight on, or
+    # turns out across line xa or xb.  With all four edges crossed the arc
+    # cuts off the near corner whose sign the saddle does not share.
     # The level crosses each table edge at most once, so a walk that has not
     # closed after 4 crossings per table site did not start on the level.
     for n in range(4 * len(vv) * len(kv)):
         if record is not None:
-            if n and (i + vlo, j + klo, m) == start:  # a start that brushes no site
+            if n and y == y0 and xa == xa0 and dy == dy0 and xb == xb0:  # a start that brushes no site
                 return n if live else None
-            record.append((i + vlo, j + klo, m))
-        if m == _UP:
-            j += 1
-            c00, c10, s00, s10 = c01, c11, s01, s11
-            if c00 == E or c10 == E:
-                if n and i == ie and j == je and m == me:
-                    return n if live else None
-                if live:
-                    ti = i if c00 == E else i + 1
-                    site = (ti + vlo, j + klo)
-                    touches.append((n, site))
-                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, ti, j):
-                        if closed:
-                            return None
-                        live = False
-            if j == jlast:
-                _raise_escape(ham, E, i + vlo, j + klo)
-            k0, k1 = k1, kv[j + 1]
-            c01, c11 = v0 + k1, v1 + k1
-            if av is not None:
-                b0, b1 = b1, bv[j + 1]
-                c01, c11 = c01 + a0 * b1, c11 + a1 * b1
-            s01, s11 = c01 > E, c11 > E
-            if s01 is s00:
-                if s11 is not s10:
-                    m = _RIGHT
-            elif s11 is s10:
-                m = _LEFT
+            cy, cx = y - (dy > 0), (xa if xa < xb else xb)  # the cell left
+            if dy == xb - xa:  # along p: -q lies on the left moving up, +q moving down
+                record.append((cx + vlo, cy + klo, _UP if dy > 0 else _DOWN))
             else:
-                m = _LEFT if _saddle_above(c00, c10, c01, c11, E) is not s00 else _RIGHT
-        elif m == _RIGHT:
-            i += 1
-            c00, c01, s00, s01 = c10, c11, s10, s11
-            if c00 == E or c01 == E:
-                if n and i == ie and j == je and m == me:
-                    return n if live else None
-                if live:
-                    tj = j if c00 == E else j + 1
-                    site = (i + vlo, tj + klo)
-                    touches.append((n, site))
-                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, i, tj):
-                        if closed:
-                            return None
-                        live = False
-            if i == ilast:
-                _raise_escape(ham, E, i + vlo, j + klo)
-            v0, v1 = v1, vv[i + 1]
-            c10, c11 = v1 + k0, v1 + k1
-            if av is not None:
-                a0, a1 = a1, av[i + 1]
-                c10, c11 = c10 + a1 * b0, c11 + a1 * b1
-            s10, s11 = c10 > E, c11 > E
-            if s10 is s00:
-                if s11 is not s01:
-                    m = _UP
-            elif s11 is s01:
-                m = _DOWN
-            else:
-                m = _UP if _saddle_above(c00, c10, c01, c11, E) is s00 else _DOWN
-        elif m == _DOWN:
-            j -= 1
-            c01, c11, s01, s11 = c00, c10, s00, s10
-            if c01 == E or c11 == E:
-                if n and i == ie and j == je and m == me:
-                    return n if live else None
-                if live:
-                    ti = i if c01 == E else i + 1
-                    site = (ti + vlo, j + 1 + klo)
-                    touches.append((n, site))
-                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, ti, j + 1):
-                        if closed:
-                            return None
-                        live = False
-            if j < 0:
-                _raise_escape(ham, E, i + vlo, j + klo)
-            k0, k1 = kv[j], k0
-            c00, c10 = v0 + k0, v1 + k0
-            if av is not None:
-                b0, b1 = bv[j], b0
-                c00, c10 = c00 + a0 * b0, c10 + a1 * b0
-            s00, s10 = c00 > E, c10 > E
-            if s00 is s01:
-                if s10 is not s11:
-                    m = _RIGHT
-            elif s10 is s11:
-                m = _LEFT
-            else:
-                m = _LEFT if _saddle_above(c00, c10, c01, c11, E) is s00 else _RIGHT
-        else:
-            i -= 1
-            c10, c11, s10, s11 = c00, c01, s00, s01
-            if c10 == E or c11 == E:
-                if n and i == ie and j == je and m == me:
-                    return n if live else None
-                if live:
-                    tj = j if c10 == E else j + 1
-                    site = (i + 1 + vlo, tj + klo)
-                    touches.append((n, site))
-                    if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, i + 1, tj):
-                        if closed:
-                            return None
-                        live = False
-            if i < 0:
-                _raise_escape(ham, E, i + vlo, j + klo)
-            v0, v1 = vv[i], v0
-            c00, c01 = v0 + k0, v0 + k1
-            if av is not None:
-                a0, a1 = av[i], a0
-                c00, c01 = c00 + a0 * b0, c01 + a0 * b1
-            s00, s01 = c00 > E, c01 > E
-            if s00 is s10:
-                if s01 is not s11:
-                    m = _UP
-            elif s01 is s11:
-                m = _DOWN
-            else:
-                m = _DOWN if _saddle_above(c00, c10, c01, c11, E) is s00 else _UP
+                record.append((cy + vlo, cx + klo, _RIGHT if dy > 0 else _LEFT))
+        if na == E or nb == E:
+            if n and y == y0 and xa == xa0 and dy == dy0 and xb == xb0:
+                return n if live else None
+            if live:
+                x = xa if na == E else xb
+                ti, tj = (x, y) if dy == xb - xa else (y, x)
+                site = (ti + vlo, tj + klo)
+                touches.append((n, site))
+                if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, ti, tj):
+                    if closed:
+                        return None
+                    live = False
+        yn = y + dy
+        if not 0 <= yn < ly:  # the cell entered is not in the tables
+            cy, cx = min(y, yn), min(xa, xb)
+            _raise_escape(ham, E, *((cx + vlo, cy + klo) if dy == xb - xa else (cy + vlo, cx + klo)))
+        t = Y[yn]
+        fa, fb = X[xa] + t, X[xb] + t
+        if XA is not None:
+            t = YB[yn]
+            fa, fb = fa + XA[xa] * t, fb + XA[xb] * t
+        sfa, sfb = fa > E, fb > E
+        if sfa is not sna and (sfb is snb or _saddle_above(na, nb, fa, fb, E) is snb):
+            dy = xa - xb  # out across line xa
+            xb = yn
+            xa, y = y, xa
+            nb = fa
+            snb = sfa
+        elif sfb is not snb:
+            dy = xb - xa  # out across line xb
+            xa = yn
+            xb, y = y, xb
+            na = fb
+            sna = sfb
+        else:  # straight on
+            y = yn
+            na, nb = fa, fb
+            continue
+        X, Y = Y, X
+        XA, YB = YB, XA
+        lx, ly = ly, lx
     raise RuntimeError(f"level {E}+eps from crossing {start} does not close: a start off the level")
 
 

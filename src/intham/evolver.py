@@ -15,7 +15,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 from .contours import next_site, prev_site
 from .errors import IntHamError
-from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
+from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D, index_tuple
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class PhaseState:
     def __post_init__(self):
         if len(self.positions) != len(self.momenta):
             raise ValueError("positions and momenta must have equal length")
-        object.__setattr__(self, "positions", tuple(int(q) for q in self.positions))
-        object.__setattr__(self, "momenta", tuple(int(p) for p in self.momenta))
+        object.__setattr__(self, "positions", index_tuple(self.positions, "positions"))
+        object.__setattr__(self, "momenta", index_tuple(self.momenta, "momenta"))
 
     @property
     def pairs(self) -> int:

@@ -57,8 +57,8 @@ import numpy as np
 from .contours import next_site, prev_site
 from .errors import ConfigError, IntHamError, WindowExceeded
 from .hamiltonians import (
-    MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, integers, only_keys, read_key,
-    read_window,
+    MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, index_tuple, integers, only_keys,
+    read_key, read_window,
 )
 
 Site = tuple[int, ...]
@@ -75,7 +75,7 @@ class LatticeShape:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", index_tuple(self.sizes, "sizes"))
         if not self.sizes:
             raise ValueError("need at least one dimension")
         for s in self.sizes:
@@ -138,12 +138,12 @@ class FieldHamiltonianSpec:
             raise ValueError(
                 f"stiffness must lie in (0, 1/{self.shape.dimensions}]"
             )
-        object.__setattr__(
-            self, "phi_windows", tuple((int(a), int(b)) for a, b in self.phi_windows)
-        )
-        object.__setattr__(
-            self, "p_windows", tuple((int(a), int(b)) for a, b in self.p_windows)
-        )
+        for name in ("phi_windows", "p_windows"):
+            windows = tuple(index_tuple(w, name) for w in getattr(self, name))
+            for k, (lo, hi) in enumerate(windows):
+                if lo > hi:
+                    raise ValueError(f"{name}[{k}] = [{lo}, {hi}] of component {k} is empty: lo > hi")
+            object.__setattr__(self, name, windows)
         if len(self.phi_windows) != self.components or len(self.p_windows) != self.components:
             raise ValueError("need one field and one momentum window per component")
         # Integer form of the two floors: with stiffness sn/sd and squared

@@ -29,6 +29,15 @@ MAX_EXPONENT_TERMS = 50
 MAX_PREFACTOR = 2**32
 
 
+def index_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple of ints, each read by ``operator.index``, so that
+    a float or a Fraction raises ``ValueError`` instead of being truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
 @dataclass(frozen=True)
 class IntegerFunction1D:
     """Integer values tabulated on the window ``[lo, lo + len(values) - 1]``."""
@@ -39,11 +48,7 @@ class IntegerFunction1D:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty window")
-        try:
-            values = tuple(operator.index(v) for v in self.values)
-        except TypeError:
-            raise ValueError("values must be integers") from None
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", index_tuple(self.values, "values"))
 
     @classmethod
     def _trusted(cls, lo: int, values: tuple) -> "IntegerFunction1D":
@@ -73,7 +78,7 @@ class IntegerFunction1D:
 
     @classmethod
     def from_callable(cls, fn: Callable[[int], int], lo: int, hi: int) -> "IntegerFunction1D":
-        return cls(lo, tuple(int(fn(x)) for x in range(lo, hi + 1)))
+        return cls(lo, tuple(map(fn, range(lo, hi + 1))))
 
     @classmethod
     def zero(cls, lo: int, hi: int) -> "IntegerFunction1D":

@@ -206,3 +206,17 @@ class TestPeriods:
         cut = SeparableHamiltonian1D(IntegerFunction1D.from_callable(abs, -2, 5), small)
         with pytest.raises(UnboundedContour, match=r"level 4\+eps leaves the window"):
             continuum_period(cut, 4)
+
+
+@pytest.mark.parametrize(
+    "energies, fit_floor, message",
+    [
+        ([], 10, "need a nonempty ladder of nonnegative energies"),
+        ([-1, 5], 0, "need a nonempty ladder of nonnegative energies"),
+        (range(1, 20), 19, "need at least two rows at or above the fit floor"),
+        (range(1, 20), 100, "need at least two rows at or above the fit floor"),
+    ],
+)
+def test_census_rejects_ladders_it_cannot_fit(energies, fit_floor, message):
+    with pytest.raises(ValueError, match=message):
+        census(linear_kinetic, linear_potential, energies, fit_floor=fit_floor, with_periods=False)

@@ -1,5 +1,6 @@
 """Contour stepping: successors, inverses, shells, traces, classification."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_confining, well_sites
 from intham import contours
+from intham.census import continuum_period
 from intham.contours import (
     SiteClassification,
     _DOWN,
@@ -23,7 +25,7 @@ from intham.contours import (
     prev_site,
     trace_component,
 )
-from intham.errors import UnboundedContour, WindowExceeded
+from intham.errors import IntHamError, UnboundedContour, WindowExceeded
 from intham.hamiltonians import IntegerFunction1D, SeparableHamiltonian1D
 
 W = 6
@@ -641,3 +643,73 @@ def test_unproven_step_stops_recording_at_an_early_image(monkeypatch):
     assert seen == [(full, 44)]
     assert len(trace.sites) == len(successors) == 12
     assert successors[(5, 0)] == (4, -3) and trace.sites[:2] == ((5, 0), (4, -3))
+
+
+# -- a pinned digest of every walk output over a fixed battery -----------------
+
+
+def _walk_outputs(kind, seed):
+    """Every walk output over :func:`cut_landscapes`, errors included: each
+    trace's crossings, both steps with and without ``_closed``, the orbit map
+    of the shell and of each site, and the census period of every level up
+    to the level + 1 (empty shells included) on separable cuts that hold the
+    origin."""
+
+    def capture(call):
+        try:
+            return ("ok", call())
+        except (IntHamError, RuntimeError) as err:  # every error is part of the output
+            cause = err.__cause__
+            return (
+                type(err).__name__, str(err), getattr(err, "energy", None),
+                getattr(err, "site", None), None if cause is None else str(cause),
+            )
+
+    for cut, energy, _, sites in cut_landscapes(kind, seed):
+        yield energy, cut.q_window, cut.p_window
+        for site in sites:
+            trace = capture(lambda: trace_component(cut, energy, site))
+            if trace[0] == "ok":
+                trace = (trace[1].sites, [k.value for k in trace[1].kinds], [
+                    (c.kind, c.Q, c.P, c.forward, tuple(c.param), c.touched) for c in trace[1].crossings
+                ])
+            yield site, trace
+            for closed in (False, True):
+                yield [capture(lambda: mover(cut, *site, _closed=closed)) for mover in (next_site, prev_site)]
+            yield capture(lambda: orbit_map(cut, [site]))
+        yield capture(lambda: orbit_map(cut, sites))
+        (qlo, qhi), (plo, phi) = cut.q_window, cut.p_window
+        if cut.coupling_pos is None and qlo <= 0 <= qhi and plo <= 0 <= phi:
+            yield [(e, capture(lambda: continuum_period(cut, e))) for e in range(1, energy + 2)]
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("confining", "c43d8f8beef700e4b268c87779691fc634deee66af78e51577a11fbc79d4e281"),
+        ("multi-well", "7a255d86f96bb84371644a5628728a54cf9906aa7bbedf561cf396c669911706"),
+        ("product-term", "8ba586a739f7e90a1a5a83e83c70f82f8abdcb4bedcc51c06ed0499eca5a4fde"),
+    ],
+)
+def test_walk_outputs_match_their_pinned_digest(kind, digest):
+    # Separable, multi-well and product-term tables, each cut to one site
+    # around the level - 1, the level and the level + 1, so that walks
+    # close, stand still and escape.  The digests pin the walk's outputs and
+    # errors exactly; any change to the walk must leave them all unchanged.
+    h = hashlib.sha256()
+    for seed in range(3):
+        for item in _walk_outputs(kind, seed):
+            h.update(repr(item).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "energy, seed, message",
+    [
+        (3, (1, 1), r"seed \(1, 1\) is not on the shell: H=2 != 3"),
+        (0, (0, 1), r"seed \(0, 1\) is not on the shell: H=1 != 0"),
+    ],
+)
+def test_trace_component_rejects_a_seed_off_the_shell(energy, seed, message):
+    with pytest.raises(ValueError, match=message):
+        trace_component(bowl, energy, seed)

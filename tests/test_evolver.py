@@ -2,7 +2,9 @@
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,17 @@ class TestPhaseState:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PhaseState((1,), (2, 3))
+
+    def test_non_integer_coordinates_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="positions must be integers"):
+            PhaseState((1.9,), (-1,))
+        with pytest.raises(ValueError, match="momenta must be integers"):
+            PhaseState((1,), (-0.5,))
+        with pytest.raises(ValueError, match="momenta must be integers"):
+            PhaseState((1,), (Fraction(2),))
+        state = PhaseState((np.int64(2),), (np.int32(-3),))
+        assert state == PhaseState((2,), (-3,))
+        assert all(type(v) is int for v in state.positions + state.momenta)
 
 
 class TestPairIndexOrder:

@@ -100,6 +100,63 @@ class TestSpecValidation:
                 LINE16, 1, Fraction(-1), Fraction(1), (-8, 8), (-8, 8)
             )
 
+    def test_integer_windows_and_sides_are_kept_exactly(self):
+        spec = FieldHamiltonianSpec.uniform(
+            LatticeShape((np.int64(4),)), 1, Fraction(0), Fraction(1), (np.int64(-3), 3), (-2, np.int32(2))
+        )
+        assert (spec.shape.sizes, spec.phi_windows, spec.p_windows) == ((4,), ((-3, 3),), ((-2, 2),))
+        values = spec.shape.sizes + spec.phi_windows[0] + spec.p_windows[0]
+        assert all(type(v) is int for v in values)
+
+
+def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
+    return FieldHamiltonianSpec.uniform(LINE16, components, Fraction(0), Fraction(1), phi_window, p_window)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LatticeShape(()), "need at least one dimension"),
+        (lambda: LatticeShape((4.7,)), "sizes must be integers"),
+        (lambda: LatticeShape((4, Fraction(4))), "sizes must be integers"),
+        (lambda: uniform_spec(phi_window=(5, -5)), r"phi_windows\[0\] = \[5, -5\] of component 0 is empty: lo > hi"),
+        (lambda: uniform_spec(p_window=(1, 0)), r"p_windows\[0\] = \[1, 0\] of component 0 is empty: lo > hi"),
+        (
+            lambda: FieldHamiltonianSpec(
+                LINE16, 2, (Fraction(0),) * 2, Fraction(1), ((-8, 8), (3, 2)), ((-8, 8),) * 2
+            ),
+            r"phi_windows\[1\] = \[3, 2\] of component 1 is empty: lo > hi",
+        ),
+        (lambda: uniform_spec(phi_window=(-3.9, 3.9)), "phi_windows must be integers"),
+        (lambda: uniform_spec(p_window=(-3, 3.0)), "p_windows must be integers"),
+        (
+            lambda: FieldHamiltonianSpec(LINE16, 2, (Fraction(0),) * 2, Fraction(1), ((-8, 8),), ((-8, 8),) * 2),
+            "need one field and one momentum window per component",
+        ),
+        (
+            lambda: FieldHamiltonianSpec(LINE16, 1, (Fraction(0),), Fraction(1), ((-8, 8),), ((-8, 8),) * 2),
+            "need one field and one momentum window per component",
+        ),
+        (lambda: FieldState(np.zeros((1, 4)), np.zeros((1, 6))), "field and momentum arrays must share a shape"),
+        (lambda: FieldState(np.zeros(4), np.zeros(4)), r"arrays must be \(components, \*sizes\)"),
+        (
+            lambda: total_energy(FieldState(np.zeros((1, 8)), np.zeros((1, 8))), uniform_spec()),
+            r"state shape \(1, 8\) != spec shape \(1, 16\)",
+        ),
+        (
+            lambda: step(FieldState(np.zeros((1, 16)), np.zeros((1, 16))), uniform_spec(components=2)),
+            r"state shape \(1, 16\) != spec shape \(2, 16\)",
+        ),
+        (
+            lambda: margolus_energy(MargolusFieldState(np.zeros((1, 8)), np.zeros((1, 8))), uniform_spec()),
+            r"layer shape \(1, 8\) != spec shape \(1, 16\)",
+        ),
+    ],
+)
+def test_field_constructors_and_queries_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
 
 class TestSiteEnergy:
     """Hand-evaluated energies on a 4-site line."""

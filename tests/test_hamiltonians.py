@@ -370,3 +370,32 @@ class TestFractionFromJson:
     def test_rejected_forms(self, bad):
         with pytest.raises(ConfigError):
             fraction_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _floor_nth_root(-1, 3), "negative radicand"),
+        (lambda: PowerLawFamily("potential", 2, scale=0), "scale must be positive"),
+        (lambda: PowerLawFamily("kinetic", 2, mass=0), "mass must be positive"),
+        (lambda: IntegerFunction1D.from_callable(lambda x: x / 2, -3, 3), "values must be integers"),
+        (lambda: IntegerFunction1D.from_callable(lambda x: Fraction(x, 2), -3, 3), "values must be integers"),
+        (
+            lambda: SeparableHamiltonian1D(squares, squares, squares, IntegerFunction1D(-3, (0,) * 7)),
+            "coupling_mom window must match kinetic window",
+        ),
+        (
+            lambda: SeparableHamiltonian1D(squares, squares, IntegerFunction1D(-4, (0,) * 8), squares),
+            "coupling_pos window must match potential window",
+        ),
+    ],
+)
+def test_table_constructors_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_from_callable_keeps_integer_results():
+    fn = IntegerFunction1D.from_callable(lambda x: x // 2, -3, 3)
+    assert fn.values == (-2, -1, -1, 0, 0, 1, 1)
+    assert IntegerFunction1D.from_callable(np.int64, -1, 1).values == (-1, 0, 1)

@@ -281,3 +281,19 @@ class TestCutoffCorrection:
     def test_asymptote_is_two_over_radius_times_angle(self):
         (row,) = cutoff_correction_check(0.5, [2000])
         assert row.asymptote == pytest.approx(2 / (2000 * 0.5), abs=1e-18)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ShellPermutation((0, 1, 2), (0, 0, 1), 0), "mapping is not a permutation"),
+        (lambda: ShellPermutation((0, 1), (0, 1, 2), 0), "mapping is not a permutation"),
+        (lambda: ShellPermutation.from_step(lambda s: s, [(1, 0), (0, 1), (1, 0)], 1), "shell contains duplicate states"),
+        (lambda: cutoff_correction_check(0.0, [10.0]), r"alpha must lie in \(0, pi\)"),
+        (lambda: cutoff_correction_check(math.pi, [10.0]), r"alpha must lie in \(0, pi\)"),
+        (lambda: cutoff_correction_check(-0.5, [10.0]), r"alpha must lie in \(0, pi\)"),
+    ],
+)
+def test_spectral_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
