@@ -82,15 +82,25 @@ def continuum_period(ham: SeparableHamiltonian1D, energy: int) -> float:
     Without a product term the interpolated H is linear in each unit cell, so
     the velocity ``(T', -V')`` is constant there and the orbit is the polygon
     whose corners are the contour walk's edge crossings.  The walk starts on
-    row ``p = 0`` on the +q side, crossing downward.  Each cell adds its q span
-    over ``T'``, or its p span over ``-V'`` where ``T'`` is 0; every term is a
-    ratio of integers, and the correctly rounded terms are summed exactly.
-    A level that row ``p = 0`` does not cross inside the window raises
-    ``RegimeViolation``, one that leaves it elsewhere ``UnboundedContour``.
+    row ``p = 0`` at the first site past the origin on the +q side that lies
+    above the level, crossing downward; the tables need not be monotone.
+    Each cell adds its q span over ``T'``, or its p span over ``-V'`` where
+    ``T'`` is 0; every term is a ratio of integers, and the correctly rounded
+    terms are summed exactly.  Windows that do not hold the origin, a level
+    below ``H(0, 0)`` and a level that row ``p = 0`` does not cross inside
+    the window raise ``RegimeViolation``, and so does a product term; a level
+    that leaves the window elsewhere raises ``UnboundedContour``.
     """
+    if ham.coupling_pos is not None:
+        raise RegimeViolation("the continuum period needs H = T(p) + V(q): the product term is not linear in a cell")
     vv, kv, vlo, klo = ham.potential.values, ham.kinetic.values, ham.potential.lo, ham.kinetic.lo
-    q = bisect.bisect_right(vv, energy - kv[-klo], lo=-vlo) + vlo
-    if q > ham.potential.hi:
+    if not (vlo <= 0 <= ham.potential.hi and klo <= 0 <= ham.kinetic.hi):
+        raise RegimeViolation(f"windows q {ham.q_window}, p {ham.p_window} do not hold the origin")
+    bound = energy - kv[-klo]
+    if vv[-vlo] > bound:
+        raise RegimeViolation(f"level {energy} lies below H(0, 0) = {vv[-vlo] + kv[-klo]}")
+    q = next((q for q in range(1, ham.potential.hi + 1) if vv[q - vlo] > bound), None)
+    if q is None:
         raise RegimeViolation(f"level {energy} not reached inside the window")
     record: list = []
     _walk_component(ham, energy, (q - 1, 0, _DOWN), [], record)

@@ -11,14 +11,18 @@ integer shell energy it combines into a total energy
 which is nonnegative whenever the integer energy is.  The module also checks
 two analytic identities for the phase: the alternating sine series that
 recovers ``omega`` from powers of the permutation, and the closed form of the
-exponentially damped version of that series.
+exponentially damped version of that series.  The damped operator check sums
+the k x k block of one cycle length k once per ``(k, radius, terms)`` per
+process: later shells with that cycle length look its residuals up.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,10 +47,13 @@ TAIL = 1e-18
 #: about 41 000 passes.
 MAX_RADIUS = 1000
 
-#: Largest ``size_cap`` the CLI accepts for :func:`hfract_operator_check`.  One check
-#: costs about terms x sum(k^2) over the distinct cycle lengths k, at most
-#: terms x size^2, so with :data:`MAX_RADIUS` this bounds a check at about
-#: 41 000 passes over 256 x 512 floats.
+#: Largest ``size_cap`` the CLI accepts for :func:`hfract_operator_check`, and
+#: the number of cycle lengths whose residuals the check keeps.  A cold check
+#: costs about terms x sum(k^2) over its new cycle lengths k, at most
+#: terms x size^2, so with :data:`MAX_RADIUS` this bounds it at about
+#: 41 000 passes over 256 x 512 floats; a length already seen with the same
+#: truncation is a lookup.  The kept residuals hold at most 256 entries of at
+#: most 256 floats each.
 MAX_CHECK_SIZE = 256
 
 
@@ -63,8 +70,12 @@ class TruncationConfig:
     terms: int
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise ValueError(f"damping radius must be finite, got {self.radius}")
         if self.radius < 1:
             raise ValueError("damping radius must be at least 1")
+        if not isinstance(self.terms, numbers.Integral) or isinstance(self.terms, bool):
+            raise ValueError(f"terms must be an integer, got {self.terms!r}")
         if self.terms < 1:
             raise ValueError("need at least one term")
 
@@ -73,6 +84,8 @@ class TruncationConfig:
         """The term count that leaves a tail below :data:`TAIL`: about 41 terms
         per unit of radius, so ``radius`` may not exceed :data:`MAX_RADIUS`."""
         radius = float(radius)
+        if math.isnan(radius):
+            raise ValueError("damping radius must be finite, got nan")
         if radius > MAX_RADIUS:
             raise ValueError(f"radius {radius:g} exceeds the cap {MAX_RADIUS}")
         terms = max(1, math.ceil(-radius * math.log(TAIL)))
@@ -229,6 +242,26 @@ class OperatorCheckResult:
         return max(self.residuals, default=0.0)
 
 
+@lru_cache(maxsize=MAX_CHECK_SIZE)
+def _cycle_residuals(k: int, radius: float, terms: int) -> tuple[float, ...]:
+    """Max-norm residual of the damped operator series on each mode of a
+    k-cycle, by mode index: see :func:`hfract_operator_check`."""
+    modes = np.array([
+        [cmath.exp(2j * math.pi * m * j / k) for m in range(k)] for j in range(k)
+    ])
+    tiled = np.tile(modes / 1j, (3, 1)).view(float)
+    acc = np.zeros((k, 2 * k))
+    step = np.empty_like(acc)
+    for term in range(1, terms + 1):
+        s = term % k
+        if 2 * s % k:
+            np.subtract(tiled[k + s:2 * k + s], tiled[k - s:2 * k - s], out=step)
+            step *= (1.0 if term % 2 else -1.0) * math.exp(-term / radius) / term
+            acc += step
+    reference = np.array([damped_closed_form(_reduced_omega(k, m), radius) for m in range(k)])
+    return tuple(np.abs(acc.view(complex) - reference * modes).max(axis=0).tolist())
+
+
 def hfract_operator_check(
     perm: ShellPermutation,
     cfg: TruncationConfig,
@@ -244,15 +277,17 @@ def hfract_operator_check(
 
     An eigenvector lives on its own cycle, where U^n is a cyclic shift by n,
     and its coordinates there depend only on the cycle length k and the
-    mode index.  So the series runs once per distinct k, on the k x k block
-    of all modes of that length: row j holds coordinate j of every mode,
-    divided by i, tiled to three periods so that each term's shifts are row
-    slices.  Dividing by i swaps the real and imaginary parts and negates
-    one, exactly, so the block is summed as real pairs.  Terms with
+    mode index.  So the series runs once per ``(k, radius, terms)`` per
+    process, in :func:`_cycle_residuals`, which keeps the residuals of the
+    :data:`MAX_CHECK_SIZE` most recently used keys.  It runs on the k x k
+    block of all modes of that length: row j holds coordinate j of every
+    mode, divided by i, tiled to three periods so that each term's shifts
+    are row slices.  Dividing by i swaps the real and imaginary parts and
+    negates one, exactly, so the block is summed as real pairs.  Terms with
     2n = 0 mod k add an exact zero and are skipped; the others are added one
-    by one in order, with the same weights, so each residual equals the one
-    of the dense operator on the whole shell, bit for bit (the dense
-    operator is zero off the cycle).
+    by one in order, each shift difference scaled by the same weight in one
+    reused buffer, so each residual equals the one of the dense operator on
+    the whole shell, bit for bit (the dense operator is zero off the cycle).
     """
     n = perm.size
     if n > size_cap:
@@ -261,26 +296,10 @@ def hfract_operator_check(
             size=n,
             limit=size_cap,
         )
-    weights = [
-        (1.0 if term % 2 else -1.0) * math.exp(-term / cfg.radius) / term
-        for term in range(1, cfg.terms + 1)
-    ]
     entries = eigenphases(perm)
-    by_length = {}
-    for k in {len(cycle) for cycle in perm.cycles}:
-        modes = np.array([
-            [cmath.exp(2j * math.pi * m * j / k) for m in range(k)] for j in range(k)
-        ])
-        tiled = np.tile(modes / 1j, (3, 1)).view(float)
-        acc = np.zeros((k, 2 * k))
-        for term, weight in enumerate(weights, 1):
-            s = term % k
-            if 2 * s % k:
-                acc += weight * (tiled[k + s:2 * k + s] - tiled[k - s:2 * k - s])
-        reference = np.array(
-            [damped_closed_form(_reduced_omega(k, m), cfg.radius) for m in range(k)]
-        )
-        by_length[k] = np.abs(acc.view(complex) - reference * modes).max(axis=0).tolist()
+    by_length = {
+        k: _cycle_residuals(k, cfg.radius, cfg.terms) for k in {len(cycle) for cycle in perm.cycles}
+    }
     residuals = tuple(by_length[e.length][e.index] for e in entries)
     return OperatorCheckResult(tuple(entries), residuals)
 

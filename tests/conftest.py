@@ -1,4 +1,5 @@
-"""Shared fixtures: random confining Hamiltonians and the acceptance summary.
+"""Shared fixtures: random confining and multi-well Hamiltonians and the
+acceptance summary.
 
 The generators here produce tabulated Hamiltonians whose kinetic and potential
 tables are monotone away from the origin with increments in {0, 1, 2}, a flat
@@ -63,6 +64,30 @@ def well_sites(ham, ceiling):
         for p in range(plo, phi + 1)
         if ham.value(q, p) <= ceiling
     ]
+
+
+def random_landscape(rng, coupled, half=7, even=False):
+    """Non-monotone multi-well tables on [-half, half] with steep walls, plus a
+    random product term when ``coupled``; returns ``(ham, ceiling)``.  With
+    ``even`` the momentum tables (the kinetic table and the product term's
+    ``B``) are even in p.
+
+    Every window-boundary site lies above ``ceiling``, so a contour at or
+    below it never crosses a boundary edge and closes inside the windows.
+    """
+
+    def table(lo, hi, wall, even=False):
+        xs = range(0 if even else -half, half + 1)
+        values = [rng.randint(lo, hi) + wall * max(0, abs(x) - half + 3) ** 2 for x in xs]
+        return IntegerFunction1D(-half, tuple(values[:0:-1] + values if even else values))
+
+    kin, pot = table(0, 6, 6, even), table(0, 6, 6)
+    ham = SeparableHamiltonian1D(kin, pot)
+    if coupled:
+        ham = SeparableHamiltonian1D(kin, pot, table(-2, 2, 0), table(-2, 2, 0, even))
+    xs = range(-half, half + 1)
+    ring = [(q, p) for q in xs for p in xs if half in (abs(q), abs(p))]
+    return ham, min(ham.value(*s) for s in ring) - 1
 
 
 # --- acceptance summary ------------------------------------------------------

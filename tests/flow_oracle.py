@@ -8,7 +8,8 @@ around the origin; it converges to the exact period as its step shrinks.
 the contour: inside a cell the separable interpolation is linear, so the
 time there is the level segment's q span over ``T'`` (its p span over
 ``-V'`` where ``T'`` is 0).  Both assume a single closed level around the
-origin, as power-law tables give.
+origin, as power-law tables give; ``component_period`` sums the same cell
+times over one component of the level only.
 """
 
 import math
@@ -89,6 +90,17 @@ def _span(lo, hi, slope, energy):
     return max(Fraction(0), min(Fraction(1), ends[1]) - max(Fraction(0), ends[0]))
 
 
+def _cell_time(vv, kv, i, j, energy):
+    """Exact time the ``energy + eps`` level spends in the cell with lower-left
+    table corner ``(i, j)``: its q span over ``T'``, or its p span (all of the
+    cell) over ``-V'`` where ``T'`` is 0."""
+    a, b = vv[i + 1] - vv[i], kv[j + 1] - kv[j]
+    base = vv[i] + kv[j]
+    if b:
+        return _span(base + min(0, b), base + max(0, b), a, energy) / abs(b)
+    return Fraction(1, abs(a))
+
+
 def exact_period(ham, energy):
     """Exact time spent on the ``energy + eps`` level, summed over the cells
     it crosses (some corner at or below the level, some corner above)."""
@@ -97,12 +109,34 @@ def exact_period(ham, energy):
     vmin, vmax = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
     kmin, kmax = np.minimum(k[:-1], k[1:]), np.maximum(k[:-1], k[1:])
     crossed = (np.add.outer(vmin, kmin) <= energy) & (np.add.outer(vmax, kmax) > energy)
-    total = Fraction(0)
-    for i, j in zip(*np.nonzero(crossed)):
-        a, b = vv[i + 1] - vv[i], kv[j + 1] - kv[j]
-        base = vv[i] + kv[j]
-        if b:  # q span over T'
-            total += _span(base + min(0, b), base + max(0, b), a, energy) / abs(b)
-        else:  # p span (all of the cell) over -V'
-            total += Fraction(1, abs(a))
+    return sum((_cell_time(vv, kv, i, j, energy) for i, j in zip(*np.nonzero(crossed))), Fraction(0))
+
+
+def component_period(ham, energy, cell):
+    """Exact time spent on the component of the ``energy + eps`` level through
+    ``cell`` (the table indices of its lower-left corner), or None when that
+    component reaches a window edge.  The component is every cell joined to
+    ``cell`` through edges the level crosses: without a product term H is
+    linear in each cell, so a crossed cell holds one arc and crosses two of
+    its edges."""
+    vv, kv = ham.potential.values, ham.kinetic.values
+
+    def above(i, j):
+        return vv[i] + kv[j] > energy
+
+    seen, todo, total = {cell}, [cell], Fraction(0)
+    while todo:
+        i, j = todo.pop()
+        total += _cell_time(vv, kv, i, j, energy)
+        for end, other, nxt in (
+            ((i + 1, j), (i + 1, j + 1), (i + 1, j)),
+            ((i, j), (i, j + 1), (i - 1, j)),
+            ((i, j + 1), (i + 1, j + 1), (i, j + 1)),
+            ((i, j), (i + 1, j), (i, j - 1)),
+        ):
+            if above(*end) is not above(*other) and nxt not in seen:
+                if not (0 <= nxt[0] < len(vv) - 1 and 0 <= nxt[1] < len(kv) - 1):
+                    return None
+                seen.add(nxt)
+                todo.append(nxt)
     return total

@@ -1,6 +1,7 @@
 """Shell-size counting, continuum periods, and the growth-exponent fit."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flow_oracle import exact_period, rk4_period
+from conftest import random_landscape
+from flow_oracle import component_period, exact_period, rk4_period
 from intham.census import CensusReport, _window_for, census, census_rows, continuum_period
 from intham.errors import RegimeViolation, UnboundedContour
 from intham.hamiltonians import IntegerFunction1D, PowerLawFamily, SeparableHamiltonian1D
@@ -197,6 +199,23 @@ class TestPeriods:
             assert row.ratio is None
             assert math.isclose(row.period, exact_period(ham, row.energy), rel_tol=1e-12, abs_tol=0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_periods_are_the_exact_sums_over_the_start_component(self, seed):
+        # Multi-well tables that are not monotone in |q| or |p|: the period is
+        # the time on the component through the first crossing of row p = 0
+        # past the origin, not on every well of the level.
+        ham, ceiling = random_landscape(random.Random(seed), False)
+        for energy in range(ceiling + 1):
+            if ham.value(0, 0) > energy:
+                with pytest.raises(RegimeViolation, match=rf"level {energy} lies below H\(0, 0\)"):
+                    continuum_period(ham, energy)
+                continue
+            q = next(q for q in range(1, 8) if ham.value(q, 0) > energy)
+            exact = component_period(ham, energy, (q - 1 + 7, 7))
+            assert exact is not None  # every window edge lies above the ceiling
+            assert math.isclose(continuum_period(ham, energy), exact, rel_tol=1e-12, abs_tol=0)
+
     def test_levels_past_the_window_raise(self):
         small = IntegerFunction1D.from_callable(abs, -5, 5)
         assert continuum_period(SeparableHamiltonian1D(small, small), 4) == 16.0
@@ -206,6 +225,27 @@ class TestPeriods:
         cut = SeparableHamiltonian1D(IntegerFunction1D.from_callable(abs, -2, 5), small)
         with pytest.raises(UnboundedContour, match=r"level 4\+eps leaves the window"):
             continuum_period(cut, 4)
+
+    def test_unsupported_levels_and_tables_raise(self):
+        lifted = SeparableHamiltonian1D(
+            IntegerFunction1D.from_callable(lambda p: abs(p) + 3, -5, 5),
+            IntegerFunction1D.from_callable(abs, -5, 5),
+        )
+        assert continuum_period(lifted, 4) == 4.0
+        with pytest.raises(RegimeViolation, match=r"level 2 lies below H\(0, 0\) = 3"):
+            continuum_period(lifted, 2)
+        for kinetic, potential in ((1, -5), (-5, 1)):
+            shifted = SeparableHamiltonian1D(
+                IntegerFunction1D.from_callable(abs, kinetic, kinetic + 10),
+                IntegerFunction1D.from_callable(abs, potential, potential + 10),
+            )
+            with pytest.raises(RegimeViolation, match=r"windows q \(.*\), p \(.*\) do not hold the origin"):
+                continuum_period(shifted, 4)
+        # A(q)*B(p) makes H bilinear in a cell, where the cell sum does not hold
+        coupled, _ = random_landscape(random.Random(3), True)
+        for energy in range(11, 16):
+            with pytest.raises(RegimeViolation, match="the product term is not linear in a cell"):
+                continuum_period(coupled, energy)
 
 
 @pytest.mark.parametrize(

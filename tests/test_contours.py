@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_confining, well_sites
+from conftest import random_confining, random_landscape, well_sites
 from intham import contours
 from intham.census import continuum_period
 from intham.contours import (
@@ -168,28 +168,6 @@ def test_random_wells_permute_every_shell(seed):
 # -- the walk on product-term and multi-well tables ----------------------------
 
 
-def random_landscape(rng, coupled, half=7):
-    """Non-monotone multi-well tables on [-half, half] with steep walls, plus a
-    random product term when ``coupled``; returns ``(ham, ceiling)``.
-
-    Every window-boundary site lies above ``ceiling``, so a contour at or
-    below it never crosses a boundary edge and closes inside the windows.
-    """
-
-    def table(lo, hi, wall):
-        xs = range(-half, half + 1)
-        values = [rng.randint(lo, hi) + wall * max(0, abs(x) - half + 3) ** 2 for x in xs]
-        return IntegerFunction1D(-half, tuple(values))
-
-    kin, pot = table(0, 6, 6), table(0, 6, 6)
-    ham = SeparableHamiltonian1D(kin, pot)
-    if coupled:
-        ham = SeparableHamiltonian1D(kin, pot, table(-2, 2, 0), table(-2, 2, 0))
-    xs = range(-half, half + 1)
-    ring = [(q, p) for q in xs for p in xs if half in (abs(q), abs(p))]
-    return ham, min(ham.value(*s) for s in ring) - 1
-
-
 def cut_around(ham, energy):
     """``ham`` cut down to one site around everything at or below ``energy``
     (no further than its own windows), and the least energy on the cut
@@ -250,6 +228,41 @@ def test_walk_steps_invert_and_follow_the_trace(coupled, seed):
             if kind is SiteClassification.REGULAR and s != site
         ]
         assert image == (later[0] if later else site)
+
+
+def flip(site):
+    """Time reversal R(q, p) = (q, -p)."""
+    return site[0], -site[1]
+
+
+def reversal_mismatches(ham, sites):
+    """The sites where the inverse step is not R . step . R."""
+    return [s for s in sites if prev_site(ham, *s) != flip(next_site(ham, *flip(s)))]
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["multi-well", "product-term"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_momentum_flip_reverses_the_step(coupled, seed):
+    # With T (and the product term's B) even in p over a symmetric p window,
+    # R maps the E + eps level onto itself, keeps the saddle rule and
+    # reverses the contour's orientation, so stepping back is R, step, R.
+    ham, ceiling = random_landscape(random.Random(seed), coupled, even=True)
+    assert ham.p_window == (-7, 7) and ham.kinetic.values == ham.kinetic.values[::-1]
+    sites = well_sites(ham, ceiling)
+    assert sites and reversal_mismatches(ham, sites) == []
+
+
+def test_momentum_flip_fails_with_an_odd_kinetic_part():
+    # The negative control: adding p to an even kinetic table breaks R.  It
+    # lowers the window edge by at most 7, so levels up to the ceiling - 7
+    # still close, and R(s) is kept on one of them.
+    for seed in range(3):
+        even, ceiling = random_landscape(random.Random(seed), False, even=True)
+        kin = IntegerFunction1D(-7, tuple(t + p for p, t in zip(range(-7, 8), even.kinetic.values)))
+        ham = SeparableHamiltonian1D(kin, even.potential)
+        sites = [s for s in well_sites(ham, ceiling - 7) if ham.value(*flip(s)) <= ceiling - 7]
+        assert reversal_mismatches(ham, sites)
 
 
 @pytest.mark.parametrize("landscape", ["bowl", "multi-well", "product-term"])
@@ -687,7 +700,7 @@ def _walk_outputs(kind, seed):
     "kind, digest",
     [
         ("confining", "c43d8f8beef700e4b268c87779691fc634deee66af78e51577a11fbc79d4e281"),
-        ("multi-well", "7a255d86f96bb84371644a5628728a54cf9906aa7bbedf561cf396c669911706"),
+        ("multi-well", "23173bb2635808e08dd05c957590ad0ab28a195eff0ae766e459b29c29fd8e9b"),
         ("product-term", "8ba586a739f7e90a1a5a83e83c70f82f8abdcb4bedcc51c06ed0499eca5a4fde"),
     ],
 )

@@ -92,3 +92,39 @@ def test_every_private_keyword_is_passed_inside_the_package():
                 for name in set().union(*(aliases.get(n, {n}) for n in names(call.func))) - {fn.name}:
                     passed.update((name, kw.arg) for kw in call.keywords if kw.arg)
     assert declared and sorted(name for name, key in declared.items() if key not in passed) == []
+
+
+def test_every_function_cache_is_bounded():
+    # ``peak_rss_mb`` is measured per process, so a per-process cache that
+    # grows with the work done charges every run in memory.  Each
+    # ``functools.lru_cache`` takes a finite integer ``maxsize``, given as a
+    # literal or a module constant; ``functools.cache`` and a bare
+    # ``@lru_cache`` (an implicit 128) are not allowed.
+    found, unbounded = 0, []
+    for path in sorted(Path(intham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constants = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        # a bare decorator, or a call: ``@lru_cache(...)``, ``lru_cache(...)(f)``
+        bare = [d for n in ast.walk(tree) for d in getattr(n, "decorator_list", ()) if not isinstance(d, ast.Call)]
+        for node in bare + [n for n in ast.walk(tree) if isinstance(n, ast.Call)]:
+            call = node if isinstance(node, ast.Call) else None
+            name = ast.unparse(call.func if call else node).split(".")[-1]
+            if name not in ("lru_cache", "cache"):
+                continue
+            found += 1
+            size = None
+            if call is not None and name == "lru_cache":
+                size = (call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"] or [None])[0]
+                if isinstance(size, ast.Name):
+                    size = constants.get(size.id)
+                elif isinstance(size, ast.Constant):
+                    size = size.value
+            if type(size) is not int or size < 1:
+                unbounded.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found >= 2 and unbounded == []

@@ -218,12 +218,30 @@ class TestOperatorCheck:
     @given(perm=shell_permutations(), radius=st.sampled_from([1, 3, 20]))
     @settings(max_examples=40, deadline=None)
     def test_matches_the_dense_operator_bit_for_bit(self, perm, radius):
+        # cold: every cycle length's block is summed; warm: each is looked up
         cfg = TruncationConfig.for_radius(radius)
         entries, residuals = dense_operator_residuals(perm, cfg)
-        result = hfract_operator_check(perm, cfg)
-        assert result.entries == tuple(entries)
-        assert result.residuals == residuals
-        assert result.max_residual < 1e-9
+        spectral._cycle_residuals.cache_clear()
+        cold = hfract_operator_check(perm, cfg)
+        warm = hfract_operator_check(perm, cfg)
+        assert spectral._cycle_residuals.cache_info().misses == len({len(c) for c in perm.cycles})
+        for result in (cold, warm):
+            assert result.entries == tuple(entries)
+            assert result.residuals == residuals
+            assert result.max_residual < 1e-9
+
+    def test_each_cycle_length_is_summed_once_per_truncation(self):
+        # shells of the diamond and the steep well share lengths 1, 2 and 4
+        perms = [permutation(ham, e) for ham in (diamond, pingpong) for e in range(6)]
+        cfgs = [TruncationConfig.for_radius(r) for r in (3, 20)] + [TruncationConfig(20.0, 100)]
+        spectral._cycle_residuals.cache_clear()
+        first = [hfract_operator_check(perm, cfg) for cfg in cfgs for perm in perms]
+        keys = {(len(c), cfg.radius, cfg.terms) for cfg in cfgs for perm in perms for c in perm.cycles}
+        info = spectral._cycle_residuals.cache_info()
+        assert info.misses == len(keys) < sum(len({len(c) for c in p.cycles}) for p in perms) * len(cfgs)
+        assert info.currsize == len(keys) <= info.maxsize == spectral.MAX_CHECK_SIZE
+        assert [hfract_operator_check(perm, cfg) for cfg in cfgs for perm in perms] == first
+        assert spectral._cycle_residuals.cache_info().misses == len(keys)
 
     def test_size_cap_is_checked_before_any_work(self, monkeypatch):
         class Untouched:
@@ -237,11 +255,22 @@ class TestOperatorCheck:
         with pytest.raises(ShellTooLarge):
             hfract_operator_check(four_cycle, Untouched(), size_cap=3)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TruncationConfig(0, 10)
-        with pytest.raises(ValueError):
-            TruncationConfig(5, 0)
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: TruncationConfig(0, 10), "damping radius must be at least 1"),
+            (lambda: TruncationConfig(5, 0), "need at least one term"),
+            (lambda: TruncationConfig(float("nan"), 5), "damping radius must be finite, got nan"),
+            (lambda: TruncationConfig(float("inf"), 5), "damping radius must be finite, got inf"),
+            (lambda: TruncationConfig(20.0, 2.5), "terms must be an integer, got 2.5"),
+            (lambda: TruncationConfig(20.0, True), "terms must be an integer, got True"),
+            (lambda: TruncationConfig.for_radius(float("nan")), "damping radius must be finite, got nan"),
+            (lambda: TruncationConfig.for_radius(float("inf")), "radius inf exceeds the cap 1000"),
+        ],
+    )
+    def test_config_validation(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestTotals:
