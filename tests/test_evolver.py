@@ -1,6 +1,8 @@
 """Sequential multi-pair evolution: ordering, conservation, exact undo."""
 
+import hashlib
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intham.errors import UnboundedContour
+from intham.errors import IntHamError, UnboundedContour
 from intham.evolver import (
     CoupledSeparableHamiltonian,
     IndependentPairs,
@@ -242,3 +244,44 @@ class TestErrorTagging:
         with pytest.raises(UnboundedContour) as err:
             step(PhaseState((1, 0), (0, 3)), system)
         assert err.value.pair_index == 1
+
+
+# -- a pinned digest of every step output over a fixed battery ----------------
+
+
+def _evolver_outputs(window, seed):
+    """Three steps forward and three back from seeded starts of the
+    product-term model, in the default and the reversed order, errors
+    included (the narrower window makes more contours escape)."""
+    system = product_system(window)
+    rng = random.Random(seed)
+    for _ in range(10):
+        start = PhaseState(*(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in "qp"))
+        for order in (None, (2, 1, 0)):
+            for stepper in (step, step_inverse):
+                state = start
+                for _ in range(3):
+                    try:
+                        state = stepper(state, system, order=order)
+                    except IntHamError as err:  # every error is part of the output
+                        yield type(err).__name__, str(err), err.pair_index
+                        break
+                    yield state
+
+
+@pytest.mark.parametrize(
+    "window, digest",
+    [
+        (30, "bfe23bbcce1fba260ef68f9f6dee142260215d7eca69a9a91831f2ad3fffac55"),
+        (8, "358226f21716b109aae0f260e94842e58bb38cc26d016e317113697056f5d260"),
+    ],
+)
+def test_step_outputs_match_their_pinned_digest(window, digest):
+    # The digests pin every step and inverse step of the product-term model
+    # exactly, errors included; any change to the evolver must leave them
+    # all unchanged.
+    h = hashlib.sha256()
+    for seed in range(3):
+        for item in _evolver_outputs(window, seed):
+            h.update(repr(item).encode())
+    assert h.hexdigest() == digest

@@ -1,5 +1,6 @@
 """Lattice field automaton: energies, sweeps, reversal, locality, drift."""
 
+import hashlib
 import math
 import random
 import time
@@ -1384,3 +1385,71 @@ class TestStepOutput:
             with pytest.raises(ValueError):
                 step_parity(state, spec, 0, site_order=order)
         assert spec._plan is plan
+
+
+# -- a pinned digest of every sweep output over a fixed battery ----------------
+
+
+def _field_outputs(shape, masses, seed):
+    """Every sweep output from seeded states, errors included: the public
+    restriction of every pair, each half sweep in both directions, and three
+    steps forward and three back.  Each state runs once with wide windows
+    and once with its windows cut to one unit around its values, where
+    values sit on window edges and sub-updates fail."""
+
+    def capture(call):
+        """``(output, item)``: the output is None when the call raised."""
+        try:
+            out = call()
+        except IntHamError as err:  # every error is part of the output
+            return None, (type(err).__name__, str(err), getattr(err, "field_site", None))
+        if isinstance(out, FieldState):
+            return out, (out.phi.tolist(), out.mom.tolist(), out.time)
+        return out, (out.kinetic.lo, out.kinetic.values, out.potential.lo, out.potential.values)
+
+    def around(layer):
+        return tuple((int(values.min()) - 1, int(values.max()) + 1) for values in layer)
+
+    rng = random.Random(seed)
+    for cut in (False, True):
+        spec = kernel_spec(shape, masses, (-40, 40))
+        start = random_state(spec, rng, -4, 4)
+        if cut:
+            spec = FieldHamiltonianSpec(
+                shape, len(masses), masses, spec.stiffness, around(start.phi), around(start.mom)
+            )
+        yield spec.phi_windows, spec.p_windows, capture(lambda: start)[1]
+        for x in shape.sites():
+            for k in range(len(masses)):
+                yield x, k, capture(lambda: restricted_hamiltonian(start, spec, x, k))[1]
+        for parity in (0, 1):
+            for inverse in (False, True):
+                yield parity, inverse, capture(lambda: step_parity(start, spec, parity, inverse))[1]
+        for stepper in (step, step_inverse):
+            state = start
+            for _ in range(3):
+                state, item = capture(lambda: stepper(state, spec))
+                yield item
+                if state is None:
+                    break
+
+
+@pytest.mark.parametrize(
+    "shape, masses, digest",
+    [
+        (LINE16, (Fraction(0),), "bfde39759a437fcae406c0aa2134525c09dada2ef1c49aeadb152e217026fd60"),
+        (GRID44, (Fraction(0), Fraction(1, 2)), "1897eef2118fb545e440920eca3fabff5e0aa76244ea6d55f0960c693f02e06b"),
+        (BOX442, (Fraction(1, 2),), "9b158ff6a8084dc3a20a1467007d06cd2a12f5afeb10744512cd0e059b9d6139"),
+    ],
+)
+def test_sweep_outputs_match_their_pinned_digest(shape, masses, digest):
+    # Seeded states on a line, a plane with a massless and a massive
+    # component, and a box, each with wide windows and with windows cut to
+    # one unit around its values.  The digests pin every step, inverse step,
+    # half sweep, public restriction and error exactly; any change to the
+    # sweep must leave them all unchanged.
+    h = hashlib.sha256()
+    for seed in range(3):
+        for item in _field_outputs(shape, masses, seed):
+            h.update(repr(item).encode())
+    assert h.hexdigest() == digest
