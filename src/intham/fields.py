@@ -17,7 +17,7 @@ radius has no such bound and the sweep order is fixed.
 The sweep is one integer kernel over one flat Python list of field values
 and momenta.  Once per step it reads both arrays with one ``tolist``, checks
 them against the windows with one min and max, and writes one read-only int64
-array at the end.  Per-spec tables, built on the first sweep, give each
+array at the end.  One plan per spec, built on the first sweep, gives each
 site's flat index, those of its forward neighbours, per component the
 ``itemgetter``s that gather the raw values a sub-update reads and the flat
 positions its restriction reads, and the four sweep orders.  A memo on the
@@ -156,11 +156,9 @@ class FieldHamiltonianSpec:
         object.__setattr__(self, "_pot_den", 2 * self.stiffness.denominator * md)
         object.__setattr__(self, "_kin_den", 2 * self.stiffness.denominator)
         object.__setattr__(self, "_sn", self.stiffness.numerator)
-        # Local-rule memo and neighbour tables of the sweep (the tables are
-        # built on the first sweep); not fields, so equality, hashing and
-        # repr ignore them.
+        # Local-rule memo of the sweep (see :func:`_plan` for its tables);
+        # not a field, so equality, hashing and repr ignore it.
         object.__setattr__(self, "_memo", OrderedDict())
-        object.__setattr__(self, "_nbrs", None)
 
     @classmethod
     def uniform(
@@ -219,14 +217,14 @@ def _check_state(state: FieldState, spec: FieldHamiltonianSpec):
         raise ValueError(f"state shape {state.phi.shape} != spec shape {expected}")
 
 
-def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
-    """The spec's neighbour tables, built on first use and kept on the spec.
+def _plan(spec: FieldHamiltonianSpec) -> tuple:
+    """The spec's sweep plan, built on first use and kept as ``spec._plan``.
 
     Sites are numbered in C order, as ``array.ravel()`` lays them out.  The
     sweep keeps field values and momenta in one flat list over ``n`` sites:
     ``phi_k`` of site ``i`` sits at ``k * n + i`` and ``mom_k`` at
-    ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries,
-    classes)``: ``entries[i]`` is ``(x, fwd, gathers, layouts)``, where
+    ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries, classes,
+    orders, lo, hi)``: ``entries[i]`` is ``(x, fwd, gathers, layouts)``, where
     ``fwd`` holds the flat indices of the forward neighbours ``x + e_a``.
     ``gathers[k]`` is ``(k, own, rest, qi, pi, massless)``: ``own`` and
     ``rest`` are ``itemgetter``s over the flat list (see :func:`_sweep`).
@@ -244,10 +242,12 @@ def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
     neighbours, or at w), ``pairs`` the ``(forward, site)`` positions of its
     other gradients and ``masses`` its other ``(mass numerator, position)``
     terms.  ``classes[parity]`` lists the entries of that parity class in C
-    order.
+    order, ``orders[inverse][parity]`` is that half sweep (see
+    :func:`_order`), and every window holds ``[lo, hi]``.
     """
-    tables = spec._nbrs
-    if tables is None:
+    try:
+        return spec._plan
+    except AttributeError:
         shape = spec.shape
         sites = list(shape.sites())
         index = {x: i for i, x in enumerate(sites)}
@@ -289,9 +289,11 @@ def _neighbours(spec: FieldHamiltonianSpec) -> tuple:
                 layouts.append((tuple(densities), rest[1:kk], k * n + i, rest[0]))
             entries.append((x, fwd[i], tuple(gathers), tuple(layouts)))
         classes = tuple([e for e in entries if shape.parity(e[0]) == c] for c in (0, 1))
-        tables = (entries, classes)
-        object.__setattr__(spec, "_nbrs", tables)
-    return tables
+        orders = tuple(tuple(_order(c, inverse) for c in classes) for inverse in (False, True))
+        windows = spec.phi_windows + spec.p_windows
+        lo, hi = max(w[0] for w in windows), min(w[1] for w in windows)
+        object.__setattr__(spec, "_plan", (entries, classes, orders, lo, hi))
+        return spec._plan
 
 
 def _site_index(shape: LatticeShape, x: Site) -> int:
@@ -304,7 +306,7 @@ def _energy(spec: FieldHamiltonianSpec, phi: list, mom: list, sites: Iterable[in
     ``phi``/``mom``: per site, the potential part (squared forward gradients
     plus mass terms) and the kinetic part (squared momenta) are floored
     separately, in exact integers."""
-    entries = _neighbours(spec)[0]
+    entries = _plan(spec)[0]
     n = len(entries)
     sn, md, pden, kden = spec._sn, spec._mass_den, spec._pot_den, spec._kin_den
     rows = [(k * n, mk) for k, mk in enumerate(spec._mass_num)]
@@ -342,7 +344,7 @@ def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -
     """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
     ``vals`` is the flat list of field values and momenta and ``entry`` the
-    site's row of :func:`_neighbours`.  Returns ``(quads, q, p, kin0)``.  Per
+    site's row of :func:`_plan`.  Returns ``(quads, q, p, kin0)``.  Per
     involved density (this site's, then each backward neighbour's) ``quads``
     holds ``(a, b, c)``: its floor argument, ``sn`` times the mass-scaled
     gradients and masses, is ``a*v^2 + b*v + c`` in the pair's value v.  ``q``
@@ -430,7 +432,7 @@ def restricted_hamiltonian(
     outside its windows raises ``WindowExceeded`` naming that value's site.
     """
     if _terms is None:
-        entry = _neighbours(spec)[0][_site_index(spec.shape, x)]
+        entry = _plan(spec)[0][_site_index(spec.shape, x)]
         _terms = _local_terms(spec, _flat(state, spec), entry, k)
         try:
             return restricted_hamiltonian(state, spec, x, k, _terms=_terms)
@@ -462,19 +464,6 @@ def restricted_hamiltonian(
     )
 
 
-def _plan(spec: FieldHamiltonianSpec) -> tuple:
-    """``(orders, lo, hi)``, built once from :func:`_neighbours` and kept on
-    the spec: ``orders[inverse][parity]`` is that half sweep (see
-    :func:`_order`), and every window holds ``[lo, hi]``."""
-    try:
-        return spec._plan
-    except AttributeError:
-        orders = tuple(tuple(_order(c, inverse) for c in _neighbours(spec)[1]) for inverse in (False, True))
-        windows = spec.phi_windows + spec.p_windows
-        object.__setattr__(spec, "_plan", (orders, max(w[0] for w in windows), min(w[1] for w in windows)))
-        return spec._plan
-
-
 def _order(entries: Sequence[tuple], inverse: bool) -> list:
     """One ``(entry, k, own, rest, qi, pi, massless)`` per sub-update over
     ``entries``, components ascending.  ``inverse`` replays them in reverse,
@@ -487,11 +476,11 @@ def _order(entries: Sequence[tuple], inverse: bool) -> list:
 
 def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
     """The state's field values and momenta as one flat list (see
-    :func:`_neighbours`), after one min and max over both arrays; only a value
-    outside ``[lo, hi]`` of :func:`_plan` runs the per-window scan."""
+    :func:`_plan`), after one min and max over both arrays; only a value
+    outside the plan's ``[lo, hi]`` runs the per-window scan."""
     _check_state(state, spec)
     both = np.concatenate((state.phi, state.mom), axis=None)
-    vals, (_, lo, hi) = both.tolist(), _plan(spec)
+    vals, (*_, lo, hi) = both.tolist(), _plan(spec)
     if lo <= both.min() and both.max() <= hi:
         return vals
     exc = _outside(spec, vals, (spec.phi_windows, spec.p_windows), "window")
@@ -508,7 +497,7 @@ def _outside(spec: FieldHamiltonianSpec, vals: list, windows, label: str) -> Opt
     """The error naming the first value of the flat list ``vals`` outside its
     component's ``windows`` (field windows, momentum windows), with
     ``field_site`` set; None when every value lies inside."""
-    entries = _neighbours(spec)[0]
+    entries = _plan(spec)[0]
     n = len(entries)
     for k in range(spec.components):
         for name, start, (lo, hi) in (
@@ -543,8 +532,9 @@ def _unflat(spec: FieldHamiltonianSpec, vals: list, time: int) -> FieldState:
     return state
 
 
-def _sweep(state: FieldState, vals: list, spec, order: list, inverse: bool):
-    """One half sweep of ``order`` (see :func:`_order`) over ``vals``, in place.
+def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse: bool):
+    """The half sweeps ``orders`` (see :func:`_order`), one after another,
+    over ``vals``, in place.
 
     ``state`` only carries the shape to :func:`restricted_hamiltonian`, which
     a miss calls with the pair's terms already read from the list.
@@ -577,43 +567,44 @@ def _sweep(state: FieldState, vals: list, spec, order: list, inverse: bool):
     memo = spec._memo
     get = memo.get
     single = spec.components == 1  # then ``rest`` is the momentum alone
-    for entry, k, own, rest, qi, pi, massless in order:
-        r, o = rest(vals), own(vals)
-        if massless:
-            shift = vals[qi]
-            key = (inverse, k, r, *map(shift.__rsub__, o))
-        else:
-            shift = 0
-            key = (inverse, k, r, *o)
-        hit = get(key)
-        if hit is not None and hit[2] <= shift <= hit[3]:
-            vals[qi] = hit[0] + shift
-            vals[pi] = hit[1]
-            continue
-        q, p = vals[qi], vals[pi]
-        (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
-        try:
-            ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=_local_terms(spec, vals, entry, k))
-            pot, kin = ham.potential, ham.kinetic  # read without properties: a miss is hot
-            lo, hi, p_lo = pot.lo, pot.lo + len(pot.values) - 1, kin.lo
-            closed = qlo < lo and hi < qhi and plo < p_lo and p_lo + len(kin.values) - 1 < phi_hi
-            q2, p2 = mover(ham, q, p, _closed=closed)
-        except IntHamError as exc:
-            exc.field_site = (entry[0], k)
-            raise
-        vals[qi] = q2
-        vals[pi] = p2
-        if closed:
-            memo[key] = (q2 - shift, p2, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
-            r = p2 if single else (p2, *r[1:])
+    for order in orders:
+        for entry, k, own, rest, qi, pi, massless in order:
+            r, o = rest(vals), own(vals)
             if massless:
-                mirror = (not inverse, k, r, *map(q2.__rsub__, o))
-                shift = q2
+                shift = vals[qi]
+                key = (inverse, k, r, *map(shift.__rsub__, o))
             else:
-                mirror = (not inverse, k, r, q2, *o[1:])
-            memo[mirror] = (q - shift, p, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
-            while len(memo) > _MEMO_CAP:
-                memo.popitem(last=False)
+                shift = 0
+                key = (inverse, k, r, *o)
+            hit = get(key)
+            if hit is not None and hit[2] <= shift <= hit[3]:
+                vals[qi] = hit[0] + shift
+                vals[pi] = hit[1]
+                continue
+            q, p = vals[qi], vals[pi]
+            (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
+            try:
+                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=_local_terms(spec, vals, entry, k))
+                pot, kin = ham.potential, ham.kinetic  # read without properties: a miss is hot
+                lo, hi, p_lo = pot.lo, pot.lo + len(pot.values) - 1, kin.lo
+                closed = qlo < lo and hi < qhi and plo < p_lo and p_lo + len(kin.values) - 1 < phi_hi
+                q2, p2 = mover(ham, q, p, _closed=closed)
+            except IntHamError as exc:
+                exc.field_site = (entry[0], k)
+                raise
+            vals[qi] = q2
+            vals[pi] = p2
+            if closed:
+                memo[key] = (q2 - shift, p2, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
+                r = p2 if single else (p2, *r[1:])
+                if massless:
+                    mirror = (not inverse, k, r, *map(q2.__rsub__, o))
+                    shift = q2
+                else:
+                    mirror = (not inverse, k, r, q2, *o[1:])
+                memo[mirror] = (q - shift, p, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
+                while len(memo) > _MEMO_CAP:
+                    memo.popitem(last=False)
 
 
 def step_parity(
@@ -624,15 +615,15 @@ def step_parity(
     site_order: Optional[Sequence[Site]] = None,
 ) -> FieldState:
     """Apply one checkerboard half-sweep to the given parity class."""
-    vals = _flat(state, spec)
-    order = _plan(spec)[0][bool(inverse)][parity]
+    vals, plan = _flat(state, spec), _plan(spec)
+    order = plan[2][bool(inverse)][parity]
     if site_order is not None:
-        by_site = {e[0]: e for e in _neighbours(spec)[1][parity]}
+        by_site = {e[0]: e for e in plan[1][parity]}
         site_order = [tuple(x) for x in site_order]
         if sorted(site_order) != sorted(by_site):
             raise ValueError("site_order must enumerate the parity class exactly")
         order = _order([by_site[x] for x in site_order], inverse)
-    _sweep(state, vals, spec, order, inverse)
+    _sweep(state, vals, spec, (order,), inverse)
     return _unflat(spec, vals, state.time)
 
 
@@ -645,16 +636,14 @@ def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     :class:`FieldHamiltonianSpec`).
     """
     vals = _flat(state, spec)
-    for order in _plan(spec)[0][False]:
-        _sweep(state, vals, spec, order, False)
+    _sweep(state, vals, spec, _plan(spec)[2][False], False)
     return _unflat(spec, vals, state.time + 1)
 
 
 def step_inverse(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     """Undo one full step: odd class, then even class, components descending."""
     vals = _flat(state, spec)
-    for order in _plan(spec)[0][True][::-1]:
-        _sweep(state, vals, spec, order, True)
+    _sweep(state, vals, spec, _plan(spec)[2][True][::-1], True)
     return _unflat(spec, vals, state.time - 1)
 
 

@@ -240,7 +240,7 @@ class TestRestrictedHamiltonian:
         spec = kernel_spec(LatticeShape(sizes), masses, (-40, 40))
         state = random_state(spec, random.Random(seed), -9, 9)
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
-        for entry in fields._neighbours(spec)[0]:
+        for entry in fields._plan(spec)[0]:
             for k in range(spec.components):
                 terms = fields._local_terms(spec, vals, entry, k)
                 swept = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
@@ -250,7 +250,7 @@ class TestRestrictedHamiltonian:
         spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
         state = random_state(spec, random.Random(4), -9, 9)
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
-        for entry in fields._neighbours(spec)[0]:
+        for entry in fields._plan(spec)[0]:
             for k in range(spec.components):
                 terms = fields._local_terms(spec, vals, entry, k)
                 ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
@@ -598,7 +598,7 @@ def compare_band_with_whole(spec, state):
     an edge, and how many walks raised."""
     vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
     counts = [0, 0, 0]
-    for entry in fields._neighbours(spec)[0]:
+    for entry in fields._plan(spec)[0]:
         for k in range(spec.components):
             terms = fields._local_terms(spec, vals, entry, k)
             q, p = terms[1], terms[2]
@@ -853,10 +853,11 @@ class TestLocalRuleMemo:
 
             return (k, own, rest_seen, qi, pi, massless)
 
-        entries, classes = fields._neighbours(spec)
+        entries, classes, _, lo, hi = fields._plan(spec)
         swap = {id(e): (*e[:2], tuple(map(watched, e[2])), e[3]) for e in entries}
-        tables = ([swap[id(e)] for e in entries], tuple([swap[id(e)] for e in c] for c in classes))
-        object.__setattr__(spec, "_nbrs", tables)
+        classes = tuple([swap[id(e)] for e in c] for c in classes)
+        orders = tuple(tuple(fields._order(c, inverse) for c in classes) for inverse in (False, True))
+        object.__setattr__(spec, "_plan", ([swap[id(e)] for e in entries], classes, orders, lo, hi))
         forward_keys = []
 
         class MirrorCheckingMemo(OrderedDict):
@@ -1370,16 +1371,16 @@ class TestStepOutput:
         spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
         state = step(random_state(spec, random.Random(5), -3, 3), spec)
         plan = spec._plan
-        orders = [order for pair in plan[0] for order in pair]
-        classes = fields._neighbours(spec)[1]
-        for parity in (0, 1):  # built from the cached neighbour tables, not copies
+        orders = [order for pair in plan[2] for order in pair]
+        classes = plan[1]
+        for parity in (0, 1):  # built from the plan's own entries, not copies
             first = classes[parity][0]
-            assert plan[0][False][parity][0] == (first, *first[2][0]) and plan[0][False][parity][0][0] is first
-            assert plan[0][True][parity][-1] == (first, *first[2][0]) and plan[0][True][parity][-1][0] is first
+            assert plan[2][False][parity][0] == (first, *first[2][0]) and plan[2][False][parity][0][0] is first
+            assert plan[2][True][parity][-1] == (first, *first[2][0]) and plan[2][True][parity][-1][0] is first
         for stepper in (step, step_inverse, lambda s, sp: step_parity(s, sp, 1, True)):
             state = stepper(state, spec)
             assert spec._plan is plan and fields._plan(spec) is plan
-            assert all(a is b for a, b in zip((o for pair in spec._plan[0] for o in pair), orders, strict=True))
+            assert all(a is b for a, b in zip((o for pair in spec._plan[2] for o in pair), orders, strict=True))
         evens = [x for x in GRID44.sites() if GRID44.parity(x) == 0]
         for order in (evens[1:], evens[1:] + [evens[1]], evens[1:] + [(0, 1)], evens + [(0, 0)]):
             with pytest.raises(ValueError):
