@@ -27,7 +27,7 @@ import numpy as np
 
 from .contours import _DOWN, _EDGE_H, _edge, _walk_component
 from .errors import RegimeViolation
-from .hamiltonians import PowerLawFamily, SeparableHamiltonian1D
+from .hamiltonians import MAX_WINDOW, PowerLawFamily, SeparableHamiltonian1D, index_tuple
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,9 @@ def census(
 
     The fit is least squares on (log E, log n) over rows with E >= fit_floor
     and n > 0.  The reported constant is the geometric mean of period/count
-    over the fitted rows (None when periods are disabled).
+    over the fitted rows (None when periods are disabled).  Energies must be
+    integers, and a ceiling whose tables would pass ``MAX_WINDOW`` entries on
+    a side raises ``ValueError`` before any table is built.
     """
     kappa = kinetic.exponent
     gamma = potential.exponent
@@ -154,12 +156,14 @@ def census(
         )
         exc.degenerate = exact
         raise exc
-    energies = sorted(set(int(e) for e in energies))
+    energies = sorted(set(index_tuple(energies, "energies")))
     if not energies or energies[0] < 0:
         raise ValueError("need a nonempty ladder of nonnegative energies")
     ceiling = energies[-1]
 
     w = max(_window_for(kinetic, ceiling), _window_for(potential, ceiling))
+    if w > MAX_WINDOW:
+        raise ValueError(f"energy ceiling {ceiling} needs tables out to +-{w}, past MAX_WINDOW = {MAX_WINDOW}")
     ham = SeparableHamiltonian1D._trusted(kinetic.materialize(-w, w), potential.materialize(-w, w))
     # Both tables are nonnegative, so entries above the ceiling (all of each
     # table past its own window) never reach a counted shell: the shell

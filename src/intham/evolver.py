@@ -15,7 +15,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 from .contours import next_site, prev_site
 from .errors import IntHamError
-from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D, index_tuple
+from .hamiltonians import IntegerFunction1D, SeparableHamiltonian1D, check_product_term, index_tuple, index_windows
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class PhaseState:
             raise ValueError("positions and momenta must have equal length")
         object.__setattr__(self, "positions", index_tuple(self.positions, "positions"))
         object.__setattr__(self, "momenta", index_tuple(self.momenta, "momenta"))
+        object.__setattr__(self, "time", index_tuple((self.time,), "time")[0])
 
     @property
     def pairs(self) -> int:
@@ -66,6 +67,9 @@ class CoupledSeparableHamiltonian:
     coupling_mom: Optional[VectorFn] = None
 
     def __post_init__(self):
+        check_product_term(self.coupling_pos, self.coupling_mom)
+        for name in ("q_windows", "p_windows"):
+            object.__setattr__(self, name, index_windows(getattr(self, name), name, "pair"))
         if len(self.q_windows) != self.pairs or len(self.p_windows) != self.pairs:
             raise ValueError("need one window pair per degree of freedom")
 

@@ -57,8 +57,8 @@ import numpy as np
 from .contours import next_site, prev_site
 from .errors import ConfigError, IntHamError, WindowExceeded
 from .hamiltonians import (
-    MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, index_tuple, integers, only_keys,
-    read_key, read_window,
+    MAX_WINDOW, IntegerFunction1D, SeparableHamiltonian1D, fraction_from_json, index_tuple, index_windows, integers,
+    only_keys, read_key, read_window,
 )
 
 Site = tuple[int, ...]
@@ -139,11 +139,7 @@ class FieldHamiltonianSpec:
                 f"stiffness must lie in (0, 1/{self.shape.dimensions}]"
             )
         for name in ("phi_windows", "p_windows"):
-            windows = tuple(index_tuple(w, name) for w in getattr(self, name))
-            for k, (lo, hi) in enumerate(windows):
-                if lo > hi:
-                    raise ValueError(f"{name}[{k}] = [{lo}, {hi}] of component {k} is empty: lo > hi")
-            object.__setattr__(self, name, windows)
+            object.__setattr__(self, name, index_windows(getattr(self, name), name, "component"))
         if len(self.phi_windows) != self.components or len(self.p_windows) != self.components:
             raise ValueError("need one field and one momentum window per component")
         # Integer form of the two floors: with stiffness sn/sd and squared
@@ -200,7 +196,7 @@ class FieldState:
         mom.setflags(write=False)
         self.phi = phi
         self.mom = mom
-        self.time = int(time)
+        self.time = index_tuple((time,), "time")[0]
 
     def __repr__(self):
         return f"FieldState(t={self.time}, shape={self.phi.shape})"
@@ -693,7 +689,7 @@ class MargolusFieldState:
         newer.setflags(write=False)
         self.older = older
         self.newer = newer
-        self.time = int(time)
+        self.time = index_tuple((time,), "time")[0]
 
 
 def laplacian_rule(phi: np.ndarray) -> np.ndarray:

@@ -38,6 +38,26 @@ def index_tuple(values, what: str) -> tuple:
         raise ValueError(f"{what} must be integers") from None
 
 
+def index_windows(windows, name: str, owner: str) -> tuple:
+    """``windows`` as a tuple of ``(lo, hi)`` int pairs, each read by
+    :func:`index_tuple`; a window that is not two integers with ``lo <= hi``
+    raises ``ValueError`` naming it and its ``owner`` ("pair", "component")."""
+    windows = tuple(index_tuple(w, name) for w in windows)
+    for k, w in enumerate(windows):
+        if len(w) != 2 or w[0] > w[1]:
+            problem = "is empty: lo > hi" if len(w) == 2 else "is not a window [lo, hi]"
+            raise ValueError(f"{name}[{k}] = {list(w)} of {owner} {k} {problem}")
+    return windows
+
+
+def check_product_term(coupling_pos, coupling_mom) -> None:
+    """Reject a product term ``A(q)*B(p)`` given only one factor, naming the
+    missing one: a model takes both factors or neither."""
+    if (coupling_pos is None) != (coupling_mom is None):
+        missing = "coupling_pos" if coupling_pos is None else "coupling_mom"
+        raise ValueError(f"model needs '{missing}' too: the product term takes both factors")
+
+
 @dataclass(frozen=True)
 class IntegerFunction1D:
     """Integer values tabulated on the window ``[lo, lo + len(values) - 1]``."""
@@ -204,8 +224,9 @@ class PowerLawFamily:
 class SeparableHamiltonian1D:
     """``H = kinetic(P) + potential(Q) + coupling_pos(Q) * coupling_mom(P)``.
 
-    ``coupling_pos``/``coupling_mom`` may be None, which disables the product
-    term.  Instances are immutable and safe to share across threads.
+    ``coupling_pos`` and ``coupling_mom`` may both be None, which disables the
+    product term; one alone raises ``ValueError``.  Instances are immutable
+    and safe to share across threads.
     """
 
     kinetic: IntegerFunction1D
@@ -214,14 +235,11 @@ class SeparableHamiltonian1D:
     coupling_mom: Optional[IntegerFunction1D] = None
 
     def __post_init__(self):
+        check_product_term(self.coupling_pos, self.coupling_mom)
         if self.coupling_pos is not None and self.coupling_pos.window != self.potential.window:
             raise ValueError("coupling_pos window must match potential window")
         if self.coupling_mom is not None and self.coupling_mom.window != self.kinetic.window:
             raise ValueError("coupling_mom window must match kinetic window")
-        if (self.coupling_pos is None) != (self.coupling_mom is None):
-            # a missing factor zeroes the product; normalize to both-None
-            object.__setattr__(self, "coupling_pos", None)
-            object.__setattr__(self, "coupling_mom", None)
 
     @classmethod
     def _trusted(cls, kinetic, potential) -> "SeparableHamiltonian1D":
@@ -410,9 +428,6 @@ def hamiltonian_from_json(model: dict) -> SeparableHamiltonian1D:
         raise ConfigError("model requires both 'kinetic' and 'potential'")
     coupling_pos = function_from_json(model.get("coupling_pos"), "potential")
     coupling_mom = function_from_json(model.get("coupling_mom"), "kinetic")
-    if (coupling_pos is None) != (coupling_mom is None):
-        missing = "coupling_pos" if coupling_pos is None else "coupling_mom"
-        raise ConfigError(f"model needs '{missing}' too: the product term takes both factors")
     try:
         return SeparableHamiltonian1D(kinetic, potential, coupling_pos, coupling_mom)
     except ValueError as exc:

@@ -255,6 +255,10 @@ class TestPeriods:
         ([-1, 5], 0, "need a nonempty ladder of nonnegative energies"),
         (range(1, 20), 19, "need at least two rows at or above the fit floor"),
         (range(1, 20), 100, "need at least two rows at or above the fit floor"),
+        ([10.7, 20.2, 30.9, 40.5], 10, "energies must be integers"),
+        ([10, Fraction(20)], 10, "energies must be integers"),
+        # a ladder whose tables would pass MAX_WINDOW entries on a side
+        ([10, 300000], 10, r"energy ceiling 300000 needs tables out to \+-300002, past MAX_WINDOW = 262144"),
     ],
 )
 def test_census_rejects_ladders_it_cannot_fit(energies, fit_floor, message):

@@ -434,6 +434,8 @@ class TestFailureModes:
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": [[1], [0], [1]]}}}}, "'values'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"table": {"lo": -1, "values": []}}}}, "'values'"),
             ({**CENSUS, "census": {**CENSUS["census"], "energies": [[4], 5]}}, "'energies'"),
+            # a ceiling whose census tables would pass MAX_WINDOW entries on a side
+            ({**CENSUS, "census": {**CENSUS["census"], "energies": [10, 20, 300000]}}, "energy ceiling 300000"),
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": 1e300, "window": [-5, 5]}}}, "'scale'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": "1/4294967297", "window": [-5, 5]}}}, "'scale'"),
             ({**TRAJECTORY, "model": {**DIAMOND, "kinetic": {"family": "power", "mass": 2**32 + 1, "window": [-5, 5]}}}, "'mass'"),

@@ -80,9 +80,11 @@ class TestPhaseState:
             PhaseState((1,), (-0.5,))
         with pytest.raises(ValueError, match="momenta must be integers"):
             PhaseState((1,), (Fraction(2),))
-        state = PhaseState((np.int64(2),), (np.int32(-3),))
-        assert state == PhaseState((2,), (-3,))
-        assert all(type(v) is int for v in state.positions + state.momenta)
+        with pytest.raises(ValueError, match="time must be integers"):
+            PhaseState((1,), (-1,), time=2.5)
+        state = PhaseState((np.int64(2),), (np.int32(-3),), np.int64(4))
+        assert state == PhaseState((2,), (-3,), 4)
+        assert all(type(v) is int for v in (*state.positions, *state.momenta, state.time))
 
 
 class TestPairIndexOrder:
@@ -127,6 +129,25 @@ class TestCoupledRestriction:
         assert reduced.potential(0) == 8
         assert reduced.potential(3) == 14
         assert reduced.kinetic(-2) == 6
+
+    @pytest.mark.parametrize(
+        "windows, message",
+        [
+            (dict(q_windows=((5, -5),)), r"q_windows\[0\] = \[5, -5\] of pair 0 is empty: lo > hi"),
+            (dict(p_windows=((-1, 1), (2, 1))), r"p_windows\[1\] = \[2, 1\] of pair 1 is empty: lo > hi"),
+            (dict(q_windows=((-5.0, 5.0),)), "q_windows must be integers"),
+            (dict(p_windows=((-5, 5, 7),)), r"p_windows\[0\] = \[-5, 5, 7\] of pair 0 is not a window"),
+        ],
+    )
+    def test_windows_are_integer_ranges(self, windows, message):
+        pairs = len(next(iter(windows.values())))
+        with pytest.raises(ValueError, match=message):
+            CoupledSeparableHamiltonian(
+                pairs, sum, sum, **{"q_windows": ((-5, 5),) * pairs, "p_windows": ((-5, 5),) * pairs, **windows}
+            )
+        system = CoupledSeparableHamiltonian(1, sum, sum, ((np.int64(-2), 2),), ((-3, np.int32(3)),))
+        assert system.q_windows == ((-2, 2),) and system.p_windows == ((-3, 3),)
+        assert all(type(v) is int for v in system.q_windows[0] + system.p_windows[0])
 
     def test_window_count_must_match_pairs(self):
         with pytest.raises(ValueError):
@@ -244,6 +265,48 @@ class TestErrorTagging:
         with pytest.raises(UnboundedContour) as err:
             step(PhaseState((1, 0), (0, 3)), system)
         assert err.value.pair_index == 1
+
+
+# -- time reversal by p -> -p ---------------------------------------------------
+
+
+def flip(state):
+    """``R(q, p) = (q, -p)``."""
+    return PhaseState(state.positions, tuple(-p for p in state.momenta), state.time)
+
+
+def flipped_step(state, system):
+    """``R`` of the forward step in the reversed pair order applied to ``R(state)``."""
+    return flip(step(flip(state), system, order=(2, 1, 0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+def test_momentum_flip_runs_the_step_backward(coords):
+    # The kinetic energy and the product term's momentum factor are even in
+    # p and the windows are symmetric, so R maps each restricted contour onto
+    # itself with its orientation reversed.  Sub-updates do not commute, so
+    # the forward step runs the pairs in the inverse step's order.
+    system = product_system(window=60)  # every contour closes below energy 60
+    state = PhaseState(coords[:3], coords[3:])
+    for _ in range(5):
+        back, flipped = step_inverse(state, system), flipped_step(state, system)
+        assert (back.positions, back.momenta) == (flipped.positions, flipped.momenta)
+        state = step(state, system)
+
+
+def test_momentum_flip_fails_with_an_odd_kinetic_part():
+    # Negative control: adding p0 to the kinetic energy makes it odd in p0,
+    # and the identity breaks.
+    even = product_system(window=60)
+    system = replace(even, kinetic=lambda ps: even.kinetic(ps) + ps[0])
+    rng = random.Random(5)
+    differ = 0
+    for _ in range(20):
+        state = PhaseState(*(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in "qp"))
+        back, flipped = step_inverse(state, system), flipped_step(state, system)
+        differ += (back.positions, back.momenta) != (flipped.positions, flipped.momenta)
+    assert differ > 0
 
 
 # -- a pinned digest of every step output over a fixed battery ----------------

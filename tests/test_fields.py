@@ -130,6 +130,10 @@ def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
         ),
         (lambda: uniform_spec(phi_window=(-3.9, 3.9)), "phi_windows must be integers"),
         (lambda: uniform_spec(p_window=(-3, 3.0)), "p_windows must be integers"),
+        (lambda: uniform_spec(phi_window=(-3, 0, 3)), r"phi_windows\[0\] = \[-3, 0, 3\] of component 0 is not a window"),
+        (lambda: FieldState(np.zeros((1, 4)), np.zeros((1, 4)), time=2.7), "time must be integers"),
+        (lambda: FieldState(np.zeros((1, 4)), np.zeros((1, 4)), time=Fraction(3)), "time must be integers"),
+        (lambda: MargolusFieldState(np.zeros((1, 4)), np.zeros((1, 4)), time=1.9), "time must be integers"),
         (
             lambda: FieldHamiltonianSpec(LINE16, 2, (Fraction(0),) * 2, Fraction(1), ((-8, 8),), ((-8, 8),) * 2),
             "need one field and one momentum window per component",
@@ -1386,6 +1390,65 @@ class TestStepOutput:
             with pytest.raises(ValueError):
                 step_parity(state, spec, 0, site_order=order)
         assert spec._plan is plan
+
+
+# -- time reversal by p -> -p ---------------------------------------------------
+
+
+def flip(state):
+    """``R(phi, mom) = (phi, -mom)``."""
+    return FieldState(state.phi, -state.mom, state.time)
+
+
+def flipped_sweeps(state, spec, orders):
+    """``R`` of the forward half sweeps ``orders`` applied to ``R(state)``."""
+    vals = fields._flat(flip(state), spec)
+    fields._sweep(state, vals, spec, orders, False)
+    return flip(fields._unflat(spec, vals, state.time - 1))
+
+
+REVERSAL_CASES = pytest.mark.parametrize(
+    "shape, masses",
+    [
+        (LINE8, (Fraction(0),)),
+        (LINE8, (Fraction(0), Fraction(1, 2))),
+        (GRID44, (Fraction(0), Fraction(1, 2))),
+        (GRID44, (Fraction(1, 2), Fraction(0), Fraction(1))),
+    ],
+    ids=["line, 1 component", "line, 2 components", "plane, 2 components", "plane, 3 components"],
+)
+
+
+@REVERSAL_CASES
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_momentum_flip_runs_the_step_backward(shape, masses, seed):
+    # Every energy term is even in the momenta and the windows are
+    # symmetric, so R maps each restricted contour onto itself with its
+    # orientation reversed: the inverse step is R, then the forward
+    # sub-updates in the inverse step's order (sites and components
+    # reversed, odd class first), then R again.
+    spec = kernel_spec(shape, masses, (-40, 40))
+    state = random_state(spec, random.Random(seed), -4, 4)
+    inverse_orders = fields._plan(spec)[2][True][::-1]
+    for _ in range(3):
+        assert states_equal(step_inverse(state, spec), flipped_sweeps(state, spec, inverse_orders))
+        state = step(state, spec)
+
+
+@REVERSAL_CASES
+def test_momentum_flip_needs_the_reversed_order_with_two_components(shape, masses):
+    # Negative control: with the forward order inside each half sweep the
+    # identity fails once a site holds two components, whose sub-updates do
+    # not commute; one component on a line commutes within its class.
+    spec = kernel_spec(shape, masses, (-40, 40))
+    forward_orders = fields._plan(spec)[2][False][::-1]
+    rng = random.Random(11)
+    differ = 0
+    for _ in range(20):
+        state = random_state(spec, rng, -4, 4)
+        differ += not states_equal(step_inverse(state, spec), flipped_sweeps(state, spec, forward_orders))
+    assert (differ > 0) == (len(masses) > 1)
 
 
 # -- a pinned digest of every sweep output over a fixed battery ----------------

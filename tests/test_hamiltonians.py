@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intham.errors import ConfigError, WindowExceeded
+from intham.evolver import CoupledSeparableHamiltonian
 from intham.hamiltonians import (
     MAX_EXPONENT_TERMS,
     MAX_PREFACTOR,
@@ -225,10 +226,15 @@ class TestSeparableHamiltonian1D:
         assert ham.has_coupling
         assert ham.value(2, 3) == 4 + 4 + 4 * 1
 
-    def test_one_sided_coupling_is_dropped(self):
-        ham = SeparableHamiltonian1D(halved, squares, coupling_pos=squares)
-        assert not ham.has_coupling
-        assert ham.value(1, 1) == 1
+    @pytest.mark.parametrize("given, missing", [("coupling_pos", "coupling_mom"), ("coupling_mom", "coupling_pos")])
+    def test_one_sided_coupling_is_rejected(self, given, missing):
+        # The product term takes both factors: one alone is an error, never
+        # silently dropped, in the 1-pair tables and in the coupled system.
+        message = f"model needs '{missing}' too: the product term takes both factors"
+        with pytest.raises(ValueError, match=message):
+            SeparableHamiltonian1D(halved, squares, **{given: squares})
+        with pytest.raises(ValueError, match=message):
+            CoupledSeparableHamiltonian(2, sum, sum, ((-4, 4),) * 2, ((-4, 4),) * 2, **{given: sum})
 
     def test_coupling_window_mismatch_rejected(self):
         short = IntegerFunction1D(0, (0, 1))
