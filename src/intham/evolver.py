@@ -68,8 +68,6 @@ class CoupledSeparableHamiltonian:
 
     def __post_init__(self):
         check_product_term(self.coupling_pos, self.coupling_mom)
-        for name in ("q_windows", "p_windows"):
-            object.__setattr__(self, name, index_windows(getattr(self, name), name, "pair"))
         if len(self.q_windows) != self.pairs or len(self.p_windows) != self.pairs:
             raise ValueError("need one window pair per degree of freedom")
 
@@ -80,7 +78,15 @@ class CoupledSeparableHamiltonian:
         return h
 
     def restricted(self, state: PhaseState, index: int) -> SeparableHamiltonian1D:
-        qwin, pwin = self.q_windows[index], self.p_windows[index]
+        """The tables of pair ``index`` with every other pair frozen.  The
+        first call reads every window by :func:`index_windows` (which names
+        the pair of a bad one) and keeps them; building a system stays cheap."""
+        try:
+            q_windows, p_windows = self._windows
+        except AttributeError:
+            q_windows, p_windows = (index_windows(getattr(self, n), n, "pair") for n in ("q_windows", "p_windows"))
+            object.__setattr__(self, "_windows", (q_windows, p_windows))
+        qwin, pwin = q_windows[index], p_windows[index]
         index %= self.pairs  # a negative index counts from the end, as for the windows
 
         def table(fn: VectorFn, vec: tuple[int, ...], window) -> IntegerFunction1D:

@@ -140,14 +140,18 @@ class TestCoupledRestriction:
         ],
     )
     def test_windows_are_integer_ranges(self, windows, message):
+        # The windows are read at the first restriction, so a bad one fails
+        # the first step with an error that names its pair.
         pairs = len(next(iter(windows.values())))
+        system = CoupledSeparableHamiltonian(
+            pairs, sum, sum, **{"q_windows": ((-5, 5),) * pairs, "p_windows": ((-5, 5),) * pairs, **windows}
+        )
         with pytest.raises(ValueError, match=message):
-            CoupledSeparableHamiltonian(
-                pairs, sum, sum, **{"q_windows": ((-5, 5),) * pairs, "p_windows": ((-5, 5),) * pairs, **windows}
-            )
+            step(PhaseState((0,) * pairs, (0,) * pairs), system)
         system = CoupledSeparableHamiltonian(1, sum, sum, ((np.int64(-2), 2),), ((-3, np.int32(3)),))
-        assert system.q_windows == ((-2, 2),) and system.p_windows == ((-3, 3),)
-        assert all(type(v) is int for v in system.q_windows[0] + system.p_windows[0])
+        reduced = system.restricted(PhaseState((0,), (0,)), 0)
+        assert reduced.q_window == (-2, 2) and reduced.p_window == (-3, 3)
+        assert all(type(v) is int for v in reduced.q_window + reduced.p_window)
 
     def test_window_count_must_match_pairs(self):
         with pytest.raises(ValueError):
