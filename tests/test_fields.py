@@ -1454,27 +1454,25 @@ def test_momentum_flip_needs_the_reversed_order_with_two_components(shape, masse
 # -- a pinned digest of every sweep output over a fixed battery ----------------
 
 
-def _field_outputs(shape, masses, seed):
-    """Every sweep output from seeded states, errors included: the public
-    restriction of every pair, each half sweep in both directions, and three
-    steps forward and three back.  Each state runs once with wide windows
-    and once with its windows cut to one unit around its values, where
-    values sit on window edges and sub-updates fail."""
+def capture(call):
+    """``(output, item)``: the output is None when the call raised."""
+    try:
+        out = call()
+    except IntHamError as err:  # every error is part of the output
+        return None, (type(err).__name__, str(err), getattr(err, "field_site", None))
+    if isinstance(out, FieldState):
+        return out, (out.phi.tolist(), out.mom.tolist(), out.time)
+    return out, (out.kinetic.lo, out.kinetic.values, out.potential.lo, out.potential.values)
 
-    def capture(call):
-        """``(output, item)``: the output is None when the call raised."""
-        try:
-            out = call()
-        except IntHamError as err:  # every error is part of the output
-            return None, (type(err).__name__, str(err), getattr(err, "field_site", None))
-        if isinstance(out, FieldState):
-            return out, (out.phi.tolist(), out.mom.tolist(), out.time)
-        return out, (out.kinetic.lo, out.kinetic.values, out.potential.lo, out.potential.values)
+
+def seeded_starts(shape, masses, rng):
+    """A seeded state with wide windows, then another with its windows cut to
+    one unit around its values, where values sit on window edges and
+    sub-updates fail; each as ``(spec, state)``."""
 
     def around(layer):
         return tuple((int(values.min()) - 1, int(values.max()) + 1) for values in layer)
 
-    rng = random.Random(seed)
     for cut in (False, True):
         spec = kernel_spec(shape, masses, (-40, 40))
         start = random_state(spec, rng, -4, 4)
@@ -1482,6 +1480,15 @@ def _field_outputs(shape, masses, seed):
             spec = FieldHamiltonianSpec(
                 shape, len(masses), masses, spec.stiffness, around(start.phi), around(start.mom)
             )
+        yield spec, start
+
+
+def _field_outputs(shape, masses, seed):
+    """Every sweep output from seeded states, errors included: the public
+    restriction of every pair, each half sweep in both directions, and three
+    steps forward and three back.  Each state runs once with wide windows
+    and once with its windows cut (see :func:`seeded_starts`)."""
+    for spec, start in seeded_starts(shape, masses, random.Random(seed)):
         yield spec.phi_windows, spec.p_windows, capture(lambda: start)[1]
         for x in shape.sites():
             for k in range(len(masses)):
@@ -1515,5 +1522,36 @@ def test_sweep_outputs_match_their_pinned_digest(shape, masses, digest):
     h = hashlib.sha256()
     for seed in range(3):
         for item in _field_outputs(shape, masses, seed):
+            h.update(repr(item).encode())
+    assert h.hexdigest() == digest
+
+
+def _site_order_outputs(shape, masses, seed):
+    """Every half sweep replayed in a seeded shuffle of its class, errors
+    included: both parities, both directions, from wide-window and cut-window
+    states (see :func:`seeded_starts`)."""
+    rng = random.Random(seed)
+    for spec, start in seeded_starts(shape, masses, rng):
+        for parity in (0, 1):
+            sites = [x for x in shape.sites() if shape.parity(x) == parity]
+            for inverse in (False, True):
+                order = rng.sample(sites, len(sites))
+                yield order, inverse, capture(lambda: step_parity(start, spec, parity, inverse, site_order=order))[1]
+
+
+@pytest.mark.parametrize(
+    "shape, masses, digest",
+    [
+        (LINE16, (Fraction(0),), "501e86027e935c769d8a6ed6ef86f658fc8e433da167efa2d6b8d4c7d53f4989"),
+        (GRID44, (Fraction(0), Fraction(1, 2)), "7c73c5b595d8e1f16369fa7680385e380ae87f4c3b4d18e8c39f77db2b69b683"),
+        (BOX442, (Fraction(1, 2),), "85c7a786a9b71951826a7f5442560d7a5120bdf6472428b26cd2ef6b176ec321"),
+    ],
+)
+def test_site_order_sweeps_match_their_pinned_digest(shape, masses, digest):
+    # The same battery as above through ``step_parity``'s ``site_order``:
+    # any change to how a given order is replayed must leave these unchanged.
+    h = hashlib.sha256()
+    for seed in range(3):
+        for item in _site_order_outputs(shape, masses, seed):
             h.update(repr(item).encode())
     assert h.hexdigest() == digest
