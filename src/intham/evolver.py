@@ -41,6 +41,8 @@ class PhaseState:
 class RestrictedHamiltonianProvider(Protocol):
     """Anything that can freeze all pairs but one into a 1-pair Hamiltonian."""
 
+    pairs: int
+
     def restricted(self, state: PhaseState, index: int) -> SeparableHamiltonian1D: ...
 
     def total_energy(self, state: PhaseState) -> int: ...
@@ -68,7 +70,11 @@ class CoupledSeparableHamiltonian:
 
     def __post_init__(self):
         check_product_term(self.coupling_pos, self.coupling_mom)
-        if len(self.q_windows) != self.pairs or len(self.p_windows) != self.pairs:
+        try:
+            mismatch = len(self.q_windows) != self.pairs or len(self.p_windows) != self.pairs
+        except TypeError:  # a window list with no length
+            mismatch = True
+        if mismatch:
             raise ValueError("need one window pair per degree of freedom")
 
     def total_energy(self, state: PhaseState) -> int:
@@ -79,15 +85,17 @@ class CoupledSeparableHamiltonian:
 
     def restricted(self, state: PhaseState, index: int) -> SeparableHamiltonian1D:
         """The tables of pair ``index`` with every other pair frozen.  The
-        first call reads every window by :func:`index_windows` (which names
-        the pair of a bad one) and keeps them; building a system stays cheap."""
+        first call reads ``pairs`` by :func:`index_tuple` and every window by
+        :func:`index_windows` (which names the pair of a bad one) and keeps
+        them; building a system stays cheap."""
         try:
-            q_windows, p_windows = self._windows
+            pairs, q_windows, p_windows = self._read
         except AttributeError:
+            pairs = index_tuple((self.pairs,), "pairs")[0]
             q_windows, p_windows = (index_windows(getattr(self, n), n, "pair") for n in ("q_windows", "p_windows"))
-            object.__setattr__(self, "_windows", (q_windows, p_windows))
+            object.__setattr__(self, "_read", (pairs, q_windows, p_windows))
         qwin, pwin = q_windows[index], p_windows[index]
-        index %= self.pairs  # a negative index counts from the end, as for the windows
+        index %= pairs  # a negative index counts from the end, as for the windows
 
         def table(fn: VectorFn, vec: tuple[int, ...], window) -> IntegerFunction1D:
             """``fn`` along coordinate ``index`` of ``vec``, tabulated over ``window``."""
@@ -144,7 +152,7 @@ def _resolve_order(state: PhaseState, order) -> tuple[int, ...]:
     """The update order: ascending by default, else a permutation of the pairs."""
     if order is None:
         return tuple(range(state.pairs))
-    order = tuple(order)
+    order = index_tuple(order, "order")
     if sorted(order) != list(range(state.pairs)):
         raise ValueError(f"{order} is not a permutation of the pair indices")
     return order
@@ -161,6 +169,8 @@ def _sweep(
     """One sub-update per pair: forward steps in ``order``, or backward steps
     in reverse order.  The site steppers are looked up at call time, so a
     rebound ``next_site``/``prev_site`` takes effect."""
+    if state.pairs != system.pairs:
+        raise ValueError(f"state has {state.pairs} pairs but the system has {system.pairs}")
     order = _resolve_order(state, order)
     move = prev_site if inverse else next_site
     positions = list(state.positions)

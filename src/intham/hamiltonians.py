@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -41,7 +42,14 @@ def index_tuple(values, what: str) -> tuple:
 def index_windows(windows, name: str, owner: str) -> tuple:
     """``windows`` as a tuple of ``(lo, hi)`` int pairs, each read by
     :func:`index_tuple`; a window that is not two integers with ``lo <= hi``
-    raises ``ValueError`` naming it and its ``owner`` ("pair", "component")."""
+    raises ``ValueError`` naming it and its ``owner`` ("pair", "component"),
+    and so does a ``windows`` that is not a list."""
+    if not isinstance(windows, Iterable):
+        raise ValueError(f"{name} = {windows!r} is not a list of windows [lo, hi]")
+    windows = tuple(windows)
+    for k, w in enumerate(windows):
+        if not isinstance(w, Iterable):
+            raise ValueError(f"{name}[{k}] = {w!r} of {owner} {k} is not a window [lo, hi]")
     windows = tuple(index_tuple(w, name) for w in windows)
     for k, w in enumerate(windows):
         if len(w) != 2 or w[0] > w[1]:
@@ -68,6 +76,7 @@ class IntegerFunction1D:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty window")
+        object.__setattr__(self, "lo", index_tuple((self.lo,), "lo")[0])
         object.__setattr__(self, "values", index_tuple(self.values, "values"))
 
     @classmethod

@@ -164,6 +164,29 @@ class TestCoupledRestriction:
             )
 
 
+def summed(pairs, q_windows=None):
+    """``H = sum(p) + sum(q)`` with one +-5 window per pair; ``q_windows``
+    replaces the positions' windows."""
+    windows = ((-5, 5),) * round(pairs)
+    return CoupledSeparableHamiltonian(pairs, sum, sum, windows if q_windows is None else q_windows, windows)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: step(PhaseState((0, 0), (0, 0)), summed(2.0)), "pairs must be integers"),
+        (lambda: step(PhaseState((0,) * 3, (0,) * 3), summed(2)), "state has 3 pairs but the system has 2"),
+        (lambda: step_inverse(PhaseState((0,) * 2, (0,) * 2), summed(3)), "state has 2 pairs but the system has 3"),
+        (lambda: step(PhaseState((0, 0), (0, 0)), decoupled([diamond])), "state has 2 pairs but the system has 1"),
+        (lambda: step(PhaseState((0, 0), (0, 0)), chain_system(), order=(1.0, 0)), "order must be integers"),
+        (lambda: summed(2, q_windows=5), "need one window pair per degree of freedom"),
+    ],
+)
+def test_evolver_inputs_are_honoured_or_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestUpdateOrder:
     """Sub-updates do not commute; the order is part of the dynamics."""
 

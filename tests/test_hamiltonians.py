@@ -386,6 +386,7 @@ class TestFractionFromJson:
         (lambda: PowerLawFamily("kinetic", 2, mass=0), "mass must be positive"),
         (lambda: IntegerFunction1D.from_callable(lambda x: x / 2, -3, 3), "values must be integers"),
         (lambda: IntegerFunction1D.from_callable(lambda x: Fraction(x, 2), -3, 3), "values must be integers"),
+        (lambda: IntegerFunction1D(0.5, (1, 2, 3)), "lo must be integers"),
         (
             lambda: SeparableHamiltonian1D(squares, squares, squares, IntegerFunction1D(-3, (0,) * 7)),
             "coupling_mom window must match kinetic window",
