@@ -14,25 +14,25 @@ lattice link and same-class updates commute; in higher dimensions a sweep
 can carry a change along a whole line of constant ``sum(x)``, so the L1
 radius has no such bound and the sweep order is fixed.
 
-The sweep is one integer kernel over one flat Python list of field values
-and momenta.  Once per step it reads both arrays with one ``tolist``, checks
-them against the windows with one min and max, and writes one read-only int64
-array at the end.  One plan per spec, built on the first sweep, gives each
-site's flat index, those of its forward neighbours, per component the
-``itemgetter``s that gather the raw values a sub-update reads and the flat
-positions its restriction reads, and the four sweep orders.  A memo on the
-spec is keyed on those values (a massless component's relative to its value
-at the site) and serves a repeated neighbourhood with one lookup: no table,
-no walk, no arithmetic beyond the shift.  A miss reads, in one pass, one
-integer quadratic in the pair's field value per density it touches (see
+The sweep is one integer kernel over one flat Python list of field values and
+momenta.  Once per step it reads both arrays with one ``tolist``, checks them
+against the windows with one min and max, and writes one read-only int64 array
+at the end.  One plan per spec, built on the first sweep, gives each site's
+forward neighbours and one record per sub-update: the ``itemgetter``s that
+gather the raw values it reads and the flat positions its restriction reads.
+Each half sweep is the list of its class's records in C order, components
+ascending; an inverse sweep replays that list backwards.  A memo on the spec
+is keyed on those values (a massless component's relative to its value at the
+site) and serves a repeated neighbourhood with one lookup: no table, no walk,
+no arithmetic beyond the shift.  A miss reads, in one pass, one integer
+quadratic in the pair's field value per density it touches (see
 :func:`_local_terms`), and tabulates sums of their floors only over the band
 its contour can reach (see :func:`restricted_hamiltonian`).  A band strictly
-inside both windows proves the contour closed, so the walk stops at the
-image; one that touches an edge takes the full walk.  The memo is
-direction-aware: a step is a permutation of its closed contour, so each
-forward walk also stores the backward sub-update it implies, and the other
-way round.  A hit checks only that its translated band still lies strictly
-inside the field window.
+inside both windows proves the contour closed, so the walk stops at the image;
+one that touches an edge takes the full walk.  The memo is direction-aware: a
+step is a permutation of its closed contour, so each forward walk also stores
+the backward sub-update it implies, and the other way round.  A hit checks
+only that its translated band still lies strictly inside the field window.
 
 A two-layer second-order automaton in Fredkin's style (field value plus
 previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
@@ -128,6 +128,7 @@ class FieldHamiltonianSpec:
     p_windows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "components", index_tuple((self.components,), "components")[0])
         object.__setattr__(self, "masses", tuple(Fraction(m) for m in self.masses))
         object.__setattr__(self, "stiffness", Fraction(self.stiffness))
         if self.components < 1 or len(self.masses) != self.components:
@@ -176,6 +177,19 @@ class FieldHamiltonianSpec:
         )
 
 
+def _layer(values, name: str, dtype) -> np.ndarray:
+    """``values`` copied into a read-only array of ``dtype``.  Unless they
+    are an integer array, every entry is read exactly by :func:`index_tuple`,
+    so a float or a Fraction raises ``ValueError`` naming the layer instead
+    of being truncated."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = np.array(values, dtype=object)
+        index_tuple(values.ravel().tolist(), name)
+    array = np.array(values.tolist() if dtype is object else values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 class FieldState:
     """Integer field/momentum arrays of shape (components, *sizes).
 
@@ -186,14 +200,11 @@ class FieldState:
     __slots__ = ("phi", "mom", "time")
 
     def __init__(self, phi, mom, time: int = 0):
-        phi = np.array(phi, dtype=np.int64)
-        mom = np.array(mom, dtype=np.int64)
+        phi, mom = _layer(phi, "phi", np.int64), _layer(mom, "mom", np.int64)
         if phi.shape != mom.shape:
             raise ValueError("field and momentum arrays must share a shape")
         if phi.ndim < 2:
             raise ValueError("arrays must be (components, *sizes)")
-        phi.setflags(write=False)
-        mom.setflags(write=False)
         self.phi = phi
         self.mom = mom
         self.time = index_tuple((time,), "time")[0]
@@ -219,27 +230,29 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
     Sites are numbered in C order, as ``array.ravel()`` lays them out.  The
     sweep keeps field values and momenta in one flat list over ``n`` sites:
     ``phi_k`` of site ``i`` sits at ``k * n + i`` and ``mom_k`` at
-    ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries, classes,
-    orders, lo, hi)``: ``entries[i]`` is ``(x, fwd, gathers, layouts)``, where
-    ``fwd`` holds the flat indices of the forward neighbours ``x + e_a``.
-    ``gathers[k]`` is ``(k, own, rest, qi, pi, massless)``: ``own`` and
-    ``rest`` are ``itemgetter``s over the flat list (see :func:`_sweep`).
-    ``own`` reads component ``k`` at every site the sub-update reads, x first,
-    without x itself when the component is massless (its key is relative to
-    x); ``rest`` reads the momenta at x, the pair's first, then the other
-    components at the same sites (with one component, the momentum alone).
-    ``qi``/``pi`` are the positions of the pair's value and momentum.
-    ``layouts[k]`` is the same neighbourhood as flat positions for
-    :func:`_local_terms`: ``(densities, moms, qi, pi)``, with ``moms`` the
-    other components' momenta at x and one ``(a0, centers, pairs, masses)``
-    per density the pair enters, x's and then each backward neighbour
-    ``w = x - e_a``'s: ``a0`` is its ``v^2`` coefficient, ``centers`` the
-    positions of component k in its ``(v - center)^2`` terms (at x's forward
-    neighbours, or at w), ``pairs`` the ``(forward, site)`` positions of its
-    other gradients and ``masses`` its other ``(mass numerator, position)``
-    terms.  ``classes[parity]`` lists the entries of that parity class in C
-    order, ``orders[inverse][parity]`` is that half sweep (see
-    :func:`_order`), and every window holds ``[lo, hi]``.
+    ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries, orders,
+    lo, hi)``: ``entries[i]`` is ``(x, fwd, subs)``, where ``fwd`` holds the
+    flat indices of the forward neighbours ``x + e_a`` and ``subs[k]`` is the
+    one record of the sub-update of component ``k`` at x: ``(x, k, own, rest,
+    qi, pi, massless, layout)``.  ``own`` and ``rest`` are ``itemgetter``s
+    over the flat list (see :func:`_sweep`).  ``own`` reads component ``k`` at
+    every site the sub-update reads, x first, without x itself when the
+    component is massless (its key is relative to x); ``rest`` reads the
+    momenta at x, the pair's first, then the other components at the same
+    sites (with one component, the momentum alone).  ``qi``/``pi`` are the
+    positions of the pair's value and momentum.  ``layout`` is the same
+    neighbourhood as flat positions for :func:`_local_terms`: ``(densities,
+    moms)``, with ``moms`` the other components' momenta at x and one ``(a0,
+    centers, pairs, masses)`` per density the pair enters, x's and then each
+    backward neighbour ``w = x - e_a``'s: ``a0`` is its ``v^2`` coefficient,
+    ``centers`` the positions of component k in its ``(v - center)^2`` terms
+    (at x's forward neighbours, or at w), ``pairs`` the ``(forward, site)``
+    positions of its other gradients and ``masses`` its other ``(mass
+    numerator, position)`` terms.  ``orders[parity]`` is the half sweep of
+    that class: its records themselves, in C order with components ascending.
+    An inverse sweep iterates it backwards, sites and components alike, which
+    keeps inversion exact where shared floors couple equal-parity diagonal
+    neighbours.  Every window holds ``[lo, hi]``.
     """
     try:
         return spec._plan
@@ -262,13 +275,12 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
             reads = [i, *fwd[i]]
             for w, _, wrest in back:
                 reads += [w, *wrest]
-            gathers, layouts = [], []
+            subs = []
             for k, mass in enumerate(masses):
                 others = [j for j in range(kk) if j != k]
                 own = [k * n + s for s in (reads if mass else reads[1:])]
                 rest = [(kk + j) * n + i for j in (k, *others)]
                 rest += [j * n + s for j in others for s in reads]
-                gathers.append((k, itemgetter(*own), itemgetter(*rest), k * n + i, rest[0], not mass))
                 densities = [(
                     a * len(fwd[i]) + spec._sn * mass,
                     tuple(k * n + f for f in fwd[i]),
@@ -282,13 +294,13 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
                         tuple((j * n + f, j * n + w) for j in range(kk) for f in (wrest if j == k else wfwd)),
                         tuple((mj, j * n + w) for j, mj in enumerate(masses) if mj),
                     ))
-                layouts.append((tuple(densities), rest[1:kk], k * n + i, rest[0]))
-            entries.append((x, fwd[i], tuple(gathers), tuple(layouts)))
-        classes = tuple([e for e in entries if shape.parity(e[0]) == c] for c in (0, 1))
-        orders = tuple(tuple(_order(c, inverse) for c in classes) for inverse in (False, True))
+                layout = (tuple(densities), rest[1:kk])
+                subs.append((x, k, itemgetter(*own), itemgetter(*rest), k * n + i, rest[0], not mass, layout))
+            entries.append((x, fwd[i], tuple(subs)))
+        orders = tuple([sub for e in entries if shape.parity(e[0]) == c for sub in e[2]] for c in (0, 1))
         windows = spec.phi_windows + spec.p_windows
         lo, hi = max(w[0] for w in windows), min(w[1] for w in windows)
-        object.__setattr__(spec, "_plan", (entries, classes, orders, lo, hi))
+        object.__setattr__(spec, "_plan", (entries, orders, lo, hi))
         return spec._plan
 
 
@@ -336,18 +348,18 @@ def total_energy(state: FieldState, spec: FieldHamiltonianSpec) -> int:
     return _energy(spec, phi, state.mom.ravel().tolist(), range(len(phi) // spec.components))
 
 
-def _local_terms(spec: FieldHamiltonianSpec, vals: list, entry: tuple, k: int) -> tuple:
+def _local_terms(spec: FieldHamiltonianSpec, vals: list, layout: tuple, qi: int, pi: int) -> tuple:
     """Everything the restriction of the pair (phi_k(x), mom_k(x)) reads.
 
-    ``vals`` is the flat list of field values and momenta and ``entry`` the
-    site's row of :func:`_plan`.  Returns ``(quads, q, p, kin0)``.  Per
-    involved density (this site's, then each backward neighbour's) ``quads``
-    holds ``(a, b, c)``: its floor argument, ``sn`` times the mass-scaled
-    gradients and masses, is ``a*v^2 + b*v + c`` in the pair's value v.  ``q``
-    and ``p`` are the pair's values, and ``kin0`` is ``sn`` times the other
-    components' squared momenta at x.
+    ``vals`` is the flat list of field values and momenta; ``layout``, ``qi``
+    and ``pi`` come from the pair's record in :func:`_plan`.  Returns
+    ``(quads, q, p, kin0)``.  Per involved density (this site's, then each
+    backward neighbour's) ``quads`` holds ``(a, b, c)``: its floor argument,
+    ``sn`` times the mass-scaled gradients and masses, is ``a*v^2 + b*v + c``
+    in the pair's value v.  ``q`` and ``p`` are the pair's values, and
+    ``kin0`` is ``sn`` times the other components' squared momenta at x.
     """
-    densities, moms, qi, pi = entry[3][k]
+    densities, moms = layout
     sn, md = spec._sn, spec._mass_den
     b = -2 * sn * md
     others = 0
@@ -428,12 +440,12 @@ def restricted_hamiltonian(
     outside its windows raises ``WindowExceeded`` naming that value's site.
     """
     if _terms is None:
-        entry = _plan(spec)[0][_site_index(spec.shape, x)]
-        _terms = _local_terms(spec, _flat(state, spec), entry, k)
+        site, _, _, _, qi, pi, _, layout = _plan(spec)[0][_site_index(spec.shape, x)][2][k]
+        _terms = _local_terms(spec, _flat(state, spec), layout, qi, pi)
         try:
             return restricted_hamiltonian(state, spec, x, k, _terms=_terms)
         except WindowExceeded as exc:
-            exc.field_site = (entry[0], k)
+            exc.field_site = (site, k)
             raise
     quads, q_cur, p_cur, kin0 = _terms
     sn, pden, kden = spec._sn, spec._pot_den, spec._kin_den
@@ -458,16 +470,6 @@ def restricted_hamiltonian(
         _kinetic_band(kin0, sn, kden, p_lo, p_hi),
         IntegerFunction1D._trusted(band_lo, tuple(pot_values)),
     )
-
-
-def _order(entries: Sequence[tuple], inverse: bool) -> list:
-    """One ``(entry, k, own, rest, qi, pi, massless)`` per sub-update over
-    ``entries``, components ascending.  ``inverse`` replays them in reverse,
-    site order included, which keeps inversion exact where shared floors couple
-    equal-parity diagonal neighbours (in one dimension same-class updates commute)."""
-    if inverse:
-        return [(e, *g) for e in reversed(entries) for g in reversed(e[2])]
-    return [(e, *g) for e in entries for g in e[2]]
 
 
 def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
@@ -529,8 +531,8 @@ def _unflat(spec: FieldHamiltonianSpec, vals: list, time: int) -> FieldState:
 
 
 def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse: bool):
-    """The half sweeps ``orders`` (see :func:`_order`), one after another,
-    over ``vals``, in place.
+    """The half sweeps ``orders``, lists of sub-update records (see
+    :func:`_plan`), one after another over ``vals``, in place.
 
     ``state`` only carries the shape to :func:`restricted_hamiltonian`, which
     a miss calls with the pair's terms already read from the list.
@@ -564,7 +566,7 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
     get = memo.get
     single = spec.components == 1  # then ``rest`` is the momentum alone
     for order in orders:
-        for entry, k, own, rest, qi, pi, massless in order:
+        for x, k, own, rest, qi, pi, massless, layout in order:
             r, o = rest(vals), own(vals)
             if massless:
                 shift = vals[qi]
@@ -580,13 +582,13 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
             q, p = vals[qi], vals[pi]
             (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
             try:
-                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=_local_terms(spec, vals, entry, k))
+                ham = restricted_hamiltonian(state, spec, x, k, _terms=_local_terms(spec, vals, layout, qi, pi))
                 pot, kin = ham.potential, ham.kinetic  # read without properties: a miss is hot
                 lo, hi, p_lo = pot.lo, pot.lo + len(pot.values) - 1, kin.lo
                 closed = qlo < lo and hi < qhi and plo < p_lo and p_lo + len(kin.values) - 1 < phi_hi
                 q2, p2 = mover(ham, q, p, _closed=closed)
             except IntHamError as exc:
-                exc.field_site = (entry[0], k)
+                exc.field_site = (x, k)
                 raise
             vals[qi] = q2
             vals[pi] = p2
@@ -611,15 +613,14 @@ def step_parity(
     site_order: Optional[Sequence[Site]] = None,
 ) -> FieldState:
     """Apply one checkerboard half-sweep to the given parity class."""
-    vals, plan = _flat(state, spec), _plan(spec)
-    order = plan[2][bool(inverse)][parity]
+    vals, order = _flat(state, spec), _plan(spec)[1][parity]
     if site_order is not None:
-        by_site = {e[0]: e for e in plan[1][parity]}
+        by_site = {x: list(subs) for x, subs in itertools.groupby(order, itemgetter(0))}
         site_order = [tuple(x) for x in site_order]
         if sorted(site_order) != sorted(by_site):
             raise ValueError("site_order must enumerate the parity class exactly")
-        order = _order([by_site[x] for x in site_order], inverse)
-    _sweep(state, vals, spec, (order,), inverse)
+        order = [sub for x in site_order for sub in by_site[x]]
+    _sweep(state, vals, spec, (order[::-1] if inverse else order,), inverse)
     return _unflat(spec, vals, state.time)
 
 
@@ -632,14 +633,14 @@ def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     :class:`FieldHamiltonianSpec`).
     """
     vals = _flat(state, spec)
-    _sweep(state, vals, spec, _plan(spec)[2][False], False)
+    _sweep(state, vals, spec, _plan(spec)[1], False)
     return _unflat(spec, vals, state.time + 1)
 
 
 def step_inverse(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
     """Undo one full step: odd class, then even class, components descending."""
     vals = _flat(state, spec)
-    _sweep(state, vals, spec, _plan(spec)[2][True][::-1], True)
+    _sweep(state, vals, spec, [o[::-1] for o in reversed(_plan(spec)[1])], True)
     return _unflat(spec, vals, state.time - 1)
 
 
@@ -681,12 +682,9 @@ class MargolusFieldState:
     def __init__(self, older, newer, time: int = 0):
         # object dtype keeps exact Python ints: unstable rules grow field
         # values exponentially and would overflow a fixed-width array.
-        older = np.array(np.asarray(older).tolist(), dtype=object)
-        newer = np.array(np.asarray(newer).tolist(), dtype=object)
+        older, newer = _layer(older, "older", object), _layer(newer, "newer", object)
         if older.shape != newer.shape:
             raise ValueError("layers must share a shape")
-        older.setflags(write=False)
-        newer.setflags(write=False)
         self.older = older
         self.newer = newer
         self.time = index_tuple((time,), "time")[0]

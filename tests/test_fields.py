@@ -53,6 +53,15 @@ def line_spec(mass=Fraction(0), stiffness=Fraction(1)):
     )
 
 
+def sub_update_terms(spec, vals):
+    """``(x, k, terms)`` per sub-update record of the spec's plan, in C order
+    with components ascending: the pair's :func:`fields._local_terms` in the
+    flat list ``vals``."""
+    for _, _, subs in fields._plan(spec)[0]:
+        for x, k, _, _, qi, pi, _, layout in subs:
+            yield x, k, fields._local_terms(spec, vals, layout, qi, pi)
+
+
 def random_state(spec, rng, lo=-3, hi=3):
     shape = (spec.components, *spec.shape.sizes)
     phi = np.array([rng.randint(lo, hi) for _ in range(int(np.prod(shape)))]).reshape(shape)
@@ -131,9 +140,21 @@ def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
         (lambda: uniform_spec(phi_window=(-3.9, 3.9)), "phi_windows must be integers"),
         (lambda: uniform_spec(p_window=(-3, 3.0)), "p_windows must be integers"),
         (lambda: uniform_spec(phi_window=(-3, 0, 3)), r"phi_windows\[0\] = \[-3, 0, 3\] of component 0 is not a window"),
-        (lambda: FieldState(np.zeros((1, 4)), np.zeros((1, 4)), time=2.7), "time must be integers"),
-        (lambda: FieldState(np.zeros((1, 4)), np.zeros((1, 4)), time=Fraction(3)), "time must be integers"),
-        (lambda: MargolusFieldState(np.zeros((1, 4)), np.zeros((1, 4)), time=1.9), "time must be integers"),
+        (lambda: uniform_spec(phi_window=5), r"phi_windows\[0\] = 5 of component 0 is not a window \[lo, hi\]"),
+        (
+            lambda: FieldHamiltonianSpec(LINE16, 1, (Fraction(0),), Fraction(1), 5, ((-8, 8),)),
+            r"phi_windows = 5 is not a list of windows \[lo, hi\]",
+        ),
+        (
+            lambda: FieldHamiltonianSpec(LINE16, 1.0, (Fraction(0),), Fraction(1), ((-8, 8),), ((-8, 8),)),
+            "components must be integers",
+        ),
+        (lambda: FieldState([[1.5, 0, 0, 0]], [[0] * 4]), "phi must be integers"),
+        (lambda: FieldState([[0] * 4], np.array([[0, 0.5, 0, 0]])), "mom must be integers"),
+        (lambda: MargolusFieldState([[1.5, 0.0]], [[0, 0]]), "older must be integers"),
+        (lambda: FieldState(np.zeros((1, 4), int), np.zeros((1, 4), int), time=2.7), "time must be integers"),
+        (lambda: FieldState(np.zeros((1, 4), int), np.zeros((1, 4), int), time=Fraction(3)), "time must be integers"),
+        (lambda: MargolusFieldState(np.zeros((1, 4), int), np.zeros((1, 4), int), time=1.9), "time must be integers"),
         (
             lambda: FieldHamiltonianSpec(LINE16, 2, (Fraction(0),) * 2, Fraction(1), ((-8, 8),), ((-8, 8),) * 2),
             "need one field and one momentum window per component",
@@ -142,18 +163,18 @@ def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
             lambda: FieldHamiltonianSpec(LINE16, 1, (Fraction(0),), Fraction(1), ((-8, 8),), ((-8, 8),) * 2),
             "need one field and one momentum window per component",
         ),
-        (lambda: FieldState(np.zeros((1, 4)), np.zeros((1, 6))), "field and momentum arrays must share a shape"),
-        (lambda: FieldState(np.zeros(4), np.zeros(4)), r"arrays must be \(components, \*sizes\)"),
+        (lambda: FieldState(np.zeros((1, 4), int), np.zeros((1, 6), int)), "field and momentum arrays must share a shape"),
+        (lambda: FieldState(np.zeros(4, int), np.zeros(4, int)), r"arrays must be \(components, \*sizes\)"),
         (
-            lambda: total_energy(FieldState(np.zeros((1, 8)), np.zeros((1, 8))), uniform_spec()),
+            lambda: total_energy(FieldState(np.zeros((1, 8), int), np.zeros((1, 8), int)), uniform_spec()),
             r"state shape \(1, 8\) != spec shape \(1, 16\)",
         ),
         (
-            lambda: step(FieldState(np.zeros((1, 16)), np.zeros((1, 16))), uniform_spec(components=2)),
+            lambda: step(FieldState(np.zeros((1, 16), int), np.zeros((1, 16), int)), uniform_spec(components=2)),
             r"state shape \(1, 16\) != spec shape \(2, 16\)",
         ),
         (
-            lambda: margolus_energy(MargolusFieldState(np.zeros((1, 8)), np.zeros((1, 8))), uniform_spec()),
+            lambda: margolus_energy(MargolusFieldState(np.zeros((1, 8), int), np.zeros((1, 8), int)), uniform_spec()),
             r"layer shape \(1, 8\) != spec shape \(1, 16\)",
         ),
     ],
@@ -244,28 +265,24 @@ class TestRestrictedHamiltonian:
         spec = kernel_spec(LatticeShape(sizes), masses, (-40, 40))
         state = random_state(spec, random.Random(seed), -9, 9)
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
-        for entry in fields._plan(spec)[0]:
-            for k in range(spec.components):
-                terms = fields._local_terms(spec, vals, entry, k)
-                swept = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
-                assert restricted_hamiltonian(state, spec, entry[0], k) == swept
+        for x, k, terms in sub_update_terms(spec, vals):
+            swept = restricted_hamiltonian(state, spec, x, k, _terms=terms)
+            assert restricted_hamiltonian(state, spec, x, k) == swept
 
     def test_trusted_tables_equal_checked_ones(self):
         spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
         state = random_state(spec, random.Random(4), -9, 9)
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
-        for entry in fields._plan(spec)[0]:
-            for k in range(spec.components):
-                terms = fields._local_terms(spec, vals, entry, k)
-                ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
-                kin, pot = ham.kinetic, ham.potential
-                checked = SeparableHamiltonian1D(
-                    IntegerFunction1D(kin.lo, kin.values), IntegerFunction1D(pot.lo, pot.values)
-                )
-                trusted = SeparableHamiltonian1D._trusted(kin, pot)
-                assert trusted == checked == SeparableHamiltonian1D(kin, pot) == ham
-                assert (hash(trusted), repr(trusted)) == (hash(checked), repr(checked))
-                assert not trusted.has_coupling
+        for x, k, terms in sub_update_terms(spec, vals):
+            ham = restricted_hamiltonian(state, spec, x, k, _terms=terms)
+            kin, pot = ham.kinetic, ham.potential
+            checked = SeparableHamiltonian1D(
+                IntegerFunction1D(kin.lo, kin.values), IntegerFunction1D(pot.lo, pot.values)
+            )
+            trusted = SeparableHamiltonian1D._trusted(kin, pot)
+            assert trusted == checked == SeparableHamiltonian1D(kin, pot) == ham
+            assert (hash(trusted), repr(trusted)) == (hash(checked), repr(checked))
+            assert not trusted.has_coupling
 
     @pytest.mark.parametrize(
         "array, value, kind, window",
@@ -445,8 +462,8 @@ class TestTwoLayerAutomaton:
         assert laplacian_rule(phi2)[0, 15] == 5
 
     def test_layers_must_share_a_shape(self):
-        with pytest.raises(ValueError):
-            MargolusFieldState(np.zeros((1, 4)), np.zeros((1, 6)))
+        with pytest.raises(ValueError, match="layers must share a shape"):
+            MargolusFieldState(np.zeros((1, 4), int), np.zeros((1, 6), int))
 
 
 class TestJson:
@@ -602,33 +619,31 @@ def compare_band_with_whole(spec, state):
     an edge, and how many walks raised."""
     vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
     counts = [0, 0, 0]
-    for entry in fields._plan(spec)[0]:
-        for k in range(spec.components):
-            terms = fields._local_terms(spec, vals, entry, k)
-            q, p = terms[1], terms[2]
-            ham = restricted_hamiltonian(state, spec, entry[0], k, _terms=terms)
-            whole = whole_window(spec, terms, k)
-            (qlo, qhi), (plo, phi_hi) = ham.q_window, ham.p_window
-            (wqlo, wqhi), (wplo, wphi) = whole.q_window, whole.p_window
-            # The band is a piece of the whole tables around the pair.
-            assert wqlo <= qlo <= q <= qhi <= wqhi and wplo <= plo <= p <= phi_hi <= wphi
-            assert all(ham.value(v, u) == whole.value(v, u)
-                       for v in range(qlo, qhi + 1) for u in range(plo, phi_hi + 1))
-            inside = wqlo < qlo and qhi < wqhi and wplo < plo and phi_hi < wphi
-            energy = ham.value(q, p)
-            for mover in (contours.next_site, contours.prev_site):
-                expected = walk_outcome(mover, whole, q, p)
-                assert walk_outcome(mover, ham, q, p) == expected
-                counts[2] += isinstance(expected[0], str)
-                if inside:
-                    assert walk_outcome(mover, ham, q, p, _closed=True) == expected
+    for x, k, terms in sub_update_terms(spec, vals):
+        q, p = terms[1], terms[2]
+        ham = restricted_hamiltonian(state, spec, x, k, _terms=terms)
+        whole = whole_window(spec, terms, k)
+        (qlo, qhi), (plo, phi_hi) = ham.q_window, ham.p_window
+        (wqlo, wqhi), (wplo, wphi) = whole.q_window, whole.p_window
+        # The band is a piece of the whole tables around the pair.
+        assert wqlo <= qlo <= q <= qhi <= wqhi and wplo <= plo <= p <= phi_hi <= wphi
+        assert all(ham.value(v, u) == whole.value(v, u)
+                   for v in range(qlo, qhi + 1) for u in range(plo, phi_hi + 1))
+        inside = wqlo < qlo and qhi < wqhi and wplo < plo and phi_hi < wphi
+        energy = ham.value(q, p)
+        for mover in (contours.next_site, contours.prev_site):
+            expected = walk_outcome(mover, whole, q, p)
+            assert walk_outcome(mover, ham, q, p) == expected
+            counts[2] += isinstance(expected[0], str)
             if inside:
-                # The proof the sweep relies on: every edge row and column
-                # of a band strictly inside the windows lies above the level.
-                edge = [(v, u) for v in (qlo, qhi) for u in range(plo, phi_hi + 1)]
-                edge += [(v, u) for u in (plo, phi_hi) for v in range(qlo, qhi + 1)]
-                assert min(ham.value(*site) for site in edge) > energy
-            counts[not inside] += 1
+                assert walk_outcome(mover, ham, q, p, _closed=True) == expected
+        if inside:
+            # The proof the sweep relies on: every edge row and column
+            # of a band strictly inside the windows lies above the level.
+            edge = [(v, u) for v in (qlo, qhi) for u in range(plo, phi_hi + 1)]
+            edge += [(v, u) for u in (plo, phi_hi) for v in range(qlo, qhi + 1)]
+            assert min(ham.value(*site) for site in edge) > energy
+        counts[not inside] += 1
     return tuple(counts)
 
 
@@ -848,26 +863,26 @@ class TestLocalRuleMemo:
         spec = fresh_spec(shape, masses, (-64, 64))
         seen = {}
 
-        def watched(gather):
-            k, own, rest, qi, pi, massless = gather
+        def watched(sub):
+            x, k, own, rest, qi, pi, massless, layout = sub
 
             def rest_seen(vals):
-                seen["pair"] = (vals, gather)
+                seen["pair"] = (vals, sub)
                 return rest(vals)
 
-            return (k, own, rest_seen, qi, pi, massless)
+            return (x, k, own, rest_seen, qi, pi, massless, layout)
 
-        entries, classes, _, lo, hi = fields._plan(spec)
-        swap = {id(e): (*e[:2], tuple(map(watched, e[2])), e[3]) for e in entries}
-        classes = tuple([swap[id(e)] for e in c] for c in classes)
-        orders = tuple(tuple(fields._order(c, inverse) for c in classes) for inverse in (False, True))
-        object.__setattr__(spec, "_plan", ([swap[id(e)] for e in entries], classes, orders, lo, hi))
+        entries, orders, lo, hi = fields._plan(spec)
+        swap = {id(sub): watched(sub) for e in entries for sub in e[2]}
+        entries = [(*e[:2], tuple(swap[id(sub)] for sub in e[2])) for e in entries]
+        orders = tuple([swap[id(sub)] for sub in order] for order in orders)
+        object.__setattr__(spec, "_plan", (entries, orders, lo, hi))
         forward_keys = []
 
         class MirrorCheckingMemo(OrderedDict):
             def __setitem__(self, key, value):
                 if len(forward_keys) > len(mirrors):  # the second store of a miss
-                    vals, (k, own, rest, qi, pi, massless) = seen["pair"]
+                    vals, (_, k, own, rest, qi, pi, massless, _) = seen["pair"]
                     shift = vals[qi] if massless else 0
                     expected = (not forward_keys[-1][0], k, rest(vals), *(v - shift for v in own(vals)))
                     assert key == expected
@@ -1375,16 +1390,21 @@ class TestStepOutput:
         spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
         state = step(random_state(spec, random.Random(5), -3, 3), spec)
         plan = spec._plan
-        orders = [order for pair in plan[2] for order in pair]
-        classes = plan[1]
-        for parity in (0, 1):  # built from the plan's own entries, not copies
-            first = classes[parity][0]
-            assert plan[2][False][parity][0] == (first, *first[2][0]) and plan[2][False][parity][0][0] is first
-            assert plan[2][True][parity][-1] == (first, *first[2][0]) and plan[2][True][parity][-1][0] is first
+        entries, orders = plan[:2]
+        # One record per (x, k), in C order with components ascending ...
+        records = [sub for e in entries for sub in e[2]]
+        assert [sub[:2] for sub in records] == [(x, k) for x in GRID44.sites() for k in (0, 1)]
+        # ... and each half sweep lists its class's records themselves, not
+        # copies, so each record appears exactly once across the orders.
+        for parity in (0, 1):
+            own = [sub for sub in records if GRID44.parity(sub[0]) == parity]
+            assert all(a is b for a, b in zip(orders[parity], own, strict=True))
+        assert sorted(map(id, orders[0] + orders[1])) == sorted(map(id, records))
+        built = [list(order) for order in orders]
         for stepper in (step, step_inverse, lambda s, sp: step_parity(s, sp, 1, True)):
             state = stepper(state, spec)
             assert spec._plan is plan and fields._plan(spec) is plan
-            assert all(a is b for a, b in zip((o for pair in spec._plan[2] for o in pair), orders, strict=True))
+            assert all(a is b for order, was in zip(orders, built) for a, b in zip(order, was, strict=True))
         evens = [x for x in GRID44.sites() if GRID44.parity(x) == 0]
         for order in (evens[1:], evens[1:] + [evens[1]], evens[1:] + [(0, 1)], evens + [(0, 0)]):
             with pytest.raises(ValueError):
@@ -1426,11 +1446,11 @@ def test_momentum_flip_runs_the_step_backward(shape, masses, seed):
     # Every energy term is even in the momenta and the windows are
     # symmetric, so R maps each restricted contour onto itself with its
     # orientation reversed: the inverse step is R, then the forward
-    # sub-updates in the inverse step's order (sites and components
+    # sub-updates of the reversed forward records (sites and components
     # reversed, odd class first), then R again.
     spec = kernel_spec(shape, masses, (-40, 40))
     state = random_state(spec, random.Random(seed), -4, 4)
-    inverse_orders = fields._plan(spec)[2][True][::-1]
+    inverse_orders = [order[::-1] for order in reversed(fields._plan(spec)[1])]
     for _ in range(3):
         assert states_equal(step_inverse(state, spec), flipped_sweeps(state, spec, inverse_orders))
         state = step(state, spec)
@@ -1438,11 +1458,11 @@ def test_momentum_flip_runs_the_step_backward(shape, masses, seed):
 
 @REVERSAL_CASES
 def test_momentum_flip_needs_the_reversed_order_with_two_components(shape, masses):
-    # Negative control: with the forward order inside each half sweep the
+    # Negative control: with the forward records inside each half sweep the
     # identity fails once a site holds two components, whose sub-updates do
     # not commute; one component on a line commutes within its class.
     spec = kernel_spec(shape, masses, (-40, 40))
-    forward_orders = fields._plan(spec)[2][False][::-1]
+    forward_orders = fields._plan(spec)[1][::-1]
     rng = random.Random(11)
     differ = 0
     for _ in range(20):
