@@ -44,9 +44,10 @@ def index_windows(windows, name: str, owner: str) -> tuple:
     :func:`index_tuple`; a window that is not two integers with ``lo <= hi``
     raises ``ValueError`` naming it and its ``owner`` ("pair", "component"),
     and so does a ``windows`` that is not a list."""
-    if not isinstance(windows, Iterable):
-        raise ValueError(f"{name} = {windows!r} is not a list of windows [lo, hi]")
-    windows = tuple(windows)
+    try:
+        windows = tuple(windows)
+    except TypeError:
+        raise ValueError(f"{name} = {windows!r} is not a list of windows [lo, hi]") from None
     for k, w in enumerate(windows):
         if not isinstance(w, Iterable):
             raise ValueError(f"{name}[{k}] = {w!r} of {owner} {k} is not a window [lo, hi]")
@@ -76,7 +77,8 @@ class IntegerFunction1D:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty window")
-        object.__setattr__(self, "lo", index_tuple((self.lo,), "lo")[0])
+        if type(self.lo) is not int:  # one test in the common case: the evolver builds tables per sub-update
+            object.__setattr__(self, "lo", index_tuple((self.lo,), "lo")[0])
         object.__setattr__(self, "values", index_tuple(self.values, "values"))
 
     @classmethod
