@@ -48,10 +48,13 @@ def index_windows(windows, name: str, owner: str) -> tuple:
         windows = tuple(windows)
     except TypeError:
         raise ValueError(f"{name} = {windows!r} is not a list of windows [lo, hi]") from None
-    for k, w in enumerate(windows):
-        if not isinstance(w, Iterable):
-            raise ValueError(f"{name}[{k}] = {w!r} of {owner} {k} is not a window [lo, hi]")
-    windows = tuple(index_tuple(w, name) for w in windows)
+    try:
+        windows = tuple(index_tuple(w, name) for w in windows)
+    except ValueError:
+        for k, w in enumerate(windows):
+            if not isinstance(w, Iterable):
+                raise ValueError(f"{name}[{k}] = {w!r} of {owner} {k} is not a window [lo, hi]") from None
+        raise
     for k, w in enumerate(windows):
         if len(w) != 2 or w[0] > w[1]:
             problem = "is empty: lo > hi" if len(w) == 2 else "is not a window [lo, hi]"
