@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -671,16 +671,13 @@ def diagonal_radius(shape: LatticeShape, origin: Site, sites: Iterable[Site]) ->
 # -- two-layer contrast automaton -------------------------------------------
 
 
-NeighborhoodRule = Callable[[np.ndarray], np.ndarray]
-
-
 class MargolusFieldState:
     """Two consecutive field layers; the update needs no momenta."""
 
     __slots__ = ("older", "newer", "time")
 
     def __init__(self, older, newer, time: int = 0):
-        # object dtype keeps exact Python ints: unstable rules grow field
+        # object dtype keeps exact Python ints: the update grows field
         # values exponentially and would overflow a fixed-width array.
         older, newer = _layer(older, "older", object), _layer(newer, "newer", object)
         if older.shape != newer.shape:
@@ -691,7 +688,7 @@ class MargolusFieldState:
 
 
 def laplacian_rule(phi: np.ndarray) -> np.ndarray:
-    """Default neighborhood rule: discrete Laplacian over the spatial axes."""
+    """The automaton's neighbourhood rule: discrete Laplacian over the spatial axes."""
     out = np.zeros_like(phi)
     for axis in range(1, phi.ndim):
         out += np.roll(phi, 1, axis=axis) + np.roll(phi, -1, axis=axis)
@@ -699,19 +696,15 @@ def laplacian_rule(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def margolus_step(
-    state: MargolusFieldState, rule: NeighborhoodRule = laplacian_rule
-) -> MargolusFieldState:
-    """Second-order update: next layer = layer before last + rule(last)."""
-    advanced = state.older + rule(state.newer)
+def margolus_step(state: MargolusFieldState) -> MargolusFieldState:
+    """Second-order update: next layer = layer before last + Laplacian(last)."""
+    advanced = state.older + laplacian_rule(state.newer)
     return MargolusFieldState(state.newer, advanced, state.time + 1)
 
 
-def margolus_unstep(
-    state: MargolusFieldState, rule: NeighborhoodRule = laplacian_rule
-) -> MargolusFieldState:
+def margolus_unstep(state: MargolusFieldState) -> MargolusFieldState:
     """Exact inverse of :func:`margolus_step` by integer subtraction."""
-    previous = state.newer - rule(state.older)
+    previous = state.newer - laplacian_rule(state.older)
     return MargolusFieldState(previous, state.older, state.time - 1)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -37,11 +36,11 @@ TWO_PI = 2.0 * math.pi
 BOUNDARY_PHASE = math.nextafter(math.pi, 0.0)
 
 
-#: Bound on the exp(-n/radius) tail that :meth:`TruncationConfig.for_radius`
-#: leaves out of the operator series, below double precision.
+#: Bound on the exp(-n/radius) tail that :class:`TruncationConfig` leaves out
+#: of the operator series, below double precision.
 TAIL = 1e-18
 
-#: Largest damping radius :meth:`TruncationConfig.for_radius` accepts.  The
+#: Largest damping radius :class:`TruncationConfig` accepts.  The
 #: operator check sums about 41 terms per unit of radius, each one pass over
 #: the k x k block of every distinct cycle length k, so this bounds it at
 #: about 41 000 passes.
@@ -59,37 +58,30 @@ MAX_CHECK_SIZE = 256
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Damping radius and term count for the truncated operator series.
-
-    ``terms`` must reach far enough that the discarded exp(-n/radius) tail
-    is negligible at reporting precision; :meth:`for_radius` picks the count
-    accordingly.
+    """Damping radius of the truncated operator series, and the term count it
+    fixes: the least that leaves the exp(-n/radius) tail below :data:`TAIL`,
+    about 41 terms per unit of radius.  ``radius`` is read as a float and
+    must lie in ``[1, MAX_RADIUS]``.
     """
 
     radius: float
-    terms: int
+    terms: int = field(init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.radius):
-            raise ValueError(f"damping radius must be finite, got {self.radius}")
-        if self.radius < 1:
-            raise ValueError("damping radius must be at least 1")
-        if not isinstance(self.terms, numbers.Integral) or isinstance(self.terms, bool):
-            raise ValueError(f"terms must be an integer, got {self.terms!r}")
-        if self.terms < 1:
-            raise ValueError("need at least one term")
-
-    @classmethod
-    def for_radius(cls, radius) -> "TruncationConfig":
-        """The term count that leaves a tail below :data:`TAIL`: about 41 terms
-        per unit of radius, so ``radius`` may not exceed :data:`MAX_RADIUS`."""
-        radius = float(radius)
+        radius = float(self.radius)
         if math.isnan(radius):
             raise ValueError("damping radius must be finite, got nan")
         if radius > MAX_RADIUS:
             raise ValueError(f"radius {radius:g} exceeds the cap {MAX_RADIUS}")
-        terms = max(1, math.ceil(-radius * math.log(TAIL)))
-        return cls(radius, terms)
+        if radius < 1:
+            raise ValueError("damping radius must be at least 1")
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "terms", math.ceil(-radius * math.log(TAIL)))
+
+    @classmethod
+    def for_radius(cls, radius) -> "TruncationConfig":
+        """``TruncationConfig(radius)``."""
+        return cls(radius)
 
 
 @dataclass(frozen=True)

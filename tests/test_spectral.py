@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -195,7 +196,19 @@ class TestDampedClosedForm:
 
 class TestOperatorCheck:
     def test_truncation_depth_scales_with_damping_radius(self):
-        assert TruncationConfig.for_radius(20) == TruncationConfig(20.0, 829)
+        # The radius alone fixes the term count: the least that leaves the
+        # exp(-n/R) tail below TAIL, about 41 terms per unit of R.
+        for radius, terms in ((1, 42), (3, 125), (20, 829), (100, 4145), (MAX_RADIUS, 41447)):
+            cfg = TruncationConfig(radius)
+            assert cfg == TruncationConfig.for_radius(radius) == TruncationConfig(float(radius))
+            assert (cfg.radius, cfg.terms) == (float(radius), terms)
+        rng = random.Random(24)
+        for radius in (rng.uniform(1, MAX_RADIUS) for _ in range(200)):
+            cfg = TruncationConfig(radius)
+            assert cfg == TruncationConfig.for_radius(radius)
+            assert cfg.terms == math.ceil(-radius * math.log(spectral.TAIL)) <= 41447
+        with pytest.raises(TypeError):
+            TruncationConfig(20.0, 100)
 
     def test_radius_is_capped(self):
         assert TruncationConfig.for_radius(MAX_RADIUS).radius == MAX_RADIUS
@@ -233,7 +246,7 @@ class TestOperatorCheck:
     def test_each_cycle_length_is_summed_once_per_truncation(self):
         # shells of the diamond and the steep well share lengths 1, 2 and 4
         perms = [permutation(ham, e) for ham in (diamond, pingpong) for e in range(6)]
-        cfgs = [TruncationConfig.for_radius(r) for r in (3, 20)] + [TruncationConfig(20.0, 100)]
+        cfgs = [TruncationConfig.for_radius(r) for r in (3, 20)] + [TruncationConfig(5)]
         spectral._cycle_residuals.cache_clear()
         first = [hfract_operator_check(perm, cfg) for cfg in cfgs for perm in perms]
         keys = {(len(c), cfg.radius, cfg.terms) for cfg in cfgs for perm in perms for c in perm.cycles}
@@ -256,21 +269,21 @@ class TestOperatorCheck:
             hfract_operator_check(four_cycle, Untouched(), size_cap=3)
 
     @pytest.mark.parametrize(
-        "call, message",
+        "radius, message",
         [
-            (lambda: TruncationConfig(0, 10), "damping radius must be at least 1"),
-            (lambda: TruncationConfig(5, 0), "need at least one term"),
-            (lambda: TruncationConfig(float("nan"), 5), "damping radius must be finite, got nan"),
-            (lambda: TruncationConfig(float("inf"), 5), "damping radius must be finite, got inf"),
-            (lambda: TruncationConfig(20.0, 2.5), "terms must be an integer, got 2.5"),
-            (lambda: TruncationConfig(20.0, True), "terms must be an integer, got True"),
-            (lambda: TruncationConfig.for_radius(float("nan")), "damping radius must be finite, got nan"),
-            (lambda: TruncationConfig.for_radius(float("inf")), "radius inf exceeds the cap 1000"),
+            (0, "damping radius must be at least 1"),
+            (math.nextafter(1.0, 0.0), "damping radius must be at least 1"),
+            (-math.inf, "damping radius must be at least 1"),
+            (math.nan, "damping radius must be finite, got nan"),
+            (math.inf, "radius inf exceeds the cap 1000"),
+            (math.nextafter(MAX_RADIUS, math.inf), "radius 1000 exceeds the cap 1000"),
+            (1e6, "radius 1e\\+06 exceeds the cap 1000"),
         ],
     )
-    def test_config_validation(self, call, message):
-        with pytest.raises(ValueError, match=message):
-            call()
+    def test_config_validation(self, radius, message):
+        for build in (TruncationConfig, TruncationConfig.for_radius):
+            with pytest.raises(ValueError, match=message):
+                build(radius)
 
 
 class TestTotals:
