@@ -65,6 +65,15 @@ def _load_models(cfg: dict):
     return _build(cfg, "models", lambda entries: [hamiltonian_from_json(m) for m in entries])
 
 
+def _load_model(cfg: dict):
+    """The one model of a shell or spectral run: ``model``, or a ``models``
+    list of one entry."""
+    models = _load_models(cfg)
+    if len(models) != 1:
+        raise ConfigError(f"'models' must hold one model in this mode, got {len(models)}")
+    return models[0]
+
+
 def _load_start(cfg: dict, pairs: int) -> PhaseState:
     start = integers(read_key(cfg, "start", kind=list), "start", nested=True)
     if pairs == 1 and len(start) == 2 and not isinstance(start[0], list):
@@ -132,7 +141,7 @@ def _mode_invert(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 
 def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    (ham,) = _load_models(cfg)
+    ham = _load_model(cfg)
     energy = read_key(cfg, "energy", kind=int)
     sites = enumerate_shell(ham, energy)
     rows = []
@@ -146,7 +155,7 @@ def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
 
 
 def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
-    (ham,) = _load_models(cfg)
+    ham = _load_model(cfg)
     energy = read_key(cfg, "energy", kind=int)
     cfg_trunc = _build(
         cfg, "radius", lambda r: TruncationConfig.for_radius(float(fraction_from_json(r))), default=20

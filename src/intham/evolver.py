@@ -97,19 +97,23 @@ class CoupledSeparableHamiltonian:
         qwin, pwin = q_windows[index], p_windows[index]
         index %= pairs  # a negative index counts from the end, as for the windows
 
-        def table(fn: VectorFn, vec: tuple[int, ...], window) -> IntegerFunction1D:
-            """``fn`` along coordinate ``index`` of ``vec``, tabulated over ``window``."""
-            head, tail = vec[:index], vec[index + 1 :]
+        def table(name: str, vec: tuple[int, ...], window) -> IntegerFunction1D:
+            """The callable ``name`` along coordinate ``index`` of ``vec``,
+            tabulated over ``window``; a bad value names the callable and pair."""
+            fn, head, tail = getattr(self, name), vec[:index], vec[index + 1 :]
             lo, hi = window
-            return IntegerFunction1D(lo, tuple(fn(head + (v,) + tail) for v in range(lo, hi + 1)))
+            try:
+                return IntegerFunction1D(lo, tuple(fn(head + (v,) + tail) for v in range(lo, hi + 1)))
+            except ValueError as exc:
+                raise ValueError(f"{name} restricted to pair {index}: {exc}") from None
 
         qs, ps = state.positions, state.momenta
-        potential = table(self.potential, qs, qwin)
-        kinetic = table(self.kinetic, ps, pwin)
+        potential = table("potential", qs, qwin)
+        kinetic = table("kinetic", ps, pwin)
         coupling_pos = coupling_mom = None
         if self.coupling_pos is not None:
-            coupling_pos = table(self.coupling_pos, qs, qwin)
-            coupling_mom = table(self.coupling_mom, ps, pwin)
+            coupling_pos = table("coupling_pos", qs, qwin)
+            coupling_mom = table("coupling_mom", ps, pwin)
         return SeparableHamiltonian1D(kinetic, potential, coupling_pos, coupling_mom)
 
 

@@ -305,8 +305,12 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
 
 
 def _site_index(shape: LatticeShape, x: Site) -> int:
-    """Flat C-order index of the site x, whose coordinates wrap periodically."""
-    return int(np.ravel_multi_index(tuple(x), shape.sizes, mode="wrap"))
+    """Flat C-order index of the site x, whose coordinates wrap periodically;
+    a site without one integer per dimension raises ``ValueError``."""
+    site = index_tuple(x, "site coordinates")
+    if len(site) != shape.dimensions:
+        raise ValueError(f"site {x} needs {shape.dimensions} coordinates, got {len(site)}")
+    return int(np.ravel_multi_index(site, shape.sizes, mode="wrap"))
 
 
 def _energy(spec: FieldHamiltonianSpec, phi: list, mom: list, sites: Iterable[int]) -> int:
@@ -440,6 +444,9 @@ def restricted_hamiltonian(
     outside its windows raises ``WindowExceeded`` naming that value's site.
     """
     if _terms is None:
+        (k,) = index_tuple((k,), "component")
+        if not 0 <= k < spec.components:
+            raise ValueError(f"component {k} is not in [0, {spec.components})")
         site, _, _, _, qi, pi, _, layout = _plan(spec)[0][_site_index(spec.shape, x)][2][k]
         _terms = _local_terms(spec, _flat(state, spec), layout, qi, pi)
         try:
@@ -612,7 +619,10 @@ def step_parity(
     inverse: bool = False,
     site_order: Optional[Sequence[Site]] = None,
 ) -> FieldState:
-    """Apply one checkerboard half-sweep to the given parity class."""
+    """Apply one checkerboard half-sweep to the given parity class, 0 or 1."""
+    (parity,) = index_tuple((parity,), "parity")
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity}")
     vals, order = _flat(state, spec), _plan(spec)[1][parity]
     if site_order is not None:
         by_site = {x: list(subs) for x, subs in itertools.groupby(order, itemgetter(0))}

@@ -183,11 +183,13 @@ def floor_scaled_power(scale: Fraction, magnitude: int, exponent: Fraction) -> i
 @dataclass(frozen=True)
 class PowerLawFamily:
     """Tabulated power laws: ``floor(scale*|X|**exponent)`` for potentials,
-    ``floor(|X|**exponent / (2*mass))`` for kinetic terms."""
+    ``floor(|X|**exponent / (2*mass))`` for kinetic terms.  A kinetic family
+    with a ``scale`` other than 1, or a potential one with a ``mass``, raises
+    ``ValueError`` naming the field, which the family would otherwise ignore."""
 
     kind: str  # "kinetic" | "potential"
     exponent: Fraction
-    scale: Fraction = Fraction(1)  # potential prefactor
+    scale: Fraction = Fraction(1)  # potential only
     mass: Optional[Fraction] = None  # kinetic only
 
     def __post_init__(self):
@@ -200,11 +202,15 @@ class PowerLawFamily:
                 f"power-family 'exponent' {self.exponent} needs numerator + denominator at most {MAX_EXPONENT_TERMS}"
             )
         if self.kind == "kinetic":
+            if self.scale != 1:
+                raise ValueError(f"a kinetic power family takes no 'scale' other than 1, got {self.scale}")
             mass = Fraction(self.mass if self.mass is not None else 1)
             if mass <= 0:
                 raise ValueError("mass must be positive")
             object.__setattr__(self, "mass", mass)
         else:
+            if self.mass is not None:
+                raise ValueError(f"a potential power family takes no 'mass', got {self.mass}")
             if self.scale <= 0:
                 raise ValueError("scale must be positive")
         key = "mass" if self.kind == "kinetic" else "scale"

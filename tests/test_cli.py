@@ -135,6 +135,16 @@ class TestShell:
 
 
 class TestSpectral:
+    @pytest.mark.parametrize("mode", ["shell", "spectral"])
+    def test_a_one_entry_models_list_reads_as_model(self, tmp_path, mode):
+        config = {"mode": mode, "model": BOWL, "energy": 2}
+        assert run(config, out_dir=str(tmp_path / "model"))[0] == 0
+        del config["model"]
+        assert run({**config, "models": [BOWL]}, out_dir=str(tmp_path / "models"))[0] == 0
+        for ext in ("csv", "json"):
+            name = f"{mode}.{ext}"
+            assert (tmp_path / "model" / name).read_bytes() == (tmp_path / "models" / name).read_bytes()
+
     def test_unit_diamond_spectrum(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -361,6 +371,16 @@ MALFORMED = [
 ]
 
 
+# Inputs that are rejected like MALFORMED but left out of the pinned digest's
+# battery: a list of two models where a mode reads one, and a power family
+# given the other kind's prefactor.
+CROSSED = [
+    ({"mode": "shell", "models": [BOWL, DIAMOND], "energy": 2}, "'models' must hold one model"),
+    ({"mode": "spectral", "models": [DIAMOND, BOWL], "energy": 1}, "'models' must hold one model"),
+    ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": 2, "mass": "1/2", "window": [-5, 5]}}}, "'mass'"),
+]
+
+
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
@@ -458,7 +478,7 @@ class TestFailureModes:
         with pytest.raises(ConfigError):
             run({"mode": "trajectory", "model": DIAMOND, "start": [1, 0]}, steps=-1)
 
-    @pytest.mark.parametrize("config, named", MALFORMED)
+    @pytest.mark.parametrize("config, named", MALFORMED + CROSSED)
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):
         # HUGE is written as the JSON literal 1e400, which parses as inf.
         text = json.dumps({**config, "out": str(tmp_path)}).replace(f'"{HUGE}"', "1e400")

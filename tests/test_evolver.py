@@ -180,6 +180,18 @@ def summed(pairs, q_windows=None):
         (lambda: step(PhaseState((0, 0), (0, 0)), decoupled([diamond])), "state has 2 pairs but the system has 1"),
         (lambda: step(PhaseState((0, 0), (0, 0)), chain_system(), order=(1.0, 0)), "order must be integers"),
         (lambda: summed(2, q_windows=5), "need one window pair per degree of freedom"),
+        (
+            lambda: step(PhaseState((0, 0), (0, 0)), replace(summed(2), kinetic=lambda ps: sum(ps) / 2)),
+            "kinetic restricted to pair 0: values must be integers",
+        ),
+        (
+            lambda: step(
+                PhaseState((0, 0), (0, 0)),
+                replace(summed(2), coupling_pos=sum, coupling_mom=lambda ps: ps[1] + 0.5),
+                order=(1, 0),
+            ),
+            "coupling_mom restricted to pair 1: values must be integers",
+        ),
     ],
 )
 def test_evolver_inputs_are_honoured_or_rejected(call, message):

@@ -123,6 +123,13 @@ def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
     return FieldHamiltonianSpec.uniform(LINE16, components, Fraction(0), Fraction(1), phi_window, p_window)
 
 
+# A state on a 4-site line with its spec, for the query checks below.
+LINE4 = (
+    FieldState([[0, 2, 1, 1]], [[1, 0, 3, 0]]),
+    FieldHamiltonianSpec.uniform(LatticeShape((4,)), 1, Fraction(0), Fraction(1), (-32, 32), (-32, 32)),
+)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -177,6 +184,14 @@ def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
             lambda: margolus_energy(MargolusFieldState(np.zeros((1, 8), int), np.zeros((1, 8), int)), uniform_spec()),
             r"layer shape \(1, 8\) != spec shape \(1, 16\)",
         ),
+        (lambda: step_parity(*LINE4, 2), "parity must be 0 or 1, got 2"),
+        (lambda: step_parity(*LINE4, -1), "parity must be 0 or 1, got -1"),
+        (lambda: step_parity(*LINE4, 1.0), "parity must be integers"),
+        (lambda: restricted_hamiltonian(*LINE4, (0,), 1), r"component 1 is not in \[0, 1\)"),
+        (lambda: restricted_hamiltonian(*LINE4, (0,), -1), r"component -1 is not in \[0, 1\)"),
+        (lambda: restricted_hamiltonian(*LINE4, (0, 0), 0), r"site \(0, 0\) needs 1 coordinates, got 2"),
+        (lambda: site_energy(*LINE4, (0, 0)), r"site \(0, 0\) needs 1 coordinates, got 2"),
+        (lambda: site_energy(*LINE4, (0.5,)), "site coordinates must be integers"),
     ],
 )
 def test_field_constructors_and_queries_reject_bad_input(call, message):
@@ -202,6 +217,8 @@ class TestSiteEnergy:
         # forward gradients (2, -1, 0, -1), momenta (1, 0, 3, 0)
         assert [site_energy(state, spec, (x,)) for x in range(4)] == [2, 0, 4, 0]
         assert total_energy(state, spec) == 6
+        # coordinates of the right length wrap periodically
+        assert [site_energy(state, spec, (x,)) for x in (4, 5, -1, np.int64(6))] == [2, 0, 0, 4]
 
     def test_unit_mass_adds_floored_field_square(self):
         spec = self.spec4(Fraction(1), Fraction(1))

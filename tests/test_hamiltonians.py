@@ -384,6 +384,8 @@ class TestFractionFromJson:
         (lambda: _floor_nth_root(-1, 3), "negative radicand"),
         (lambda: PowerLawFamily("potential", 2, scale=0), "scale must be positive"),
         (lambda: PowerLawFamily("kinetic", 2, mass=0), "mass must be positive"),
+        (lambda: PowerLawFamily("kinetic", 2, scale=7, mass=Fraction(1, 2)), "kinetic power family takes no 'scale' other than 1, got 7"),
+        (lambda: PowerLawFamily("potential", 2, mass=3), "potential power family takes no 'mass', got 3"),
         (lambda: IntegerFunction1D.from_callable(lambda x: x / 2, -3, 3), "values must be integers"),
         (lambda: IntegerFunction1D.from_callable(lambda x: Fraction(x, 2), -3, 3), "values must be integers"),
         (lambda: IntegerFunction1D(0.5, (1, 2, 3)), "lo must be integers"),
