@@ -158,7 +158,7 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     ham = _load_model(cfg)
     energy = read_key(cfg, "energy", kind=int)
     cfg_trunc = _build(
-        cfg, "radius", lambda r: TruncationConfig.for_radius(float(fraction_from_json(r))), default=20
+        cfg, "radius", lambda r: TruncationConfig.for_radius(fraction_from_json(r)), default=20
     )
     size_cap = read_key(cfg, "size_cap", 64, int)
     if size_cap > MAX_CHECK_SIZE:

@@ -183,9 +183,8 @@ def floor_scaled_power(scale: Fraction, magnitude: int, exponent: Fraction) -> i
 @dataclass(frozen=True)
 class PowerLawFamily:
     """Tabulated power laws: ``floor(scale*|X|**exponent)`` for potentials,
-    ``floor(|X|**exponent / (2*mass))`` for kinetic terms.  A kinetic family
-    with a ``scale`` other than 1, or a potential one with a ``mass``, raises
-    ``ValueError`` naming the field, which the family would otherwise ignore."""
+    ``floor(|X|**exponent / (2*mass))`` for kinetic terms.  The other kind's
+    prefactor (a ``scale`` other than 1, or any ``mass``) raises ``ValueError``."""
 
     kind: str  # "kinetic" | "potential"
     exponent: Fraction
