@@ -150,12 +150,11 @@ def census(
             if exact
             else ""
         )
-        exc = RegimeViolation(
+        raise RegimeViolation(
             f"site counts do not grow for exponents ({kappa}, {gamma}): "
-            f"need 1/kinetic + 1/potential > 1{detail}"
+            f"need 1/kinetic + 1/potential > 1{detail}",
+            degenerate=exact,
         )
-        exc.degenerate = exact
-        raise exc
     energies = sorted(set(index_tuple(energies, "energies")))
     if not energies or energies[0] < 0:
         raise ValueError("need a nonempty ladder of nonnegative energies")

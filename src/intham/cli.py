@@ -367,8 +367,7 @@ def run(
 
 def _error_report(exc: IntHamError) -> dict:
     report = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("pair_index", "field_site", "site", "energy", "argument",
-                 "size", "limit", "degenerate"):
+    for attr in ("pair_index", "field_site", *exc.context):
         value = getattr(exc, attr, None)
         if value is not None:
             report[attr] = repr(value) if not isinstance(

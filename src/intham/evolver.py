@@ -162,11 +162,6 @@ def _resolve_order(state: PhaseState, order) -> tuple[int, ...]:
     return order
 
 
-def _tag(exc: IntHamError, index: int) -> IntHamError:
-    exc.pair_index = index
-    return exc
-
-
 def _sweep(
     state: PhaseState, system: RestrictedHamiltonianProvider, order, inverse: bool
 ) -> PhaseState:
@@ -185,7 +180,8 @@ def _sweep(
         try:
             positions[i], momenta[i] = move(ham, positions[i], momenta[i])
         except IntHamError as exc:
-            raise _tag(exc, i)
+            exc.pair_index = i
+            raise
     return PhaseState(tuple(positions), tuple(momenta), state.time + (-1 if inverse else 1))
 
 

@@ -63,6 +63,12 @@ from .hamiltonians import (
 
 Site = tuple[int, ...]
 
+#: The closed range of a numpy int64, which holds every field and momentum value.
+INT64 = (-(2**63), 2**63 - 1)
+
+#: The field and momentum window of every component unless one is given.
+DEFAULT_WINDOW = (-64, 64)
+
 #: Entries a spec's local-rule memo (see :func:`_sweep`) holds, dropping the
 #: oldest at the cap; bounds the memory of long runs over rarely repeating states.
 _MEMO_CAP = 4096
@@ -109,8 +115,8 @@ class LatticeShape:
 class FieldHamiltonianSpec:
     """Couplings and windows of the field Hamiltonian.
 
-    ``stiffness`` is the overall prefactor of both energy terms and must not
-    exceed ``1/dimensions``, which keeps every restricted single-pair
+    ``stiffness`` is the overall prefactor of both energy terms; None reads
+    as its ceiling ``1/dimensions``, which keeps every restricted single-pair
     potential steep enough for the checkerboard sweep to stay local.
 
     ``phi_windows`` and ``p_windows`` bound each component's field values and
@@ -123,14 +129,15 @@ class FieldHamiltonianSpec:
     shape: LatticeShape
     components: int
     masses: tuple[Fraction, ...]
-    stiffness: Fraction
+    stiffness: Optional[Fraction]
     phi_windows: tuple[tuple[int, int], ...]
     p_windows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "components", index_tuple((self.components,), "components")[0])
         object.__setattr__(self, "masses", tuple(Fraction(m) for m in self.masses))
-        object.__setattr__(self, "stiffness", Fraction(self.stiffness))
+        stiffness = Fraction(1, self.shape.dimensions) if self.stiffness is None else self.stiffness
+        object.__setattr__(self, "stiffness", Fraction(stiffness))
         if self.components < 1 or len(self.masses) != self.components:
             raise ValueError("need one mass per component")
         if any(m < 0 for m in self.masses):
@@ -163,15 +170,15 @@ class FieldHamiltonianSpec:
         shape: LatticeShape,
         components: int = 1,
         mass: Fraction = Fraction(0),
-        stiffness: Fraction = Fraction(1),
-        phi_window: tuple[int, int] = (-16, 16),
-        p_window: tuple[int, int] = (-16, 16),
+        stiffness: Optional[Fraction] = None,
+        phi_window: tuple[int, int] = DEFAULT_WINDOW,
+        p_window: tuple[int, int] = DEFAULT_WINDOW,
     ) -> "FieldHamiltonianSpec":
         return cls(
             shape,
             components,
             (Fraction(mass),) * components,
-            Fraction(stiffness),
+            stiffness,
             (phi_window,) * components,
             (p_window,) * components,
         )
@@ -179,12 +186,14 @@ class FieldHamiltonianSpec:
 
 def _layer(values, name: str, dtype) -> np.ndarray:
     """``values`` copied into a read-only array of ``dtype``.  Unless they
-    are an integer array, every entry is read exactly by :func:`index_tuple`,
-    so a float or a Fraction raises ``ValueError`` naming the layer instead
-    of being truncated."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+    are a signed-integer array, every entry is read exactly by
+    :func:`index_tuple` and, for int64, bounded: a float, a Fraction or an
+    entry past int64 raises ``ValueError`` naming the layer."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
         values = np.array(values, dtype=object)
-        index_tuple(values.ravel().tolist(), name)
+        entries = index_tuple(values.ravel().tolist(), name)
+        if dtype is not object and entries and not (INT64[0] <= min(entries) and max(entries) <= INT64[1]):
+            raise ValueError(f"'{name}' entries must lie in int64 [{INT64[0]}, {INT64[1]}]")
     array = np.array(values.tolist() if dtype is object else values, dtype=dtype)
     array.setflags(write=False)
     return array
@@ -494,10 +503,6 @@ def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
     return vals
 
 
-#: The closed range of a numpy int64, which holds every field and momentum value.
-INT64 = (-(2**63), 2**63 - 1)
-
-
 def _outside(spec: FieldHamiltonianSpec, vals: list, windows, label: str) -> Optional[WindowExceeded]:
     """The error naming the first value of the flat list ``vals`` outside its
     component's ``windows`` (field windows, momentum windows), with
@@ -756,18 +761,10 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     shape = LatticeShape(tuple(integers(read_key(obj, "sizes", kind=list), "sizes")))
     components = read_key(obj, "components", 1, int)
     masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list))
-    raw_stiffness = obj.get("stiffness")
-    if raw_stiffness is None:
-        stiffness = Fraction(1, shape.dimensions)
-    else:
-        stiffness = fraction_from_json(raw_stiffness)
+    stiffness = obj.get("stiffness")
     return FieldHamiltonianSpec(
-        shape,
-        components,
-        masses,
-        stiffness,
-        (read_window(obj, "phi_window", [-64, 64]),) * components,
-        (read_window(obj, "p_window", [-64, 64]),) * components,
+        shape, components, masses, None if stiffness is None else fraction_from_json(stiffness),
+        *((read_window(obj, key, list(DEFAULT_WINDOW)),) * components for key in ("phi_window", "p_window")),
     )
 
 
@@ -780,16 +777,11 @@ def state_to_json(state: FieldState) -> dict:
 
 
 def state_from_json(obj: dict) -> FieldState:
-    layers = {key: integers(read_key(obj, key), key, nested=True) for key in ("phi", "mom")}
+    layers = [integers(read_key(obj, key), key, nested=True) for key in ("phi", "mom")]
     try:
-        return FieldState(layers["phi"], layers["mom"], read_key(obj, "time", 0, int))
-    except OverflowError:
-        for key, value in layers.items():  # name the layer that overflowed
-            try:
-                np.array(value, dtype=np.int64)
-            except OverflowError:
-                raise ConfigError(f"'{key}' entries must lie in int64 [{INT64[0]}, {INT64[1]}]") from None
-        raise
+        return FieldState(*layers, read_key(obj, "time", 0, int))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def layers_from_json(obj: dict) -> MargolusFieldState:
