@@ -62,6 +62,8 @@ def _load_models(cfg: dict):
         return [_build(cfg, "model", hamiltonian_from_json)]
     if not read_key(cfg, "models", kind=list):
         raise ConfigError("'models' must be a nonempty list")
+    if "model" in cfg:
+        raise ConfigError("give 'model' or 'models', not both")
     return _build(cfg, "models", lambda entries: [hamiltonian_from_json(m) for m in entries])
 
 

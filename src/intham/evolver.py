@@ -58,6 +58,8 @@ class CoupledSeparableHamiltonian:
 
     Freezing every pair but ``i`` keeps the same separable shape in the
     remaining pair, so restriction is table construction over its window.
+    The callables must be pure: exact conservation and :func:`step_inverse`
+    assume that one vector always gives the same value.
     """
 
     pairs: int

@@ -754,18 +754,21 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     Expected keys: "sizes"; optional "components" (default 1), "masses"
     (list, default zeros), "stiffness" (default 1/dimensions), "phi_window"
     and "p_window" (shared [lo, hi] pairs with lo <= hi, default [-64, 64]).
-    Rationals may be written as numbers or strings like "1/2".  Any other key
-    is a :class:`ConfigError`.
+    Rationals may be written as numbers or strings like "1/2".  Any other key,
+    and any value the spec rejects, is a :class:`ConfigError`.
     """
     only_keys(obj, _SPEC_KEYS, "field spec")
-    shape = LatticeShape(tuple(integers(read_key(obj, "sizes", kind=list), "sizes")))
-    components = read_key(obj, "components", 1, int)
-    masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list))
-    stiffness = obj.get("stiffness")
-    return FieldHamiltonianSpec(
-        shape, components, masses, None if stiffness is None else fraction_from_json(stiffness),
-        *((read_window(obj, key, list(DEFAULT_WINDOW)),) * components for key in ("phi_window", "p_window")),
-    )
+    try:
+        shape = LatticeShape(tuple(integers(read_key(obj, "sizes", kind=list), "sizes")))
+        components = read_key(obj, "components", 1, int)
+        masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list))
+        stiffness = obj.get("stiffness")
+        return FieldHamiltonianSpec(
+            shape, components, masses, None if stiffness is None else fraction_from_json(stiffness),
+            *((read_window(obj, key, list(DEFAULT_WINDOW)),) * components for key in ("phi_window", "p_window")),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def state_to_json(state: FieldState) -> dict:
@@ -785,5 +788,9 @@ def state_from_json(obj: dict) -> FieldState:
 
 
 def layers_from_json(obj: dict) -> MargolusFieldState:
-    """The two-layer state of ``{"older": ..., "newer": ...}``."""
-    return MargolusFieldState(*(integers(read_key(obj, key), key, nested=True) for key in ("older", "newer")))
+    """The two-layer state of ``{"older": ..., "newer": ...}``; a rejected layer is a ConfigError."""
+    layers = [integers(read_key(obj, key), key, nested=True) for key in ("older", "newer")]
+    try:
+        return MargolusFieldState(*layers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

@@ -71,8 +71,9 @@ class TruncationConfig:
         radius = float(self.radius)
         if math.isnan(radius):
             raise ValueError("damping radius must be finite, got nan")
-        if radius > MAX_RADIUS:
-            raise ValueError(f"radius {radius:g} exceeds the cap {MAX_RADIUS}")
+        if radius > MAX_RADIUS:  # six digits where they are exact, else all of them
+            text = f"{radius:g}" if float(f"{radius:g}") == radius else repr(radius)
+            raise ValueError(f"radius {text} exceeds the cap {MAX_RADIUS}")
         if radius < 1:
             raise ValueError("damping radius must be at least 1")
         object.__setattr__(self, "radius", radius)

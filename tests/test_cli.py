@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intham import fields
-from intham.cli import MODES, main, run
+from intham import errors, fields
+from intham.cli import MODES, _error_report, main, run
 from intham.errors import ConfigError, IntHamError, WindowExceeded
 from intham.hamiltonians import MAX_WINDOW
 from intham.spectral import MAX_CHECK_SIZE
@@ -378,6 +378,13 @@ CROSSED = [
     ({"mode": "shell", "models": [BOWL, DIAMOND], "energy": 2}, "'models' must hold one model"),
     ({"mode": "spectral", "models": [DIAMOND, BOWL], "energy": 1}, "'models' must hold one model"),
     ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": 2, "mass": "1/2", "window": [-5, 5]}}}, "'mass'"),
+    ({**TRAJECTORY, "models": [BOWL]}, "give 'model' or 'models', not both"),
+]
+
+
+# Every error class the package defines, the base included.
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, IntHamError)
 ]
 
 
@@ -426,6 +433,27 @@ class TestFailureModes:
         assert "leaves the window at cell (5, 0)" in report["message"]
         assert report["pair_index"] == 0
         assert report["energy"] == 0
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_error_reports_carry_the_declared_context(self, cls):
+        # Each declared keyword is reported under its own name, an int as
+        # itself and anything else by repr, beside the sub-update's tags.
+        values = {key: (i, -i) if i % 2 else i for i, key in enumerate(cls.context, 3)}
+        exc = cls("boom", **values)
+        exc.pair_index, exc.field_site = 1, ((2,), 0)
+        report = _error_report(exc)
+        expected = {key: value if isinstance(value, int) else repr(value) for key, value in values.items()}
+        assert report == {
+            "error": cls.__name__, "message": "boom", "pair_index": 1, "field_site": "((2,), 0)", **expected
+        }
+        assert _error_report(cls("quiet")) == {"error": cls.__name__, "message": "quiet"}
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_an_undeclared_error_keyword_is_a_type_error(self, cls):
+        with pytest.raises(TypeError, match=f"{cls.__name__} carries only"):
+            cls("boom", bogus=1)
+        with pytest.raises(TypeError):
+            cls("boom", pair_index=1)
 
     def test_unknown_field_key(self, tmp_path, capsys):
         cfg = write_config(

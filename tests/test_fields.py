@@ -118,6 +118,45 @@ class TestSpecValidation:
         values = spec.shape.sizes + spec.phi_windows[0] + spec.p_windows[0]
         assert all(type(v) is int for v in values)
 
+    @pytest.mark.parametrize("sizes", [(4,), (4, 4), (4, 4, 2)])
+    def test_uniform_defaults_are_the_json_readers(self, sizes):
+        spec = FieldHamiltonianSpec.uniform(LatticeShape(sizes))
+        assert spec == spec_from_json({"sizes": list(sizes)})
+        assert spec.stiffness == Fraction(1, len(sizes))
+        assert spec.phi_windows == spec.p_windows == (fields.DEFAULT_WINDOW,)
+
+
+class TestLayerBounds:
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            [[2**63, 0]],
+            [[0, -(2**63) - 1]],
+            np.array([[2**63, 0]], dtype=np.uint64),
+            np.array([[0, 2**64 - 1]], dtype=np.uint64),
+            np.array([[2**63, 0]], dtype=object),
+            [[np.uint64(2**63), 0]],
+        ],
+    )
+    def test_an_entry_past_int64_is_named_not_wrapped(self, phi):
+        with pytest.raises(ValueError, match=r"'phi' entries must lie in int64 \[-9223372036854775808, "):
+            FieldState(phi, [[0, 0]])
+        with pytest.raises(ValueError, match=r"'mom' entries must lie in int64"):
+            FieldState([[0, 0]], phi)
+
+    def test_int64_ends_and_small_unsigned_layers_are_read_exactly(self):
+        ends = FieldState([[2**63 - 1, -(2**63)]], np.array([[3, 2**62]], dtype=np.uint64))
+        assert ends.phi.tolist() == [[2**63 - 1, -(2**63)]] and ends.mom.tolist() == [[3, 2**62]]
+        assert ends.phi.dtype == ends.mom.dtype == np.int64
+        signed = np.array([[5, -(2**63)]], dtype=np.int64)
+        state = FieldState(signed, np.array([[1, 2]], dtype=np.int8))
+        assert np.array_equal(state.phi, signed) and state.phi.dtype == np.int64
+        assert state.phi is not signed and not state.phi.flags.writeable
+
+    def test_two_layer_states_stay_unbounded(self):
+        state = MargolusFieldState([[2**70, 0]], np.array([[2**64 - 1, 1]], dtype=np.uint64))
+        assert state.older.tolist() == [[2**70, 0]] and state.newer.tolist() == [[2**64 - 1, 1]]
+
 
 def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
     return FieldHamiltonianSpec.uniform(LINE16, components, Fraction(0), Fraction(1), phi_window, p_window)
@@ -517,6 +556,13 @@ class TestJson:
             ({"sizes": [[4]]}, "'sizes'"),
             ({"sizes": [4], "phi_window": [[1], [2]]}, "'phi_window'"),
             ({"sizes": [4], "p_window": [-2, [2]]}, "'p_window'"),
+            # values the spec itself rejects
+            ({"sizes": [3]}, "side lengths must be positive and even, got 3"),
+            ({"sizes": []}, "need at least one dimension"),
+            ({"sizes": [4, 4], "stiffness": 1}, r"stiffness must lie in \(0, 1/2\]"),
+            ({"sizes": [4], "stiffness": "-1/2"}, r"stiffness must lie in \(0, 1/1\]"),
+            ({"sizes": [4], "masses": [-1]}, "masses must be nonnegative"),
+            ({"sizes": [4], "components": 2, "masses": [0]}, "need one mass per component"),
         ],
     )
     def test_spec_entries_are_honoured_or_named(self, obj, named):
@@ -539,6 +585,10 @@ class TestJson:
             ({"phi": [[1.5, 0]], "mom": [[0, 0]]}, "phi"),
             ({"phi": [[1, 0]], "mom": [[0, True]]}, "mom"),
             ({"phi": [[1, 0]], "mom": [[0, 0]], "time": 2.0}, "time"),
+            ({"phi": [[2**63, 0]], "mom": [[0, 0]]}, "'phi' entries must lie in int64"),
+            ({"phi": [[1, 0]], "mom": [[0, -(2**63) - 1]]}, "'mom' entries must lie in int64"),
+            ({"phi": [[1, 0]], "mom": [[0, 0, 0]]}, "field and momentum arrays must share a shape"),
+            ({"phi": [1, 0], "mom": [0, 0]}, r"arrays must be \(components, \*sizes\)"),
         ],
     )
     def test_state_entries_must_be_integers(self, obj, named):
@@ -551,9 +601,17 @@ class TestJson:
         with pytest.raises(ConfigError, match="'phi'"):
             state_from_json({"phi": [[[1, 2], [3, 4.0]]], "mom": [[[0, 0], [0, 0]]]})
 
-    def test_layer_entries_must_be_integers(self):
-        with pytest.raises(ConfigError, match="newer"):
-            layers_from_json({"older": [[0, 1]], "newer": [[0.5, 1]]})
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            ({"older": [[0, 1]], "newer": [[0.5, 1]]}, "newer"),
+            ({"older": [[0, 1]], "newer": [[0, 1, 2]]}, "layers must share a shape"),
+            ({"older": [[0, 1]], "newer": [[0], [1]]}, "layers must share a shape"),
+        ],
+    )
+    def test_layer_entries_must_be_integers(self, obj, named):
+        with pytest.raises(ConfigError, match=named):
+            layers_from_json(obj)
         state = layers_from_json({"older": [[0, 1]], "newer": [[2, 1]]})
         assert state.newer.tolist() == [[2, 1]]
 

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import intham
+from intham import errors
 
 
 def test_every_exported_name_resolves():
@@ -128,3 +129,29 @@ def test_every_function_cache_is_bounded():
             if type(size) is not int or size < 1:
                 unbounded.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found >= 2 and unbounded == []
+
+
+def test_every_error_is_built_with_its_declared_context():
+    # ``IntHamError.__init__`` rejects an undeclared keyword at run time, so a
+    # typo on an error path that no test executes would surface only as a
+    # TypeError in a user's run.  Every call in the package that constructs
+    # an error class passes at most the message positionally, no ``**``
+    # mapping, and only keywords the class's ``context`` declares; and each
+    # declared keyword is passed by some call, so no ``context`` entry is dead.
+    classes = {
+        name: cls for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, errors.IntHamError)
+    }
+    built, wrong = set(), []
+    for path in sorted(Path(intham.__file__).parent.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            cls = classes.get(ast.unparse(call.func).split(".")[-1])
+            if cls is None:
+                continue
+            built.update((cls.__name__, kw.arg) for kw in call.keywords)
+            keys = [kw.arg for kw in call.keywords]
+            if len(call.args) > 1 or any(isinstance(a, ast.Starred) for a in call.args) or not set(keys) <= set(cls.context):
+                wrong.append(f"{path.name}:{call.lineno} {ast.unparse(call)}")
+    carried = {(name, key) for name, cls in classes.items() for key in cls.context}
+    assert carried <= built and wrong == []

@@ -276,7 +276,8 @@ class TestOperatorCheck:
             (-math.inf, "damping radius must be at least 1"),
             (math.nan, "damping radius must be finite, got nan"),
             (math.inf, "radius inf exceeds the cap 1000"),
-            (math.nextafter(MAX_RADIUS, math.inf), "radius 1000 exceeds the cap 1000"),
+            (math.nextafter(MAX_RADIUS, math.inf), r"radius 1000\.0000000000001 exceeds the cap 1000"),
+            (1000.0001, r"radius 1000\.0001 exceeds the cap 1000"),
             (1e6, "radius 1e\\+06 exceeds the cap 1000"),
         ],
     )
