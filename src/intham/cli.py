@@ -370,7 +370,7 @@ def run(
 def _error_report(exc: IntHamError) -> dict:
     report = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("pair_index", "field_site", *exc.context):
-        value = getattr(exc, attr, None)
+        value = getattr(exc, attr)
         if value is not None:
             report[attr] = repr(value) if not isinstance(
                 value, (int, float, bool, str)

@@ -127,23 +127,6 @@ class TestSpecValidation:
 
 
 class TestLayerBounds:
-    @pytest.mark.parametrize(
-        "phi",
-        [
-            [[2**63, 0]],
-            [[0, -(2**63) - 1]],
-            np.array([[2**63, 0]], dtype=np.uint64),
-            np.array([[0, 2**64 - 1]], dtype=np.uint64),
-            np.array([[2**63, 0]], dtype=object),
-            [[np.uint64(2**63), 0]],
-        ],
-    )
-    def test_an_entry_past_int64_is_named_not_wrapped(self, phi):
-        with pytest.raises(ValueError, match=r"'phi' entries must lie in int64 \[-9223372036854775808, "):
-            FieldState(phi, [[0, 0]])
-        with pytest.raises(ValueError, match=r"'mom' entries must lie in int64"):
-            FieldState([[0, 0]], phi)
-
     def test_int64_ends_and_small_unsigned_layers_are_read_exactly(self):
         ends = FieldState([[2**63 - 1, -(2**63)]], np.array([[3, 2**62]], dtype=np.uint64))
         assert ends.phi.tolist() == [[2**63 - 1, -(2**63)]] and ends.mom.tolist() == [[3, 2**62]]
@@ -198,6 +181,13 @@ LINE4 = (
         (lambda: FieldState([[1.5, 0, 0, 0]], [[0] * 4]), "phi must be integers"),
         (lambda: FieldState([[0] * 4], np.array([[0, 0.5, 0, 0]])), "mom must be integers"),
         (lambda: MargolusFieldState([[1.5, 0.0]], [[0, 0]]), "older must be integers"),
+        # entries past int64 are named by layer, never wrapped or overflowed
+        (lambda: FieldState([[2**63, 0]], [[0, 0]]), r"'phi' entries must lie in int64 \[-9223372036854775808, "),
+        (lambda: FieldState([[0, 0]], [[0, -(2**63) - 1]]), "'mom' entries must lie in int64"),
+        (lambda: FieldState(np.array([[2**63, 0]], dtype=np.uint64), [[0, 0]]), "'phi' entries must lie in int64"),
+        (lambda: FieldState([[0, 0]], np.array([[0, 2**64 - 1]], dtype=np.uint64)), "'mom' entries must lie in int64"),
+        (lambda: FieldState(np.array([[2**63, 0]], dtype=object), [[0, 0]]), "'phi' entries must lie in int64"),
+        (lambda: FieldState([[0, 0]], [[np.uint64(2**63), 0]]), "'mom' entries must lie in int64"),
         (lambda: FieldState(np.zeros((1, 4), int), np.zeros((1, 4), int), time=2.7), "time must be integers"),
         (lambda: FieldState(np.zeros((1, 4), int), np.zeros((1, 4), int), time=Fraction(3)), "time must be integers"),
         (lambda: MargolusFieldState(np.zeros((1, 4), int), np.zeros((1, 4), int), time=1.9), "time must be integers"),
