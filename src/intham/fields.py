@@ -19,7 +19,8 @@ momenta.  Once per step it reads both arrays with one ``tolist``, checks them
 against the windows with one min and max, and writes one read-only int64 array
 at the end.  One plan per spec, built on the first sweep, gives each site's
 forward neighbours and one record per sub-update: the ``itemgetter``s that
-gather the raw values it reads and the flat positions its restriction reads.
+gather the raw values it reads and the flat positions its restriction reads;
+a massless record on a line keeps its two own reads, x +- 1, as positions.
 Each half sweep is the list of its class's records in C order, components
 ascending; an inverse sweep replays that list backwards.  A memo on the spec
 is keyed on those values (a massless component's relative to its value at the
@@ -68,6 +69,12 @@ INT64 = (-(2**63), 2**63 - 1)
 
 #: The field and momentum window of every component unless one is given.
 DEFAULT_WINDOW = (-64, 64)
+
+#: Most components a JSON field spec may declare.  Each costs about 6 us to
+#: read, but the sweep plan gathers every other component at each site a
+#: sub-update reads, so it grows with their square: about 0.16 s on a line
+#: of 2 sites at this cap, 3.1 s at 1024 components.
+MAX_COMPONENTS = 256
 
 #: Entries a spec's local-rule memo (see :func:`_sweep`) holds, dropping the
 #: oldest at the cap; bounds the memory of long runs over rarely repeating states.
@@ -243,25 +250,30 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
     lo, hi)``: ``entries[i]`` is ``(x, fwd, subs)``, where ``fwd`` holds the
     flat indices of the forward neighbours ``x + e_a`` and ``subs[k]`` is the
     one record of the sub-update of component ``k`` at x: ``(x, k, own, rest,
-    qi, pi, massless, layout)``.  ``own`` and ``rest`` are ``itemgetter``s
-    over the flat list (see :func:`_sweep`).  ``own`` reads component ``k`` at
-    every site the sub-update reads, x first, without x itself when the
-    component is massless (its key is relative to x); ``rest`` reads the
-    momenta at x, the pair's first, then the other components at the same
-    sites (with one component, the momentum alone).  ``qi``/``pi`` are the
-    positions of the pair's value and momentum.  ``layout`` is the same
-    neighbourhood as flat positions for :func:`_local_terms`: ``(densities,
-    moms)``, with ``moms`` the other components' momenta at x and one ``(a0,
-    centers, pairs, masses)`` per density the pair enters, x's and then each
-    backward neighbour ``w = x - e_a``'s: ``a0`` is its ``v^2`` coefficient,
-    ``centers`` the positions of component k in its ``(v - center)^2`` terms
-    (at x's forward neighbours, or at w), ``pairs`` the ``(forward, site)``
-    positions of its other gradients and ``masses`` its other ``(mass
-    numerator, position)`` terms.  ``orders[parity]`` is the half sweep of
-    that class: its records themselves, in C order with components ascending.
-    An inverse sweep iterates it backwards, sites and components alike, which
-    keeps inversion exact where shared floors couple equal-parity diagonal
-    neighbours.  Every window holds ``[lo, hi]``.
+    qi, pi, massless, line, layout)``.  ``own`` and ``rest`` are
+    ``itemgetter``s over the flat list (see :func:`_sweep`).  ``own`` reads
+    component ``k`` at every site the sub-update reads, x first, without x
+    itself when the component is massless (its key is relative to x);
+    ``rest`` reads the momenta at x, the pair's first, then the other
+    components at the same sites (with one component, the momentum alone).
+    ``qi``/``pi`` are the positions of the pair's value and momentum.
+    ``line`` is None unless ``own`` reads exactly two positions, which
+    happens only for a massless component in one dimension (a massless
+    ``own`` reads ``d * (d + 1)``): then it is those two, x + 1 and x - 1,
+    which the sweep reads in place.
+    ``layout`` is the same neighbourhood as flat positions for
+    :func:`_local_terms`: ``(densities, moms)``, with ``moms`` the other
+    components' momenta at x and one ``(a0, centers, pairs, masses)`` per
+    density the pair enters, x's and then each backward neighbour
+    ``w = x - e_a``'s: ``a0`` is its ``v^2`` coefficient, ``centers`` the
+    positions of component k in its ``(v - center)^2`` terms (at x's forward
+    neighbours, or at w), ``pairs`` the ``(forward, site)`` positions of its
+    other gradients and ``masses`` its other ``(mass numerator, position)``
+    terms.  ``orders[parity]`` is the half sweep of that class: its records
+    themselves, in C order with components ascending.  An inverse sweep
+    iterates it backwards, sites and components alike, which keeps inversion
+    exact where shared floors couple equal-parity diagonal neighbours.  Every
+    window holds ``[lo, hi]``.
     """
     try:
         return spec._plan
@@ -304,7 +316,8 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
                         tuple((mj, j * n + w) for j, mj in enumerate(masses) if mj),
                     ))
                 layout = (tuple(densities), rest[1:kk])
-                subs.append((x, k, itemgetter(*own), itemgetter(*rest), k * n + i, rest[0], not mass, layout))
+                line = tuple(own) if len(own) == 2 else None  # massless on a line: x + 1, x - 1
+                subs.append((x, k, itemgetter(*own), itemgetter(*rest), k * n + i, rest[0], not mass, line, layout))
             entries.append((x, fwd[i], tuple(subs)))
         orders = tuple([sub for e in entries if shape.parity(e[0]) == c for sub in e[2]] for c in (0, 1))
         windows = spec.phi_windows + spec.p_windows
@@ -456,7 +469,7 @@ def restricted_hamiltonian(
         (k,) = index_tuple((k,), "component")
         if not 0 <= k < spec.components:
             raise ValueError(f"component {k} is not in [0, {spec.components})")
-        site, _, _, _, qi, pi, _, layout = _plan(spec)[0][_site_index(spec.shape, x)][2][k]
+        site, _, _, _, qi, pi, _, _, layout = _plan(spec)[0][_site_index(spec.shape, x)][2][k]
         _terms = _local_terms(spec, _flat(state, spec), layout, qi, pi)
         try:
             return restricted_hamiltonian(state, spec, x, k, _terms=_terms)
@@ -559,33 +572,41 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
     # massless component's potential depends only on differences of phi_k,
     # so its own values and its stored image are taken relative to its value
     # at x (the shift), and a repeat anywhere in phi walks an exact
-    # translate of the same tables.  A miss whose band lies strictly inside
-    # both windows walks a contour proven closed (see restricted_hamiltonian)
-    # and stops at the image; the step permutes that contour, so the image
-    # walked the other way leads back inside the same band, and the miss
-    # stores that inverse entry too.  A band that touches a window edge takes
-    # the full walk and stores nothing.  An entry keeps the range of shifts
-    # for which its translated band stays strictly inside the field window; a
-    # hit outside it is exactly a translate whose band would touch the window
-    # edge, and takes the cold path.  The key fixes the momentum band, so a
-    # hit checks nothing else and does no table arithmetic.
+    # translate of the same tables.  On a line such a record reads its two
+    # own values, at x + 1 and x - 1, in place: the same key without the
+    # gather and the map, which dominate a hit there.  A miss whose band
+    # lies strictly inside both windows walks a contour proven closed (see
+    # restricted_hamiltonian) and stops at the image; the step permutes that
+    # contour, so the image walked the other way leads back inside the same
+    # band, and the miss stores that inverse entry too.  A band that touches
+    # a window edge takes the full walk and stores nothing.  An entry keeps
+    # the range of shifts for which its translated band stays strictly inside
+    # the field window; a hit outside it is exactly a translate whose band
+    # would touch the window edge, and takes the cold path.  The key fixes
+    # the momentum band, so a hit checks nothing else and does no table
+    # arithmetic.
     #
     # The mirror key is the forward key at the stepped state, where only the
     # pair's value and momentum differ: ``rest``'s first item is the pair's
-    # momentum, and ``own``'s first item is the pair's value for a massive
-    # component, while a massless component's own values are re-shifted.
+    # momentum, and a miss gathers ``own`` again after the write, which reads
+    # the new value for a massive component and, re-shifted, the same own
+    # values for a massless one.
     memo = spec._memo
     get = memo.get
     single = spec.components == 1  # then ``rest`` is the momentum alone
     for order in orders:
-        for x, k, own, rest, qi, pi, massless, layout in order:
-            r, o = rest(vals), own(vals)
-            if massless:
+        for x, k, own, rest, qi, pi, massless, line, layout in order:
+            r = rest(vals)
+            if line:
                 shift = vals[qi]
-                key = (inverse, k, r, *map(shift.__rsub__, o))
+                f, b = line
+                key = (inverse, k, r, vals[f] - shift, vals[b] - shift)
+            elif massless:
+                shift = vals[qi]
+                key = (inverse, k, r, *map(shift.__rsub__, own(vals)))
             else:
                 shift = 0
-                key = (inverse, k, r, *o)
+                key = (inverse, k, r, *own(vals))
             hit = get(key)
             if hit is not None and hit[2] <= shift <= hit[3]:
                 vals[qi] = hit[0] + shift
@@ -608,10 +629,10 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
                 memo[key] = (q2 - shift, p2, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
                 r = p2 if single else (p2, *r[1:])
                 if massless:
-                    mirror = (not inverse, k, r, *map(q2.__rsub__, o))
+                    mirror = (not inverse, k, r, *map(q2.__rsub__, own(vals)))
                     shift = q2
                 else:
-                    mirror = (not inverse, k, r, q2, *o[1:])
+                    mirror = (not inverse, k, r, *own(vals))
                 memo[mirror] = (q - shift, p, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
                 while len(memo) > _MEMO_CAP:
                     memo.popitem(last=False)
@@ -751,9 +772,10 @@ _SPEC_KEYS = {"sizes", "components", "masses", "stiffness", "phi_window", "p_win
 def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     """Build a spec from a JSON object.
 
-    Expected keys: "sizes"; optional "components" (default 1), "masses"
-    (list, default zeros), "stiffness" (default 1/dimensions), "phi_window"
-    and "p_window" (shared [lo, hi] pairs with lo <= hi, default [-64, 64]).
+    Expected keys: "sizes"; optional "components" (default 1, at most
+    ``MAX_COMPONENTS``), "masses" (list, default zeros), "stiffness" (default
+    1/dimensions), "phi_window" and "p_window" (shared [lo, hi] pairs with
+    lo <= hi, default [-64, 64]).
     Rationals may be written as numbers or strings like "1/2".  Any other key,
     and any value the spec rejects, is a :class:`ConfigError`.
     """
@@ -761,6 +783,8 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     try:
         shape = LatticeShape(tuple(integers(read_key(obj, "sizes", kind=list), "sizes")))
         components = read_key(obj, "components", 1, int)
+        if components > MAX_COMPONENTS:
+            raise ConfigError(f"field spec 'components' {components} exceeds the cap {MAX_COMPONENTS}")
         masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list))
         stiffness = obj.get("stiffness")
         return FieldHamiltonianSpec(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intham import contours, fields
+from intham import contours, evolver, fields
 from intham.errors import ConfigError, IntHamError, UnboundedContour, WindowExceeded
 from intham.fields import (
     FieldHamiltonianSpec,
@@ -58,7 +58,7 @@ def sub_update_terms(spec, vals):
     with components ascending: the pair's :func:`fields._local_terms` in the
     flat list ``vals``."""
     for _, _, subs in fields._plan(spec)[0]:
-        for x, k, _, _, qi, pi, _, layout in subs:
+        for x, k, _, _, qi, pi, _, _, layout in subs:
             yield x, k, fields._local_terms(spec, vals, layout, qi, pi)
 
 
@@ -559,6 +559,17 @@ class TestJson:
         with pytest.raises(ConfigError, match=named):
             spec_from_json(obj)
 
+    def test_spec_components_are_capped_before_any_mass_is_read(self):
+        assert spec_from_json({"sizes": [2], "components": fields.MAX_COMPONENTS}).components == fields.MAX_COMPONENTS
+        # Masses that fail to parse would name 'masses': the cap comes first,
+        # so a huge count costs one comparison.
+        for obj in (
+            {"sizes": [4], "components": fields.MAX_COMPONENTS + 1},
+            {"sizes": [4], "components": 10**9, "masses": ["not a rational"]},
+        ):
+            with pytest.raises(ConfigError, match=f"'components' {obj['components']} exceeds the cap"):
+                spec_from_json(obj)
+
     def test_spec_without_sizes_rejected(self):
         with pytest.raises(ConfigError):
             spec_from_json({"components": 1})
@@ -915,44 +926,55 @@ class TestLocalRuleMemo:
         "shape, masses",
         [
             (LINE8, (Fraction(0),)),
+            (LINE8, (Fraction(0), Fraction(1, 2))),
             (GRID44, (Fraction(0), Fraction(1, 2))),
             (GRID44, (Fraction(1, 2), Fraction(1))),
         ],
-        ids=["1-D massless", "2-D masses 0 and 1/2", "2-D all massive"],
+        ids=["1-D massless", "1-D masses 0 and 1/2", "2-D masses 0 and 1/2", "2-D all massive"],
     )
     def test_every_mirror_key_is_the_key_at_the_stepped_state(self, shape, masses):
-        # A miss builds its mirror key from the forward key's own gathers.
-        # It must equal the key the site's gathers build from the list at
-        # the stepped state, for the other direction.  With one component
-        # ``rest`` gathers the momentum alone, as an int.
+        # A massless record on a line builds its key from its two neighbour
+        # reads, every other record from its gathers, and a miss builds its
+        # mirror key by re-gathering at the stepped state.  Each stored key
+        # must equal the generic key the record's gathers build from the
+        # list: a forward key before the sub-update, its mirror after it, for
+        # the other direction.  With one component ``rest`` gathers the
+        # momentum alone, as an int.
         spec = fresh_spec(shape, masses, (-64, 64))
         seen = {}
 
         def watched(sub):
-            x, k, own, rest, qi, pi, massless, layout = sub
+            x, k, own, rest, qi, pi, massless, line, layout = sub
 
             def rest_seen(vals):
-                seen["pair"] = (vals, sub)
+                seen["pair"] = (list(vals), vals, sub)
                 return rest(vals)
 
-            return (x, k, own, rest_seen, qi, pi, massless, layout)
+            return (x, k, own, rest_seen, qi, pi, massless, line, layout)
+
+        def generic_key(vals, sub, inverse):
+            _, k, own, rest, qi, _, massless, _, _ = sub
+            shift = vals[qi] if massless else 0
+            return (inverse, k, rest(vals), *(v - shift for v in own(vals)))
 
         entries, orders, lo, hi = fields._plan(spec)
+        lines = [bool(sub[7]) for e in entries for sub in e[2]]
+        assert lines == [shape.dimensions == 1 and not m for _ in entries for m in masses]
         swap = {id(sub): watched(sub) for e in entries for sub in e[2]}
         entries = [(*e[:2], tuple(swap[id(sub)] for sub in e[2])) for e in entries]
         orders = tuple([swap[id(sub)] for sub in order] for order in orders)
         object.__setattr__(spec, "_plan", (entries, orders, lo, hi))
         forward_keys = []
+        inverse = [False]
 
         class MirrorCheckingMemo(OrderedDict):
             def __setitem__(self, key, value):
+                before, after, sub = seen["pair"]
                 if len(forward_keys) > len(mirrors):  # the second store of a miss
-                    vals, (_, k, own, rest, qi, pi, massless, _) = seen["pair"]
-                    shift = vals[qi] if massless else 0
-                    expected = (not forward_keys[-1][0], k, rest(vals), *(v - shift for v in own(vals)))
-                    assert key == expected
+                    assert key == generic_key(after, sub, not inverse[0])
                     mirrors.append(key)
                 else:
+                    assert key == generic_key(before, sub, inverse[0])
                     forward_keys.append(key)
                 super().__setitem__(key, value)
 
@@ -960,6 +982,7 @@ class TestLocalRuleMemo:
         object.__setattr__(spec, "_memo", MirrorCheckingMemo())
         state = random_state(spec, random.Random(3), -3, 3)
         for stepper in (step, step, step_inverse, step_inverse, step_inverse, step, step):
+            inverse[0] = stepper is step_inverse
             state = stepper(state, spec)
         assert len(mirrors) == len(forward_keys) > 0
         assert {key[0] for key in forward_keys} == {False, True}  # mirrors of both directions
@@ -1534,6 +1557,91 @@ def test_momentum_flip_needs_the_reversed_order_with_two_components(shape, masse
         state = random_state(spec, rng, -4, 4)
         differ += not states_equal(step_inverse(state, spec), flipped_sweeps(state, spec, forward_orders))
     assert (differ > 0) == (len(masses) > 1)
+
+
+# -- the sweep rule as a coupled system of pairs ---------------------------------
+
+
+def as_coupled(spec):
+    """The spec as a :class:`evolver.CoupledSeparableHamiltonian` with one pair
+    per (component, site), numbered like the flat layout: pair ``k * n + i``
+    is component k at the i-th of n sites in C order.  Each density floors
+    its two parts separately, so ``H(q, p) = H(q, 0) + H(0, p)``."""
+    shape = (spec.components, *spec.shape.sizes)
+    zeros = np.zeros(shape, np.int64)
+    n = zeros.size // spec.components
+
+    def energy(phi, mom):
+        return total_energy(FieldState(phi, mom), spec)
+
+    return evolver.CoupledSeparableHamiltonian(
+        pairs=zeros.size,
+        kinetic=lambda ps: energy(zeros, np.array(ps, np.int64).reshape(shape)),
+        potential=lambda qs: energy(np.array(qs, np.int64).reshape(shape), zeros),
+        q_windows=tuple(w for w in spec.phi_windows for _ in range(n)),
+        p_windows=tuple(w for w in spec.p_windows for _ in range(n)),
+    )
+
+
+def pair_order(spec, sites):
+    """The coupled system's pairs at ``sites``, in that order, components ascending."""
+    n = math.prod(spec.shape.sizes)
+    flat = [int(np.ravel_multi_index(x, spec.shape.sizes)) for x in sites]
+    return [k * n + i for i in flat for k in range(spec.components)]
+
+
+def as_pairs(state):
+    return evolver.PhaseState(tuple(state.phi.ravel().tolist()), tuple(state.mom.ravel().tolist()))
+
+
+def pairs_outcome(call):
+    """The flat values a sweep returns, as lists, or "raised"."""
+    try:
+        after = call()
+    except IntHamError:
+        return "raised"
+    if isinstance(after, FieldState):
+        after = as_pairs(after)
+    return (list(after.positions), list(after.momenta))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [LatticeShape((4,)), LINE8, LatticeShape((2, 2)), LatticeShape((4, 2))],
+    ids=["line of 4", "line of 8", "2x2 plane", "4x2 plane"],
+)
+def test_sweeps_equal_sequential_pair_updates_of_the_coupled_system(shape):
+    # The sweep rule: parity 0 then 1, sites in C order, components
+    # ascending, each pair stepped on its restricted contour with every other
+    # pair frozen.  The evolver steps the same pairs on whole-window tables
+    # of the total energy, so any key, band or order the sweep takes must
+    # reproduce it; where a contour escapes its window both sides raise.
+    rng = random.Random(29)
+    sites = list(shape.sites())
+    classes = [[x for x in sites if shape.parity(x) == c] for c in (0, 1)]
+    outcomes = Counter()
+    for masses in ((Fraction(0),), (Fraction(1, 2),), (Fraction(1),), (Fraction(0), Fraction(1))):
+        for window in ((-6, 6), (-10, 10)):
+            spec = fresh_spec(shape, masses, window)
+            system = as_coupled(spec)
+            order = pair_order(spec, classes[0] + classes[1])
+            state = random_state(spec, rng, -3, 3)
+            for _ in range(2):
+                pairs = as_pairs(state)
+                expected = pairs_outcome(lambda: evolver.step(pairs, system, order))
+                assert pairs_outcome(lambda: step(state, spec)) == expected
+                assert pairs_outcome(lambda: step_inverse(state, spec)) == pairs_outcome(
+                    lambda: evolver.step_inverse(pairs, system, order)
+                )
+                given = [rng.sample(c, len(c)) for c in classes]
+                assert pairs_outcome(
+                    lambda: step_parity(step_parity(state, spec, 0, site_order=given[0]), spec, 1, site_order=given[1])
+                ) == pairs_outcome(lambda: evolver.step(pairs, system, pair_order(spec, given[0] + given[1])))
+                outcomes[expected == "raised"] += 1
+                if expected == "raised":
+                    break
+                state = step(state, spec)
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 # -- a pinned digest of every sweep output over a fixed battery ----------------

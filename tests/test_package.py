@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import intham
@@ -10,6 +11,15 @@ from intham import errors
 def test_every_exported_name_resolves():
     missing = [name for name in intham.__all__ if not hasattr(intham, name)]
     assert missing == []
+
+
+def test_every_module_compiles_without_a_warning():
+    # An ``is`` comparison against a literal or an invalid escape in a string
+    # warns only when a fresh ``.pyc`` is written; here any warning fails.
+    for path in sorted(Path(intham.__file__).parent.glob("*.py")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(), str(path), "exec")
 
 
 def test_no_module_imports_a_name_it_never_uses():
