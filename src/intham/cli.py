@@ -1,7 +1,9 @@
 """Batch harness: run models described by JSON configs, write CSV/JSON.
 
 ``intham run config.json`` executes one mode and writes its outputs into the
-chosen directory.  Modes:
+chosen directory.  Every mode reads all its keys before its costly work and
+returns its report and its table; ``run`` alone writes them, so nothing, file
+or directory, is written unless the mode completes.  Modes:
 
 - ``trajectory``: step one or more decoupled pairs, dump the orbit table.
 - ``invert``: run N steps forward then N backward, report exact match.
@@ -31,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import fields
-from .census import census, census_rows
+from .census import MAX_ENERGIES, census, census_rows
 from .contours import classify_site, enumerate_shell, next_site
 from .errors import ConfigError, IntHamError
 from .evolver import PhaseState, decoupled, step, step_inverse, total_energy
@@ -87,13 +89,6 @@ def _load_start(cfg: dict, pairs: int) -> PhaseState:
     return PhaseState(tuple(s[0] for s in start), tuple(s[1] for s in start))
 
 
-def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _flat(state: PhaseState) -> list[int]:
     out = []
     for q, p in zip(state.positions, state.momenta):
@@ -101,7 +96,7 @@ def _flat(state: PhaseState) -> list[int]:
     return out
 
 
-def _mode_trajectory(cfg: dict, out: Path, steps: int, seed: int) -> dict:
+def _mode_trajectory(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     system = decoupled(_load_models(cfg))
     state = _load_start(cfg, system.pairs)
     energy = total_energy(state, system)
@@ -113,16 +108,15 @@ def _mode_trajectory(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     for i in range(system.pairs):
         header += [f"q{i}", f"p{i}"]
     header.append("energy")
-    _write_csv(out / "trajectory.csv", header, rows)
     return {
         "ok": True,
         "steps": steps,
         "energy": energy,
         "final": _flat(state),
-    }
+    }, ("trajectory.csv", header, rows)
 
 
-def _mode_invert(cfg: dict, out: Path, steps: int, seed: int) -> dict:
+def _mode_invert(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     system = decoupled(_load_models(cfg))
     initial = _load_start(cfg, system.pairs)
     energy = total_energy(initial, system)
@@ -139,10 +133,10 @@ def _mode_invert(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         "energy": energy,
         "midway": midway,
         "match": match,
-    }
+    }, None
 
 
-def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
+def _mode_shell(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     ham = _load_model(cfg)
     energy = read_key(cfg, "energy", kind=int)
     sites = enumerate_shell(ham, energy)
@@ -152,11 +146,11 @@ def _mode_shell(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         kind = classify_site(ham, q, p, energy).value
         by_kind[kind] = by_kind.get(kind, 0) + 1
         rows.append([q, p, kind])
-    _write_csv(out / "shell.csv", ["q", "p", "kind"], rows)
-    return {"ok": True, "energy": energy, "count": len(sites), "by_kind": by_kind}
+    report = {"ok": True, "energy": energy, "count": len(sites), "by_kind": by_kind}
+    return report, ("shell.csv", ["q", "p", "kind"], rows)
 
 
-def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
+def _mode_spectral(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     ham = _load_model(cfg)
     energy = read_key(cfg, "energy", kind=int)
     cfg_trunc = _build(
@@ -165,16 +159,13 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
     size_cap = read_key(cfg, "size_cap", 64, int)
     if size_cap > MAX_CHECK_SIZE:
         raise ConfigError(f"'size_cap' {size_cap} exceeds the cap {MAX_CHECK_SIZE}")
+    # absent means: check when the shell fits ``size_cap``, decided once its size is known
+    check = read_key(cfg, "operator_check", kind=bool) if "operator_check" in cfg else None
     shell = enumerate_shell(ham, energy)
     if not shell:
         raise ConfigError(f"energy level {energy} has no states in the window")
     perm = ShellPermutation.from_step(lambda s: next_site(ham, *s), shell, energy)
     entries = eigenphases(perm)
-    _write_csv(
-        out / "spectral.csv",
-        ["cycle", "length", "index", "omega", "phase", "energy", "total", "boundary"],
-        spectrum_rows(entries),
-    )
     report = {
         "ok": True,
         "energy": energy,
@@ -183,24 +174,29 @@ def _mode_spectral(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         "boundary_count": sum(1 for e in entries if e.boundary),
         "operator_check": None,
     }
-    if read_key(cfg, "operator_check", perm.size <= size_cap, bool):
+    if perm.size <= size_cap if check is None else check:
         result = hfract_operator_check(perm, cfg_trunc, size_cap=size_cap)
         report["operator_check"] = {
             "radius": cfg_trunc.radius,
             "terms": cfg_trunc.terms,
             "max_residual": result.max_residual,
         }
-    return report
+    header = ["cycle", "length", "index", "omega", "phase", "energy", "total", "boundary"]
+    return report, ("spectral.csv", header, spectrum_rows(entries))
 
 
-def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
+def _mode_census(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     section = read_key(cfg, "census", keys={"kinetic", "potential", "energies", "fit_floor", "periods"})
     kinetic = _build(
         section, "kinetic", lambda e: power_family_from_json({"mass": "1/2", **e}, "kinetic"), {"exponent", "mass"}
     )
     potential = _build(section, "potential", lambda e: power_family_from_json(e, "potential"), {"exponent", "scale"})
     energies = integers(read_key(section, "energies", kind=list), "energies")
-    if len(energies) == 2 and energies[1] > energies[0] + 1:
+    ladder = len(energies) == 2 and energies[1] > energies[0] + 1
+    count = energies[1] - energies[0] + 1 if ladder else len(energies)
+    if count > MAX_ENERGIES:
+        raise ConfigError(f"'energies' asks for {count} energies, past the cap MAX_ENERGIES = {MAX_ENERGIES}")
+    if ladder:
         energies = range(energies[0], energies[1] + 1)
     try:
         report = census(
@@ -212,9 +208,6 @@ def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         )
     except ValueError as exc:
         raise ConfigError(f"census: {exc}") from exc
-    _write_csv(
-        out / "census.csv", ["energy", "count", "period", "ratio"], census_rows(report)
-    )
     return {
         "ok": True,
         "kinetic_exponent": str(report.kinetic_exponent),
@@ -224,7 +217,7 @@ def _mode_census(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         "amplitude": report.amplitude,
         "constant": report.constant,
         "fit_floor": report.fit_floor,
-    }
+    }, ("census.csv", ["energy", "count", "period", "ratio"], census_rows(report))
 
 
 def _random_layers(cfg: dict, rng: random.Random, shape):
@@ -251,7 +244,7 @@ def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
     return fields.FieldState(*_random_layers(cfg, rng, shape))
 
 
-def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
+def _mode_margolus(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     spec = _build(cfg, "field", fields.spec_from_json)
     shape = (spec.components, *spec.shape.sizes)
     if "layers" in cfg:
@@ -270,19 +263,17 @@ def _mode_margolus(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         back = fields.margolus_unstep(back)
     reversible = fields.margolus_states_equal(back, initial)
     rows = [[t, e] for t, e in enumerate(energies)]
-    _write_csv(out / "margolus-contrast.csv", ["t", "energy"], rows)
     return {
         "ok": reversible,
         "steps": steps,
         "reversible": reversible,
         "drifted": energies[-1] != energies[0],
         "energies": [str(e) for e in energies],
-    }
+    }, ("margolus-contrast.csv", ["t", "energy"], rows)
 
 
-def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
+def _mode_lightcone(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     spec = _build(cfg, "field", fields.spec_from_json)
-    base = _field_state(cfg, spec, random.Random(seed))
     perturb = read_key(cfg, "perturb", {}, keys={"site", "component", "amount"})
     site = tuple(integers(read_key(perturb, "site", [0] * spec.shape.dimensions, list), "site"))
     component = read_key(perturb, "component", 0, int)
@@ -292,6 +283,7 @@ def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         raise ConfigError(f"perturbation 'site' must list {len(sizes)} integers inside {sizes}, got {site}")
     if not 0 <= component < spec.components:
         raise ConfigError(f"perturbation 'component' must be in [0, {spec.components}), got {component}")
+    base = _field_state(cfg, spec, random.Random(seed))
     phi = np.array(base.phi)
     index = (component, *site)
     value = int(phi[index]) + amount  # a Python int: numpy's int64 sum would wrap
@@ -311,8 +303,8 @@ def _mode_lightcone(cfg: dict, out: Path, steps: int, seed: int) -> dict:
         cap = 2 * t
         ok = ok and radius <= cap
         rows.append([t, len(diff), radius, cap])
-    _write_csv(out / "lightcone.csv", ["t", "changed", "radius", "cap"], rows)
-    return {"ok": ok, "steps": steps, "origin": list(site), "within_bound": ok}
+    report = {"ok": ok, "steps": steps, "origin": list(site), "within_bound": ok}
+    return report, ("lightcone.csv", ["t", "changed", "radius", "cap"], rows)
 
 
 _MODE_RUNNERS = {
@@ -357,13 +349,22 @@ def run(
     if seed is None:
         seed = read_key(config, "seed", 0, int)
     out = Path(out_dir if out_dir is not None else read_key(config, "out", ".", str))
-    out.mkdir(parents=True, exist_ok=True)
 
-    report = _MODE_RUNNERS[mode](config, out, steps, seed)
+    report, table = _MODE_RUNNERS[mode](config, steps, seed)
     report = {"mode": mode, "seed": seed, **report}
-    with (out / f"{mode}.json").open("w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if table is not None:
+            name, header, rows = table
+            with (out / name).open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        with (out / f"{mode}.json").open("w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write 'out' {str(out)!r}: {exc}") from exc
     return (0 if report.get("ok", True) else 3), report
 
 

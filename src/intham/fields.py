@@ -785,7 +785,8 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
         components = read_key(obj, "components", 1, int)
         if components > MAX_COMPONENTS:
             raise ConfigError(f"field spec 'components' {components} exceeds the cap {MAX_COMPONENTS}")
-        masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list))
+        # one entry past ``components`` is all the spec needs to reject the count
+        masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list)[: components + 1])
         stiffness = obj.get("stiffness")
         return FieldHamiltonianSpec(
             shape, components, masses, None if stiffness is None else fraction_from_json(stiffness),

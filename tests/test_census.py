@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -264,3 +265,14 @@ class TestPeriods:
 def test_census_rejects_ladders_it_cannot_fit(energies, fit_floor, message):
     with pytest.raises(ValueError, match=message):
         census(linear_kinetic, linear_potential, energies, fit_floor=fit_floor, with_periods=False)
+
+
+def test_the_fit_floor_is_checked_before_any_period_walk(monkeypatch):
+    # The fitted rows' counts come from the histogram convolution, so a floor
+    # above the whole ladder fails before its first walk.
+    walks = []
+    monkeypatch.setattr(sys.modules["intham.census"], "continuum_period", lambda *args: walks.append(args))
+    potential = PowerLawFamily("potential", Fraction(3, 2))
+    with pytest.raises(ValueError, match="need at least two rows at or above the fit floor"):
+        census(linear_kinetic, potential, range(10, 1000), fit_floor=10**6)
+    assert walks == []

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intham import errors, fields
+from intham.census import MAX_ENERGIES
 from intham.cli import MODES, _error_report, main, run
 from intham.errors import ConfigError, IntHamError, WindowExceeded
 from intham.hamiltonians import MAX_WINDOW
@@ -424,7 +425,7 @@ class TestFailureModes:
                 "mode": "trajectory",
                 "model": HYPERBOLIC,
                 "start": [0, 3],
-                "out": str(tmp_path),
+                "out": str(tmp_path / "out"),
             },
         )
         assert main(["run", cfg]) == 3
@@ -433,6 +434,33 @@ class TestFailureModes:
         assert "leaves the window at cell (5, 0)" in report["message"]
         assert report["pair_index"] == 0
         assert report["energy"] == 0
+        assert not (tmp_path / "out").exists()
+
+    def test_an_output_path_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        for out in (taken, taken / "below"):
+            cfg = write_config(tmp_path / "c.json", {**TRAJECTORY, "out": str(out)})
+            assert main(["run", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and f"'out' {str(out)!r}" in err
+            assert "Traceback" not in err
+        assert taken.read_text() == "a file, not a directory"
+
+    def test_a_census_ladder_past_the_cap_fails_fast(self, tmp_path, capsys):
+        # [0, 10**9] would build 10**9 + 1 energies; one past the cap is
+        # rejected before the range is built, and so is a list that long.
+        for energies in ([10, 10 + MAX_ENERGIES], [10, 10**9], list(range(MAX_ENERGIES + 1))):
+            cfg = write_config(tmp_path / "c.json", {**CENSUS, "census": {**CENSUS["census"], "energies": energies}})
+            start = time.perf_counter()
+            assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+            assert time.perf_counter() - start < 0.5
+            err = capsys.readouterr().err
+            assert err.startswith("config error: 'energies'") and f"MAX_ENERGIES = {MAX_ENERGIES}" in err
+        assert not (tmp_path / "out").exists()
+        at_cap = {**CENSUS["census"], "energies": [10, 9 + MAX_ENERGIES], "periods": False}
+        cfg = write_config(tmp_path / "c.json", {**CENSUS, "census": at_cap, "out": str(tmp_path / "cap")})
+        assert main(["run", cfg]) == 0
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
     def test_error_reports_carry_the_declared_context(self, cls):
@@ -509,7 +537,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("config, named", MALFORMED + CROSSED)
     def test_malformed_inputs_are_config_errors(self, tmp_path, capsys, config, named):
         # HUGE is written as the JSON literal 1e400, which parses as inf.
-        text = json.dumps({**config, "out": str(tmp_path)}).replace(f'"{HUGE}"', "1e400")
+        out = tmp_path / "out"
+        text = json.dumps({**config, "out": str(out)}).replace(f'"{HUGE}"', "1e400")
         assert HUGE not in text
         path = tmp_path / "c.json"
         path.write_text(text)
@@ -517,11 +546,12 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
+        assert not out.exists()
 
 
 # SHA-256 of every output of the configs in ``_battery`` (see
 # test_cli_outputs_match_their_pinned_digest); any change to one fails it.
-CLI_DIGEST = "3574acdc723f7d715b154a0992634e970e176d67b21a16b1fd3dfe65c3b5893d"
+CLI_DIGEST = "d431f73f3dc160320208c727df60788442ba65d2b7aff61e54da23cc42dc9a2d"
 
 # One valid config per mode, small enough that any mutation of it runs fast.
 VALID = {

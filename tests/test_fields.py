@@ -553,6 +553,8 @@ class TestJson:
             ({"sizes": [4], "stiffness": "-1/2"}, r"stiffness must lie in \(0, 1/1\]"),
             ({"sizes": [4], "masses": [-1]}, "masses must be nonnegative"),
             ({"sizes": [4], "components": 2, "masses": [0]}, "need one mass per component"),
+            # at most components + 1 entries are parsed, so the count is named, not "x"
+            ({"sizes": [4], "components": 1, "masses": [0, 0, "x"]}, "need one mass per component"),
         ],
     )
     def test_spec_entries_are_honoured_or_named(self, obj, named):

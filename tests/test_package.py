@@ -165,3 +165,23 @@ def test_every_error_is_built_with_its_declared_context():
                 wrong.append(f"{path.name}:{call.lineno} {ast.unparse(call)}")
     carried = {(name, key) for name, cls in classes.items() for key in cls.context}
     assert carried <= built and wrong == []
+
+
+def test_mode_runners_leave_the_disk_to_run():
+    # ``cli.run`` writes a mode's table and report once the mode has
+    # returned, so an erroring run leaves no file or directory; a runner
+    # that took ``out`` or wrote for itself would break that.
+    path = Path(intham.__file__).parent / "cli.py"
+    runners = [
+        fn for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_mode_")
+    ]
+    found = []
+    for fn in runners:
+        if "out" in {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}:
+            found.append(f"{fn.name} takes out")
+        for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            name = ast.unparse(call.func)
+            if name.split(".")[-1] in ("open", "mkdir", "_write_csv") or name == "csv.writer":
+                found.append(f"cli.py:{call.lineno} {fn.name} calls {name}")
+    assert len(runners) == 7 and found == []
