@@ -33,8 +33,14 @@ from .hamiltonians import MAX_WINDOW, PowerLawFamily, SeparableHamiltonian1D, in
 #: period costs one contour walk: about 4.2 ms per energy for exponents
 #: (1, 3/2) over [10, 999] and 9.1 ms over [1000, 1999], measured on a 2-core
 #: x86 host, so a ladder at the cap takes about 4 s at low energies.  The walk
-#: grows with the energy, whose ceiling ``MAX_WINDOW`` bounds.
+#: grows with the energy, which ``MAX_PERIOD_WORK`` weighs.
 MAX_ENERGIES = 2**10
+#: Most period work one ``census`` run may ask for: its number of energies
+#: times ``w``, the tables' reach on each side, which bounds every contour.
+#: One unit cost about 7 us for exponents (1, 3/2) and 16-23 us for (1, 1),
+#: whose contours span both tables (w from 10**4 to 10**5, on a 2-core x86
+#: host), so a run at the cap takes at most about 7 s and 24 s.
+MAX_PERIOD_WORK = 2**20
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,8 @@ def census(
     and n > 0.  The reported constant is the geometric mean of period/count
     over the fitted rows (None when periods are disabled).  Energies must be
     integers, and a ceiling whose tables would pass ``MAX_WINDOW`` entries on
-    a side raises ``ValueError`` before any table is built.
+    a side, or periods whose work would pass ``MAX_PERIOD_WORK``, raises
+    ``ValueError`` before any table is built.
     """
     kappa = kinetic.exponent
     gamma = potential.exponent
@@ -170,6 +177,11 @@ def census(
     w = max(_window_for(kinetic, ceiling), _window_for(potential, ceiling))
     if w > MAX_WINDOW:
         raise ValueError(f"energy ceiling {ceiling} needs tables out to +-{w}, past MAX_WINDOW = {MAX_WINDOW}")
+    if with_periods and len(energies) * w > MAX_PERIOD_WORK:
+        raise ValueError(
+            f"'energies' asks for {len(energies)} periods on tables out to +-{w}: "
+            f"{len(energies) * w} units of work, past MAX_PERIOD_WORK = {MAX_PERIOD_WORK}"
+        )
     ham = SeparableHamiltonian1D._trusted(kinetic.materialize(-w, w), potential.materialize(-w, w))
     # Both tables are nonnegative, so entries above the ceiling (all of each
     # table past its own window) never reach a counted shell: the shell

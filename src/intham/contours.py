@@ -12,12 +12,14 @@ at infinitesimal distance and are read off as the visit sequence.
 One walk serves every query: :func:`_walk_component` follows a component
 cell by cell, reading the tables directly, from a start crossing until it
 returns to it, and reports the sites its crossings brush.  :func:`next_site`
-and :func:`prev_site` walk through a site with and against its orientation,
-recording nothing past the image, only confirming closure; :func:`orbit_map`
-walks each component once for all its sites; :func:`trace_component` records
-the walk's crossings.  Every site is judged by one reader, :func:`_flags`
-(its energy and which neighbors lie above it, from the tables), and one
-rule, :func:`_regular`.
+and :func:`prev_site` take a table and a site and walk through the site with
+and against its orientation, recording nothing past the image: they stop
+there when the tables prove the level closed (up to their ``_closure_level``,
+which the field band's tables carry), else only confirm closure.
+:func:`orbit_map` walks each component once for all its sites;
+:func:`trace_component` records the walk's crossings.  Every site is judged
+by one reader, :func:`_flags` (its energy and which neighbors lie above it,
+from the tables), and one rule, :func:`_regular`.
 
 The walk reads each cell in its frame of travel, so one move rule serves all
 four directions: the crossing just made lies on a line of the table along the
@@ -87,7 +89,6 @@ class ContourTrace:
     energy: int
     sites: tuple[tuple[int, int], ...]
     kinds: tuple[SiteClassification, ...]
-    closed: bool
     crossings: tuple[Crossing, ...] = ()
 
 
@@ -216,9 +217,7 @@ def _raise_escape(ham, E, cq, cp):
         raise UnboundedContour(msg, energy=E, site=(cq, cp)) from exc
 
 
-def _walk_component(
-    ham, E: int, start: tuple, touches: list, record=None, stop=None, closed=False
-) -> Optional[int]:
+def _walk_component(ham, E: int, start: tuple, touches: list, record=None, stop=None) -> Optional[int]:
     """Walk the component of the ``E + eps`` level through ``start`` once.
 
     Crossing ``n`` (``start`` is 0) appends ``(n, site)`` to ``touches`` when
@@ -228,9 +227,10 @@ def _walk_component(
     outside the windows.  ``stop`` is a site whose image ends the walk: the
     first touched site other than ``stop`` that is regular
     (_touched_regular), judged after its touch is appended.  At that image the
-    walk returns ``None``: at once if ``closed`` (the component is known to
-    close inside the windows), else on closing, after walking on with no
-    more touches or tests, so an escape past the image still raises.
+    walk returns ``None``: at once if ``E`` is at or below the tables'
+    ``_closure_level`` (the level provably closes inside them), else on
+    closing, after walking on with no more touches or tests, so an escape
+    past the image still raises.
     Closure and ``stop`` are tested on touching crossings only, so ``start``
     must brush a site, except in a walk given ``record``: that walk also
     tests closure at ``start`` itself.
@@ -284,7 +284,7 @@ def _walk_component(
                 site = (ti + vlo, tj + klo)
                 touches.append((n, site))
                 if stop is not None and site != stop and _touched_regular(ham, vv, kv, av, bv, ti, tj):
-                    if closed:
+                    if (level := ham._closure_level) is not None and E <= level:
                         return None
                     live = False
         yn = y + dy
@@ -319,13 +319,11 @@ def _walk_component(
     raise RuntimeError(f"level {E}+eps from crossing {start} does not close: a start off the level")
 
 
-def _step(
-    ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool, closed: bool
-) -> tuple[int, int]:
+def _step(ham: SeparableHamiltonian1D, Q: int, P: int, backward: bool) -> tuple[int, int]:
     """The first regular site other than (Q, P), else (Q, P) itself, touched by
     the walk with (``backward``: against) the orientation; regular means one
     branch brushes it (_regular).  Past that image the walk records
-    nothing and, unless ``closed``, only confirms closure."""
+    nothing and only confirms closure, unless the tables prove it."""
     vv, kv, av, bv = _tables(ham)
     i, j = Q - ham.potential.lo, P - ham.kinetic.lo
     try:
@@ -340,30 +338,26 @@ def _step(
     if backward:  # the same crossing, traversed from the cell it enters
         start = (cq + _STEPS[m][0], cp + _STEPS[m][1], (m + 2) % 4)
     touches: list = []
-    if _walk_component(ham, flags[0], start, touches, stop=(Q, P), closed=closed) is None:
+    if _walk_component(ham, flags[0], start, touches, stop=(Q, P)) is None:
         return touches[-1][1]
     return (Q, P)
 
 
-def next_site(
-    ham: SeparableHamiltonian1D, Q: int, P: int, *, _closed: bool = False
-) -> tuple[int, int]:
+def next_site(ham: SeparableHamiltonian1D, Q: int, P: int) -> tuple[int, int]:
     """One time step: the next lattice site on this site's contour.
 
     Saddle and extremum sites stand still; so does a site whose component
     touches no other regular site.  Past the image the walk records nothing
-    but runs on to closure, so an escape still raises.  ``_closed`` is for
-    callers that have proven the component closes inside the windows (every
-    window-edge row and column above the level): the walk stops at the image.
+    but runs on to closure, so an escape still raises, unless the tables
+    prove the level closed (see :meth:`SeparableHamiltonian1D._trusted`):
+    then the walk stops at the image.
     """
-    return _step(ham, Q, P, False, _closed)
+    return _step(ham, Q, P, False)
 
 
-def prev_site(
-    ham: SeparableHamiltonian1D, Q: int, P: int, *, _closed: bool = False
-) -> tuple[int, int]:
+def prev_site(ham: SeparableHamiltonian1D, Q: int, P: int) -> tuple[int, int]:
     """Inverse step: walk the contour against its orientation."""
-    return _step(ham, Q, P, True, _closed)
+    return _step(ham, Q, P, True)
 
 
 def _visits(touches: list, n: int) -> list[tuple[int, int]]:
@@ -400,7 +394,7 @@ def trace_component(
         raise WindowExceeded(f"seed {seed} needs its four neighbors inside the windows") from exc
     if not any(flags[1:]):
         kind = classify_site(ham, Q, P, E)
-        return ContourTrace(E, (seed,), (kind,), True, ())
+        return ContourTrace(E, (seed,), (kind,), ())
     touches: list = []
     record: list = []
     n = _walk_component(ham, E, _start_crossing(Q, P, flags), touches, record)
@@ -411,7 +405,7 @@ def trace_component(
         Crossing(kind, eq, ep, fwd, _crossing_param(ham, kind, eq, ep, E), touched.get(k))
         for k, (kind, eq, ep, fwd) in enumerate(_edge(*cross) for cross in record[:n])
     )
-    return ContourTrace(E, tuple(visits), kinds, True, recorded)
+    return ContourTrace(E, tuple(visits), kinds, recorded)
 
 
 def enumerate_shell(ham: SeparableHamiltonian1D, E: int) -> list[tuple[int, int]]:

@@ -29,11 +29,12 @@ no arithmetic beyond the shift.  A miss reads, in one pass, one integer
 quadratic in the pair's field value per density it touches (see
 :func:`_local_terms`), and tabulates sums of their floors only over the band
 its contour can reach (see :func:`restricted_hamiltonian`).  A band strictly
-inside both windows proves the contour closed, so the walk stops at the image;
-one that touches an edge takes the full walk.  The memo is direction-aware: a
-step is a permutation of its closed contour, so each forward walk also stores
-the backward sub-update it implies, and the other way round.  A hit checks
-only that its translated band still lies strictly inside the field window.
+inside both windows proves the contour closed and its tables carry that
+proof, so the walk stops at the image; one that touches an edge takes the full
+walk.  The memo is direction-aware: a step is a permutation of its closed
+contour, so each forward walk also stores the backward sub-update it implies,
+and the other way round.  A hit checks only that its translated band still
+lies strictly inside the field window.
 
 A two-layer second-order automaton in Fredkin's style (field value plus
 previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
@@ -75,6 +76,14 @@ DEFAULT_WINDOW = (-64, 64)
 #: sub-update reads, so it grows with their square: about 0.16 s on a line
 #: of 2 sites at this cap, 3.1 s at 1024 components.
 MAX_COMPONENTS = 256
+
+#: Most positions a JSON field spec's sweep plan may gather, counted as
+#: ``prod(sizes) * components**2 * (1 + d + d*d)`` in ``d`` dimensions: every
+#: sub-update gathers each component at the 1 + d + d*d sites it reads.  On a
+#: 2-core x86 host one position cost 0.3 us to plan (256 components on 2 sites)
+#: to 3.7 us (one component on a line, 1.3 KB per site), so a plan at the cap
+#: takes at most about 2 s.
+MAX_PLAN_POSITIONS = 2**19
 
 #: Entries a spec's local-rule memo (see :func:`_sweep`) holds, dropping the
 #: oldest at the cap; bounds the memory of long runs over rarely repeating states.
@@ -454,8 +463,9 @@ def restricted_hamiltonian(
     columns, clipped to the momentum window.  The contour cannot cross a
     column or row that lies wholly above the level, so a walk on the band is
     the walk on the whole windows.  Tables strictly inside both windows prove
-    the contour closed (every edge row and column lies above the level); a
-    band that touches a window edge may escape there.  A scan that would pass
+    the contour closed (every edge row and column lies above the level), so
+    they carry the pair's level as their closure proof; a band that touches a
+    window edge carries none, and may escape there.  A scan that would pass
     ``MAX_WINDOW`` field values on one side, or momenta that would span more
     than ``2 * MAX_WINDOW + 1`` values, raises ``WindowExceeded`` naming the
     pair in ``field_site`` and returns no tables.
@@ -495,9 +505,11 @@ def restricted_hamiltonian(
     p_lo, p_hi = max(plo, -s), min(phi_hi, s)
     if p_hi - p_lo > 2 * MAX_WINDOW:
         raise WindowExceeded(f"contour band at level {level} needs momenta [{p_lo}, {p_hi}], past +-{MAX_WINDOW}")
+    inside = qlo < band_lo and band_lo + len(pot_values) <= qhi and plo < p_lo and p_hi < phi_hi
     return SeparableHamiltonian1D._trusted(
         _kinetic_band(kin0, sn, kden, p_lo, p_hi),
         IntegerFunction1D._trusted(band_lo, tuple(pot_values)),
+        level if inside else None,
     )
 
 
@@ -575,16 +587,16 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
     # translate of the same tables.  On a line such a record reads its two
     # own values, at x + 1 and x - 1, in place: the same key without the
     # gather and the map, which dominate a hit there.  A miss whose band
-    # lies strictly inside both windows walks a contour proven closed (see
-    # restricted_hamiltonian) and stops at the image; the step permutes that
-    # contour, so the image walked the other way leads back inside the same
-    # band, and the miss stores that inverse entry too.  A band that touches
-    # a window edge takes the full walk and stores nothing.  An entry keeps
-    # the range of shifts for which its translated band stays strictly inside
-    # the field window; a hit outside it is exactly a translate whose band
-    # would touch the window edge, and takes the cold path.  The key fixes
-    # the momentum band, so a hit checks nothing else and does no table
-    # arithmetic.
+    # lies strictly inside both windows walks tables that carry their closure
+    # proof (see restricted_hamiltonian) and stops at the image; the step
+    # permutes that contour, so the image walked the other way leads back
+    # inside the same band, and the miss stores that inverse entry too.  A
+    # band that touches a window edge takes the full walk and stores nothing.
+    # An entry keeps the range of shifts for which its translated band stays
+    # strictly inside the field window; a hit outside it is exactly a
+    # translate whose band would touch the window edge, and takes the cold
+    # path.  The key fixes the momentum band, so a hit checks nothing else
+    # and does no table arithmetic.
     #
     # The mirror key is the forward key at the stepped state, where only the
     # pair's value and momentum differ: ``rest``'s first item is the pair's
@@ -613,19 +625,17 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
                 vals[pi] = hit[1]
                 continue
             q, p = vals[qi], vals[pi]
-            (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
             try:
                 ham = restricted_hamiltonian(state, spec, x, k, _terms=_local_terms(spec, vals, layout, qi, pi))
-                pot, kin = ham.potential, ham.kinetic  # read without properties: a miss is hot
-                lo, hi, p_lo = pot.lo, pot.lo + len(pot.values) - 1, kin.lo
-                closed = qlo < lo and hi < qhi and plo < p_lo and p_lo + len(kin.values) - 1 < phi_hi
-                q2, p2 = mover(ham, q, p, _closed=closed)
+                q2, p2 = mover(ham, q, p)
             except IntHamError as exc:
                 exc.field_site = (x, k)
                 raise
             vals[qi] = q2
             vals[pi] = p2
-            if closed:
+            if ham._closure_level is not None:
+                (qlo, qhi), pot = spec.phi_windows[k], ham.potential
+                lo, hi = pot.lo, pot.lo + len(pot.values) - 1  # read without properties: a miss is hot
                 memo[key] = (q2 - shift, p2, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
                 r = p2 if single else (p2, *r[1:])
                 if massless:
@@ -772,7 +782,8 @@ _SPEC_KEYS = {"sizes", "components", "masses", "stiffness", "phi_window", "p_win
 def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
     """Build a spec from a JSON object.
 
-    Expected keys: "sizes"; optional "components" (default 1, at most
+    Expected keys: "sizes" (a lattice whose plan stays within
+    ``MAX_PLAN_POSITIONS``); optional "components" (default 1, at most
     ``MAX_COMPONENTS``), "masses" (list, default zeros), "stiffness" (default
     1/dimensions), "phi_window" and "p_window" (shared [lo, hi] pairs with
     lo <= hi, default [-64, 64]).
@@ -785,6 +796,15 @@ def spec_from_json(obj: dict) -> FieldHamiltonianSpec:
         components = read_key(obj, "components", 1, int)
         if components > MAX_COMPONENTS:
             raise ConfigError(f"field spec 'components' {components} exceeds the cap {MAX_COMPONENTS}")
+        d = shape.dimensions
+        positions = components * components * (1 + d + d * d)
+        for side in shape.sizes:  # every side is at least 2, so this exits early
+            positions *= side
+            if positions > MAX_PLAN_POSITIONS:
+                raise ConfigError(
+                    f"field spec 'sizes' need a sweep plan past the cap MAX_PLAN_POSITIONS = {MAX_PLAN_POSITIONS} "
+                    f"at 'components' = {components}"
+                )
         # one entry past ``components`` is all the spec needs to reject the count
         masses = tuple(fraction_from_json(m) for m in read_key(obj, "masses", [0] * components, list)[: components + 1])
         stiffness = obj.get("stiffness")

@@ -252,6 +252,9 @@ class SeparableHamiltonian1D:
     potential: IntegerFunction1D
     coupling_pos: Optional[IntegerFunction1D] = None
     coupling_mom: Optional[IntegerFunction1D] = None
+    # The highest level whose E + eps contours provably close inside the tables,
+    # or None.  Only _trusted sets it; no field, so equality, hash and repr ignore it.
+    _closure_level = None
 
     def __post_init__(self):
         check_product_term(self.coupling_pos, self.coupling_mom)
@@ -261,12 +264,12 @@ class SeparableHamiltonian1D:
             raise ValueError("coupling_mom window must match kinetic window")
 
     @classmethod
-    def _trusted(cls, kinetic, potential) -> "SeparableHamiltonian1D":
-        """``T(P) + V(Q)`` over tables the engine has just built, unchecked."""
+    def _trusted(cls, kinetic, potential, closure_level=None) -> "SeparableHamiltonian1D":
+        """``T(P) + V(Q)`` over tables the engine has just built, unchecked,
+        whose contours close inside them at levels up to ``closure_level``."""
         ham = object.__new__(cls)
-        fields = ham.__dict__
-        fields["kinetic"], fields["potential"], fields["coupling_pos"], fields["coupling_mom"] = (
-            kinetic, potential, None, None
+        ham.__dict__.update(
+            kinetic=kinetic, potential=potential, coupling_pos=None, coupling_mom=None, _closure_level=closure_level
         )
         return ham
 

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import random_landscape
 from flow_oracle import component_period, exact_period, rk4_period
-from intham.census import CensusReport, _window_for, census, census_rows, continuum_period
+from intham.census import (
+    MAX_ENERGIES, MAX_PERIOD_WORK, CensusReport, _window_for, census, census_rows, continuum_period,
+)
 from intham.errors import RegimeViolation, UnboundedContour
 from intham.hamiltonians import IntegerFunction1D, PowerLawFamily, SeparableHamiltonian1D
 
@@ -276,3 +278,22 @@ def test_the_fit_floor_is_checked_before_any_period_walk(monkeypatch):
     with pytest.raises(ValueError, match="need at least two rows at or above the fit floor"):
         census(linear_kinetic, potential, range(10, 1000), fit_floor=10**6)
     assert walks == []
+
+
+def test_period_work_past_the_cap_fails_before_any_table_or_walk(monkeypatch):
+    # 1 024 energies from 10**5 would walk tables out to +-101 025 once each,
+    # about 100 times MAX_PERIOD_WORK; the same ladder without periods runs.
+    walks, tables = [], []
+    census_module = sys.modules["intham.census"]
+    monkeypatch.setattr(census_module, "continuum_period", lambda *args: walks.append(args))
+    materialize = PowerLawFamily.materialize
+    monkeypatch.setattr(PowerLawFamily, "materialize", lambda *args: tables.append(args) or materialize(*args))
+    potential = PowerLawFamily("potential", Fraction(3, 2))
+    ladder = range(10**5, 10**5 + MAX_ENERGIES)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^'energies' asks for 1024 periods .* past MAX_PERIOD_WORK = {MAX_PERIOD_WORK}$"):
+        census(linear_kinetic, potential, ladder)
+    assert time.perf_counter() - start < 0.5
+    assert walks == [] and tables == []
+    report = census(linear_kinetic, potential, ladder, with_periods=False)
+    assert len(report.rows) == MAX_ENERGIES and walks == [] and len(tables) == 2

@@ -239,6 +239,15 @@ class TestLightcone:
             assert int(radius) <= int(cap)
 
 
+    def test_a_failed_check_exits_3_and_still_writes_its_report(self, tmp_path, capsys, monkeypatch):
+        # A radius past the cap, as a sweep that broke locality would report.
+        monkeypatch.setattr(fields, "diagonal_radius", lambda shape, origin, sites: 10**6)
+        cfg = write_config(tmp_path / "c.json", {**LIGHTCONE, "perturb": {"site": [4]}, "out": str(tmp_path)})
+        assert main(["run", cfg]) == 3
+        assert capsys.readouterr().err == "lightcone: check failed\n"
+        report = json.loads((tmp_path / "lightcone.json").read_text())
+        assert (report["ok"], report["within_bound"]) == (False, False)
+
     def test_planar_spread_is_bounded_in_the_coordinate_sum(self, tmp_path):
         # On a plane a change can run along a line of constant x + y, so
         # its L1 radius outgrows 2t; the reported radius is the periodic
@@ -461,6 +470,20 @@ class TestFailureModes:
         at_cap = {**CENSUS["census"], "energies": [10, 9 + MAX_ENERGIES], "periods": False}
         cfg = write_config(tmp_path / "c.json", {**CENSUS, "census": at_cap, "out": str(tmp_path / "cap")})
         assert main(["run", cfg]) == 0
+
+    def test_census_period_work_past_the_cap_fails_fast(self, tmp_path, capsys):
+        # eleven energies from 10**5 walk tables out to +-100 012 each: the cost
+        # check weighs the ceiling, and the same ladder without periods runs
+        section = {**CENSUS["census"], "energies": [10**5, 10**5 + 10]}
+        cfg = write_config(tmp_path / "c.json", {**CENSUS, "census": section})
+        start = time.perf_counter()
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("config error: census: 'energies'") and "MAX_PERIOD_WORK" in err
+        assert not (tmp_path / "out").exists()
+        cfg = write_config(tmp_path / "c.json", {**CENSUS, "census": {**section, "periods": False}})
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
     def test_error_reports_carry_the_declared_context(self, cls):

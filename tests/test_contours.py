@@ -1,6 +1,8 @@
 """Contour stepping: successors, inverses, shells, traces, classification."""
 
+import dataclasses
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -41,6 +43,27 @@ hyperbolic = SeparableHamiltonian1D(zero, zero, coupling_pos=identity, coupling_
 pingpong = SeparableHamiltonian1D(
     absolute, IntegerFunction1D.from_callable(lambda x: 2 * x * x, -W, W)
 )
+
+
+def proven(ham, level=None):
+    """A copy of ``ham`` whose tables carry a closure proof up to ``level``,
+    as the field band's tables carry theirs; by default their highest
+    energy, so that every step on the copy stops at its image.  The
+    attribute is the one ``SeparableHamiltonian1D._trusted`` sets, which
+    builds no product term, so it is written here directly."""
+    if level is None:
+        (qlo, qhi), (plo, phi) = ham.q_window, ham.p_window
+        level = max(ham.value(q, p) for q in range(qlo, qhi + 1) for p in range(plo, phi + 1))
+    copy = dataclasses.replace(ham)
+    object.__setattr__(copy, "_closure_level", level)
+    return copy
+
+
+def test_steps_take_only_a_table_and_a_site():
+    for mover in (next_site, prev_site):
+        assert list(inspect.signature(mover).parameters) == ["ham", "Q", "P"]
+    assert "closed" not in inspect.signature(contours._step).parameters
+    assert "closed" not in inspect.signature(_walk_component).parameters
 
 
 class TestShells:
@@ -123,7 +146,6 @@ class TestTraces:
         trace = trace_component(bowl, 2, (1, 1))
         assert trace.sites == ((1, 1), (1, -1), (-1, -1), (-1, 1))
         assert all(k is SiteClassification.REGULAR for k in trace.kinds)
-        assert trace.closed
         assert len(trace.crossings) == 12
 
     def test_trace_crossings_hug_touched_corners(self):
@@ -136,7 +158,6 @@ class TestTraces:
         trace = trace_component(bowl, 0, (0, 0))
         assert trace.sites == ((0, 0),)
         assert trace.kinds[0] is SiteClassification.EXTREMUM
-        assert trace.closed
 
 
 @settings(max_examples=12, deadline=None)
@@ -215,8 +236,8 @@ def test_walk_steps_invert_and_follow_the_trace(coupled, seed):
         # every contour here closes inside the windows, so may stop early,
         # also when the windows are cut to one site around the level
         for closed in (ham, tight[energy]):
-            assert next_site(closed, *site, _closed=True) == image == next_site(closed, *site)
-            assert prev_site(closed, *image, _closed=True) == site == prev_site(closed, *image)
+            assert next_site(proven(closed), *site) == image == next_site(closed, *site)
+            assert prev_site(proven(closed), *image) == site == prev_site(closed, *image)
         if classify_site(ham, *site, energy) is not SiteClassification.REGULAR:
             assert image == site
             continue
@@ -299,7 +320,7 @@ def test_stop_ends_the_walk_at_the_image(seed, image):
     for closed in (True, False):
         touches: list = []
         record: list = []
-        stopped = _walk_component(bowl, 25, start, touches, record, stop=seed, closed=closed)
+        stopped = _walk_component(proven(bowl) if closed else bowl, 25, start, touches, record, stop=seed)
         assert stopped is None
         assert touches == full[: len(touches)] and touches[-1][1] == image
         assert {s for _, s in touches[:-1]} == {seed}
@@ -438,7 +459,7 @@ def test_sites_on_or_past_a_window_edge_raise_pinned_errors(
     ham, closed, mover, site, message, argument, cause
 ):
     with pytest.raises(WindowExceeded) as err:
-        mover(ham, *site, _closed=closed)
+        mover(proven(ham) if closed else ham, *site)
     assert type(err.value) is WindowExceeded
     assert (str(err.value), err.value.argument) == (message, argument)
     if cause is None:
@@ -587,24 +608,26 @@ def cut_landscapes(kind, seed):
 
 
 def step_outcomes(kind, seed):
-    """(mover, ham, site, proven, expected, got) over every cut of
-    :func:`cut_landscapes` and both movers."""
+    """(mover, ham, site, bound, expected, got) over every cut of
+    :func:`cut_landscapes` and both movers, where ``bound`` is the highest
+    level the cut's edge rows and columns prove closed."""
     for cut, energy, edge_min, sites in cut_landscapes(kind, seed):
         for site in sites:
             for mover, backward in ((next_site, False), (prev_site, True)):
                 expected = outcome(lambda: recorded_step(cut, *site, backward))
                 got = outcome(lambda: mover(cut, *site))
-                yield mover, cut, site, edge_min > energy, expected, got
+                yield mover, cut, site, edge_min - 1, expected, got
 
 
 @pytest.mark.parametrize("kind", ["confining", "multi-well", "product-term"])
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_unproven_steps_equal_the_fully_recorded_walk(kind, seed):
-    for mover, cut, site, proven, expected, got in step_outcomes(kind, seed):
+    for mover, cut, site, bound, expected, got in step_outcomes(kind, seed):
         assert got == expected
-        if proven:  # every edge row and column lies above the level
-            assert outcome(lambda: mover(cut, *site, _closed=True)) == expected
+        # Tables that carry their edges' proof stop at the image up to
+        # ``bound``; above it they walk in full, errors included.
+        assert outcome(lambda: mover(proven(cut, bound), *site)) == expected
 
 
 @pytest.mark.parametrize("kind", ["confining", "multi-well", "product-term"])
@@ -618,7 +641,7 @@ def test_cut_windows_reach_every_outcome(kind):
             seen.add("moves" if expected[1] != site else "stands")
         elif expected[1].startswith("cannot classify"):
             seen.add("unclassifiable")
-        elif outcome(lambda: mover(cut, *site, _closed=True))[0] == "image":
+        elif outcome(lambda: mover(proven(cut), *site))[0] == "image":
             seen.add("escape past the image")
     assert seen == {"moves", "stands", "unclassifiable", "escape past the image"}
 
@@ -630,12 +653,12 @@ def test_unproven_step_stops_recording_at_an_early_image(monkeypatch):
     full: list = []
     _walk_component(bowl, 25, start, full)
     seen: list = []
-    closed: list = []
+    levels: list = []
 
     def spy(ham, E, start, touches, *args, **kwargs):
         found = _walk_component(ham, E, start, touches, *args, **kwargs)
         seen.append((list(touches), found))
-        closed.append(kwargs.get("closed", False))
+        levels.append(ham._closure_level)
         return found
 
     monkeypatch.setattr(contours, "_walk_component", spy)
@@ -644,9 +667,9 @@ def test_unproven_step_stops_recording_at_an_early_image(monkeypatch):
     assert found is None
     assert touches == full[: len(touches)] and touches[-1][1] == (4, -3)
     assert len(touches) < len(full) // 4
-    # a proven-closed step hands its proof on, so its walk ends at the image
-    assert next_site(bowl, 5, 0, _closed=True) == (4, -3) and seen[1] == seen[0]
-    assert closed == [False, True]
+    # a step on tables that carry a proof hands them on, so its walk ends at the image
+    assert next_site(proven(bowl, 25), 5, 0) == (4, -3) and seen[1] == seen[0]
+    assert levels == [None, 25]
     # orbit_map and trace_component still see every touch of the circle
     seen.clear()
     trace = trace_component(bowl, 25, (5, 0))
@@ -663,7 +686,8 @@ def test_unproven_step_stops_recording_at_an_early_image(monkeypatch):
 
 def _walk_outputs(kind, seed):
     """Every walk output over :func:`cut_landscapes`, errors included: each
-    trace's crossings, both steps with and without ``_closed``, the orbit map
+    trace's crossings, both steps on the cut and on a copy whose proof covers
+    every level of its tables (so they stop at the image), the orbit map
     of the shell and of each site, and the census period of every level up
     to the level + 1 (empty shells included) on separable cuts that hold the
     origin."""
@@ -680,6 +704,7 @@ def _walk_outputs(kind, seed):
 
     for cut, energy, _, sites in cut_landscapes(kind, seed):
         yield energy, cut.q_window, cut.p_window
+        stopping = proven(cut)
         for site in sites:
             trace = capture(lambda: trace_component(cut, energy, site))
             if trace[0] == "ok":
@@ -687,8 +712,8 @@ def _walk_outputs(kind, seed):
                     (c.kind, c.Q, c.P, c.forward, tuple(c.param), c.touched) for c in trace[1].crossings
                 ])
             yield site, trace
-            for closed in (False, True):
-                yield [capture(lambda: mover(cut, *site, _closed=closed)) for mover in (next_site, prev_site)]
+            for walked in (cut, stopping):
+                yield [capture(lambda: mover(walked, *site)) for mover in (next_site, prev_site)]
             yield capture(lambda: orbit_map(cut, [site]))
         yield capture(lambda: orbit_map(cut, sites))
         (qlo, qhi), (plo, phi) = cut.q_window, cut.p_window

@@ -319,6 +319,7 @@ class TestRestrictedHamiltonian:
         spec = kernel_spec(GRID44, (Fraction(0), Fraction(1, 2)), (-40, 40))
         state = random_state(spec, random.Random(4), -9, 9)
         vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+        proofs = 0
         for x, k, terms in sub_update_terms(spec, vals):
             ham = restricted_hamiltonian(state, spec, x, k, _terms=terms)
             kin, pot = ham.kinetic, ham.potential
@@ -327,8 +328,12 @@ class TestRestrictedHamiltonian:
             )
             trusted = SeparableHamiltonian1D._trusted(kin, pot)
             assert trusted == checked == SeparableHamiltonian1D(kin, pot) == ham
-            assert (hash(trusted), repr(trusted)) == (hash(checked), repr(checked))
+            # a band's closure proof is no field: equality, hash and repr ignore it
+            assert (hash(trusted), repr(trusted)) == (hash(checked), repr(checked)) == (hash(ham), repr(ham))
+            assert trusted._closure_level is checked._closure_level is None
             assert not trusted.has_coupling
+            proofs += ham._closure_level is not None
+        assert proofs
 
     @pytest.mark.parametrize(
         "array, value, kind, window",
@@ -572,9 +577,29 @@ class TestJson:
             with pytest.raises(ConfigError, match=f"'components' {obj['components']} exceeds the cap"):
                 spec_from_json(obj)
 
+    @pytest.mark.parametrize("dims, components", [(1, 1), (1, 2), (2, 2), (3, 1)])
+    def test_spec_sizes_are_capped_by_their_sweep_plan(self, dims, components):
+        # The plan gathers each component at 1 + d + d*d sites per sub-update,
+        # so it holds about prod(sizes) * components**2 * (1 + d + d*d)
+        # positions: the longest last side within the cap passes, the next
+        # even side fails, and so does a list of 10**6 twos, each at once.
+        per_side = 2 ** (dims - 1) * components**2 * (1 + dims + dims * dims)
+        side = fields.MAX_PLAN_POSITIONS // per_side // 2 * 2
+        obj = {"sizes": [2] * (dims - 1) + [side], "components": components}
+        assert spec_from_json(obj).shape.sizes[-1] == side
+        for sizes in (obj["sizes"][:-1] + [side + 2], [2] * 10**6):
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match=r"^field spec 'sizes' need a sweep plan past the cap MAX_PLAN_POSITIONS"):
+                spec_from_json({**obj, "sizes": sizes})
+            assert time.perf_counter() - start < 0.5
+
     def test_spec_without_sizes_rejected(self):
         with pytest.raises(ConfigError):
             spec_from_json({"components": 1})
+
+    def test_state_repr_shows_its_time_and_shape(self):
+        state = FieldState(np.zeros((2, 4, 6), dtype=np.int64), np.zeros((2, 4, 6), dtype=np.int64), time=-3)
+        assert repr(state) == "FieldState(t=-3, shape=(2, 4, 6))"
 
     def test_state_round_trip(self):
         state = FieldState(np.array([[1, 2, 3, 4]]), np.array([[0, -1, 0, 1]]), time=5)
@@ -683,10 +708,10 @@ def whole_window(spec, terms, k):
     return SeparableHamiltonian1D(IntegerFunction1D(plo, tuple(kin)), IntegerFunction1D(qlo, tuple(pot)))
 
 
-def walk_outcome(mover, ham, q, p, **kw):
+def walk_outcome(mover, ham, q, p):
     """The image of one contour step, or what it raised."""
     try:
-        return mover(ham, q, p, **kw)
+        return mover(ham, q, p)
     except IntHamError as exc:
         return (type(exc).__name__, str(exc), getattr(exc, "site", None))
 
@@ -709,12 +734,13 @@ def compare_band_with_whole(spec, state):
                    for v in range(qlo, qhi + 1) for u in range(plo, phi_hi + 1))
         inside = wqlo < qlo and qhi < wqhi and wplo < plo and phi_hi < wphi
         energy = ham.value(q, p)
+        # a band strictly inside the windows carries its level as its proof
+        assert ham._closure_level == (energy if inside else None)
+        unproven = SeparableHamiltonian1D(ham.kinetic, ham.potential)
         for mover in (contours.next_site, contours.prev_site):
             expected = walk_outcome(mover, whole, q, p)
-            assert walk_outcome(mover, ham, q, p) == expected
+            assert walk_outcome(mover, ham, q, p) == expected == walk_outcome(mover, unproven, q, p)
             counts[2] += isinstance(expected[0], str)
-            if inside:
-                assert walk_outcome(mover, ham, q, p, _closed=True) == expected
         if inside:
             # The proof the sweep relies on: every edge row and column
             # of a band strictly inside the windows lies above the level.
@@ -1750,3 +1776,38 @@ def test_site_order_sweeps_match_their_pinned_digest(shape, masses, digest):
         for item in _site_order_outputs(shape, masses, seed):
             h.update(repr(item).encode())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "shape, masses",
+    [(LINE16, (Fraction(0),)), (LINE16, (Fraction(1),)), (GRID44, (Fraction(0), Fraction(1, 2)))],
+    ids=["line-massless", "line-massive", "plane-both"],
+)
+def test_band_tables_carry_their_level_as_their_closure_proof(shape, masses):
+    # A band strictly inside both windows proves its pair's level closed, and
+    # only that level: a site of the same tables above it still takes the
+    # full walk and raises where the tables without the proof raise.
+    above, escapes = 0, 0
+    for seed in range(3):
+        for spec, start in seeded_starts(shape, masses, random.Random(seed)):
+            for x in shape.sites():
+                for k in range(len(masses)):
+                    ham = capture(lambda: restricted_hamiltonian(start, spec, x, k))[0]
+                    if ham is None:
+                        continue
+                    (qlo, qhi), (plo, phi_hi) = spec.phi_windows[k], spec.p_windows[k]
+                    (lo, hi), (p_lo, p_hi) = ham.q_window, ham.p_window
+                    inside = qlo < lo and hi < qhi and plo < p_lo and p_hi < phi_hi
+                    level = ham.value(int(start.phi[(k, *x)]), int(start.mom[(k, *x)]))
+                    assert ham._closure_level == (level if inside else None)
+                    unproven = SeparableHamiltonian1D(ham.kinetic, ham.potential)
+                    for q in range(lo, hi + 1) if inside else ():
+                        for p in range(p_lo, p_hi + 1):
+                            if ham.value(q, p) <= level:
+                                continue
+                            for mover in (contours.next_site, contours.prev_site):
+                                expected = walk_outcome(mover, unproven, q, p)
+                                assert walk_outcome(mover, ham, q, p) == expected
+                                above += 1
+                                escapes += expected[0] == "UnboundedContour"
+    assert above and escapes

@@ -257,6 +257,11 @@ class TestSmoothness:
 
 
 class TestJsonModels:
+    def test_an_unknown_family_is_a_config_error_naming_the_entry(self):
+        entry = {"family": "exp", "window": [-2, 2]}
+        with pytest.raises(ConfigError, match=r"^unrecognized model entry: \{'family': 'exp', 'window': \[-2, 2\]\}$"):
+            function_from_json(entry, "potential")
+
     def test_table_form(self):
         ham = hamiltonian_from_json(
             {
