@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -274,6 +275,12 @@ def _mode_margolus(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tup
 
 def _mode_lightcone(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     spec = _build(cfg, "field", fields.spec_from_json)
+    updates = 2 * steps * spec.components * math.prod(spec.shape.sizes)
+    if updates > fields.MAX_LIGHTCONE_UPDATES:
+        raise ConfigError(
+            f"'steps' = {steps} needs {updates} sub-updates, past the cap "
+            f"MAX_LIGHTCONE_UPDATES = {fields.MAX_LIGHTCONE_UPDATES}"
+        )
     perturb = read_key(cfg, "perturb", {}, keys={"site", "component", "amount"})
     site = tuple(integers(read_key(perturb, "site", [0] * spec.shape.dimensions, list), "site"))
     component = read_key(perturb, "component", 0, int)

@@ -18,23 +18,25 @@ The sweep is one integer kernel over one flat Python list of field values and
 momenta.  Once per step it reads both arrays with one ``tolist``, checks them
 against the windows with one min and max, and writes one read-only int64 array
 at the end.  One plan per spec, built on the first sweep, gives each site's
-forward neighbours and one record per sub-update: the ``itemgetter``s that
-gather the raw values it reads and the flat positions its restriction reads;
-a massless record on a line keeps its two own reads, x +- 1, as positions.
+forward neighbours and one record per sub-update: one ``itemgetter`` that
+gathers the values it reads, and the flat positions its restriction reads.
 Each half sweep is the list of its class's records in C order, components
 ascending; an inverse sweep replays that list backwards.  A memo on the spec
-is keyed on those values (a massless component's relative to its value at the
-site) and serves a repeated neighbourhood with one lookup: no table, no walk,
-no arithmetic beyond the shift.  A miss reads, in one pass, one integer
-quadratic in the pair's field value per density it touches (see
-:func:`_local_terms`), and tabulates sums of their floors only over the band
-its contour can reach (see :func:`restricted_hamiltonian`).  A band strictly
-inside both windows proves the contour closed and its tables carry that
-proof, so the walk stops at the image; one that touches an edge takes the full
-walk.  The memo is direction-aware: a step is a permutation of its closed
-contour, so each forward walk also stores the backward sub-update it implies,
-and the other way round.  A hit checks only that its translated band still
-lies strictly inside the field window.
+serves a repeated neighbourhood with one lookup: no table, no walk, no
+arithmetic beyond a shift.  Its keys are the gathered absolute values,
+except on a line: a massless record there keeps its two own reads, x +- 1,
+as positions and keys them relative to its value at x, so a repeat anywhere
+in phi is served too.  A miss reads, in one pass, one integer quadratic in
+the pair's field value per density it touches (see :func:`_local_terms`),
+and tabulates sums of their floors only over the band its contour can reach
+(see :func:`restricted_hamiltonian`).  A band strictly inside both windows
+proves the contour closed and its tables carry that proof, so the walk stops
+at the image; one that touches an edge takes the full walk.  The memo is
+direction-aware: a step is a permutation of its closed contour, so each
+forward walk also stores the backward sub-update it implies, and the other
+way round, keyed on the record's gather at the stepped state.  Only a hit on
+a relative key checks something: that its translated band still lies
+strictly inside the field window.
 
 A two-layer second-order automaton in Fredkin's style (field value plus
 previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
@@ -85,6 +87,13 @@ MAX_COMPONENTS = 256
 #: takes at most about 2 s.
 MAX_PLAN_POSITIONS = 2**19
 
+#: Most sub-updates a ``lightcone`` run may make, counted as ``2 * steps *
+#: prod(sizes) * components``: both states take every step.  On a 2-core x86
+#: host a 32x32 run of 20 steps cost 10-14 us per sub-update, mostly memo
+#: hits, and runs whose states rarely repeat 25-66 us, so a run at the cap
+#: takes about 15 s, or up to about 70 s when most sub-updates miss.
+MAX_LIGHTCONE_UPDATES = 2**20
+
 #: Entries a spec's local-rule memo (see :func:`_sweep`) holds, dropping the
 #: oldest at the cap; bounds the memory of long runs over rarely repeating states.
 _MEMO_CAP = 4096
@@ -120,9 +129,12 @@ class LatticeShape:
         return tuple(out)
 
     def l1_distance(self, a: Site, b: Site) -> int:
+        """Periodic L1 distance; coordinates wrap, as in :meth:`shift`."""
+        if len(a) != self.dimensions or len(b) != self.dimensions:
+            raise ValueError(f"sites {a} and {b} need {self.dimensions} coordinates each")
         total = 0
         for ai, bi, s in zip(a, b, self.sizes):
-            d = abs(ai - bi)
+            d = (ai - bi) % s
             total += min(d, s - d)
         return total
 
@@ -258,18 +270,16 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
     ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries, orders,
     lo, hi)``: ``entries[i]`` is ``(x, fwd, subs)``, where ``fwd`` holds the
     flat indices of the forward neighbours ``x + e_a`` and ``subs[k]`` is the
-    one record of the sub-update of component ``k`` at x: ``(x, k, own, rest,
-    qi, pi, massless, line, layout)``.  ``own`` and ``rest`` are
-    ``itemgetter``s over the flat list (see :func:`_sweep`).  ``own`` reads
-    component ``k`` at every site the sub-update reads, x first, without x
-    itself when the component is massless (its key is relative to x);
-    ``rest`` reads the momenta at x, the pair's first, then the other
-    components at the same sites (with one component, the momentum alone).
-    ``qi``/``pi`` are the positions of the pair's value and momentum.
-    ``line`` is None unless ``own`` reads exactly two positions, which
-    happens only for a massless component in one dimension (a massless
-    ``own`` reads ``d * (d + 1)``): then it is those two, x + 1 and x - 1,
-    which the sweep reads in place.
+    one record of the sub-update of component ``k`` at x: ``(x, k, gather,
+    qi, pi, line, layout)``.  ``gather`` is an ``itemgetter`` over the flat
+    list (see :func:`_sweep`): the momenta at x, the pair's first, then the
+    other components at every site the sub-update reads, then component
+    ``k`` at those sites, x first.  ``qi``/``pi`` are the positions of the
+    pair's value and momentum.  ``line`` is None except for a massless
+    component in one dimension, whose key is relative to its value at x: it
+    holds the positions of its two other own reads, x + 1 and x - 1, which
+    the sweep reads in place, and ``gather`` stops before component ``k``
+    (with one component it reads the momentum alone, as an int).
     ``layout`` is the same neighbourhood as flat positions for
     :func:`_local_terms`: ``(densities, moms)``, with ``moms`` the other
     components' momenta at x and one ``(a0, centers, pairs, masses)`` per
@@ -308,7 +318,6 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
             subs = []
             for k, mass in enumerate(masses):
                 others = [j for j in range(kk) if j != k]
-                own = [k * n + s for s in (reads if mass else reads[1:])]
                 rest = [(kk + j) * n + i for j in (k, *others)]
                 rest += [j * n + s for j in others for s in reads]
                 densities = [(
@@ -325,8 +334,11 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
                         tuple((mj, j * n + w) for j, mj in enumerate(masses) if mj),
                     ))
                 layout = (tuple(densities), rest[1:kk])
-                line = tuple(own) if len(own) == 2 else None  # massless on a line: x + 1, x - 1
-                subs.append((x, k, itemgetter(*own), itemgetter(*rest), k * n + i, rest[0], not mass, line, layout))
+                if mass or shape.dimensions > 1:
+                    line, gather = None, itemgetter(*rest, *(k * n + s for s in reads))
+                else:  # massless on a line: x + 1 and x - 1, read relative to x
+                    line, gather = (k * n + reads[1], k * n + reads[2]), itemgetter(*rest)
+                subs.append((x, k, gather, k * n + i, rest[0], line, layout))
             entries.append((x, fwd[i], tuple(subs)))
         orders = tuple([sub for e in entries if shape.parity(e[0]) == c for sub in e[2]] for c in (0, 1))
         windows = spec.phi_windows + spec.p_windows
@@ -479,7 +491,7 @@ def restricted_hamiltonian(
         (k,) = index_tuple((k,), "component")
         if not 0 <= k < spec.components:
             raise ValueError(f"component {k} is not in [0, {spec.components})")
-        site, _, _, _, qi, pi, _, _, layout = _plan(spec)[0][_site_index(spec.shape, x)][2][k]
+        site, _, _, qi, pi, _, layout = _plan(spec)[0][_site_index(spec.shape, x)][2][k]
         _terms = _local_terms(spec, _flat(state, spec), layout, qi, pi)
         try:
             return restricted_hamiltonian(state, spec, x, k, _terms=_terms)
@@ -576,49 +588,42 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
     """
     mover = prev_site if inverse else next_site
 
-    # The local rule is memoized on the spec, keyed on the raw values a
-    # sub-update reads (gathered by the site's itemgetters): the pair's
-    # component at x, at x's forward neighbours and at each backward
-    # neighbour w and w's other forward neighbours; the other components at
-    # the same sites; the momenta at x; and the direction as key[0].  A
-    # massless component's potential depends only on differences of phi_k,
-    # so its own values and its stored image are taken relative to its value
-    # at x (the shift), and a repeat anywhere in phi walks an exact
-    # translate of the same tables.  On a line such a record reads its two
-    # own values, at x + 1 and x - 1, in place: the same key without the
-    # gather and the map, which dominate a hit there.  A miss whose band
-    # lies strictly inside both windows walks tables that carry their closure
-    # proof (see restricted_hamiltonian) and stops at the image; the step
-    # permutes that contour, so the image walked the other way leads back
-    # inside the same band, and the miss stores that inverse entry too.  A
-    # band that touches a window edge takes the full walk and stores nothing.
-    # An entry keeps the range of shifts for which its translated band stays
-    # strictly inside the field window; a hit outside it is exactly a
-    # translate whose band would touch the window edge, and takes the cold
-    # path.  The key fixes the momentum band, so a hit checks nothing else
-    # and does no table arithmetic.
+    # The local rule is memoized on the spec, keyed on the direction, the
+    # component and the values a sub-update reads, gathered by its record's
+    # itemgetter: the momenta at x, then every component at x, at x's forward
+    # neighbours and at each backward neighbour w and w's other forward
+    # neighbours.  Those absolute values fix the record's tables, so its key
+    # takes shift 0.  A massless component's potential depends only on
+    # differences of phi_k, so on a line, where repeats up to a translation are
+    # common, its record reads its two own values, at x + 1 and x - 1, in place
+    # and relative to its value at x (the shift), and stores its image relative
+    # to it: a repeat anywhere in phi walks an exact translate of the same
+    # tables.  A miss whose band lies strictly inside both windows walks tables
+    # that carry their closure proof (see restricted_hamiltonian) and stops at
+    # the image; the step permutes that contour, so the image walked the other
+    # way leads back inside the same band, and the miss stores that inverse
+    # entry too.  A band that touches a window edge takes the full walk and
+    # stores nothing.  An entry keeps the range of shifts for which its
+    # translated band stays strictly inside the field window; a hit outside it
+    # is exactly a translate whose band would touch the window edge, and takes
+    # the cold path.  The range always holds shift 0, so only a relative key's
+    # check can fail.  The key fixes the momentum band, so a hit checks nothing
+    # else and does no table arithmetic.
     #
     # The mirror key is the forward key at the stepped state, where only the
-    # pair's value and momentum differ: ``rest``'s first item is the pair's
-    # momentum, and a miss gathers ``own`` again after the write, which reads
-    # the new value for a massive component and, re-shifted, the same own
-    # values for a massless one.
+    # pair's value and momentum differ: a miss re-reads the same gather after
+    # the write, and on a line re-shifts its two own reads to the new value.
     memo = spec._memo
     get = memo.get
-    single = spec.components == 1  # then ``rest`` is the momentum alone
     for order in orders:
-        for x, k, own, rest, qi, pi, massless, line, layout in order:
-            r = rest(vals)
+        for x, k, gather, qi, pi, line, layout in order:
             if line:
                 shift = vals[qi]
                 f, b = line
-                key = (inverse, k, r, vals[f] - shift, vals[b] - shift)
-            elif massless:
-                shift = vals[qi]
-                key = (inverse, k, r, *map(shift.__rsub__, own(vals)))
+                key = (inverse, k, gather(vals), vals[f] - shift, vals[b] - shift)
             else:
                 shift = 0
-                key = (inverse, k, r, *own(vals))
+                key = (inverse, k, gather(vals))
             hit = get(key)
             if hit is not None and hit[2] <= shift <= hit[3]:
                 vals[qi] = hit[0] + shift
@@ -637,12 +642,11 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
                 (qlo, qhi), pot = spec.phi_windows[k], ham.potential
                 lo, hi = pot.lo, pot.lo + len(pot.values) - 1  # read without properties: a miss is hot
                 memo[key] = (q2 - shift, p2, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
-                r = p2 if single else (p2, *r[1:])
-                if massless:
-                    mirror = (not inverse, k, r, *map(q2.__rsub__, own(vals)))
+                if line:
                     shift = q2
+                    mirror = (not inverse, k, gather(vals), vals[f] - shift, vals[b] - shift)
                 else:
-                    mirror = (not inverse, k, r, *own(vals))
+                    mirror = (not inverse, k, gather(vals))
                 memo[mirror] = (q - shift, p, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
                 while len(memo) > _MEMO_CAP:
                     memo.popitem(last=False)

@@ -382,13 +382,14 @@ MALFORMED = [
 
 
 # Inputs that are rejected like MALFORMED but left out of the pinned digest's
-# battery: a list of two models where a mode reads one, and a power family
-# given the other kind's prefactor.
+# battery: a list of two models where a mode reads one, a power family given
+# the other kind's prefactor, and a light cone one step past its work cap.
 CROSSED = [
     ({"mode": "shell", "models": [BOWL, DIAMOND], "energy": 2}, "'models' must hold one model"),
     ({"mode": "spectral", "models": [DIAMOND, BOWL], "energy": 1}, "'models' must hold one model"),
     ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": 2, "mass": "1/2", "window": [-5, 5]}}}, "'mass'"),
     ({**TRAJECTORY, "models": [BOWL]}, "give 'model' or 'models', not both"),
+    ({**LIGHTCONE, "steps": 2**16 + 1}, "'steps' = 65537 needs 1048592 sub-updates, past the cap"),
 ]
 
 
@@ -484,6 +485,27 @@ class TestFailureModes:
         assert not (tmp_path / "out").exists()
         cfg = write_config(tmp_path / "c.json", {**CENSUS, "census": {**section, "periods": False}})
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_lightcone_steps_past_the_cap_fail_fast(self, tmp_path, capsys, monkeypatch):
+        # Both states take every step, so a run makes 2 * steps * sites *
+        # components sub-updates; past the cap it is rejected before any state
+        # is drawn, whether the steps come from the config or from --steps.
+        out = tmp_path / "out"
+        wide = {**LIGHTCONE, "field": {"sizes": [32, 32], "components": 2}, "steps": 1}
+        for config, argv in ((LIGHTCONE, ["--steps", str(2**40)]), (wide, ["--steps", "257"]), ({**wide, "steps": 2**60}, [])):
+            cfg = write_config(tmp_path / "c.json", config)
+            start = time.perf_counter()
+            assert main(["run", cfg, "--out", str(out), *argv]) == 2
+            assert time.perf_counter() - start < 0.5
+            err = capsys.readouterr().err
+            assert err.startswith("config error: 'steps'") and f"MAX_LIGHTCONE_UPDATES = {fields.MAX_LIGHTCONE_UPDATES}" in err
+        assert not out.exists()
+        # a run of exactly the cap's sub-updates goes ahead
+        monkeypatch.setattr(fields, "MAX_LIGHTCONE_UPDATES", 2 * 2 * 8)
+        cfg = write_config(tmp_path / "c.json", LIGHTCONE)
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert main(["run", cfg, "--out", str(out), "--steps", "3"]) == 2
+        assert "'steps' = 3 needs 48 sub-updates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
     def test_error_reports_carry_the_declared_context(self, cls):

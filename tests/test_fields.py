@@ -58,7 +58,7 @@ def sub_update_terms(spec, vals):
     with components ascending: the pair's :func:`fields._local_terms` in the
     flat list ``vals``."""
     for _, _, subs in fields._plan(spec)[0]:
-        for x, k, _, _, qi, pi, _, _, layout in subs:
+        for x, k, _, qi, pi, _, layout in subs:
             yield x, k, fields._local_terms(spec, vals, layout, qi, pi)
 
 
@@ -82,6 +82,29 @@ class TestLatticeShape:
     def test_l1_distance_uses_the_short_way_around(self):
         assert LINE16.l1_distance((1,), (15,)) == 2
         assert GRID44.l1_distance((0, 0), (2, 3)) == 2 + 1
+
+    @pytest.mark.parametrize(
+        "shape, a, b, distance",
+        [
+            (LatticeShape((4,)), (0,), (5,), 1),
+            (LINE16, (-1,), (1,), 2),
+            (LINE16, (17,), (-17,), 2),
+            (GRID44, (5, -1), (0, 0), 1 + 1),
+        ],
+    )
+    def test_l1_distance_wraps_coordinates_like_shift(self, shape, a, b, distance):
+        assert shape.l1_distance(a, b) == shape.l1_distance(b, a) == distance
+        assert spread_radius(shape, a, [b]) == distance
+
+    @pytest.mark.parametrize(
+        "shape, a, b",
+        [(LINE16, (1, 2), (3,)), (GRID44, (0, 0), (1,)), (GRID44, (0,), (1, 1)), (BOX442, (0, 0), (0, 0))],
+    )
+    def test_l1_distance_rejects_a_site_of_the_wrong_dimension(self, shape, a, b):
+        with pytest.raises(ValueError, match=f"need {shape.dimensions} coordinates"):
+            shape.l1_distance(a, b)
+        with pytest.raises(ValueError, match=f"need {shape.dimensions} coordinates"):
+            spread_radius(shape, a, [b])
 
     def test_odd_sides_rejected(self):
         with pytest.raises(ValueError):
@@ -764,7 +787,8 @@ class TestLocalRuleMemo:
         warm = fresh_spec(shape, masses, window)
         start = random_state(warm, random.Random(seed), -2, 2)
         # Warm the memo on a copy translated in phi, whose neighbourhoods
-        # repeat the start's up to that translation.
+        # repeat the start's up to that translation: a massless line record
+        # serves them, every other record keys on absolute values.
         moved = FieldState(start.phi + offset, start.mom)
         for stepper in (step, step_inverse):
             outcome(stepper, moved, warm)
@@ -884,9 +908,9 @@ class TestLocalRuleMemo:
     def test_raw_key_serves_only_exact_repeats(self, case, seed, offset):
         # The memo is keyed on the raw values a sub-update reads.  After
         # warming it on one state, step: a translate of the massless
-        # components (repeats up to the shift), a copy with the other
-        # components' values negated (equal frozen sums, other raw values),
-        # and translates that push stored bands past the +-8 window.
+        # components (repeats up to the shift on a line), a copy with the
+        # other components' values negated (equal frozen sums, other raw
+        # values), and translates that push stored bands past the +-8 window.
         shape, masses = case
         window = (-8, 8)
         warm = fresh_spec(shape, masses, window)
@@ -961,32 +985,48 @@ class TestLocalRuleMemo:
         ids=["1-D massless", "1-D masses 0 and 1/2", "2-D masses 0 and 1/2", "2-D all massive"],
     )
     def test_every_mirror_key_is_the_key_at_the_stepped_state(self, shape, masses):
-        # A massless record on a line builds its key from its two neighbour
-        # reads, every other record from its gathers, and a miss builds its
-        # mirror key by re-gathering at the stepped state.  Each stored key
-        # must equal the generic key the record's gathers build from the
-        # list: a forward key before the sub-update, its mirror after it, for
-        # the other direction.  With one component ``rest`` gathers the
-        # momentum alone, as an int.
+        # A massless record on a line builds its key from its gather and its
+        # two neighbour reads relative to x, every other record from its
+        # gather alone, and a miss builds its mirror key by re-gathering at
+        # the stepped state.  Each stored key must equal the generic key
+        # worked out here from the lattice: a forward key before the
+        # sub-update, its mirror after it, for the other direction.  On a
+        # line with one component the gather reads the momentum alone, as
+        # an int.
         spec = fresh_spec(shape, masses, (-64, 64))
+        n, kk = int(np.prod(shape.sizes)), len(masses)
         seen = {}
 
+        def flat(x):
+            return int(np.ravel_multi_index(x, shape.sizes))
+
         def watched(sub):
-            x, k, own, rest, qi, pi, massless, line, layout = sub
+            x, k, gather, qi, pi, line, layout = sub
 
-            def rest_seen(vals):
+            def gather_seen(vals):
                 seen["pair"] = (list(vals), vals, sub)
-                return rest(vals)
+                return gather(vals)
 
-            return (x, k, own, rest_seen, qi, pi, massless, line, layout)
+            return (x, k, gather_seen, qi, pi, line, layout)
 
         def generic_key(vals, sub, inverse):
-            _, k, own, rest, qi, _, massless, _, _ = sub
-            shift = vals[qi] if massless else 0
-            return (inverse, k, rest(vals), *(v - shift for v in own(vals)))
+            x, k = sub[:2]
+            axes = range(shape.dimensions)
+            reads = [x, *(shape.shift(x, a, 1) for a in axes)]
+            for a in axes:
+                w = shape.shift(x, a, -1)
+                reads += [w, *(shape.shift(w, b, 1) for b in axes if b != a)]
+            others = [j for j in range(kk) if j != k]
+            values = [vals[(kk + j) * n + flat(x)] for j in (k, *others)]
+            values += [vals[j * n + flat(s)] for j in others for s in reads]
+            centre = vals[k * n + flat(x)]
+            if shape.dimensions == 1 and not masses[k]:
+                gathered = values[0] if len(values) == 1 else tuple(values)
+                return (inverse, k, gathered, *(vals[k * n + flat(s)] - centre for s in reads[1:]))
+            return (inverse, k, (*values, *(vals[k * n + flat(s)] for s in reads)))
 
         entries, orders, lo, hi = fields._plan(spec)
-        lines = [bool(sub[7]) for e in entries for sub in e[2]]
+        lines = [bool(sub[5]) for e in entries for sub in e[2]]
         assert lines == [shape.dimensions == 1 and not m for _ in entries for m in masses]
         swap = {id(sub): watched(sub) for e in entries for sub in e[2]}
         entries = [(*e[:2], tuple(swap[id(sub)] for sub in e[2])) for e in entries]
@@ -1015,6 +1055,66 @@ class TestLocalRuleMemo:
         assert len(mirrors) == len(forward_keys) > 0
         assert {key[0] for key in forward_keys} == {False, True}  # mirrors of both directions
         assert isinstance(mirrors[0][2], int) == (len(masses) == 1)
+
+    @pytest.mark.parametrize("shape", [LatticeShape((4,)), GRID44, LatticeShape((4, 4, 4))], ids=["1-D", "2-D", "3-D"])
+    @pytest.mark.parametrize(
+        "masses",
+        [(Fraction(0),), (Fraction(1),), (Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0), Fraction(1))],
+        ids=["massless", "massive", "masses 0 and 1/2", "masses 1/2, 0 and 1"],
+    )
+    def test_every_key_reads_every_position_its_local_rule_reads(self, shape, masses):
+        # A memo key fixes the local rule only if it reads every position
+        # :func:`fields._local_terms` reads: the pair, each density's
+        # centres, pairs and masses, and the other momenta.  A massless
+        # record on a line reads its two line positions relative to x, so
+        # x itself counts as read there.  Every side is 4, so no two of the
+        # sites a sub-update reads coincide and a dropped position shows.
+        spec = fresh_spec(shape, masses, (-64, 64))
+        size = 2 * len(masses) * int(np.prod(shape.sizes))
+
+        class Reads(list):
+            def __init__(self):
+                super().__init__(range(size))
+                self.seen = set()
+
+            def __getitem__(self, i):
+                self.seen.add(i)
+                return super().__getitem__(i)
+
+        records = [sub for e in fields._plan(spec)[0] for sub in e[2]]
+        assert len(records) == size // 2
+        for x, k, gather, qi, pi, line, layout in records:
+            rule = Reads()
+            fields._local_terms(spec, rule, layout, qi, pi)
+            key = Reads()
+            gather(key)
+            if line:
+                assert shape.dimensions == 1 and not masses[k]
+                key.seen |= {*line, qi}
+            assert {qi, pi} <= rule.seen, (x, k)
+            assert rule.seen <= key.seen, (x, k, sorted(rule.seen - key.seen))
+
+    def test_a_line_serves_translates_from_its_memo(self, monkeypatch):
+        # A massless line record keys on its neighbours relative to x, so
+        # once a state has stepped forward and back, its translate by a
+        # constant, away from the window edges, steps both ways on hits alone.
+        spec = fresh_spec(LINE16, (Fraction(0),), (-64, 64))
+        start = random_state(spec, random.Random(11), -3, 3)
+        assert states_equal(step_inverse(step(start, spec), spec), start)
+        moved = FieldState(start.phi + 20, start.mom)
+        expected = step(moved, fresh_spec(LINE16, (Fraction(0),), (-64, 64)))
+        misses = []
+        original = fields.restricted_hamiltonian
+        monkeypatch.setattr(
+            fields, "restricted_hamiltonian",
+            lambda *args, **kw: misses.append(args[2]) or original(*args, **kw),
+        )
+        after = step(moved, spec)
+        back = step_inverse(after, spec)
+        assert misses == []
+        assert states_equal(after, expected)
+        assert not states_equal(after, moved, include_time=False)
+        assert states_equal(back, moved)
 
     def test_memo_stays_under_its_cap(self, monkeypatch):
         monkeypatch.setattr(fields, "_MEMO_CAP", 80)
