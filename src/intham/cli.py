@@ -247,6 +247,12 @@ def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
 
 def _mode_margolus(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     spec = _build(cfg, "field", fields.spec_from_json)
+    work = steps * steps * spec.components * math.prod(spec.shape.sizes)
+    if work > fields.MAX_MARGOLUS_WORK:
+        raise ConfigError(
+            f"'steps' = {steps} needs {work} units of work (steps**2 * sites * components), past the cap "
+            f"MAX_MARGOLUS_WORK = {fields.MAX_MARGOLUS_WORK}"
+        )
     shape = (spec.components, *spec.shape.sizes)
     if "layers" in cfg:
         state = _build(cfg, "layers", fields.layers_from_json, {"older", "newer"})
@@ -259,6 +265,9 @@ def _mode_margolus(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tup
     for _ in range(steps):
         state = fields.margolus_step(state)
         energies.append(fields.margolus_energy(state, spec))
+    limit = sys.get_int_max_str_digits()  # str(e) raises past this many digits; 0 is no limit
+    if limit and max(map(abs, energies)) >= 10**limit:
+        raise ConfigError(f"'steps' = {steps} grows the energy past {limit} digits, the int-to-str limit")
     back = state
     for _ in range(steps):
         back = fields.margolus_unstep(back)

@@ -21,22 +21,23 @@ at the end.  One plan per spec, built on the first sweep, gives each site's
 forward neighbours and one record per sub-update: one ``itemgetter`` that
 gathers the values it reads, and the flat positions its restriction reads.
 Each half sweep is the list of its class's records in C order, components
-ascending; an inverse sweep replays that list backwards.  A memo on the spec
-serves a repeated neighbourhood with one lookup: no table, no walk, no
-arithmetic beyond a shift.  Its keys are the gathered absolute values,
-except on a line: a massless record there keeps its two own reads, x +- 1,
-as positions and keys them relative to its value at x, so a repeat anywhere
-in phi is served too.  A miss reads, in one pass, one integer quadratic in
-the pair's field value per density it touches (see :func:`_local_terms`),
-and tabulates sums of their floors only over the band its contour can reach
-(see :func:`restricted_hamiltonian`).  A band strictly inside both windows
-proves the contour closed and its tables carry that proof, so the walk stops
-at the image; one that touches an edge takes the full walk.  The memo is
-direction-aware: a step is a permutation of its closed contour, so each
-forward walk also stores the backward sub-update it implies, and the other
-way round, keyed on the record's gather at the stepped state.  Only a hit on
-a relative key checks something: that its translated band still lies
-strictly inside the field window.
+ascending.  Every energy term is even in the momenta, so
+``R(phi, mom) = (phi, -mom)`` reverses the dynamics: an inverse sweep is
+``R``, the forward kernel over that list backwards, then ``R``.  A memo on
+the spec serves a repeated neighbourhood with one lookup: no table, no walk,
+no arithmetic beyond a shift.  Its keys are the gathered absolute values,
+except on a line: a massless record there keeps its two own reads, x +- 1, as
+positions and keys them relative to its value at x, so a repeat anywhere in
+phi is served too.  A miss reads, in one pass, one integer quadratic in the
+pair's field value per density it touches (see :func:`_local_terms`), and
+tabulates sums of their floors only over the band its contour can reach (see
+:func:`restricted_hamiltonian`).  A band strictly inside both windows proves
+the contour closed and its tables carry that proof, so the walk stops at the
+image; one that touches an edge takes the full walk.  The memo has no
+direction: each closed miss also stores its mirror, from ``R`` of its image
+back to ``R`` of the pair, so inverse and forward steps share every entry.
+Only a hit on a relative key checks something: that its translated band still
+lies strictly inside the field window.
 
 A two-layer second-order automaton in Fredkin's style (field value plus
 previous field value; Toffoli & Margolus, *Cellular Automata Machines*,
@@ -93,6 +94,16 @@ MAX_PLAN_POSITIONS = 2**19
 #: hits, and runs whose states rarely repeat 25-66 us, so a run at the cap
 #: takes about 15 s, or up to about 70 s when most sub-updates miss.
 MAX_LIGHTCONE_UPDATES = 2**20
+
+#: Most work a ``margolus-contrast`` run may do, counted as ``steps**2 *
+#: prod(sizes) * components``: field values grow exponentially, so each step
+#: costs in proportion to the digits reached so far.  On a 2-core x86 host a
+#: unit cost 18-30 ns ([8] at 2000 to 2896 steps, 32x32 and 64x64 at 200
+#: and 100 steps), so a run at the cap takes 1-2 s.  Each site-step also
+#: costs about 2 us, which a short run on a large lattice adds: 7.7 s at 19
+#: steps on 174 760 sites, the longest line :data:`MAX_PLAN_POSITIONS` allows.
+#: The CLI also rejects a run whose energy outgrows the digits ``str`` writes.
+MAX_MARGOLUS_WORK = 2**26
 
 #: Entries a spec's local-rule memo (see :func:`_sweep`) holds, dropping the
 #: oldest at the cap; bounds the memory of long runs over rarely repeating states.
@@ -525,19 +536,22 @@ def restricted_hamiltonian(
     )
 
 
-def _flat(state: FieldState, spec: FieldHamiltonianSpec) -> list:
+def _flat(state: FieldState, spec: FieldHamiltonianSpec, flip: bool = False) -> list:
     """The state's field values and momenta as one flat list (see
-    :func:`_plan`), after one min and max over both arrays; only a value
-    outside the plan's ``[lo, hi]`` runs the per-window scan."""
+    :func:`_plan`), or with ``flip`` those of ``R(phi, mom) = (phi, -mom)``,
+    after one min and max over both arrays; only a value outside the plan's
+    ``[lo, hi]`` runs the per-window scan."""
     _check_state(state, spec)
     both = np.concatenate((state.phi, state.mom), axis=None)
-    vals, (*_, lo, hi) = both.tolist(), _plan(spec)
-    if lo <= both.min() and both.max() <= hi:
-        return vals
-    exc = _outside(spec, vals, (spec.phi_windows, spec.p_windows), "window")
-    if exc is not None:
-        raise exc
-    return vals
+    (*_, lo, hi), least = _plan(spec), both.min()
+    if not (lo <= least and both.max() <= hi):
+        exc = _outside(spec, both.tolist(), (spec.phi_windows, spec.p_windows), "window")
+        if exc is not None:
+            raise exc
+    if flip:
+        both = both if least > INT64[0] else both.astype(object)  # int64 wraps -(-2**63)
+        both[both.size // 2:] *= -1
+    return both.tolist()
 
 
 def _outside(spec: FieldHamiltonianSpec, vals: list, windows, label: str) -> Optional[WindowExceeded]:
@@ -581,38 +595,43 @@ def _unflat(spec: FieldHamiltonianSpec, vals: list, time: int) -> FieldState:
 
 def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse: bool):
     """The half sweeps ``orders``, lists of sub-update records (see
-    :func:`_plan`), one after another over ``vals``, in place.
+    :func:`_plan`), one after another over ``vals``, in place; an inverse
+    sweep reads ``R`` of the state (``_flat(..., True)``) and writes ``R``.
 
     ``state`` only carries the shape to :func:`restricted_hamiltonian`, which
     a miss calls with the pair's terms already read from the list.
     """
-    mover = prev_site if inverse else next_site
+    mover, sign = (prev_site, -1) if inverse else (next_site, 1)
 
-    # The local rule is memoized on the spec, keyed on the direction, the
-    # component and the values a sub-update reads, gathered by its record's
-    # itemgetter: the momenta at x, then every component at x, at x's forward
-    # neighbours and at each backward neighbour w and w's other forward
-    # neighbours.  Those absolute values fix the record's tables, so its key
-    # takes shift 0.  A massless component's potential depends only on
-    # differences of phi_k, so on a line, where repeats up to a translation are
-    # common, its record reads its two own values, at x + 1 and x - 1, in place
-    # and relative to its value at x (the shift), and stores its image relative
-    # to it: a repeat anywhere in phi walks an exact translate of the same
-    # tables.  A miss whose band lies strictly inside both windows walks tables
-    # that carry their closure proof (see restricted_hamiltonian) and stops at
-    # the image; the step permutes that contour, so the image walked the other
-    # way leads back inside the same band, and the miss stores that inverse
-    # entry too.  A band that touches a window edge takes the full walk and
-    # stores nothing.  An entry keeps the range of shifts for which its
-    # translated band stays strictly inside the field window; a hit outside it
-    # is exactly a translate whose band would touch the window edge, and takes
-    # the cold path.  The range always holds shift 0, so only a relative key's
-    # check can fail.  The key fixes the momentum band, so a hit checks nothing
-    # else and does no table arithmetic.
+    # The local rule is memoized on the spec, keyed on the component and the
+    # values a sub-update reads, gathered by its record's itemgetter: the
+    # momenta at x, then every component at x, at x's forward neighbours and at
+    # each backward neighbour w and w's other forward neighbours.  Those
+    # absolute values fix the record's tables, so its key takes shift 0.  A
+    # massless component's potential depends only on differences of phi_k, so
+    # on a line, where repeats up to a translation are common, its record reads
+    # its two own values, at x + 1 and x - 1, in place and relative to its value
+    # at x (the shift), and stores its image relative to it: a repeat anywhere
+    # in phi walks an exact translate of the same tables.  A miss whose band
+    # lies strictly inside both windows walks tables that carry their closure
+    # proof (see restricted_hamiltonian) and stops at the image; the step
+    # permutes that contour, so the image walked the other way leads back
+    # inside the same band, and the miss stores a mirror entry too (below).  A
+    # band that touches a window edge takes the full walk and stores nothing.
+    # An entry keeps the range of shifts for which its translated band stays
+    # strictly inside the field window; a hit outside it is exactly a translate
+    # whose band would touch the window edge, and takes the cold path.  The
+    # range always holds shift 0, so only a relative key's check can fail.  The
+    # key fixes the momentum band, so a hit checks nothing else and does no
+    # table arithmetic.
     #
-    # The mirror key is the forward key at the stepped state, where only the
-    # pair's value and momentum differ: a miss re-reads the same gather after
-    # the write, and on a line re-shifts its two own reads to the new value.
+    # R(q, p) = (q, -p) reverses each sub-update, so an inverse sweep steps R
+    # of the state forward.  R maps a momentum window [lo, hi] onto [-hi, -lo]:
+    # an inverse miss walks the unflipped pair backwards in its own window, R
+    # of the flipped pair's walk in the reflected one, and flips the image, so
+    # an escape raises the unflipped walk's error.  The memo has no direction:
+    # a miss also stores its mirror, R of its image stepping to R of the pair,
+    # keyed on the gather at R of the stepped state.
     memo = spec._memo
     get = memo.get
     for order in orders:
@@ -620,36 +639,44 @@ def _sweep(state: FieldState, vals: list, spec, orders: Sequence[list], inverse:
             if line:
                 shift = vals[qi]
                 f, b = line
-                key = (inverse, k, gather(vals), vals[f] - shift, vals[b] - shift)
+                key = (k, gather(vals), vals[f] - shift, vals[b] - shift)
             else:
                 shift = 0
-                key = (inverse, k, gather(vals))
+                key = (k, gather(vals))
             hit = get(key)
             if hit is not None and hit[2] <= shift <= hit[3]:
                 vals[qi] = hit[0] + shift
                 vals[pi] = hit[1]
                 continue
-            q, p = vals[qi], vals[pi]
+            quads, q, p, kin0 = _local_terms(spec, vals, layout, qi, pi)
             try:
-                ham = restricted_hamiltonian(state, spec, x, k, _terms=_local_terms(spec, vals, layout, qi, pi))
-                q2, p2 = mover(ham, q, p)
+                ham = restricted_hamiltonian(state, spec, x, k, _terms=(quads, q, sign * p, kin0))
+                q2, p2 = mover(ham, q, sign * p)
             except IntHamError as exc:
                 exc.field_site = (x, k)
                 raise
+            p2 *= sign
             vals[qi] = q2
-            vals[pi] = p2
             if ham._closure_level is not None:
                 (qlo, qhi), pot = spec.phi_windows[k], ham.potential
                 lo, hi = pot.lo, pot.lo + len(pot.values) - 1  # read without properties: a miss is hot
                 memo[key] = (q2 - shift, p2, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
+                vals[pi] = -p2  # R of the stepped state at x, for the mirror's gather
+                for u in layout[1]:
+                    vals[u] = -vals[u]
                 if line:
                     shift = q2
-                    mirror = (not inverse, k, gather(vals), vals[f] - shift, vals[b] - shift)
+                    mirror = (k, gather(vals), vals[f] - shift, vals[b] - shift)
                 else:
-                    mirror = (not inverse, k, gather(vals))
-                memo[mirror] = (q - shift, p, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
+                    mirror = (k, gather(vals))
+                for u in layout[1]:
+                    vals[u] = -vals[u]
+                memo[mirror] = (q - shift, -p, qlo - lo + 1 + shift, qhi - hi - 1 + shift)
                 while len(memo) > _MEMO_CAP:
                     memo.popitem(last=False)
+            vals[pi] = p2
+    if inverse:
+        vals[len(vals) // 2:] = [-v for v in vals[len(vals) // 2:]]
 
 
 def step_parity(
@@ -659,11 +686,13 @@ def step_parity(
     inverse: bool = False,
     site_order: Optional[Sequence[Site]] = None,
 ) -> FieldState:
-    """Apply one checkerboard half-sweep to the given parity class, 0 or 1."""
+    """Apply one checkerboard half-sweep to the given parity class, 0 or 1,
+    or with ``inverse`` undo it: ``R``, the forward sub-updates in reverse,
+    ``R``, through the one memo (see :func:`_sweep`)."""
     (parity,) = index_tuple((parity,), "parity")
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
-    vals, order = _flat(state, spec), _plan(spec)[1][parity]
+    vals, order = _flat(state, spec, inverse), _plan(spec)[1][parity]
     if site_order is not None:
         by_site = {x: list(subs) for x, subs in itertools.groupby(order, itemgetter(0))}
         site_order = [tuple(x) for x in site_order]
@@ -688,8 +717,9 @@ def step(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
 
 
 def step_inverse(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
-    """Undo one full step: odd class, then even class, components descending."""
-    vals = _flat(state, spec)
+    """Undo one full step: ``R``, the step's sub-updates in reverse (odd class
+    first, components descending), ``R``, through the one memo."""
+    vals = _flat(state, spec, True)
     _sweep(state, vals, spec, [o[::-1] for o in reversed(_plan(spec)[1])], True)
     return _unflat(spec, vals, state.time - 1)
 
@@ -709,13 +739,16 @@ def diagonal_radius(shape: LatticeShape, origin: Site, sites: Iterable[Site]) ->
     """Largest periodic distance of ``sum(x)`` from ``sum(origin)`` over the
     given sites: the light-cone radius, which grows by at most one per half
     sweep.  ``sum(x)`` is defined modulo the gcd of the side lengths; in one
-    dimension this is the L1 distance."""
-    period = math.gcd(*shape.sizes)
-    u0 = sum(origin)
-    return max(
-        (min((sum(x) - u0) % period, (u0 - sum(x)) % period) for x in sites),
-        default=0,
-    )
+    dimension this is the L1 distance.  A site or origin without one
+    coordinate per dimension raises ``ValueError``."""
+    period, d = math.gcd(*shape.sizes), shape.dimensions
+    sums = []
+    for x in (origin, *sites):
+        if len(x) != d:
+            raise ValueError(f"site {x} needs {d} coordinates, got {len(x)}")
+        sums.append(sum(x))
+    u0 = sums[0]
+    return max((min((u - u0) % period, (u0 - u) % period) for u in sums[1:]), default=0)
 
 
 # -- two-layer contrast automaton -------------------------------------------

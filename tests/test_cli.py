@@ -383,13 +383,17 @@ MALFORMED = [
 
 # Inputs that are rejected like MALFORMED but left out of the pinned digest's
 # battery: a list of two models where a mode reads one, a power family given
-# the other kind's prefactor, and a light cone one step past its work cap.
+# the other kind's prefactor, a light cone and a two-layer run one step past
+# their work caps, and a two-layer run whose energy outgrows what str() writes.
 CROSSED = [
     ({"mode": "shell", "models": [BOWL, DIAMOND], "energy": 2}, "'models' must hold one model"),
     ({"mode": "spectral", "models": [DIAMOND, BOWL], "energy": 1}, "'models' must hold one model"),
     ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": 2, "mass": "1/2", "window": [-5, 5]}}}, "'mass'"),
     ({**TRAJECTORY, "models": [BOWL]}, "give 'model' or 'models', not both"),
     ({**LIGHTCONE, "steps": 2**16 + 1}, "'steps' = 65537 needs 1048592 sub-updates, past the cap"),
+    ({**MARGOLUS, "steps": 2**12 + 1}, "'steps' = 4097 needs 67141636 units of work"),
+    # under the work cap, but the energy outgrows the digits str() may write
+    ({**MARGOLUS, "field": {"sizes": [2], "stiffness": 1}, "steps": 5000}, "'steps' = 5000 grows the energy past"),
 ]
 
 
@@ -507,6 +511,27 @@ class TestFailureModes:
         assert main(["run", cfg, "--out", str(out), "--steps", "3"]) == 2
         assert "'steps' = 3 needs 48 sub-updates" in capsys.readouterr().err
 
+    def test_margolus_steps_past_the_cap_fail_fast(self, tmp_path, capsys, monkeypatch):
+        # Field values grow exponentially, so a run costs about steps**2 *
+        # sites * components; past the cap it is rejected before any layer is
+        # drawn, whether the steps come from the config or from --steps.
+        out = tmp_path / "out"
+        wide = {**MARGOLUS, "field": {"sizes": [32, 32], "components": 2}, "steps": 1}
+        for config, argv in ((MARGOLUS, ["--steps", str(2**40)]), (wide, ["--steps", "182"]), ({**wide, "steps": 2**60}, [])):
+            cfg = write_config(tmp_path / "c.json", config)
+            start = time.perf_counter()
+            assert main(["run", cfg, "--out", str(out), *argv]) == 2
+            assert time.perf_counter() - start < 0.5
+            err = capsys.readouterr().err
+            assert err.startswith("config error: 'steps'") and f"MAX_MARGOLUS_WORK = {fields.MAX_MARGOLUS_WORK}" in err
+        assert not out.exists()
+        # a run of exactly the cap's work goes ahead
+        monkeypatch.setattr(fields, "MAX_MARGOLUS_WORK", 2 * 2 * 4)
+        cfg = write_config(tmp_path / "c.json", MARGOLUS)
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert main(["run", cfg, "--out", str(out), "--steps", "3"]) == 2
+        assert "'steps' = 3 needs 36 units of work" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
     def test_error_reports_carry_the_declared_context(self, cls):
         # Each declared keyword is reported under its own name, an int as
@@ -611,7 +636,9 @@ VALID = {
 
 # Small values, so a mutated size, step count or energy stays cheap: at
 # most 12^3 sites and 12 steps.  Only the capped keys draw from the probes,
-# which sit at and past their caps.
+# which sit at and past their caps: the spectral keys in every mode, and
+# 'steps' in the two modes that cap it by its work.  Each mutated config
+# must return or raise within MUTATED_SECONDS.
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -622,6 +649,8 @@ json_values = st.recursive(
     max_leaves=6,
 )
 PROBED = ("radius", "size_cap", "operator_check")
+STEPS_CAPPED = ("lightcone", "margolus-contrast")
+MUTATED_SECONDS = 5
 cap_probes = st.sampled_from([0, 1, 4, MAX_CHECK_SIZE, MAX_CHECK_SIZE + 1, 10**6, 2.5, "20", -1])
 
 
@@ -630,6 +659,7 @@ def mutated_configs(draw, mode):
     """``VALID[mode]`` with a few edits: a key dropped, added or replaced, at
     the top level or inside a nested object or list."""
     config = json.loads(json.dumps(VALID[mode]))
+    probed = PROBED + ("steps",) * (mode in STEPS_CAPPED)
     for _ in range(draw(st.integers(1, 3))):
         node = config
         while True:
@@ -641,13 +671,13 @@ def mutated_configs(draw, mode):
                 break
             node = node[key]
         if isinstance(node, dict):
-            key = draw(st.sampled_from([*node, *PROBED, "extra"]))
+            key = draw(st.sampled_from([*node, *probed, "extra"]))
         elif node:
             key = draw(st.sampled_from(range(len(node))))
         else:
             continue
         if draw(st.booleans()):
-            node[key] = draw(cap_probes | json_values if key in PROBED else json_values)
+            node[key] = draw(cap_probes | json_values if key in probed else json_values)
         elif isinstance(node, dict):
             node.pop(key, None)
         else:
@@ -660,11 +690,13 @@ def mutated_configs(draw, mode):
 @settings(max_examples=25, deadline=None)
 def test_mutated_configs_run_or_raise_package_errors(mode, data):
     config = data.draw(mutated_configs(mode))
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as out:
         try:
             run(config, out_dir=out)
         except IntHamError:
             pass
+    assert time.perf_counter() - start < MUTATED_SECONDS, config
 
 
 def _battery() -> list[dict]:

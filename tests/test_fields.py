@@ -106,6 +106,33 @@ class TestLatticeShape:
         with pytest.raises(ValueError, match=f"need {shape.dimensions} coordinates"):
             spread_radius(shape, a, [b])
 
+    @pytest.mark.parametrize(
+        "shape, origin, sites, radius",
+        [
+            (LINE16, (1,), [(15,), (3,)], 2),
+            (GRID44, (0, 0), [(1, 2)], 1),  # sum(x) is read modulo gcd(4, 4)
+            (GRID44, (5, -1), [(0, 0), (2, 0)], 2),
+            (BOX442, (0, 0, 0), [], 0),
+        ],
+    )
+    def test_diagonal_radius_reads_sums_modulo_the_side_gcd(self, shape, origin, sites, radius):
+        assert diagonal_radius(shape, origin, sites) == radius
+
+    @pytest.mark.parametrize(
+        "shape, origin, sites",
+        [
+            (GRID44, (0, 0), [(1,)]),
+            (GRID44, (0, 0), [(1, 1), (1, 2, 3)]),
+            (GRID44, (0,), [(1, 1)]),
+            (GRID44, (0,), []),
+            (LINE16, (1, 2), [(3,)]),
+            (BOX442, (0, 0, 0), iter([(0, 0)])),
+        ],
+    )
+    def test_diagonal_radius_rejects_a_site_of_the_wrong_dimension(self, shape, origin, sites):
+        with pytest.raises(ValueError, match=f"needs {shape.dimensions} coordinates"):
+            diagonal_radius(shape, origin, sites)
+
     def test_odd_sides_rejected(self):
         with pytest.raises(ValueError):
             LatticeShape((5,))
@@ -686,11 +713,12 @@ def fresh_spec(shape, masses, window):
 
 
 def outcome(stepper, state, spec):
-    """The stepped arrays, or what the step raised."""
+    """The stepped arrays, or what the step raised and its cause."""
     try:
         after = stepper(state, spec)
     except IntHamError as exc:
-        return (type(exc).__name__, str(exc), exc.field_site)
+        cause = exc.__cause__
+        return (type(exc).__name__, str(exc), exc.field_site, type(cause).__name__, str(cause))
     return (after.phi.tolist(), after.mom.tolist())
 
 
@@ -854,12 +882,30 @@ class TestLocalRuleMemo:
 
     @pytest.mark.parametrize("shape, masses", MEMO_CASES)
     def test_forward_steps_store_every_inverse_sub_update(self, monkeypatch, shape, masses):
+        # Each forward miss stores its entry and then its mirror, the key of
+        # the momentum-flipped stepped state.  Inverting that sub-update
+        # flips the momenta and looks that key up, so the inverse steps look
+        # up every mirror; each of their lookups hits a key the forward steps
+        # stored, a mirror or an entry that coincides with one.
         spec = fresh_spec(shape, masses, (-64, 64))
+        stores, lookups = [], []
+
+        class RecordingMemo(OrderedDict):
+            def __setitem__(self, key, value):
+                stores.append(key)
+                super().__setitem__(key, value)
+
+            def get(self, key):
+                lookups.append(key)
+                return super().get(key)
+
+        object.__setattr__(spec, "_memo", RecordingMemo())
         start = random_state(spec, random.Random(5), -3, 3)
         state = start
         for _ in range(3):
             state = step(state, spec)
-        assert any(key[0] for key in spec._memo)  # mirrors of forward walks
+        mirrors = set(stores[1::2])
+        lookups.clear()
         misses = []
         original = fields.restricted_hamiltonian
         monkeypatch.setattr(
@@ -869,6 +915,8 @@ class TestLocalRuleMemo:
         for _ in range(3):
             state = step_inverse(state, spec)
         assert misses == []
+        assert len(lookups) == 3 * len(masses) * math.prod(shape.sizes)
+        assert mirrors <= set(lookups) <= set(stores)
         assert states_equal(state, start)
 
     @given(
@@ -987,12 +1035,14 @@ class TestLocalRuleMemo:
     def test_every_mirror_key_is_the_key_at_the_stepped_state(self, shape, masses):
         # A massless record on a line builds its key from its gather and its
         # two neighbour reads relative to x, every other record from its
-        # gather alone, and a miss builds its mirror key by re-gathering at
-        # the stepped state.  Each stored key must equal the generic key
-        # worked out here from the lattice: a forward key before the
-        # sub-update, its mirror after it, for the other direction.  On a
-        # line with one component the gather reads the momentum alone, as
-        # an int.
+        # gather alone; keys carry no direction.  An inverse step runs the
+        # forward kernel on the momentum-flipped state R(phi, mom) = (phi,
+        # -mom), so the list a sweep reads is the state in a forward step and
+        # R of it in an inverse one.  Each stored key must equal the generic
+        # key worked out here from the lattice: a forward key on the list the
+        # sub-update reads, and then its mirror, the key at R of the stepped
+        # list, whose entry steps back to R of the pair.  On a line with one
+        # component the gather reads the momentum alone, as an int.
         spec = fresh_spec(shape, masses, (-64, 64))
         n, kk = int(np.prod(shape.sizes)), len(masses)
         seen = {}
@@ -1000,16 +1050,21 @@ class TestLocalRuleMemo:
         def flat(x):
             return int(np.ravel_multi_index(x, shape.sizes))
 
+        def reflect(vals):
+            return vals[: kk * n] + [-v for v in vals[kk * n:]]
+
         def watched(sub):
             x, k, gather, qi, pi, line, layout = sub
 
             def gather_seen(vals):
-                seen["pair"] = (list(vals), vals, sub)
+                if "first" not in seen:
+                    seen["first"] = list(vals)
+                seen["pair"] = (list(vals), sub)
                 return gather(vals)
 
             return (x, k, gather_seen, qi, pi, line, layout)
 
-        def generic_key(vals, sub, inverse):
+        def generic_key(vals, sub):
             x, k = sub[:2]
             axes = range(shape.dimensions)
             reads = [x, *(shape.shift(x, a, 1) for a in axes)]
@@ -1022,8 +1077,8 @@ class TestLocalRuleMemo:
             centre = vals[k * n + flat(x)]
             if shape.dimensions == 1 and not masses[k]:
                 gathered = values[0] if len(values) == 1 else tuple(values)
-                return (inverse, k, gathered, *(vals[k * n + flat(s)] - centre for s in reads[1:]))
-            return (inverse, k, (*values, *(vals[k * n + flat(s)] for s in reads)))
+                return (k, gathered, *(vals[k * n + flat(s)] - centre for s in reads[1:]))
+            return (k, (*values, *(vals[k * n + flat(s)] for s in reads)))
 
         entries, orders, lo, hi = fields._plan(spec)
         lines = [bool(sub[5]) for e in entries for sub in e[2]]
@@ -1032,29 +1087,43 @@ class TestLocalRuleMemo:
         entries = [(*e[:2], tuple(swap[id(sub)] for sub in e[2])) for e in entries]
         orders = tuple([swap[id(sub)] for sub in order] for order in orders)
         object.__setattr__(spec, "_plan", (entries, orders, lo, hi))
-        forward_keys = []
+        forward_keys, mirrors, pending = [], [], []
+        stored = Counter()
         inverse = [False]
 
         class MirrorCheckingMemo(OrderedDict):
             def __setitem__(self, key, value):
-                before, after, sub = seen["pair"]
-                if len(forward_keys) > len(mirrors):  # the second store of a miss
-                    assert key == generic_key(after, sub, not inverse[0])
+                if pending:  # the second store of a miss
+                    before, stepped, sub = pending.pop()
+                    qi, pi, line = sub[3], sub[4], sub[5]
+                    assert key == generic_key(reflect(stepped), sub)
+                    shift = stepped[qi] if line else 0
+                    assert value[:2] == (before[qi] - shift, -before[pi])
                     mirrors.append(key)
                 else:
-                    assert key == generic_key(before, sub, inverse[0])
+                    before, sub = seen["pair"]
+                    qi, pi, line = sub[3], sub[4], sub[5]
+                    assert key == generic_key(before, sub)
+                    shift = before[qi] if line else 0
+                    stepped = list(before)
+                    stepped[qi], stepped[pi] = value[0] + shift, value[1]
+                    pending.append((before, stepped, sub))
                     forward_keys.append(key)
+                    stored[inverse[0]] += 1
                 super().__setitem__(key, value)
 
-        mirrors = []
         object.__setattr__(spec, "_memo", MirrorCheckingMemo())
         state = random_state(spec, random.Random(3), -3, 3)
         for stepper in (step, step, step_inverse, step_inverse, step_inverse, step, step):
             inverse[0] = stepper is step_inverse
-            state = stepper(state, spec)
-        assert len(mirrors) == len(forward_keys) > 0
-        assert {key[0] for key in forward_keys} == {False, True}  # mirrors of both directions
-        assert isinstance(mirrors[0][2], int) == (len(masses) == 1)
+            seen.pop("first", None)
+            vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+            after = stepper(state, spec)
+            assert seen["first"] == (reflect(vals) if inverse[0] else vals)
+            state = after
+        assert not pending and len(mirrors) == len(forward_keys) > 0
+        assert stored[False] > 0 and stored[True] > 0  # misses in both directions
+        assert isinstance(mirrors[0][1], int) == (len(masses) == 1)
 
     @pytest.mark.parametrize("shape", [LatticeShape((4,)), GRID44, LatticeShape((4, 4, 4))], ids=["1-D", "2-D", "3-D"])
     @pytest.mark.parametrize(
@@ -1685,6 +1754,108 @@ def test_momentum_flip_needs_the_reversed_order_with_two_components(shape, masse
         state = random_state(spec, rng, -4, 4)
         differ += not states_equal(step_inverse(state, spec), flipped_sweeps(state, spec, forward_orders))
     assert (differ > 0) == (len(masses) > 1)
+
+
+# Field and momentum windows that are not symmetric about 0: R maps each
+# momentum window [lo, hi] onto [-hi, -lo], another window.
+ASYMMETRIC_WINDOWS = [((-9, 9), (-6, 14)), ((-8, 12), (-13, 5)), ((-11, 7), (-5, 11)), ((-10, 10), (-9, 7))]
+
+
+def asymmetric_state(spec, rng, spread):
+    """Field values within 2 of the middle of the field window, momenta
+    within ``spread`` of 0, both clipped to their windows: bands near the
+    short side of a momentum window clamp against its edge."""
+    (qlo, qhi), (plo, phi_hi) = spec.phi_windows[0], spec.p_windows[0]
+    mid = (qlo + qhi) // 2
+    shape = (spec.components, *spec.shape.sizes)
+    count = math.prod(shape)
+    phi = [rng.randint(max(qlo, mid - 2), min(qhi, mid + 2)) for _ in range(count)]
+    mom = [rng.randint(max(plo, -spread), min(phi_hi, spread)) for _ in range(count)]
+    return FieldState(np.reshape(phi, shape), np.reshape(mom, shape))
+
+
+@pytest.mark.parametrize(
+    "shape, masses",
+    [
+        (LINE8, (Fraction(0),)),
+        (LINE8, (Fraction(1),)),
+        (LINE8, (Fraction(0), Fraction(1, 2))),
+        (GRID44, (Fraction(1, 2),)),
+        (GRID44, (Fraction(0), Fraction(1, 2))),
+    ],
+    ids=["line massless", "line massive", "line, 2 components", "plane massive", "plane, 2 components"],
+)
+def test_inverse_sweeps_on_asymmetric_windows_equal_the_prev_site_reference(shape, masses):
+    # An inverse sweep runs the forward kernel on the momentum-flipped state,
+    # where R maps each momentum window onto its reflection; its misses must
+    # still give the reference's outputs and, when a walk escapes, its error:
+    # type, message, field_site and cause.  Both steppers are compared with a
+    # cold memo and with one warmed by forward steps from the same state, and
+    # so are the forward steps themselves.
+    rng = random.Random(30)
+    outcomes, clamped = Counter(), 0
+
+    def tally(result):  # an error counts as its type and its cause's type
+        outcomes[result[::3] if isinstance(result[0], str) else ("returned",)] += 1
+
+    for phi_window, p_window in ASYMMETRIC_WINDOWS:
+        def new_spec():
+            k = len(masses)
+            return FieldHamiltonianSpec(shape, k, masses, Fraction(1, shape.dimensions), (phi_window,) * k, (p_window,) * k)
+
+        warm = new_spec()
+        for spread in (1, 2, 4):
+            states = [asymmetric_state(warm, rng, spread)]
+            for _ in range(2):
+                expected = outcome(reference_step, states[-1], new_spec())
+                assert outcome(step, states[-1], warm) == expected
+                tally(expected)
+                if isinstance(expected[0], str):
+                    break
+                states.append(step(states[-1], warm))
+            for state in states:
+                vals = state.phi.ravel().tolist() + state.mom.ravel().tolist()
+                for x, k, terms in sub_update_terms(warm, vals):
+                    ham = capture(lambda: restricted_hamiltonian(state, warm, x, k, _terms=terms))[0]
+                    clamped += ham is not None and not set(ham.p_window).isdisjoint(p_window)
+                expected = outcome(reference_step_inverse, state, new_spec())
+                assert outcome(step_inverse, state, new_spec()) == expected
+                assert outcome(step_inverse, state, warm) == expected
+                tally(expected)
+                for parity in (0, 1):
+                    order = [x for x in shape.sites() if shape.parity(x) == parity]
+                    rng.shuffle(order)
+                    expected = outcome(lambda s, sp: reference_sweeps(s, sp, (parity,), True, order), state, new_spec())
+                    for spec in (new_spec(), warm):
+                        got = outcome(lambda s, sp: step_parity(s, sp, parity, True, site_order=order), state, spec)
+                        assert got == expected
+                    tally(expected)
+    # the battery reaches bands that clamp against a momentum window edge,
+    # sweeps that return, and escapes raised from the window they left
+    assert clamped > 0 and outcomes[("returned",)] > 0, (clamped, outcomes)
+    assert outcomes[("UnboundedContour", "WindowExceeded")] > 0, outcomes
+
+
+@pytest.mark.parametrize(
+    "p_window, mom",
+    [
+        # every momentum near -2**63: each walk escapes along its row
+        ((-(2**63), 10 - 2**63), [3 - 2**63, 1 - 2**63, 5 - 2**63, -(2**63)]),
+        # -2**63 at an odd site: the even half sweep returns it unchanged
+        (fields.INT64, [1, 0, -1, -(2**63)]),
+    ],
+    ids=["window at the int64 floor", "int64 window"],
+)
+def test_inverse_sweeps_flip_every_int64_momentum_exactly(p_window, mom):
+    # R maps -2**63 to 2**63, past int64: the flip must be exact both ways.
+    spec = FieldHamiltonianSpec.uniform(LatticeShape((4,)), phi_window=(-8, 8), p_window=p_window)
+    state = FieldState([[0, 1, -1, 0]], [mom])
+    got = [outcome(lambda s, sp: step_parity(s, sp, parity, True), state, spec) for parity in (0, 1)]
+    expected = [outcome(lambda s, sp: reference_sweeps(s, sp, (parity,), True), state, spec) for parity in (0, 1)]
+    assert got == expected
+    assert outcome(step_inverse, state, spec) == outcome(reference_step_inverse, state, spec)
+    returned = [after[1][0][3] for after in expected if not isinstance(after[0], str)]
+    assert returned == ([-(2**63)] if p_window == fields.INT64 else [])
 
 
 # -- the sweep rule as a coupled system of pairs ---------------------------------
