@@ -247,11 +247,11 @@ def _field_state(cfg: dict, spec, rng: random.Random) -> fields.FieldState:
 
 def _mode_margolus(cfg: dict, steps: int, seed: int) -> tuple[dict, Optional[tuple]]:
     spec = _build(cfg, "field", fields.spec_from_json)
-    work = steps * steps * spec.components * math.prod(spec.shape.sizes)
+    work = steps * (steps + fields.MARGOLUS_STEP_UNITS) * spec.components * math.prod(spec.shape.sizes)
     if work > fields.MAX_MARGOLUS_WORK:
         raise ConfigError(
-            f"'steps' = {steps} needs {work} units of work (steps**2 * sites * components), past the cap "
-            f"MAX_MARGOLUS_WORK = {fields.MAX_MARGOLUS_WORK}"
+            f"'steps' = {steps} needs {work} units of work (steps * (steps + {fields.MARGOLUS_STEP_UNITS}) * sites * "
+            f"components), past the cap MAX_MARGOLUS_WORK = {fields.MAX_MARGOLUS_WORK}"
         )
     shape = (spec.components, *spec.shape.sizes)
     if "layers" in cfg:

@@ -17,9 +17,9 @@ radius has no such bound and the sweep order is fixed.
 The sweep is one integer kernel over one flat Python list of field values and
 momenta.  Once per step it reads both arrays with one ``tolist``, checks them
 against the windows with one min and max, and writes one read-only int64 array
-at the end.  One plan per spec, built on the first sweep, gives each site's
-forward neighbours and one record per sub-update: one ``itemgetter`` that
-gathers the values it reads, and the flat positions its restriction reads.
+at the end.  The lattice shape numbers the sites for every reader; one plan
+per spec, built on the first sweep, holds one record per sub-update: one
+``itemgetter`` over the values it reads, and the positions its restriction reads.
 Each half sweep is the list of its class's records in C order, components
 ascending.  Every energy term is even in the momenta, so
 ``R(phi, mom) = (phi, -mom)`` reverses the dynamics: an inverse sweep is
@@ -95,15 +95,17 @@ MAX_PLAN_POSITIONS = 2**19
 #: takes about 15 s, or up to about 70 s when most sub-updates miss.
 MAX_LIGHTCONE_UPDATES = 2**20
 
-#: Most work a ``margolus-contrast`` run may do, counted as ``steps**2 *
-#: prod(sizes) * components``: field values grow exponentially, so each step
-#: costs in proportion to the digits reached so far.  On a 2-core x86 host a
-#: unit cost 18-30 ns ([8] at 2000 to 2896 steps, 32x32 and 64x64 at 200
-#: and 100 steps), so a run at the cap takes 1-2 s.  Each site-step also
-#: costs about 2 us, which a short run on a large lattice adds: 7.7 s at 19
-#: steps on 174 760 sites, the longest line :data:`MAX_PLAN_POSITIONS` allows.
-#: The CLI also rejects a run whose energy outgrows the digits ``str`` writes.
+#: Most work a ``margolus-contrast`` run may do, counted as ``steps * (steps +
+#: MARGOLUS_STEP_UNITS) * prod(sizes) * components``.  Field values grow
+#: exponentially, so each step costs in proportion to the digits reached so far:
+#: on a 2-core x86 host a ``steps**2`` unit cost 11-17 ns ([8] at 2000 to 2896
+#: steps, 32x32 and 64x64 at 200 and 100 steps).  Each site-step also costs
+#: about 1.1 us whatever its digits, three quarters of it in its energy
+#: density ([174760] from 4 to 19 steps): ``MARGOLUS_STEP_UNITS`` units.  A run
+#: at the cap takes about 1 s.  The CLI also rejects a run whose energy outgrows
+#: the digits ``str`` writes.
 MAX_MARGOLUS_WORK = 2**26
+MARGOLUS_STEP_UNITS = 64
 
 #: Entries a spec's local-rule memo (see :func:`_sweep`) holds, dropping the
 #: oldest at the cap; bounds the memory of long runs over rarely repeating states.
@@ -112,7 +114,9 @@ _MEMO_CAP = 4096
 
 @dataclass(frozen=True)
 class LatticeShape:
-    """Periodic box with even side lengths (so the two parity classes tile)."""
+    """Periodic box with even side lengths (so the two parity classes tile).
+    It reads every site argument (:meth:`site`) and numbers the sites once
+    (:meth:`numbering`) for the energies, window errors and the sweep plan."""
 
     sizes: tuple[int, ...]
 
@@ -131,20 +135,39 @@ class LatticeShape:
     def sites(self) -> Iterator[Site]:
         return itertools.product(*(range(s) for s in self.sizes))
 
+    def site(self, x: Site) -> Site:
+        """The in-box site of x: one integer per dimension, each read by
+        :func:`index_tuple` and wrapped into its side, else ``ValueError``."""
+        site = index_tuple(x, "site coordinates")
+        if len(site) != len(self.sizes):
+            raise ValueError(f"site {x} needs {len(self.sizes)} coordinates, got {len(site)}")
+        return tuple(c % s for c, s in zip(site, self.sizes))
+
+    def numbering(self) -> tuple:
+        """``(sites, index, fwd)``, built on first use and kept as
+        ``_numbering``, which equality, hashing and repr ignore: the sites in
+        C order, as ``array.ravel()`` lays them out, each site's flat index,
+        and per site the flat indices of its forward neighbours ``x + e_a``."""
+        try:
+            return self._numbering
+        except AttributeError:
+            sites, flat = list(self.sites()), np.arange(math.prod(self.sizes)).reshape(self.sizes)
+            fwd = np.stack([np.roll(flat, -1, a).ravel() for a in range(self.dimensions)], axis=1).tolist()
+            object.__setattr__(self, "_numbering", (sites, dict(zip(sites, range(len(sites)))), list(map(tuple, fwd))))
+            return self._numbering
+
     def parity(self, x: Site) -> int:
-        return sum(x) % 2
+        return sum(self.site(x)) % 2
 
     def shift(self, x: Site, axis: int, delta: int) -> Site:
-        out = list(x)
+        out = list(self.site(x))
         out[axis] = (out[axis] + delta) % self.sizes[axis]
         return tuple(out)
 
     def l1_distance(self, a: Site, b: Site) -> int:
-        """Periodic L1 distance; coordinates wrap, as in :meth:`shift`."""
-        if len(a) != self.dimensions or len(b) != self.dimensions:
-            raise ValueError(f"sites {a} and {b} need {self.dimensions} coordinates each")
+        """Periodic L1 distance between two sites, each read by :meth:`site`."""
         total = 0
-        for ai, bi, s in zip(a, b, self.sizes):
+        for ai, bi, s in zip(self.site(a), self.site(b), self.sizes):
             d = (ai - bi) % s
             total += min(d, s - d)
         return total
@@ -266,21 +289,22 @@ def states_equal(a: FieldState, b: FieldState, include_time: bool = True) -> boo
     return same and (a.time == b.time or not include_time)
 
 
-def _check_state(state: FieldState, spec: FieldHamiltonianSpec):
+def _check_shape(array: np.ndarray, spec: FieldHamiltonianSpec, what: str = "state"):
     expected = (spec.components, *spec.shape.sizes)
-    if state.phi.shape != expected:
-        raise ValueError(f"state shape {state.phi.shape} != spec shape {expected}")
+    if array.shape != expected:
+        raise ValueError(f"{what} shape {array.shape} != spec shape {expected}")
 
 
 def _plan(spec: FieldHamiltonianSpec) -> tuple:
-    """The spec's sweep plan, built on first use and kept as ``spec._plan``.
+    """The spec's sweep plan, built on first use and kept as ``spec._plan``;
+    only the sweeps and :func:`restricted_hamiltonian` read it.
 
-    Sites are numbered in C order, as ``array.ravel()`` lays them out.  The
-    sweep keeps field values and momenta in one flat list over ``n`` sites:
+    Sites are numbered by :meth:`LatticeShape.numbering`.  The sweep keeps
+    field values and momenta in one flat list over ``n`` sites:
     ``phi_k`` of site ``i`` sits at ``k * n + i`` and ``mom_k`` at
     ``(K + k) * n + i`` for ``K`` components.  Returns ``(entries, orders,
-    lo, hi)``: ``entries[i]`` is ``(x, fwd, subs)``, where ``fwd`` holds the
-    flat indices of the forward neighbours ``x + e_a`` and ``subs[k]`` is the
+    lo, hi)``: ``entries[i]`` is ``(x, fwd, subs)``, with ``fwd`` the site's
+    forward neighbours from the numbering, and ``subs[k]`` is the
     one record of the sub-update of component ``k`` at x: ``(x, k, gather,
     qi, pi, line, layout)``.  ``gather`` is an ``itemgetter`` over the flat
     list (see :func:`_sweep`): the momenta at x, the pair's first, then the
@@ -308,19 +332,13 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
     try:
         return spec._plan
     except AttributeError:
-        shape = spec.shape
-        sites = list(shape.sites())
-        index = {x: i for i, x in enumerate(sites)}
-        axes = range(shape.dimensions)
-        fwd = [tuple(index[shape.shift(x, a, 1)] for a in axes) for x in sites]
+        sites, _, fwd = spec.shape.numbering()
         n, kk, masses = len(sites), spec.components, spec._mass_num
+        bwd = np.argsort(fwd, axis=0).tolist()  # x - e_a, as each x -> x + e_a is a permutation
         a = spec._sn * spec._mass_den
         entries = []
         for i, x in enumerate(sites):
-            back = []
-            for ax in axes:
-                w = index[shape.shift(x, ax, -1)]
-                back.append((w, fwd[w], fwd[w][:ax] + fwd[w][ax + 1:]))
+            back = [(w, fwd[w], fwd[w][:ax] + fwd[w][ax + 1:]) for ax, w in enumerate(bwd[i])]
             # Every site a sub-update at x reads: x, its forward neighbours,
             # and each backward neighbour with its other forward neighbours.
             reads = [i, *fwd[i]]
@@ -345,26 +363,17 @@ def _plan(spec: FieldHamiltonianSpec) -> tuple:
                         tuple((mj, j * n + w) for j, mj in enumerate(masses) if mj),
                     ))
                 layout = (tuple(densities), rest[1:kk])
-                if mass or shape.dimensions > 1:
+                if mass or spec.shape.dimensions > 1:
                     line, gather = None, itemgetter(*rest, *(k * n + s for s in reads))
                 else:  # massless on a line: x + 1 and x - 1, read relative to x
                     line, gather = (k * n + reads[1], k * n + reads[2]), itemgetter(*rest)
                 subs.append((x, k, gather, k * n + i, rest[0], line, layout))
             entries.append((x, fwd[i], tuple(subs)))
-        orders = tuple([sub for e in entries if shape.parity(e[0]) == c for sub in e[2]] for c in (0, 1))
+        orders = tuple([sub for e in entries if sum(e[0]) % 2 == c for sub in e[2]] for c in (0, 1))
         windows = spec.phi_windows + spec.p_windows
         lo, hi = max(w[0] for w in windows), min(w[1] for w in windows)
         object.__setattr__(spec, "_plan", (entries, orders, lo, hi))
         return spec._plan
-
-
-def _site_index(shape: LatticeShape, x: Site) -> int:
-    """Flat C-order index of the site x, whose coordinates wrap periodically;
-    a site without one integer per dimension raises ``ValueError``."""
-    site = index_tuple(x, "site coordinates")
-    if len(site) != shape.dimensions:
-        raise ValueError(f"site {x} needs {shape.dimensions} coordinates, got {len(site)}")
-    return int(np.ravel_multi_index(site, shape.sizes, mode="wrap"))
 
 
 def _energy(spec: FieldHamiltonianSpec, phi: list, mom: list, sites: Iterable[int]) -> int:
@@ -372,17 +381,16 @@ def _energy(spec: FieldHamiltonianSpec, phi: list, mom: list, sites: Iterable[in
     ``phi``/``mom``: per site, the potential part (squared forward gradients
     plus mass terms) and the kinetic part (squared momenta) are floored
     separately, in exact integers."""
-    entries = _plan(spec)[0]
-    n = len(entries)
+    fwd = spec.shape.numbering()[2]
+    n = len(fwd)
     sn, md, pden, kden = spec._sn, spec._mass_den, spec._pot_den, spec._kin_den
     rows = [(k * n, mk) for k, mk in enumerate(spec._mass_num)]
     total = 0
     for i in sites:
-        fwd = entries[i][1]
         grads = mass = squares = 0
         for base, mk in rows:
             c = phi[base + i]
-            for j in fwd:
+            for j in fwd[i]:
                 d = phi[base + j] - c
                 grads += d * d
             if mk:
@@ -395,13 +403,13 @@ def _energy(spec: FieldHamiltonianSpec, phi: list, mom: list, sites: Iterable[in
 
 def site_energy(state: FieldState, spec: FieldHamiltonianSpec, x: Site) -> int:
     """Energy density at x: separately floored potential and kinetic terms."""
-    _check_state(state, spec)
-    i = _site_index(spec.shape, x)
+    _check_shape(state.phi, spec)
+    i = spec.shape.numbering()[1][spec.shape.site(x)]
     return _energy(spec, state.phi.ravel().tolist(), state.mom.ravel().tolist(), (i,))
 
 
 def total_energy(state: FieldState, spec: FieldHamiltonianSpec) -> int:
-    _check_state(state, spec)
+    _check_shape(state.phi, spec)
     phi = state.phi.ravel().tolist()
     return _energy(spec, phi, state.mom.ravel().tolist(), range(len(phi) // spec.components))
 
@@ -502,7 +510,7 @@ def restricted_hamiltonian(
         (k,) = index_tuple((k,), "component")
         if not 0 <= k < spec.components:
             raise ValueError(f"component {k} is not in [0, {spec.components})")
-        site, _, _, qi, pi, _, layout = _plan(spec)[0][_site_index(spec.shape, x)][2][k]
+        site, _, _, qi, pi, _, layout = _plan(spec)[0][spec.shape.numbering()[1][spec.shape.site(x)]][2][k]
         _terms = _local_terms(spec, _flat(state, spec), layout, qi, pi)
         try:
             return restricted_hamiltonian(state, spec, x, k, _terms=_terms)
@@ -541,7 +549,7 @@ def _flat(state: FieldState, spec: FieldHamiltonianSpec, flip: bool = False) -> 
     :func:`_plan`), or with ``flip`` those of ``R(phi, mom) = (phi, -mom)``,
     after one min and max over both arrays; only a value outside the plan's
     ``[lo, hi]`` runs the per-window scan."""
-    _check_state(state, spec)
+    _check_shape(state.phi, spec)
     both = np.concatenate((state.phi, state.mom), axis=None)
     (*_, lo, hi), least = _plan(spec), both.min()
     if not (lo <= least and both.max() <= hi):
@@ -558,8 +566,8 @@ def _outside(spec: FieldHamiltonianSpec, vals: list, windows, label: str) -> Opt
     """The error naming the first value of the flat list ``vals`` outside its
     component's ``windows`` (field windows, momentum windows), with
     ``field_site`` set; None when every value lies inside."""
-    entries = _plan(spec)[0]
-    n = len(entries)
+    sites = spec.shape.numbering()[0]
+    n = len(sites)
     for k in range(spec.components):
         for name, start, (lo, hi) in (
             ("field", k * n, windows[0][k]),
@@ -567,12 +575,11 @@ def _outside(spec: FieldHamiltonianSpec, vals: list, windows, label: str) -> Opt
         ):
             for i, v in enumerate(vals[start:start + n]):
                 if not lo <= v <= hi:
-                    x = entries[i][0]
                     exc = WindowExceeded(
-                        f"{name} value {v} of component {k} at site {x} outside {label} [{lo}, {hi}]",
+                        f"{name} value {v} of component {k} at site {sites[i]} outside {label} [{lo}, {hi}]",
                         argument=v,
                     )
-                    exc.field_site = (x, k)
+                    exc.field_site = (sites[i], k)
                     return exc
     return None
 
@@ -692,13 +699,14 @@ def step_parity(
     (parity,) = index_tuple((parity,), "parity")
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
-    vals, order = _flat(state, spec, inverse), _plan(spec)[1][parity]
-    if site_order is not None:
-        by_site = {x: list(subs) for x, subs in itertools.groupby(order, itemgetter(0))}
-        site_order = [tuple(x) for x in site_order]
-        if sorted(site_order) != sorted(by_site):
+    vals, (entries, orders, *_) = _flat(state, spec, inverse), _plan(spec)
+    order = orders[parity]
+    if site_order is not None:  # the class's records per site, replayed in the order given
+        given = [spec.shape.site(x) for x in site_order]
+        if sorted(given) != [sub[0] for sub in order[::spec.components]]:
             raise ValueError("site_order must enumerate the parity class exactly")
-        order = [sub for x in site_order for sub in by_site[x]]
+        index = spec.shape.numbering()[1]
+        order = [sub for x in given for sub in entries[index[x]][2]]
     _sweep(state, vals, spec, (order[::-1] if inverse else order,), inverse)
     return _unflat(spec, vals, state.time)
 
@@ -725,13 +733,17 @@ def step_inverse(state: FieldState, spec: FieldHamiltonianSpec) -> FieldState:
 
 
 def diff_sites(a: FieldState, b: FieldState) -> set[Site]:
-    """Lattice sites where any component of field or momentum differs."""
+    """Lattice sites where any component of field or momentum differs; states
+    of different shapes raise ``ValueError`` instead of broadcasting."""
+    if a.phi.shape != b.phi.shape:
+        raise ValueError(f"cannot compare states of shapes {a.phi.shape} and {b.phi.shape}")
     changed = np.any((a.phi != b.phi) | (a.mom != b.mom), axis=0)
     return {tuple(int(i) for i in idx) for idx in np.argwhere(changed)}
 
 
 def spread_radius(shape: LatticeShape, origin: Site, sites: Iterable[Site]) -> int:
     """Largest periodic L1 distance from origin over the given sites."""
+    origin = shape.site(origin)
     return max((shape.l1_distance(origin, x) for x in sites), default=0)
 
 
@@ -739,16 +751,11 @@ def diagonal_radius(shape: LatticeShape, origin: Site, sites: Iterable[Site]) ->
     """Largest periodic distance of ``sum(x)`` from ``sum(origin)`` over the
     given sites: the light-cone radius, which grows by at most one per half
     sweep.  ``sum(x)`` is defined modulo the gcd of the side lengths; in one
-    dimension this is the L1 distance.  A site or origin without one
-    coordinate per dimension raises ``ValueError``."""
-    period, d = math.gcd(*shape.sizes), shape.dimensions
-    sums = []
-    for x in (origin, *sites):
-        if len(x) != d:
-            raise ValueError(f"site {x} needs {d} coordinates, got {len(x)}")
-        sums.append(sum(x))
-    u0 = sums[0]
-    return max((min((u - u0) % period, (u0 - u) % period) for u in sums[1:]), default=0)
+    dimension this is the L1 distance.  Every site, the origin included, is
+    read by :meth:`LatticeShape.site`."""
+    period = math.gcd(*shape.sizes)
+    u0, *sums = (sum(shape.site(x)) for x in (origin, *sites))
+    return max((min((u - u0) % period, (u0 - u) % period) for u in sums), default=0)
 
 
 # -- two-layer contrast automaton -------------------------------------------
@@ -794,9 +801,7 @@ def margolus_unstep(state: MargolusFieldState) -> MargolusFieldState:
 def margolus_energy(state: MargolusFieldState, spec: FieldHamiltonianSpec) -> int:
     """Field energy of the leading layer, reading the layer difference as
     momentum.  Conserved by the contour automaton, not by this one."""
-    expected = (spec.components, *spec.shape.sizes)
-    if state.newer.shape != expected:
-        raise ValueError(f"layer shape {state.newer.shape} != spec shape {expected}")
+    _check_shape(state.newer, spec, "layer")
     phi = state.newer.ravel().tolist()
     mom = (state.newer - state.older).ravel().tolist()
     return _energy(spec, phi, mom, range(len(phi) // spec.components))

@@ -391,7 +391,9 @@ CROSSED = [
     ({**TRAJECTORY, "model": {**DIAMOND, "potential": {"family": "power", "scale": 2, "mass": "1/2", "window": [-5, 5]}}}, "'mass'"),
     ({**TRAJECTORY, "models": [BOWL]}, "give 'model' or 'models', not both"),
     ({**LIGHTCONE, "steps": 2**16 + 1}, "'steps' = 65537 needs 1048592 sub-updates, past the cap"),
-    ({**MARGOLUS, "steps": 2**12 + 1}, "'steps' = 4097 needs 67141636 units of work"),
+    ({**MARGOLUS, "steps": 4065}, "'steps' = 4065 needs 67137540 units of work (steps * (steps + 64)"),
+    # each site-step's own cost: 19 steps on the longest line ran 3.7 s under steps**2 alone
+    ({**MARGOLUS, "field": {"sizes": [174760], "stiffness": 1}, "steps": 19}, "'steps' = 19 needs 275596520 units of work"),
     # under the work cap, but the energy outgrows the digits str() may write
     ({**MARGOLUS, "field": {"sizes": [2], "stiffness": 1}, "steps": 5000}, "'steps' = 5000 grows the energy past"),
 ]
@@ -512,12 +514,17 @@ class TestFailureModes:
         assert "'steps' = 3 needs 48 sub-updates" in capsys.readouterr().err
 
     def test_margolus_steps_past_the_cap_fail_fast(self, tmp_path, capsys, monkeypatch):
-        # Field values grow exponentially, so a run costs about steps**2 *
-        # sites * components; past the cap it is rejected before any layer is
-        # drawn, whether the steps come from the config or from --steps.
+        # Field values grow exponentially, so a run costs about steps * (steps
+        # + MARGOLUS_STEP_UNITS) * sites * components; past the cap it is
+        # rejected before any layer is drawn, whether the steps come from the
+        # config or from --steps.  151 steps on the wide plane fit, 152 do not,
+        # and neither do 19 steps on the longest line the plan cap allows.
         out = tmp_path / "out"
         wide = {**MARGOLUS, "field": {"sizes": [32, 32], "components": 2}, "steps": 1}
-        for config, argv in ((MARGOLUS, ["--steps", str(2**40)]), (wide, ["--steps", "182"]), ({**wide, "steps": 2**60}, [])):
+        line = {**MARGOLUS, "field": {"sizes": [174760], "stiffness": 1}, "steps": 19}
+        for config, argv in (
+            (MARGOLUS, ["--steps", str(2**40)]), (wide, ["--steps", "152"]), ({**wide, "steps": 2**60}, []), (line, []),
+        ):
             cfg = write_config(tmp_path / "c.json", config)
             start = time.perf_counter()
             assert main(["run", cfg, "--out", str(out), *argv]) == 2
@@ -526,11 +533,13 @@ class TestFailureModes:
             assert err.startswith("config error: 'steps'") and f"MAX_MARGOLUS_WORK = {fields.MAX_MARGOLUS_WORK}" in err
         assert not out.exists()
         # a run of exactly the cap's work goes ahead
-        monkeypatch.setattr(fields, "MAX_MARGOLUS_WORK", 2 * 2 * 4)
+        assert fields.MARGOLUS_STEP_UNITS == 64
+        assert 151 * (151 + 64) * 2048 <= fields.MAX_MARGOLUS_WORK < 152 * (152 + 64) * 2048
+        monkeypatch.setattr(fields, "MAX_MARGOLUS_WORK", 2 * (2 + 64) * 4)
         cfg = write_config(tmp_path / "c.json", MARGOLUS)
         assert main(["run", cfg, "--out", str(out)]) == 0
         assert main(["run", cfg, "--out", str(out), "--steps", "3"]) == 2
-        assert "'steps' = 3 needs 36 units of work" in capsys.readouterr().err
+        assert "'steps' = 3 needs 804 units of work" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
     def test_error_reports_carry_the_declared_context(self, cls):

@@ -1,8 +1,10 @@
 """Lattice field automaton: energies, sweeps, reversal, locality, drift."""
 
 import hashlib
+import json
 import math
 import random
+import re
 import time
 from collections import Counter, OrderedDict
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intham import contours, evolver, fields
+from intham import cli, contours, evolver, fields
 from intham.errors import ConfigError, IntHamError, UnboundedContour, WindowExceeded
 from intham.fields import (
     FieldHamiltonianSpec,
@@ -101,9 +103,11 @@ class TestLatticeShape:
         [(LINE16, (1, 2), (3,)), (GRID44, (0, 0), (1,)), (GRID44, (0,), (1, 1)), (BOX442, (0, 0), (0, 0))],
     )
     def test_l1_distance_rejects_a_site_of_the_wrong_dimension(self, shape, a, b):
-        with pytest.raises(ValueError, match=f"need {shape.dimensions} coordinates"):
+        bad = next(x for x in (a, b) if len(x) != shape.dimensions)
+        message = "^" + re.escape(f"site {bad} needs {shape.dimensions} coordinates, got {len(bad)}") + "$"
+        with pytest.raises(ValueError, match=message):
             shape.l1_distance(a, b)
-        with pytest.raises(ValueError, match=f"need {shape.dimensions} coordinates"):
+        with pytest.raises(ValueError, match=message):
             spread_radius(shape, a, [b])
 
     @pytest.mark.parametrize(
@@ -136,6 +140,109 @@ class TestLatticeShape:
     def test_odd_sides_rejected(self):
         with pytest.raises(ValueError):
             LatticeShape((5,))
+
+    def test_the_numbering_is_c_order_and_outside_equality(self):
+        for shape in (LINE16, GRID44, BOX442):
+            fresh = LatticeShape(shape.sizes)
+            sites, index, fwd = fresh.numbering()
+            assert fresh.numbering() is fresh.numbering()
+            assert sites == list(shape.sites())
+            assert [index[x] for x in sites] == list(range(len(sites)))
+            assert all(np.ravel_multi_index(x, shape.sizes) == index[x] for x in sites)
+            assert fwd == [tuple(index[shape.shift(x, a, 1)] for a in range(shape.dimensions)) for x in sites]
+            twin = LatticeShape(shape.sizes)
+            assert fresh == twin and hash(fresh) == hash(twin) and repr(fresh) == repr(twin) == f"LatticeShape(sizes={shape.sizes})"
+
+
+# A state on the 4x4 grid with its spec, and the grid's even sites, for the
+# site readers below.
+GRID_STATE = (
+    FieldState(np.arange(16).reshape(1, 4, 4) % 5 - 2, np.arange(16).reshape(1, 4, 4) % 3 - 1),
+    FieldHamiltonianSpec.uniform(GRID44, 1, Fraction(1, 2), None, (-40, 40), (-40, 40)),
+)
+GRID_EVENS = [x for x in GRID44.sites() if sum(x) % 2 == 0]
+
+
+def _tables(ham):
+    return ham.kinetic.lo, ham.kinetic.values, ham.potential.lo, ham.potential.values, ham._closure_level
+
+
+def _snapshot(state):
+    return state.phi.tolist(), state.mom.tolist(), state.time
+
+
+#: Every public callable of ``intham.fields`` that takes a site, keyed by its
+#: qualified name and its site parameter, as a call of one site of GRID44 in
+#: that parameter; test_package checks that no site parameter is left out.
+SITE_READERS = {
+    ("LatticeShape.site", "x"): GRID44.site,
+    ("LatticeShape.parity", "x"): GRID44.parity,
+    ("LatticeShape.shift", "x"): lambda x: GRID44.shift(x, 1, 1),
+    ("LatticeShape.l1_distance", "a"): lambda x: GRID44.l1_distance(x, (0, 2)),
+    ("LatticeShape.l1_distance", "b"): lambda x: GRID44.l1_distance((0, 2), x),
+    ("spread_radius", "origin"): lambda x: spread_radius(GRID44, x, [(0, 2), (3, 3)]),
+    ("spread_radius", "sites"): lambda x: spread_radius(GRID44, (0, 2), [(2, 2), x]),
+    ("diagonal_radius", "origin"): lambda x: diagonal_radius(GRID44, x, [(0, 1)]),
+    ("diagonal_radius", "sites"): lambda x: diagonal_radius(GRID44, (0, 0), [(0, 1), x]),
+    ("site_energy", "x"): lambda x: site_energy(*GRID_STATE, x),
+    ("restricted_hamiltonian", "x"): lambda x: _tables(restricted_hamiltonian(*GRID_STATE, x, 0)),
+    # the even class backwards, with x in place of (1, 3)
+    ("step_parity", "site_order"): lambda x: _snapshot(
+        step_parity(*GRID_STATE, 0, site_order=[x if e == (1, 3) else e for e in GRID_EVENS[::-1]])
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(SITE_READERS), ids="{0[0]}({0[1]})".format)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1.5, 3), "site coordinates must be integers"),
+        ((1, 3.0), "site coordinates must be integers"),
+        ((Fraction(1), 3), "site coordinates must be integers"),
+        ((1, Fraction(7, 2)), "site coordinates must be integers"),
+        ((1,), "site (1,) needs 2 coordinates, got 1"),
+        ((1, 3, 0), "site (1, 3, 0) needs 2 coordinates, got 3"),
+    ],
+)
+def test_every_site_reader_rejects_a_site_that_is_not_one_integer_per_dimension(reader, bad, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        SITE_READERS[reader](bad)
+
+
+@pytest.mark.parametrize("radius", [spread_radius, diagonal_radius])
+@pytest.mark.parametrize("bad", [(1.5, 3), (Fraction(1), 3), (1,)])
+def test_the_radii_read_the_origin_even_with_no_other_sites(radius, bad):
+    assert radius(GRID44, (5, -1), []) == 0
+    with pytest.raises(ValueError, match="^site"):
+        radius(GRID44, bad, [])
+
+
+@pytest.mark.parametrize("reader", list(SITE_READERS), ids="{0[0]}({0[1]})".format)
+def test_every_site_reader_reads_a_wrapped_site_as_its_in_box_site(reader):
+    call = SITE_READERS[reader]
+    expected = call((1, 3))
+    for wrapped in ((5, -1), (-3, 7), (np.int64(1), np.int64(43)), [9, -5]):
+        assert call(wrapped) == expected, wrapped
+
+
+def test_energy_queries_and_margolus_runs_build_no_sweep_plan(tmp_path, monkeypatch):
+    # Energies read the shape's numbering alone; only a sweep or a
+    # restriction builds the spec's plan.
+    spec = FieldHamiltonianSpec.uniform(LatticeShape((4, 4)), 2, Fraction(1, 2), None, (-40, 40), (-40, 40))
+    state = random_state(spec, random.Random(8))
+    total_energy(state, spec)
+    site_energy(state, spec, (1, 2))
+    margolus_energy(MargolusFieldState(state.mom, state.phi), spec)
+    assert not hasattr(spec, "_plan")
+    step(state, spec)
+    assert hasattr(spec, "_plan") and fields._plan(spec)[0][0][1] is spec.shape.numbering()[2][0]
+    specs, build = [], fields.spec_from_json
+    monkeypatch.setattr(fields, "spec_from_json", lambda obj: specs.append(build(obj)) or specs[-1])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"mode": "margolus-contrast", "field": {"sizes": [6, 4], "components": 2}, "steps": 3}))
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(specs) == 1 and not hasattr(specs[0], "_plan")
 
 
 class TestSpecValidation:
@@ -193,6 +300,10 @@ class TestLayerBounds:
 
 def uniform_spec(phi_window=(-8, 8), p_window=(-8, 8), components=1):
     return FieldHamiltonianSpec.uniform(LINE16, components, Fraction(0), Fraction(1), phi_window, p_window)
+
+
+def zero_state(*shape):
+    return FieldState(np.zeros(shape, int), np.zeros(shape, int))
 
 
 # A state on a 4-site line with its spec, for the query checks below.
@@ -271,6 +382,11 @@ LINE4 = (
         (lambda: restricted_hamiltonian(*LINE4, (0, 0), 0), r"site \(0, 0\) needs 1 coordinates, got 2"),
         (lambda: site_energy(*LINE4, (0, 0)), r"site \(0, 0\) needs 1 coordinates, got 2"),
         (lambda: site_energy(*LINE4, (0.5,)), "site coordinates must be integers"),
+        # states of different shapes are named, not broadcast against each other
+        (lambda: diff_sites(LINE4[0], zero_state(1, 1)), r"^cannot compare states of shapes \(1, 4\) and \(1, 1\)$"),
+        (lambda: diff_sites(LINE4[0], zero_state(2, 4)), r"^cannot compare states of shapes \(1, 4\) and \(2, 4\)$"),
+        (lambda: diff_sites(zero_state(2, 4), LINE4[0]), r"^cannot compare states of shapes \(2, 4\) and \(1, 4\)$"),
+        (lambda: diff_sites(LINE4[0], zero_state(1, 2, 2)), r"^cannot compare states of shapes \(1, 4\) and \(1, 2, 2\)$"),
     ],
 )
 def test_field_constructors_and_queries_reject_bad_input(call, message):
@@ -1657,6 +1773,22 @@ class TestStepOutput:
             restricted_hamiltonian(FieldState([phi], [mom]), spec, [0], 0)
         assert str(err.value) == message
         assert err.value.field_site == ((0,), 0)
+
+    def test_the_momentum_budget_admits_exactly_two_max_window_plus_one_momenta(self):
+        # At momentum MAX_WINDOW the rows +-s sit at +-(MAX_WINDOW + 1): a
+        # window [-MAX_WINDOW, MAX_WINDOW] clips the band to 2*MAX_WINDOW + 1
+        # momenta, the budget, and one more momentum past it is refused.
+        state = FieldState([[0] * 4], [[MAX_WINDOW, 0, 0, 0]])
+        wide = (-(2**20), 2**20)
+        spec = FieldHamiltonianSpec.uniform(LatticeShape((4,)), phi_window=wide, p_window=(-MAX_WINDOW, MAX_WINDOW))
+        assert restricted_hamiltonian(state, spec, (0,), 0).p_window == (-MAX_WINDOW, MAX_WINDOW)
+        spec = FieldHamiltonianSpec.uniform(LatticeShape((4,)), phi_window=wide, p_window=(-MAX_WINDOW, MAX_WINDOW + 1))
+        message = f"contour band at level {MAX_WINDOW**2 // 2} needs momenta [{-MAX_WINDOW}, {MAX_WINDOW + 1}], past +-{MAX_WINDOW}"
+        for call in (step, step_inverse, lambda s, sp: restricted_hamiltonian(s, sp, (0,), 0)):
+            with pytest.raises(WindowExceeded) as err:
+                call(state, spec)
+            assert str(err.value) == message
+            assert err.value.field_site == ((0,), 0)
 
     def test_the_momentum_budget_counts_only_momenta_inside_the_window(self):
         # A heavy pair far from its minimum has rows +-s near 3*10**5, past

@@ -1,11 +1,13 @@
 """The package's public surface."""
 
 import ast
+import inspect
 import warnings
 from pathlib import Path
 
 import intham
-from intham import errors
+from intham import errors, fields
+from test_fields import SITE_READERS
 
 
 def test_every_exported_name_resolves():
@@ -185,3 +187,27 @@ def test_mode_runners_leave_the_disk_to_run():
             if name.split(".")[-1] in ("open", "mkdir", "_write_csv") or name == "csv.writer":
                 found.append(f"cli.py:{call.lineno} {fn.name} calls {name}")
     assert len(runners) == 7 and found == []
+
+
+def test_every_site_parameter_is_read_by_the_shape():
+    # A site argument has one reader, ``LatticeShape.site``: test_fields
+    # checks each entry of SITE_READERS against floats, Fractions, wrong
+    # dimensions and wrapped coordinates.  Every public callable of
+    # ``intham.fields`` with a parameter of a site's name that is annotated
+    # with ``Site``, or not annotated at all, must have an entry there.
+    names = {"x", "a", "b", "origin", "sites", "site_order"}
+    found = set()
+    for name, obj in vars(fields).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != fields.__name__:
+            continue
+        members = [(name, obj)] if callable(obj) else []
+        if inspect.isclass(obj):
+            members += [
+                (f"{name}.{m}", getattr(obj, m)) for m in vars(obj) if not m.startswith("_") and inspect.isroutine(getattr(obj, m))
+            ]
+        for qualname, fn in members:
+            for param in inspect.signature(fn).parameters.values():
+                annotation = param.annotation
+                if param.name in names and (annotation is inspect.Parameter.empty or "Site" in str(annotation)):
+                    found.add((qualname, param.name))
+    assert ("step_parity", "site_order") in found and sorted(found) == sorted(SITE_READERS)
